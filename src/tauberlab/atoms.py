@@ -36,7 +36,6 @@ __all__ = [
     "laplace_L",
     "laplace_L_log",
     "green_G",
-    "green_G_log",
     "primitive_N",
     "primitive_N_log",
     "roots_identity",
@@ -280,6 +279,27 @@ def primitive_N_log(fam: AtomFamily, t: float) -> LogComplex:
     )
 
 
+_LGAMMA = np.empty(0)  # log j! = math.lgamma(j + 1.0) for j < _LGAMMA.size
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log j! for j < n, from a module table grown on first need.
+
+    The entries are the same math.lgamma values whatever order the table
+    grew in, so every caller reads identical numbers.  A caller slices the
+    table it grew or read, never a global another thread may have replaced;
+    the table is read-only because every caller shares it.
+    """
+    global _LGAMMA
+    table = _LGAMMA
+    if table.size < n:
+        grown = [math.lgamma(j + 1.0) for j in range(table.size, max(n, 2 * table.size))]
+        table = np.concatenate([table, grown])
+        table.setflags(write=False)
+        _LGAMMA = table
+    return table[:n]
+
+
 def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     """Resummed evaluation of G(t, z) over an array of t, in log space.
 
@@ -292,6 +312,9 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     and for n <= k-2 the bracket is exactly Z^n A z / w, turning that range
     into a truncated exponential in t(z - w).  Everything is accumulated as
     (log magnitude, phase) arrays; no intermediate exceeds float range.
+    At t = 0 the main sum is exactly 1 and the tail exactly 0, so those
+    columns are set, not summed, and an all-zero t array (fhat = G(0, .))
+    builds no series at all.
     Returns (log_mag, phase) arrays over t.
     """
     k, a, w = fam.k, fam.circle_scale, fam.base
@@ -315,28 +338,53 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     t_arr = np.asarray(t_arr, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    tpos = np.where(t_arr > 0, t_arr, 1.0)  # placeholder; t=0 columns patched below
-    log_t = np.log(tpos)
     zero_mask = t_arr == 0.0
+    s_lm = np.zeros(t_arr.shape)
+    s_ph = np.zeros(t_arr.shape)
+    t_lm = np.full(t_arr.shape, -np.inf)
+    t_ph = np.zeros(t_arr.shape)
+    if not np.all(zero_mask):
+        tpos = np.where(zero_mask, 1.0, t_arr)  # placeholder; t=0 columns reset below
+        log_t = np.log(tpos)
 
-    # ---- main part: (k A z / (w (Z^k-1))) * sum_{j<=k-2} (t(z-w))^j / j!
-    x = z - w
-    log_x, ph_x = math.log(abs(x)), cmath.phase(x)
-    jj = np.arange(k - 1, dtype=float)
-    lm = jj[:, None] * (log_t[None, :] + log_x) - np.array(
-        [math.lgamma(j + 1.0) for j in range(k - 1)]
-    )[:, None]
-    ph = jj[:, None] * ph_x * np.ones_like(lm)  # t^j contributes no phase
-    if np.any(zero_mask):
-        lm[:, zero_mask] = -np.inf
-        lm[0, zero_mask] = 0.0
-        ph[:, zero_mask] = 0.0
-    s_lm, s_ph = log_sum_arrays(lm, ph, axis=0)
+        # ---- main part: sum_{j<=k-2} (t(z-w))^j / j!
+        x = z - w
+        log_x, ph_x = math.log(abs(x)), cmath.phase(x)
+        jj = np.arange(k - 1, dtype=float)
+        lm = jj[:, None] * (log_t[None, :] + log_x) - _log_factorials(k - 1)[:, None]
+        # t^j contributes no phase: one phase per row, broadcast over t
+        s_lm, s_ph = log_sum_arrays(lm, (jj * ph_x)[:, None], axis=0)
+        s_lm[zero_mask] = 0.0
+        s_ph[zero_mask] = 0.0
+
+        # ---- tail part: n >= k-1, bracket g_r = A Z^(r) + Z^((r+1) mod k)/w,
+        # built only at the residues r = n mod k the tail reads
+        t_max = float(np.max(t_arr))
+        ratio = t_max / a
+        n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
+        nn = np.arange(k - 1, n_hi + 1)
+        res = nn % k
+        lc_w = LogComplex.from_complex(w)
+        lc_a = LogComplex.from_real(a)
+        g_lm = np.empty(k)
+        g_ph = np.empty(k)
+        for r in np.unique(res).tolist():
+            g = lc_a * (lc_z ** r) + (lc_z ** ((r + 1) % k)) / lc_w
+            g_lm[r] = g.log_mag
+            g_ph[r] = g.phase
+        tail_lm = (
+            nn[:, None] * (log_t[None, :] - math.log(a))
+            - _log_factorials(n_hi + 1)[k - 1:, None]
+            + g_lm[res][:, None]
+        )
+        tail_lm[:, zero_mask] = -np.inf
+        t_lm, t_ph = log_sum_arrays(tail_lm, g_ph[res][:, None], axis=0)
 
     if z == 0:
         main_lm = np.full_like(s_lm, -np.inf)
         main_ph = np.zeros_like(s_ph)
     else:
+        # (k A z / (w (Z^k-1))) times the main sum
         pref = (
             LogComplex.from_real(float(k))
             * LogComplex.from_real(a)
@@ -346,32 +394,7 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
         )
         main_lm = s_lm + pref.log_mag
         main_ph = s_ph + pref.phase
-
-    # ---- tail part: n >= k-1, bracket g_r = A Z^(r) + Z^((r+1) mod k)/w
-    lc_w = LogComplex.from_complex(w)
-    lc_a = LogComplex.from_real(a)
-    g_lm = np.empty(k)
-    g_ph = np.empty(k)
-    for r in range(k):
-        g = lc_a * (lc_z ** r) + (lc_z ** ((r + 1) % k)) / lc_w
-        g_lm[r] = g.log_mag
-        g_ph[r] = g.phase
-
-    t_max = float(np.max(t_arr)) if t_arr.size else 0.0
-    ratio = t_max / a
-    n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
-    nn = np.arange(k - 1, n_hi + 1)
-    lgam = np.array([math.lgamma(n + 1.0) for n in nn])
-    tail_lm = (
-        nn[:, None] * (log_t[None, :] - math.log(a))
-        - lgam[:, None]
-        + g_lm[nn % k][:, None]
-    )
-    tail_ph = np.broadcast_to(g_ph[nn % k][:, None], tail_lm.shape).copy()
-    if np.any(zero_mask):
-        tail_lm[:, zero_mask] = -np.inf
     factor = LogComplex.from_real(float(k)) / lc_zk1
-    t_lm, t_ph = log_sum_arrays(tail_lm, tail_ph, axis=0)
     t_lm = t_lm + factor.log_mag
     t_ph = t_ph + factor.phase
 
@@ -382,13 +405,6 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     both_ph = np.stack([main_ph, t_ph])
     tot_lm, tot_ph = log_sum_arrays(both_lm, both_ph, axis=0)
     return pre_lm + tot_lm, pre_ph + tot_ph
-
-
-def green_G_log(fam: AtomFamily, t: float, z: complex) -> LogComplex:
-    lm, ph = _green_series(fam, np.array([float(t)]), z)
-    if not np.isfinite(lm[0]):
-        return LogComplex.zero()
-    return LogComplex.from_log(float(lm[0]), float(ph[0]))
 
 
 def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:

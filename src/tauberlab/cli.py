@@ -31,7 +31,8 @@ Determinism: two runs of the same scenario produce byte-identical CSV
 bodies -- fixed summation orders, explicit seeds, wall time only in JSON.
 The ``--threads`` cap (fallback: the TAUBERLAB_THREADS environment
 variable) bounds the linear-algebra thread pools; it never changes
-results, only scheduling.
+results, only scheduling.  A negative count, from either source or from a
+config's ``threads`` key, is a usage error.
 """
 from __future__ import annotations
 
@@ -59,18 +60,17 @@ SUITES = (
     ("XQ4", "atom transform box bound over the admissible spectral region"),
     ("X5", "atom primitive floor on the sqrt(k) window"),
     ("X6", "atom primitive gaussian bump plus pure-tail envelope"),
-    ("Y1", "log-profile transform upper envelope"),
-    ("Y2", "log-profile time upper envelope"),
+    ("Y1", "log-profile time upper envelope, stretched-exponential decay"),
+    ("Y2", "log-profile transform box bound"),
     ("Y3", "log-profile primitive window floor, stretched-exponential scale"),
     ("Y4", "log-profile primitive pure-tail envelope"),
     ("lemma31", "resolvent kernel integral capped by min(2, pi^2/(2 t^2))"),
-    ("GNmu", "transform values cross-checked against direct quadrature"),
     ("i3est", "adaptive contour stub-piece norm against its predicted shape"),
     ("i4est1", "adaptive contour boundary-piece norm against its predicted shape"),
     ("T1", "shift orbit two-regime envelope: k^(1/4) box plus decaying tail"),
     ("T5", "shift primitive window floor at scale k^(1/4)(log k/k)^(1/alpha)"),
     ("T6", "shift primitive window upper analogue"),
-    ("73b", "resolvent square-integral envelope along the region boundary"),
+    ("73b", "transform L^2 growth along sampled spectral frequencies"),
     ("shift-tail-identity", "suffix tail sums against head/total quadrature"),
     ("B-square-root", "damping square-root operator factorization residual"),
     ("B-decay-ladder", "weighted damping-observation dyadic decay ladder"),
@@ -261,6 +261,25 @@ class ScenarioError(ValueError):
     """Config/usage problem: maps to exit code 2."""
 
 
+def _thread_count(raw, source: str) -> int:
+    """A thread cap from the flag, the config or the environment; 0 = no cap."""
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ScenarioError(f"bad value for {source}: {raw!r}") from None
+    if threads < 0:
+        raise ScenarioError(f"{source} must be >= 0 (0 = no cap), got {threads}")
+    return threads
+
+
+def _env_thread_fallback(threads: int) -> int:
+    """The TAUBERLAB_THREADS cap when neither flag nor config set one."""
+    if threads:
+        return threads
+    return _thread_count(os.environ.get("TAUBERLAB_THREADS") or "0",
+                         "TAUBERLAB_THREADS")
+
+
 def _coerce_params(command: str, action: str, raw: dict) -> dict:
     table = PARAMS.get((command, action))
     if table is None:
@@ -324,10 +343,7 @@ def parse_config(text: str) -> Scenario:
     backend = meta.get("backend", "series")
     if backend not in BACKENDS:
         raise ScenarioError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    try:
-        threads = int(meta.get("threads", "0"))
-    except ValueError:
-        raise ScenarioError(f"bad value for key 'threads': {meta['threads']!r}")
+    threads = _thread_count(meta.get("threads", "0"), "key 'threads'")
     return Scenario(
         command=meta["command"],
         action=meta["action"],
@@ -536,21 +552,22 @@ def _h_contour_reconstruct(params, backend) -> RunResult:
         res.passed = {"error": worst_err <= params["tol"],
                       "two_radius_agreement": worst_agree <= params["agree-tol"]}
     else:
-        rows, worst_err = [], 0.0
+        rows, norms, worst_err = [], [], 0.0
         for t in ts:
             g, (j1, j2, i3, i4) = ct.reconstruct_g_adaptive(
                 tp, M, params["k-scale"], params["reg-n"], float(t))
             ref = complex(truth(float(t)))
             err = abs(g - ref)
             worst_err = max(worst_err, err)
+            norms.append((j1, j2, i3, i4))
             rows.append((float(t), g.real, g.imag, ref.real, ref.imag, err,
                          j1, j2, i3, i4))
         res.series.append(Series(
             "reconstruction",
             ["t", "recon_re", "recon_im", "truth_re", "truth_im", "err",
              "j1_right_arc", "j2_left_arc", "i3_stubs", "i4_boundary"], rows))
-        stub_fit, boundary_fit = ct.fit_adaptive_piece_bounds(
-            tp, M, params["k-scale"], params["reg-n"], ts,
+        stub_fit, boundary_fit = ct.fit_piece_norms(
+            M, params["k-scale"], params["reg-n"], ts, norms,
             params["growth-alpha"], params["growth-beta"], p=params["p"])
         res.residuals = {"worst_error": worst_err,
                          stub_fit.name: stub_fit.worst_residual,
@@ -831,16 +848,13 @@ def _scenario_from_args(args) -> Scenario:
     raw = {key[len("param_"):].replace("_", "-"): value
            for key, value in vars(args).items()
            if key.startswith("param_") and value is not None}
-    threads = args.threads
-    if threads == 0:
-        threads = int(os.environ.get("TAUBERLAB_THREADS", "0") or "0")
     return Scenario(
         command=args.command,
         action=args.action,
         params=_coerce_params(args.command, args.action, raw),
         out_dir=args.out_dir,
         backend=args.backend,
-        threads=threads,
+        threads=_env_thread_fallback(_thread_count(args.threads, "--threads")),
     )
 
 
@@ -861,9 +875,7 @@ def main(argv=None) -> int:
             scenario = parse_config(text)
             if args.out_dir is not None:
                 scenario.out_dir = args.out_dir
-            if scenario.threads == 0:
-                scenario.threads = int(
-                    os.environ.get("TAUBERLAB_THREADS", "0") or "0")
+            scenario.threads = _env_thread_fallback(scenario.threads)
             return run(scenario)
         return run(_scenario_from_args(args))
     except ScenarioError as exc:

@@ -45,6 +45,7 @@ __all__ = [
     "reconstruct_g_fixed",
     "reconstruct_g_adaptive",
     "fit_adaptive_piece_bounds",
+    "fit_piece_norms",
     "laplace_quadrature",
     "transform_pair_from_family",
     "exp_decay_pair",
@@ -524,6 +525,20 @@ def reconstruct_g_adaptive(tp: TransformPair, M: RateFunction, k_scale: float,
     return g, (j1, j2, n3a + n3b, n4)
 
 
+def _check_piece_schedule(k_scale: float, n: int, alpha: float, beta: float,
+                          p: float) -> None:
+    if not (n > alpha and n > beta - 1.0 + 1.0 / p):
+        raise ValueError(
+            f"need n > alpha and n > beta - 1 + 1/p; got n={n}, alpha={alpha}, "
+            f"beta={beta}, p={p}"
+        )
+    if not k_scale < min(1.0 / (alpha + 2.0), 1.0 / (beta + 1.0)):
+        raise ValueError(
+            f"radius-schedule slope too large: k_scale={k_scale} must be below "
+            f"{min(1.0 / (alpha + 2.0), 1.0 / (beta + 1.0)):g}"
+        )
+
+
 def fit_adaptive_piece_bounds(tp: TransformPair, M: RateFunction, k_scale: float,
                               n: int, t_grid, alpha: float, beta: float,
                               p: float = 2.0) -> tuple[FitReport, FitReport]:
@@ -535,22 +550,28 @@ def fit_adaptive_piece_bounds(tp: TransformPair, M: RateFunction, k_scale: float
     alpha, beta declare the growth class K (1+|Im z|)^alpha M(|Im z|)^beta
     of fhat on the spectral region.  The regularization power must satisfy
     n > alpha and n > beta - 1 + 1/p, and the radius-schedule slope must
-    satisfy k_scale < min(1/(alpha+2), 1/(beta+1)).
+    satisfy k_scale < min(1/(alpha+2), 1/(beta+1)).  Runs the adaptive
+    contour once per t; a caller that already has the piece norms passes
+    them to fit_piece_norms instead.
     """
-    if not (n > alpha and n > beta - 1.0 + 1.0 / p):
-        raise ValueError(
-            f"need n > alpha and n > beta - 1 + 1/p; got n={n}, alpha={alpha}, "
-            f"beta={beta}, p={p}"
-        )
-    if not k_scale < min(1.0 / (alpha + 2.0), 1.0 / (beta + 1.0)):
-        raise ValueError(
-            f"radius-schedule slope too large: k_scale={k_scale} must be below "
-            f"{min(1.0 / (alpha + 2.0), 1.0 / (beta + 1.0)):g}"
-        )
+    _check_piece_schedule(k_scale, n, alpha, beta, p)
+    t_grid = np.asarray(t_grid, dtype=float)
+    norms = [reconstruct_g_adaptive(tp, M, k_scale, n, float(t))[1] for t in t_grid]
+    return fit_piece_norms(M, k_scale, n, t_grid, norms, alpha, beta, p)
+
+
+def fit_piece_norms(M: RateFunction, k_scale: float, n: int, t_grid, norms,
+                    alpha: float, beta: float,
+                    p: float = 2.0) -> tuple[FitReport, FitReport]:
+    """The fit of fit_adaptive_piece_bounds, from piece norms already computed.
+
+    norms[i] is the (J1, J2, I3, I4) tuple reconstruct_g_adaptive returned
+    at t_grid[i] with the same M, k_scale and n.
+    """
+    _check_piece_schedule(k_scale, n, alpha, beta, p)
     t_grid = np.asarray(t_grid, dtype=float)
     i3s, i4s, shape3, shape4 = [], [], [], []
-    for t in t_grid:
-        _, (j1, j2, i3, i4) = reconstruct_g_adaptive(tp, M, k_scale, n, float(t))
+    for t, (_, _, i3, i4) in zip(t_grid, norms, strict=True):
         r = w_m_log(M, k_scale * float(t))
         m_r = float(M(r))
         i3s.append(i3)

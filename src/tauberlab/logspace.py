@@ -165,6 +165,8 @@ def log_sum(terms) -> LogComplex:
 def log_sum_arrays(log_mags, phases, axis: int = 0):
     """Vectorized log_sum along `axis` of matching float arrays.
 
+    `phases` may be any shape that broadcasts against `log_mags` (a column
+    of per-row phases, say); its cos/sin are taken before broadcasting.
     Returns (log_mag, phase) arrays with that axis reduced.  Entries with
     log_mag = -inf act as exact zeros.
     """

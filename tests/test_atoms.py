@@ -1,7 +1,10 @@
 """Atomic measure families and their transforms, evaluated in log-space."""
 
 import cmath
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from tauberlab.atoms import (
     taylor_remainder_check,
     verify_prop52,
 )
+from tauberlab.atoms import _green_series
 
 CANCEL_TOL = 1e-25
 BACKEND_TOL = 1e-10
@@ -157,6 +161,72 @@ class TestTransforms:
         s = green_G(fam, 3.0, z, backend="series")
         o = green_G(fam, 3.0, z, backend="oracle")
         assert abs(s - o) / max(abs(o), 1e-30) <= BACKEND_TOL
+
+
+# ----------------------------------------------------------------------
+# G series: exact agreement with recorded values
+# ----------------------------------------------------------------------
+
+# float.hex of every value, recorded with the G series engine as it stood
+# before its t-independent work was hoisted out; a speed-up of the engine
+# must reproduce each bit
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).with_name("green_golden.json")).read_text())
+
+
+def _hex_pair(v):
+    v = complex(v)
+    return [v.real.hex(), v.imag.hex()]
+
+
+def _hex_list(values):
+    return [float(x).hex() for x in values]
+
+
+class TestGreenGolden:
+    def test_power_k10_at_zero_and_positive_t(self):
+        rec = GOLDEN["power_k10"]
+        fam = build_family("power", 10, 2.0, 2.0)
+        zs = default_z_samples(fam, n=4)
+        assert [_hex_pair(z) for z in zs] == rec["z"]
+        assert [_hex_pair(green_G(fam, 0.0, z)) for z in zs] == rec["G_t0"]
+        assert [_hex_pair(green_G(fam, 3.0, z)) for z in zs] == rec["G_t3"]
+
+    def test_log_k2502_on_default_grid(self):
+        # most of these values underflow as complex numbers, so the log
+        # magnitude and phase the engine returns are pinned as well
+        rec = GOLDEN["log_k2502"]
+        fam = build_family("log", 2502, 1.0)
+        t = default_t_grid(fam)[::10][:40]
+        assert t[0] == 0.0
+        assert _hex_list(t) == rec["t"]
+        zs = default_z_samples(fam, n=4)[[0, 3]]
+        assert [_hex_pair(z) for z in zs] == rec["z"]
+        for i, z in enumerate(zs):
+            assert [_hex_pair(v) for v in green_G(fam, t, z)] == rec["G"][i]
+            lm, ph = _green_series(fam, t, z)
+            assert _hex_list(lm) == rec["log_mag"][i]
+            assert _hex_list(ph) == rec["phase"][i]
+
+    def test_t_array_mixing_zero_and_positive(self):
+        rec = GOLDEN["mixed_t"]
+        fam = build_family("power", 10, 2.0, 2.0)
+        t = np.array([float.fromhex(x) for x in rec["t"]])
+        assert np.any(t == 0.0) and np.any(t > 0.0)
+        z = complex(*(float.fromhex(x) for x in rec["z"]))
+        assert [_hex_pair(v) for v in green_G(fam, t, z)] == rec["G"]
+
+    def test_power_families_on_full_default_grid(self):
+        # a change of summation order moves only a few of these 6,416
+        # values, so all of them are pinned, through one digest
+        digest = hashlib.sha256()
+        for k in (10, 20):
+            fam = build_family("power", k, 2.0, 2.0)
+            t = default_t_grid(fam)
+            for z in default_z_samples(fam, n=4):
+                for v in green_G(fam, t, z):
+                    digest.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+        assert digest.hexdigest() == GOLDEN["power_full_grid_sha256"]
 
 
 # ----------------------------------------------------------------------

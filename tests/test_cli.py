@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tauberlab
 import tauberlab.cli as cli
+from tauberlab import atoms, contour
 
 CLI_TIMEOUT = 300
 
@@ -182,6 +184,73 @@ class TestListSuites:
         names = [r.split("\t")[0] for r in rows]
         assert "X3" in names and "lemma31" in names
         assert len(rows) == len(cli.SUITES)
+
+    @pytest.mark.parametrize("variant,alpha,beta", [("power", 2.0, 2.0),
+                                                    ("log", 1.0, None)])
+    def test_every_envelope_report_is_registered(self, variant, alpha, beta):
+        fam = atoms.build_family(variant, 10, alpha, beta=beta)
+        reports = atoms.verify_prop52(
+            fam, t_grid=atoms.default_t_grid(fam, n=60),
+            z_samples=atoms.default_z_samples(fam, n=4))
+        registered = {name for name, _ in cli.SUITES}
+        assert {rep.name for rep in reports} <= registered
+
+
+class TestThreadCount:
+    def test_negative_flag_rejected(self, tmp_path):
+        proc = run_cli(["atoms", "verify", "--k", "12", "--threads=-1",
+                        "--out-dir", str(tmp_path)], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+        assert not (tmp_path / "atoms-verify-summary.json").exists()
+
+    def test_negative_config_key_rejected(self, tmp_path):
+        conf = tmp_path / "threads.conf"
+        conf.write_text("[scenario]\ncommand = atoms\naction = verify\n"
+                        f"out-dir = {tmp_path}\nthreads = -3\n\n[params]\n"
+                        "k = 12\n")
+        proc = run_cli(["run", "--config", str(conf)], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "'threads'" in proc.stderr
+        assert not (tmp_path / "atoms-verify-summary.json").exists()
+
+    def test_negative_env_var_rejected(self, tmp_path):
+        env = dict(os.environ, TAUBERLAB_THREADS="-2")
+        proc = run_cli(["atoms", "verify", "--k", "12", "--out-dir",
+                        str(tmp_path)], cwd=tmp_path, env=env)
+        assert proc.returncode == 2
+        assert "TAUBERLAB_THREADS" in proc.stderr
+
+
+class TestAdaptiveContour:
+    def test_piece_fit_reuses_the_rows_contours(self, tmp_path, monkeypatch):
+        points = 3
+        params = cli._coerce_params("contour", "reconstruct", {
+            "mode": "adaptive", "target": "atom", "points": points})
+        scenario = cli.Scenario("contour", "reconstruct", params,
+                                out_dir=str(tmp_path))
+        real = contour.reconstruct_g_adaptive
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(contour, "reconstruct_g_adaptive", counting)
+        cli.run(scenario)
+        monkeypatch.undo()
+        assert len(calls) == points
+        summary = read_summary(tmp_path / "contour-reconstruct-summary.json")
+
+        fam = atoms.build_family("power", params["atom-k"], params["atom-alpha"],
+                                 beta=params["atom-beta"])
+        stub, boundary = contour.fit_adaptive_piece_bounds(
+            contour.transform_pair_from_family(fam), fam.matching_rate(),
+            params["k-scale"], params["reg-n"],
+            np.geomspace(params["t-min"], params["t-max"], points),
+            params["growth-alpha"], params["growth-beta"], p=params["p"])
+        assert summary["constants"]["i3est"] == dict(stub.constants)
+        assert summary["constants"]["i4est1"] == dict(boundary.constants)
 
 
 class TestThreadsFallback:
