@@ -27,7 +27,8 @@ import mpmath as mp
 import numpy as np
 
 from .logspace import LogComplex, log_sum_arrays
-from .reports import FitReport
+from .reports import FIT_PAD, FitReport, box_tail_fit, fit_rate, floor_report, \
+    tail_fit, upper_report
 from .weights import LogRate, PowerRate, RateFunction, omega_m_contains
 
 __all__ = [
@@ -57,7 +58,6 @@ SERIES_CAP = 10_000        # hard cap on series terms
 ORACLE_MAX_K = 30          # mpmath direct sums are the arbiter only up to here
 ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
-RHO_CAP = 1.5              # fitted decay rates are capped here for stability
 
 _LN10 = math.log(10.0)
 
@@ -652,6 +652,8 @@ def default_t_grid(fam: AtomFamily, n: int = 400) -> np.ndarray:
 
 def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray:
     """Deterministic spectral-region samples stratified by distance to w."""
+    if n < 1:
+        raise ValueError(f"need at least one z sample, got n={n}")
     M = fam.matching_rate()
     w, h = fam.base, fam.height
     m0 = (-1.0 / float(M(h))) - w.real  # distance from w to the region boundary
@@ -676,7 +678,7 @@ def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray
                 got += 1
             else:
                 cap = max(0.05, cap * 0.995)  # tighten toward the open side
-        if got < per:
+        if got < per and len(out) < n:
             raise ArithmeticError(f"could not populate z-band [{lo:g}, {hi:g}]")
     while len(out) < n:  # top up from the widest band
         r = rng.uniform(bands[-1][0], bands[-1][1])
@@ -684,26 +686,6 @@ def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray
         if omega_m_contains(M, z):
             out.append(z)
     return np.array(out[:n])
-
-
-def _safe_neglog_over_t(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """-log|v|/t with zeros mapped to +inf (no constraint)."""
-    with np.errstate(divide="ignore"):
-        lv = np.where(values > 0, np.log(values), -np.inf)
-    out = np.where(lv == -np.inf, np.inf, -lv / np.maximum(t, 1e-300))
-    return out
-
-
-def _fit_rho(constraints: np.ndarray) -> float:
-    """Largest decay rate compatible with the constraint points, capped."""
-    if constraints.size == 0:
-        return RHO_CAP
-    rho = float(np.min(constraints))
-    return max(0.0, min(rho * (1.0 - 1e-9), RHO_CAP))
-
-
-# one-ulp slack so the envelope clears its own binding grid point
-_FIT_PAD = 1.0 + 1e-12
 
 
 def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
@@ -742,72 +724,34 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
 
 def _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
     k = fam.k
-    reports = []
     in_window = np.abs(t - k) < k / 2.0
-    pos = t > 0
+    off = ~in_window & (t > 0)
+    scale = (math.log(k) / k) ** (1.0 / fam.alpha)
+
+    def gauss(rho):
+        return np.exp(-rho * (t - k) ** 2 / k)
 
     # X3: |L| <= C 1_{|t-k|<k/2} e^{-rho (t-k)^2/k} + e^{-rho t}
-    rho3 = _fit_rho(_safe_neglog_over_t(abs_l[~in_window & pos], t[~in_window & pos]))
-    gauss = np.exp(-rho3 * (t - k) ** 2 / k)
-    with np.errstate(under="ignore"):
-        c3 = _FIT_PAD * float(np.max(
-            np.maximum(abs_l[in_window] - np.exp(-rho3 * t[in_window]), 0.0)
-            / gauss[in_window]
-        ))
-    env3 = c3 * in_window * gauss + np.exp(-rho3 * t)
-    reports.append(FitReport(
-        name="X3", constants={"C": c3, "rho": rho3},
-        worst_residual=float(np.min(env3 - abs_l)),
-        passed=rho3 > 0 and math.isfinite(c3) and bool(np.all(env3 >= abs_l)),
-        grid=grid_desc, notes="time-profile bump envelope",
-    ))
-
+    c3, rho3, env3 = box_tail_fit(abs_l, t, in_window, off, gauss)
     # XQ4: |G| <= C 1_{t<=2k} (|Im z|^beta 1_{|z-w|<2} + 1) + e^{-rho t}
     tail_t = t > 2.0 * k
-    rho4 = _fit_rho(_safe_neglog_over_t(abs_g[:, tail_t].ravel(),
-                                        np.broadcast_to(t[tail_t], abs_g[:, tail_t].shape).ravel()))
     near = np.abs(zs - fam.base) < 2.0
     shape_z = np.where(near, np.abs(zs.imag) ** fam.beta, 0.0) + 1.0
-    head_t = ~tail_t
-    with np.errstate(under="ignore"):
-        over = np.maximum(abs_g[:, head_t] - np.exp(-rho4 * t[head_t])[None, :], 0.0)
-        c4 = _FIT_PAD * float(np.max(over / shape_z[:, None]))
-    env4 = (c4 * shape_z[:, None] * head_t[None, :] + np.exp(-rho4 * t)[None, :])
-    reports.append(FitReport(
-        name="XQ4", constants={"C": c4, "rho": rho4},
-        worst_residual=float(np.min(env4 - abs_g)),
-        passed=rho4 > 0 and math.isfinite(c4) and bool(np.all(env4 >= abs_g)),
-        grid=grid_desc, notes="transform box bound",
-    ))
-
-    # X5: |N| >= c (log k / k)^(1/alpha) on (t-k)^2 < k
-    scale = (math.log(k) / k) ** (1.0 / fam.alpha)
-    win5 = (t - k) ** 2 < k
-    c5 = float(np.min(abs_n[win5]) / scale) / _FIT_PAD
-    resid5 = float(np.min(abs_n[win5] - c5 * scale))
-    reports.append(FitReport(
-        name="X5", constants={"c": c5},
-        worst_residual=resid5,
-        passed=c5 > 0 and resid5 >= 0,
-        grid=grid_desc, notes="primitive floor on the sqrt(k)-window",
-    ))
-
+    c4, rho4, env4 = box_tail_fit(abs_g, t, ~tail_t, tail_t,
+                                  lambda rho: shape_z[:, None])
     # X6: |N| <= C (log k/k)^(1/alpha) e^{-rho (t-k)^2/k} 1_{|t-k|<k/2} + e^{-rho t}
-    rho6 = _fit_rho(_safe_neglog_over_t(abs_n[~in_window & pos], t[~in_window & pos]))
-    gauss6 = np.exp(-rho6 * (t - k) ** 2 / k)
-    with np.errstate(under="ignore"):
-        c6 = _FIT_PAD * float(np.max(
-            np.maximum(abs_n[in_window] - np.exp(-rho6 * t[in_window]), 0.0)
-            / (scale * gauss6[in_window])
-        ))
-    env6 = c6 * scale * in_window * gauss6 + np.exp(-rho6 * t)
-    reports.append(FitReport(
-        name="X6", constants={"C": c6, "rho": rho6},
-        worst_residual=float(np.min(env6 - abs_n)),
-        passed=rho6 > 0 and math.isfinite(c6) and bool(np.all(env6 >= abs_n)),
-        grid=grid_desc, notes="primitive bump envelope",
-    ))
-    return reports
+    c6, rho6, env6 = box_tail_fit(abs_n, t, in_window, off, gauss, scale)
+    return [
+        upper_report("X3", {"C": c3, "rho": rho3}, env3, abs_l, grid_desc,
+                     "time-profile bump envelope"),
+        upper_report("XQ4", {"C": c4, "rho": rho4}, env4, abs_g, grid_desc,
+                     "transform box bound"),
+        # X5: |N| >= c (log k / k)^(1/alpha) on (t-k)^2 < k
+        floor_report("X5", abs_n[(t - k) ** 2 < k], scale, grid_desc,
+                     "primitive floor on the sqrt(k)-window"),
+        upper_report("X6", {"C": c6, "rho": rho6}, env6, abs_n, grid_desc,
+                     "primitive bump envelope"),
+    ]
 
 
 def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
@@ -819,31 +763,20 @@ def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
 
     # Y1: |L| <= C e^{-rho t^(1/(alpha+1))}; rho pinned by the points where
     # the bound must hold with C = 1, so the fitted C stays order one
-    with np.errstate(divide="ignore"):
-        log_l = np.where(abs_l > 0, np.log(abs_l), -np.inf)
-    ok = pos & np.isfinite(log_l)
-    rho1 = _fit_rho(-log_l[ok] / u[ok])
-    c1 = _FIT_PAD * float(np.exp(np.max(log_l[ok] + rho1 * u[ok])))
-    env1 = c1 * np.exp(-rho1 * u)
-    reports.append(FitReport(
-        name="Y1", constants={"C": c1, "rho": rho1},
-        worst_residual=float(np.min(env1 - abs_l)),
-        passed=rho1 > 0 and math.isfinite(c1) and bool(np.all(env1 >= abs_l)),
-        grid=grid_desc, notes="stretched-exponential profile decay",
-    ))
+    ok = pos & (abs_l > 0) & np.isfinite(abs_l)
+    c1, rho1 = tail_fit(abs_l[ok], u[ok])
+    reports.append(upper_report(
+        "Y1", {"C": c1, "rho": rho1}, c1 * np.exp(-rho1 * u), abs_l, grid_desc,
+        "stretched-exponential profile decay"))
 
     # Y2: |G| <= C 1_{t<=2k} + e^{-rho t}
     tail_t = t > 2.0 * k
-    rho2 = _fit_rho(_safe_neglog_over_t(abs_g[:, tail_t].ravel(),
-                                        np.broadcast_to(t[tail_t], abs_g[:, tail_t].shape).ravel()))
-    c2 = _FIT_PAD * float(np.max(abs_g[:, ~tail_t]))
+    rho2 = fit_rate(abs_g[:, tail_t], t[tail_t])
+    c2 = FIT_PAD * float(np.max(abs_g[:, ~tail_t]))
     env2 = c2 * (~tail_t)[None, :] + np.exp(-rho2 * t)[None, :]
-    reports.append(FitReport(
-        name="Y2", constants={"C": c2, "rho": rho2},
-        worst_residual=float(np.min(env2 - abs_g)),
-        passed=rho2 > 0 and math.isfinite(c2) and bool(np.all(env2 >= abs_g)),
-        grid=grid_desc, notes="transform box bound (log variant)",
-    ))
+    reports.append(upper_report(
+        "Y2", {"C": c2, "rho": rho2}, env2, abs_g, grid_desc,
+        "transform box bound (log variant)"))
 
     # Y3: |N| >= c e^{-E k^(1/(alpha+1))} on the window; E fitted, not asserted
     win = (t - k) ** 2 < k
@@ -861,15 +794,8 @@ def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
 
     # Y4: |N| <= C e^{-rho t} off the half-width window
     off = (np.abs(t - k) > k / 2.0) & pos
-    rho4 = _fit_rho(_safe_neglog_over_t(abs_n[off], t[off]))
-    with np.errstate(divide="ignore"):
-        log_n = np.where(abs_n > 0, np.log(abs_n), -np.inf)
-    c4 = _FIT_PAD * float(np.exp(np.max(log_n[off] + rho4 * t[off])))
-    env4 = c4 * np.exp(-rho4 * t[off])
-    reports.append(FitReport(
-        name="Y4", constants={"C": c4, "rho": rho4},
-        worst_residual=float(np.min(env4 - abs_n[off])),
-        passed=rho4 > 0 and math.isfinite(c4) and bool(np.all(env4 >= abs_n[off])),
-        grid=grid_desc, notes="primitive tail decay off the window",
-    ))
+    c4, rho4 = tail_fit(abs_n[off], t[off])
+    reports.append(upper_report(
+        "Y4", {"C": c4, "rho": rho4}, c4 * np.exp(-rho4 * t[off]), abs_n[off],
+        grid_desc, "primitive tail decay off the window"))
     return reports

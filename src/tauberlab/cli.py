@@ -552,6 +552,10 @@ def _h_contour_reconstruct(params, backend) -> RunResult:
         res.passed = {"error": worst_err <= params["tol"],
                       "two_radius_agreement": worst_agree <= params["agree-tol"]}
     else:
+        # an inadmissible schedule is a usage error before any contour runs
+        ct.check_piece_schedule(params["k-scale"], params["reg-n"],
+                                params["growth-alpha"], params["growth-beta"],
+                                params["p"])
         rows, norms, worst_err = [], [], 0.0
         for t in ts:
             g, (j1, j2, i3, i4) = ct.reconstruct_g_adaptive(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import AtomFamily, green_G, laplace_L
-from .reports import FitReport
+from .reports import FIT_PAD, FitReport, upper_report
 from .weights import RateFunction, w_m_log
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "step_lp_norm",
     "reconstruct_g_fixed",
     "reconstruct_g_adaptive",
+    "check_piece_schedule",
     "fit_adaptive_piece_bounds",
     "fit_piece_norms",
     "laplace_quadrature",
@@ -373,6 +374,47 @@ def _tail_fallback(tp: TransformPair, t: float, z_arr: np.ndarray, tol: float,
     return np.exp(z_arr * t) * fh - etz_fhat_t(z_arr)
 
 
+def _arc_pair(tp: TransformPair, t: float, R: float, n: int, osc: int,
+              etz_fhat_t, c0: complex | None = None):
+    """The two circular arcs |z| = R against (1 + z^2/R^2)^n e^{zt}/z.
+
+    The right arc integrates the tail e^{zt}(fhat - fhat_t), in the pair's
+    closed form when it has one and by subtraction otherwise; the left arc
+    integrates e^{zt} fhat_t.  With c0, both integrands are those of the
+    pair minus c0 times the unit-step pair (reconstruct_g_fixed's
+    reduction).  Returns (right integral, right norm, left integral, left
+    norm).  osc is the initial panel count on each arc.
+    """
+
+    def right(z):
+        if tp.tail is not None:
+            vals = np.array([tp.tail(t, zz) for zz in np.atleast_1d(z)])
+        else:
+            vals = _tail_fallback(tp, t, z, ARC_TOL, etz_fhat_t)
+        if c0 is None or t >= 1.0:
+            return vals  # the step pair's tail vanishes once t covers [0, 1]
+        corr = np.array([_phi(zz * (1.0 - t)) for zz in np.atleast_1d(z)])
+        return vals - c0 * (1.0 - t) * corr
+
+    def left(z):
+        if c0 is None:
+            return etz_fhat_t(z)
+        # e^{zt} * (1 - e^{-zu})/z = (e^{zt} - e^{z(t-u)})/z, exponents <= 0 here
+        u = min(t, 1.0)
+        return etz_fhat_t(z) - c0 * ((np.exp(z * t) - np.exp(z * (t - u))) / z)
+
+    def on_arc(fn):
+        def integrand(theta):
+            return fn(R * np.exp(1j * theta)) * (1.0 + np.exp(2j * theta)) ** n * 1j
+        return integrand
+
+    i1, j1, _ = adaptive_quad(on_arc(right), -math.pi / 2, math.pi / 2, ARC_TOL,
+                              initial_panels=osc, piece="right arc")
+    i2, j2, _ = adaptive_quad(on_arc(left), math.pi / 2, 3 * math.pi / 2, ARC_TOL,
+                              initial_panels=osc, piece="left arc")
+    return i1, j1, i2, j2
+
+
 def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
                         want_norms: bool = False):
     """Remainder g(t) from the fixed two-radius contour.
@@ -394,31 +436,8 @@ def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
     def fhat_reduced(z: complex) -> complex:
         return tp.fhat(z) - c0 * _phi(z)
 
-    def etz_fhat_t_reduced(z_arr):
-        z_arr = np.asarray(z_arr)
-        # e^{zt} * (1 - e^{-zu})/z = (e^{zt} - e^{z(t-u)})/z, exponents <= 0 here
-        step_part = (np.exp(z_arr * t) - np.exp(z_arr * (t - u))) / z_arr
-        return etz_fhat_t(z_arr) - c0 * step_part
-
-    def tail_reduced(z_arr):
-        z_arr = np.asarray(z_arr)
-        if tp.tail is not None:
-            base = np.array([tp.tail(t, z) for z in np.atleast_1d(z_arr)])
-        else:
-            base = _tail_fallback(tp, t, z_arr, ARC_TOL, etz_fhat_t)
-        if t >= 1.0:
-            return base  # the step pair's tail vanishes once t covers [0, 1]
-        corr = np.array([_phi(z * (1.0 - t)) for z in np.atleast_1d(z_arr)])
-        return base - c0 * (1.0 - t) * corr
-
     osc = max(1, int(math.ceil(R * t / 3.0)) + 4)
-
-    def right_arc(theta):
-        z = R * np.exp(1j * theta)
-        return tail_reduced(z) * (1.0 + np.exp(2j * theta)) ** n * 1j
-
-    i1, j1, _ = adaptive_quad(right_arc, -math.pi / 2, math.pi / 2, ARC_TOL,
-                              initial_panels=osc, piece="right arc")
+    i1, j1, i2, j2 = _arc_pair(tp, t, R, n, osc, etz_fhat_t, c0)
 
     def segment(y):
         z = 1j * np.asarray(y)
@@ -427,13 +446,6 @@ def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
 
     i_seg, j3, _ = adaptive_quad(segment, R, -R, ARC_TOL,
                                  initial_panels=max(osc, 4), piece="vertical segment")
-
-    def left_arc(theta):
-        z = R * np.exp(1j * theta)
-        return etz_fhat_t_reduced(z) * (1.0 + np.exp(2j * theta)) ** n * 1j
-
-    i2, j2, _ = adaptive_quad(left_arc, math.pi / 2, 3 * math.pi / 2, ARC_TOL,
-                              initial_panels=osc, piece="left arc")
 
     g = (i1 + i_seg - i2) / (2j * math.pi) + c0 * (1.0 - u)
     if want_norms:
@@ -467,23 +479,7 @@ def reconstruct_g_adaptive(tp: TransformPair, M: RateFunction, k_scale: float,
     etz_fhat_t = _etz_fhat_t_factory(tp, t, R)
     osc = max(1, int(math.ceil(R * t / 3.0)) + 4)
 
-    def right_arc(theta):
-        z = R * np.exp(1j * theta)
-        if tp.tail is not None:
-            vals = np.array([tp.tail(t, zz) for zz in np.atleast_1d(z)])
-        else:
-            vals = _tail_fallback(tp, t, z, ARC_TOL, etz_fhat_t)
-        return vals * (1.0 + np.exp(2j * theta)) ** n * 1j
-
-    i1, j1, _ = adaptive_quad(right_arc, -math.pi / 2, math.pi / 2, ARC_TOL,
-                              initial_panels=osc, piece="right arc")
-
-    def left_arc(theta):
-        z = R * np.exp(1j * theta)
-        return etz_fhat_t(z) * (1.0 + np.exp(2j * theta)) ** n * 1j
-
-    i2, j2, _ = adaptive_quad(left_arc, math.pi / 2, 3 * math.pi / 2, ARC_TOL,
-                              initial_panels=osc, piece="left arc")
+    i1, j1, i2, j2 = _arc_pair(tp, t, R, n, osc, etz_fhat_t)
 
     def kernel_times_fhat(z_arr):
         z_arr = np.atleast_1d(z_arr)
@@ -525,8 +521,9 @@ def reconstruct_g_adaptive(tp: TransformPair, M: RateFunction, k_scale: float,
     return g, (j1, j2, n3a + n3b, n4)
 
 
-def _check_piece_schedule(k_scale: float, n: int, alpha: float, beta: float,
-                          p: float) -> None:
+def check_piece_schedule(k_scale: float, n: int, alpha: float, beta: float,
+                         p: float) -> None:
+    """Raise ValueError unless the schedule admits fit_adaptive_piece_bounds."""
     if not (n > alpha and n > beta - 1.0 + 1.0 / p):
         raise ValueError(
             f"need n > alpha and n > beta - 1 + 1/p; got n={n}, alpha={alpha}, "
@@ -554,7 +551,7 @@ def fit_adaptive_piece_bounds(tp: TransformPair, M: RateFunction, k_scale: float
     contour once per t; a caller that already has the piece norms passes
     them to fit_piece_norms instead.
     """
-    _check_piece_schedule(k_scale, n, alpha, beta, p)
+    check_piece_schedule(k_scale, n, alpha, beta, p)
     t_grid = np.asarray(t_grid, dtype=float)
     norms = [reconstruct_g_adaptive(tp, M, k_scale, n, float(t))[1] for t in t_grid]
     return fit_piece_norms(M, k_scale, n, t_grid, norms, alpha, beta, p)
@@ -568,7 +565,7 @@ def fit_piece_norms(M: RateFunction, k_scale: float, n: int, t_grid, norms,
     norms[i] is the (J1, J2, I3, I4) tuple reconstruct_g_adaptive returned
     at t_grid[i] with the same M, k_scale and n.
     """
-    _check_piece_schedule(k_scale, n, alpha, beta, p)
+    check_piece_schedule(k_scale, n, alpha, beta, p)
     t_grid = np.asarray(t_grid, dtype=float)
     i3s, i4s, shape3, shape4 = [], [], [], []
     for t, (_, _, i3, i4) in zip(t_grid, norms, strict=True):
@@ -580,24 +577,13 @@ def fit_piece_norms(M: RateFunction, k_scale: float, n: int, t_grid, norms,
         shape4.append(r ** (alpha + 1.0) * m_r ** beta * math.exp(-t / m_r))
     i3s, i4s = np.array(i3s), np.array(i4s)
     shape3, shape4 = np.array(shape3), np.array(shape4)
-    pad = 1.0 + 1e-12
-    c3 = pad * float(np.max(i3s / shape3))
-    c4 = pad * float(np.max(i4s / shape4))
+    c3 = FIT_PAD * float(np.max(i3s / shape3))
+    c4 = FIT_PAD * float(np.max(i4s / shape4))
     grid_desc = f"{t_grid.size} t-pts on [{t_grid.min():g}, {t_grid.max():g}]"
-    rep3 = FitReport(
-        name="i3est", constants={"C": c3, "n": float(n)},
-        worst_residual=float(np.min(c3 * shape3 - i3s)),
-        passed=math.isfinite(c3) and bool(np.all(c3 * shape3 >= i3s)),
-        grid=grid_desc,
-        notes="stub piece norm vs inverse-power shape; boundary offset "
-              f"{BOUNDARY_OFFSET:g}/M inward",
+    offset = f"; boundary offset {BOUNDARY_OFFSET:g}/M inward"
+    return (
+        upper_report("i3est", {"C": c3, "n": float(n)}, c3 * shape3, i3s, grid_desc,
+                     "stub piece norm vs inverse-power shape" + offset),
+        upper_report("i4est1", {"C": c4, "n": float(n)}, c4 * shape4, i4s, grid_desc,
+                     "boundary piece norm vs weighted-decay shape" + offset),
     )
-    rep4 = FitReport(
-        name="i4est1", constants={"C": c4, "n": float(n)},
-        worst_residual=float(np.min(c4 * shape4 - i4s)),
-        passed=math.isfinite(c4) and bool(np.all(c4 * shape4 >= i4s)),
-        grid=grid_desc,
-        notes="boundary piece norm vs weighted-decay shape; boundary offset "
-              f"{BOUNDARY_OFFSET:g}/M inward",
-    )
-    return rep3, rep4

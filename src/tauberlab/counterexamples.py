@@ -33,7 +33,7 @@ from scipy.special import logsumexp
 from .atoms import AtomFamily, build_family, laplace_L_log, primitive_N_log, \
     green_G, default_z_samples, verify_prop52
 from .contour import adaptive_quad
-from .reports import FitReport
+from .reports import FIT_PAD, FitReport, fit_rate, floor_report, upper_report
 
 __all__ = [
     "Block",
@@ -54,7 +54,6 @@ __all__ = [
 KFUSE = 10_000        # exact block series below, fused leading term above
 KMAX_EXACT = 1e15     # orders kept as exact integers below this
 SKIP_LOG = -69.0      # blocks under e^{SKIP_LOG} ~ 1e-30 relative are dropped
-_PAD = 1.0 + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +481,7 @@ def fit_block_constants(variant: str, alpha: float, p: float,
         c1 = min(math.exp(y[i] + e_fit * x[i]) for i in range(len(ks)))
         c1 *= (1.0 - FLOOR_MARGIN)
         rho = min(by_name[k]["Y4"].constants["rho"] for k in ks)
-        c2 = max(by_name[k]["Y4"].constants["C"] for k in ks) * _PAD
+        c2 = max(by_name[k]["Y4"].constants["C"] for k in ks) * FIT_PAD
         out = {"c1": c1, "c2": c2, "rho": rho, "e_factor": e_fit}
     out["reports"] = reports
     return out
@@ -771,6 +770,20 @@ def _suffix_tail_sums(vals_sq: np.ndarray, edges: np.ndarray, wq: np.ndarray,
     return tails
 
 
+def _orbit_envelope(vals: np.ndarray, te: np.ndarray, k: int, scale: float):
+    """(c, C, rho, envelope) of vals <= c scale 1_{t<=2k} + C e^{-rho t}.
+
+    c is the padded box maximum over scale; rho is fitted on the positive
+    points beyond 2k and C is the padded largest vals e^{rho t} there.
+    """
+    head = te <= 2.0 * k
+    late = (te > 2.0 * k) & (vals > 0)
+    c_box = FIT_PAD * float(np.max(vals[head])) / scale
+    rho = fit_rate(vals[late], te[late])
+    c_tail = FIT_PAD * float(np.max(vals[late] * np.exp(rho * te[late])))
+    return c_box, c_tail, rho, c_box * scale * head + c_tail * np.exp(-rho * te)
+
+
 def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
                           n_lambda: int = 40, seed: int = 11) -> list[FitReport]:
     """Left-shift L^2 probes of single blocks at desk orders.
@@ -812,45 +825,21 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
         te = edges
 
         # T1: ||S(t) L|| <= c k^{1/4} 1_{t<=2k} + C e^{-rho t}
-        head = te <= 2.0 * k
-        c_box = _PAD * float(np.max(tail_l[head])) / k ** 0.25
-        late = (te > 2.0 * k) & (tail_l > 0)
-        rho1 = min(float(np.min(-np.log(tail_l[late]) / te[late])) * (1 - 1e-9), 1.5)
-        c_tail = _PAD * float(np.max(tail_l[late] * np.exp(rho1 * te[late])))
-        env = c_box * k ** 0.25 * head + c_tail * np.exp(-rho1 * te)
-        out.append(FitReport(
-            name="T1", constants={"c": c_box, "C": c_tail, "rho": rho1},
-            worst_residual=float(np.min(env - tail_l)),
-            passed=bool(np.all(env >= tail_l)) and rho1 > 0,
-            grid=f"k={k}, {te.size} edges to {t_max:g}",
-            notes="shift orbit of the profile",
-        ))
+        c_box, c_tail, rho1, env = _orbit_envelope(tail_l, te, k, k ** 0.25)
+        out.append(upper_report(
+            "T1", {"c": c_box, "C": c_tail, "rho": rho1}, env, tail_l,
+            f"k={k}, {te.size} edges to {t_max:g}", "shift orbit of the profile"))
 
         # T5: ||S(t) N|| >= c k^{1/4} (log k/k)^{1/alpha} for t <= k
         scale = k ** 0.25 * (math.log(k) / k) ** (1.0 / alpha)
-        early = te <= k
-        c_floor = float(np.min(tail_n[early])) / scale / _PAD
-        out.append(FitReport(
-            name="T5", constants={"c": c_floor},
-            worst_residual=float(np.min(tail_n[early] - c_floor * scale)),
-            passed=c_floor > 0,
-            grid=f"k={k}, t<=k",
-            notes="integrated-orbit floor",
-        ))
+        out.append(floor_report("T5", tail_n[te <= k], scale, f"k={k}, t<=k",
+                                "integrated-orbit floor"))
 
         # T6: matching upper bound with tail
-        c_up = _PAD * float(np.max(tail_n[head])) / scale
-        late_n = (te > 2.0 * k) & (tail_n > 0)
-        rho6 = min(float(np.min(-np.log(tail_n[late_n]) / te[late_n])) * (1 - 1e-9), 1.5)
-        c6t = _PAD * float(np.max(tail_n[late_n] * np.exp(rho6 * te[late_n])))
-        env6 = c_up * scale * head + c6t * np.exp(-rho6 * te)
-        out.append(FitReport(
-            name="T6", constants={"C": c_up, "C_tail": c6t, "rho": rho6},
-            worst_residual=float(np.min(env6 - tail_n)),
-            passed=bool(np.all(env6 >= tail_n)) and rho6 > 0,
-            grid=f"k={k}",
-            notes="integrated-orbit envelope",
-        ))
+        c_up, c6t, rho6, env6 = _orbit_envelope(tail_n, te, k, scale)
+        out.append(upper_report(
+            "T6", {"C": c_up, "C_tail": c6t, "rho": rho6}, env6, tail_n,
+            f"k={k}", "integrated-orbit envelope"))
 
         # 73b: transform L^2 growth along sampled frequencies
         zs = default_z_samples(fam, n=n_lambda, seed=seed)

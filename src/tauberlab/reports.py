@@ -1,17 +1,30 @@
-"""Fit reports: the uniform result record for every fitted-constant check.
+"""Fit reports: the uniform result record for every fitted-constant check,
+and the one rule that fits the envelope constants.
 
 A "fitted constant" is the extremal constant making an existential
 inequality hold on a finite verification grid (max of pointwise ratios for
 an upper bound, min for a lower bound).  Every check in this package
 returns one of these records instead of a bare bool so the CLI can emit a
 uniform JSON summary.
+
+Every envelope fit follows the one rule kept here: fit_rate pins the decay
+rate on the tail points, C is the extremal ratio on the rest padded by
+FIT_PAD, and upper_report / floor_report give the residual and verdict.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-__all__ = ["FitReport"]
+import numpy as np
+
+__all__ = ["FitReport", "FIT_PAD", "RHO_CAP", "fit_rate", "tail_fit",
+           "box_tail_fit", "upper_report", "floor_report"]
+
+# one-ulp slack so a fitted envelope clears its own binding grid point
+FIT_PAD = 1.0 + 1e-12
+RHO_CAP = 1.5  # fitted decay rates are capped here for stability
 
 
 @dataclass(frozen=True)
@@ -44,3 +57,65 @@ class FitReport:
         consts = ", ".join(f"{k}={v:.6g}" for k, v in self.constants.items())
         status = "pass" if self.passed else "FAIL"
         return f"[{status}] {self.name}: {consts} (worst residual {self.worst_residual:.3e})"
+
+
+def _log_or_neg_inf(values) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(values > 0, np.log(values), -np.inf)
+
+
+def fit_rate(values, t) -> float:
+    """Largest rho with values <= e^(-rho t), less 1e-9 relative, in [0, RHO_CAP].
+
+    t broadcasts against values; zero values (or none at all) constrain nothing.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return RHO_CAP
+    lv = _log_or_neg_inf(values)
+    rates = np.where(lv == -np.inf, np.inf, -lv / np.maximum(t, 1e-300))
+    return max(0.0, min(float(np.min(rates)) * (1.0 - 1e-9), RHO_CAP))
+
+
+def tail_fit(values, u) -> tuple[float, float]:
+    """(C, rho) of values <= C e^(-rho u); C is taken in log space."""
+    rho = fit_rate(values, u)
+    return FIT_PAD * float(np.exp(np.max(_log_or_neg_inf(values) + rho * u))), rho
+
+
+def box_tail_fit(values, t, box, tail, shape, scale: float = 1.0):
+    """(C, rho, envelope) of values <= C scale 1_box shape(rho) + e^(-rho t).
+
+    box and tail mask the t axis (the last); rho is fitted on the tail
+    columns and C on what the decay leaves over in the box columns.
+    """
+    rho = fit_rate(values[..., tail], t[tail])
+    prof = shape(rho)
+    with np.errstate(under="ignore"):
+        over = np.maximum(values[..., box] - np.exp(-rho * t[box]), 0.0)
+        c = FIT_PAD * float(np.max(
+            over / (scale * np.broadcast_to(prof, values.shape)[..., box])))
+    return c, rho, c * scale * box * prof + np.exp(-rho * t)
+
+
+def upper_report(name: str, constants: Mapping[str, float], envelope, values,
+                 grid: str, notes: str) -> FitReport:
+    """Passes when every constant is finite, rho (if any) is positive and
+    the envelope clears every value."""
+    return FitReport(
+        name=name, constants=constants,
+        worst_residual=float(np.min(envelope - values)),
+        passed=(all(math.isfinite(v) for v in constants.values())
+                and constants.get("rho", 1.0) > 0
+                and bool(np.all(envelope >= values))),
+        grid=grid, notes=notes,
+    )
+
+
+def floor_report(name: str, values, scale: float, grid: str,
+                 notes: str) -> FitReport:
+    """Fit the floor values >= c scale; passes when c > 0 and it clears every value."""
+    c = float(np.min(values)) / scale / FIT_PAD
+    resid = float(np.min(values - c * scale))
+    return FitReport(name=name, constants={"c": c}, worst_residual=resid,
+                     passed=c > 0 and resid >= 0, grid=grid, notes=notes)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .reports import FitReport
+from .reports import FIT_PAD, FitReport
 from .weights import RateFunction, w_m_log
 
 __all__ = [
@@ -507,7 +507,7 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
     # upper bound: c = 1, fit C
     denom_up = np.array([mlog_inverse(t) for t in tt])
     usable_up = denom_up > 0
-    big_c = float(np.max(vv[usable_up] * denom_up[usable_up])) * (1.0 + 1e-12)
+    big_c = float(np.max(vv[usable_up] * denom_up[usable_up])) * FIT_PAD
 
     # lower bound: C' fixed by convention, fit c'
     c_prime_cap = max(1.0, m0 / t0)

@@ -309,6 +309,26 @@ class TestStirlingBounds:
 
 
 # ----------------------------------------------------------------------
+# default_z_samples
+# ----------------------------------------------------------------------
+
+class TestZSamples:
+    @pytest.mark.parametrize("variant,alpha,beta", [("power", 2.0, 2.0),
+                                                    ("log", 1.0, None)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_samples_than_bands(self, variant, alpha, beta, n):
+        fam = build_family(variant, 20, alpha, beta)
+        zs = default_z_samples(fam, n)
+        assert zs.shape == (n,)
+        M = fam.matching_rate()
+        assert all(weights.omega_m_contains(M, z) for z in zs)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            default_z_samples(build_family("power", 10, 2.0, 2.0), 0)
+
+
+# ----------------------------------------------------------------------
 # verify_prop52
 # ----------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the batch front door: flags, configs, reports."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import tauberlab
 import tauberlab.cli as cli
-from tauberlab import atoms, contour
+from tauberlab import atoms, contour, counterexamples, semigroup, weights
 
 CLI_TIMEOUT = 300
 
@@ -130,6 +131,12 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "k" in proc.stderr and "30" in proc.stderr
 
+    def test_zero_z_count_is_a_usage_error(self, tmp_path):
+        proc = run_cli(["atoms", "verify", "--k", "12", "--z-count", "0",
+                        "--out-dir", str(tmp_path)], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "z sample" in proc.stderr
+
     def test_invariant_failure_still_writes_report(self, tmp_path):
         # dt too coarse for the finite-difference energy identity
         proc = run_cli(["wave", "energy", "--n", "40", "--t-max", "4",
@@ -185,15 +192,38 @@ class TestListSuites:
         assert "X3" in names and "lemma31" in names
         assert len(rows) == len(cli.SUITES)
 
-    @pytest.mark.parametrize("variant,alpha,beta", [("power", 2.0, 2.0),
-                                                    ("log", 1.0, None)])
-    def test_every_envelope_report_is_registered(self, variant, alpha, beta):
-        fam = atoms.build_family(variant, 10, alpha, beta=beta)
-        reports = atoms.verify_prop52(
-            fam, t_grid=atoms.default_t_grid(fam, n=60),
-            z_samples=atoms.default_z_samples(fam, n=4))
+    def test_every_envelope_report_is_registered(self):
+        # report names travel through helper arguments, so each emitter runs
+        # once, small, and the table must match what they emit both ways
+        reports = []
+        for variant, alpha, beta in (("power", 2.0, 2.0), ("log", 1.0, None)):
+            fam = atoms.build_family(variant, 10, alpha, beta=beta)
+            reports += atoms.verify_prop52(
+                fam, t_grid=atoms.default_t_grid(fam, n=60),
+                z_samples=atoms.default_z_samples(fam, n=4))
+        reports += counterexamples.shift_semigroup_suite(2.0, 2.0, k_list=(20,),
+                                                         n_lambda=4)
+        reports += contour.fit_piece_norms(
+            weights.ConstantRate(2.0), 0.05, 2, [1.0, 2.0],
+            [(1.0, 1.0, 1e-3, 1e-3)] * 2, 1.0, 1.0)
+        n = 30
+        sys_ = semigroup.assemble_damped_wave(n, 1.0, np.ones(n))
+        scan = semigroup.running_sup(
+            semigroup.resolvent_norm_scan(sys_, np.linspace(0.0, 40.0, 9)))
+        reports.append(semigroup.rate_sandwich_check(
+            sys_, np.linspace(5.0, 10.0, 3), scan))
+        x = np.concatenate([np.sin(math.pi * np.arange(1, n + 1) / (n + 1)),
+                            np.zeros(n)])
+        reports += semigroup.weighted_decay_suite(sys_, x,
+                                                  weights.ConstantRate(2.0))
+        reports.append(semigroup.c0_example_suite([1.0, 0.5])[1])
+        emitted = {rep.name for rep in reports}
+        verdict_keys = set(cli.HANDLERS[("contour", "kernel")](
+            {"t-max": 10.0, "points": 3}, "series").passed)
+
         registered = {name for name, _ in cli.SUITES}
-        assert {rep.name for rep in reports} <= registered
+        assert emitted <= registered
+        assert registered <= emitted | verdict_keys
 
 
 class TestThreadCount:
@@ -251,6 +281,18 @@ class TestAdaptiveContour:
             params["growth-alpha"], params["growth-beta"], p=params["p"])
         assert summary["constants"]["i3est"] == dict(stub.constants)
         assert summary["constants"]["i4est1"] == dict(boundary.constants)
+
+    def test_inadmissible_schedule_fails_before_any_contour(self, tmp_path,
+                                                            monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(contour, "reconstruct_g_adaptive",
+                            lambda *args, **kwargs: calls.append(args))
+        code = cli.main(["contour", "reconstruct", "--mode", "adaptive",
+                         "--target", "atom", "--growth-alpha", "3",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "n > alpha" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestThreadsFallback:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tauberlab import atoms, contour, counterexamples, weights
+from tauberlab.reports import RHO_CAP, fit_rate, upper_report
 
 
 def _report_record(rep):
@@ -75,3 +76,33 @@ class TestFitGolden:
     @pytest.mark.parametrize("run", sorted(FIT_RUNS))
     def test_every_report_field(self, run):
         assert FIT_RUNS[run]() == GOLDEN[run]
+
+
+class TestFitRate:
+    def test_zero_values_constrain_nothing(self):
+        t = np.array([1.0, 2.0, 4.0])
+        assert fit_rate(np.array([0.0, np.exp(-1.0), 0.0]), t) \
+            == pytest.approx(0.5 * (1.0 - 1e-9), rel=1e-15)
+        assert fit_rate(np.zeros(3), t) == RHO_CAP
+        assert fit_rate(np.array([]), np.array([])) == RHO_CAP
+
+    def test_rate_is_clamped_to_its_range(self):
+        t = np.array([1.0, 2.0])
+        assert fit_rate(np.array([3.0, 1.0]), t) == 0.0
+        assert fit_rate(np.array([1e-300, 1e-300]), t) == RHO_CAP
+
+    def test_rows_share_the_t_axis(self):
+        values = np.array([[np.exp(-2.0), np.exp(-4.0)],
+                           [np.exp(-1.0), np.exp(-6.0)]])
+        t = np.array([1.0, 2.0])
+        assert fit_rate(values, t) == fit_rate(values.ravel(), np.tile(t, 2))
+
+
+class TestUpperReport:
+    def test_verdict_needs_finite_constants_and_positive_rate(self):
+        env, vals = np.array([2.0, 2.0]), np.array([1.0, 1.0])
+        assert upper_report("u", {"C": 2.0, "rho": 0.5}, env, vals, "", "").passed
+        assert not upper_report("u", {"C": np.inf, "rho": 0.5}, env, vals, "", "").passed
+        assert not upper_report("u", {"C": 2.0, "rho": 0.0}, env, vals, "", "").passed
+        rep = upper_report("u", {"C": 2.0}, env, vals - [0.0, -3.0], "", "")
+        assert not rep.passed and rep.worst_residual == -2.0
