@@ -192,7 +192,17 @@ class TestListSuites:
         assert "X3" in names and "lemma31" in names
         assert len(rows) == len(cli.SUITES)
 
-    def test_every_envelope_report_is_registered(self):
+    @pytest.mark.parametrize("variant,alpha,beta", [("power", 2.0, 2.0),
+                                                    ("log", 1.0, None)])
+    def test_every_envelope_report_is_registered(self, variant, alpha, beta):
+        fam = atoms.build_family(variant, 10, alpha, beta=beta)
+        reports = atoms.verify_prop52(
+            fam, t_grid=atoms.default_t_grid(fam, n=60),
+            z_samples=atoms.default_z_samples(fam, n=4))
+        registered = {name for name, _ in cli.SUITES}
+        assert {rep.name for rep in reports} <= registered
+
+    def test_registry_matches_every_emitter(self):
         # report names travel through helper arguments, so each emitter runs
         # once, small, and the table must match what they emit both ways
         reports = []
