@@ -80,28 +80,9 @@ class AtomFamily:
     base: complex           # w: the circle center
     log_tau: float          # log of the scalar weight A^(k-1)/sqrt(k)
 
-    @property
-    def root(self) -> complex:
-        return cmath.exp(2j * math.pi / self.k)
-
     def locations(self) -> np.ndarray:
         s = np.arange(1, self.k + 1)
         return self.base + np.exp(2j * math.pi * s / self.k) / self.circle_scale
-
-    def weight_logs(self) -> list[LogComplex]:
-        """Atom weights tau * q^s * (1 + q^s/(A w)) as LogComplex."""
-        out = []
-        aw = self.circle_scale * self.base
-        for s in range(1, self.k + 1):
-            qs = cmath.exp(2j * math.pi * s / self.k)
-            rest = 1.0 + qs / aw
-            out.append(
-                LogComplex.from_log(
-                    self.log_tau + math.log(abs(rest)),
-                    2.0 * math.pi * s / self.k + cmath.phase(rest),
-                )
-            )
-        return out
 
     def matching_rate(self) -> RateFunction:
         """The rate function whose spectral region this family probes."""
@@ -416,12 +397,9 @@ def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
 
 
 def _check_backend(backend: str) -> str:
-    b = str(backend).lower()
-    if b in (SERIES, "fast"):
-        return SERIES
-    if b in (DIRECT_ORACLE, "directoracle", "mp", "mpmath"):
-        return DIRECT_ORACLE
-    raise ValueError(f"unknown backend {backend!r}; expected 'series' or 'oracle'")
+    if backend not in (SERIES, DIRECT_ORACLE):
+        raise ValueError(f"unknown backend {backend!r}; expected 'series' or 'oracle'")
+    return backend
 
 
 def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
@@ -688,8 +666,8 @@ def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray
     return np.array(out[:n])
 
 
-def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
-                  backend: str = SERIES) -> list[FitReport]:
+def verify_prop52(fam: AtomFamily, t_grid=None,
+                  z_samples=None) -> list[FitReport]:
     """Fit and verify the four envelope inequalities of the family.
 
     power variant: X3 (time-profile bump), XQ4 (transform box bound),
@@ -709,13 +687,11 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
     k = fam.k
     grid_desc = f"k={k}: {t.size} t-pts on [0,{t.max():g}], {zs.size} z-samples"
 
-    abs_l = np.abs(laplace_L(fam, t, backend=SERIES))
-    abs_n = np.abs(primitive_N(fam, t, backend=SERIES))
+    abs_l = np.abs(laplace_L(fam, t))
+    abs_n = np.abs(primitive_N(fam, t))
     abs_g = np.empty((zs.size, t.size))
     for i, z in enumerate(zs):
-        abs_g[i] = np.abs(green_G(fam, t, z, backend=SERIES))
-    if _check_backend(backend) == DIRECT_ORACLE:
-        _oracle_guard(fam)
+        abs_g[i] = np.abs(green_G(fam, t, z))
 
     if fam.variant == "power":
         return _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc)

@@ -14,7 +14,7 @@ kernel``, ``contour reconstruct``; ``wave energy``, ``wave sandwich``,
 
 Config files are line-oriented ``key = value`` with ``[section]`` headers
 and ``#`` comments.  A ``[scenario]`` section holds ``command``,
-``action`` and optionally ``out-dir`` / ``backend`` / ``threads``; a
+``action`` and optionally ``out-dir`` / ``threads``; a
 ``[params]`` section holds the action's typed parameters under the same
 names as the CLI flags.  Unknown keys are rejected by name.
 
@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
-BACKENDS = ("series", "oracle")
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -227,7 +226,6 @@ class Scenario:
     action: str
     params: dict
     out_dir: str = "."
-    backend: str = "series"
     threads: int = 0  # 0 = leave the pools alone
 
     def as_dict(self) -> dict:
@@ -237,7 +235,6 @@ class Scenario:
             "params": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in sorted(self.params.items())},
             "out_dir": self.out_dir,
-            "backend": self.backend,
             "threads": self.threads,
         }
 
@@ -333,23 +330,19 @@ def parse_config(text: str) -> Scenario:
         fields[section][key] = value
 
     meta = fields["scenario"]
-    known = {"command", "action", "out-dir", "backend", "threads"}
+    known = {"command", "action", "out-dir", "threads"}
     for key in meta:
         if key not in known:
             raise ScenarioError(f"unknown scenario key {key!r}")
     for required in ("command", "action"):
         if required not in meta:
             raise ScenarioError(f"config is missing scenario key {required!r}")
-    backend = meta.get("backend", "series")
-    if backend not in BACKENDS:
-        raise ScenarioError(f"backend must be one of {BACKENDS}, got {backend!r}")
     threads = _thread_count(meta.get("threads", "0"), "key 'threads'")
     return Scenario(
         command=meta["command"],
         action=meta["action"],
         params=_coerce_params(meta["command"], meta["action"], fields["params"]),
         out_dir=meta.get("out-dir", "."),
-        backend=backend,
         threads=threads,
     )
 
@@ -433,7 +426,7 @@ def _rate_function(params):
     return wg.AffineRate(params["base"], params["slope"])
 
 
-def _h_weights_profile(params, backend) -> RunResult:
+def _h_weights_profile(params) -> RunResult:
     import numpy as np
     from tauberlab import weights as wg
 
@@ -462,7 +455,7 @@ def _h_weights_profile(params, backend) -> RunResult:
     return res
 
 
-def _h_atoms_verify(params, backend) -> RunResult:
+def _h_atoms_verify(params) -> RunResult:
     from tauberlab import atoms as at
 
     beta = params["beta"] if params["variant"] == "power" else None
@@ -470,7 +463,7 @@ def _h_atoms_verify(params, backend) -> RunResult:
                           beta=beta)
     t = at.default_t_grid(fam)
     zs = at.default_z_samples(fam, n=params["z-count"], seed=params["seed"])
-    reports = at.verify_prop52(fam, t_grid=t, z_samples=zs, backend=backend)
+    reports = at.verify_prop52(fam, t_grid=t, z_samples=zs)
 
     rows = []
     for ti in t:
@@ -485,7 +478,7 @@ def _h_atoms_verify(params, backend) -> RunResult:
     return res
 
 
-def _h_contour_kernel(params, backend) -> RunResult:
+def _h_contour_kernel(params) -> RunResult:
     import numpy as np
     from tauberlab import contour as ct
 
@@ -503,12 +496,14 @@ def _h_contour_kernel(params, backend) -> RunResult:
     return res
 
 
-def _h_contour_reconstruct(params, backend) -> RunResult:
+def _h_contour_reconstruct(params) -> RunResult:
     import numpy as np
     from tauberlab import atoms as at
     from tauberlab import contour as ct
     from tauberlab import weights as wg
 
+    if params["points"] < 1:
+        raise ScenarioError("key 'points' must be >= 1")
     target = params["target"]
     if target == "exp":
         tp = ct.exp_decay_pair()
@@ -596,10 +591,12 @@ def _damping_profile(params, n):
     return np.zeros(n)
 
 
-def _h_wave_energy(params, backend) -> RunResult:
+def _h_wave_energy(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
+    if params["dt"] <= 0:
+        raise ScenarioError("key 'dt' must be positive")
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n),
                                    bc=params["bc"])
@@ -625,7 +622,7 @@ def _h_wave_energy(params, backend) -> RunResult:
     return res
 
 
-def _h_wave_sandwich(params, backend) -> RunResult:
+def _h_wave_sandwich(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
@@ -649,7 +646,7 @@ def _h_wave_sandwich(params, backend) -> RunResult:
     return res
 
 
-def _h_wave_cutoff(params, backend) -> RunResult:
+def _h_wave_cutoff(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
@@ -697,7 +694,7 @@ def _h_wave_cutoff(params, backend) -> RunResult:
     return res
 
 
-def _h_cx_scan(params, backend) -> RunResult:
+def _h_cx_scan(params) -> RunResult:
     import numpy as np
     from tauberlab import counterexamples as cx
 
@@ -734,7 +731,7 @@ def _h_cx_scan(params, backend) -> RunResult:
     return res
 
 
-def _h_cx_shift(params, backend) -> RunResult:
+def _h_cx_shift(params) -> RunResult:
     from tauberlab import counterexamples as cx
 
     ks = params["k"]
@@ -791,8 +788,7 @@ def run(scenario: Scenario) -> int:
     start = time.perf_counter()
     limiter = _apply_thread_cap(scenario.threads)
     try:
-        result = HANDLERS[(scenario.command, scenario.action)](
-            scenario.params, scenario.backend)
+        result = HANDLERS[(scenario.command, scenario.action)](scenario.params)
     finally:
         if limiter is not None:
             limiter.unregister()
@@ -834,8 +830,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     del kwargs["metavar"]
                 ap.add_argument(f"--{key}", dest=f"param_{key}", **kwargs)
             ap.add_argument("--out-dir", default=".", help="report directory")
-            ap.add_argument("--backend", default="series", choices=BACKENDS,
-                            help="precision backend where an oracle exists")
             ap.add_argument("--threads", type=int, default=0,
                             help="linear-algebra thread cap")
 
@@ -857,7 +851,6 @@ def _scenario_from_args(args) -> Scenario:
         action=args.action,
         params=_coerce_params(args.command, args.action, raw),
         out_dir=args.out_dir,
-        backend=args.backend,
         threads=_env_thread_fallback(_thread_count(args.threads, "--threads")),
     )
 

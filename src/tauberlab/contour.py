@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,20 +301,12 @@ class ContourSpec:
 
     R: float
     n: int = 2
-    order: int = 16
-    segments: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError(f"radius must be positive, got {self.R}")
         if self.n < 1:
             raise ValueError(f"regularization power must be >= 1, got {self.n}")
-        if not self.segments:
-            self.segments = [
-                ("right-arc", self.order),
-                ("vertical-segment", self.order),
-                ("left-arc", self.order),
-            ]
 
 
 def _time_nodes(f, t: float, max_im: float):

@@ -102,16 +102,6 @@ class WindowReport:
     passed: bool
     notes: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "t_lo": self.t_lo, "t_hi": self.t_hi,
-            "log_k": self.log_k, "min_log_abs_g": self.min_log_abs_g,
-            "floor_log": self.floor_log,
-            "contribution_log": self.contribution_log,
-            "analytic_bound_log": self.analytic_bound_log,
-            "passed": self.passed, "notes": self.notes,
-        }
-
 
 class CounterexampleSpec:
     """A wired train: blocks, threaded constants, and the weight data.
@@ -124,7 +114,7 @@ class CounterexampleSpec:
 
     def __init__(self, variant: str, alpha: float, p: float, blocks, c1, c2,
                  rho, gamma=None, gamma_log=None, gamma_exp=None,
-                 e_factor=None, desk_note: str = ""):
+                 e_factor=None):
         self.variant = variant
         self.alpha = float(alpha)
         self.p = float(p)
@@ -133,7 +123,6 @@ class CounterexampleSpec:
         self.gamma, self.gamma_log = gamma, gamma_log
         self.gamma_exp = gamma_exp
         self.e_factor = e_factor
-        self.desk_note = desk_note
 
     def __repr__(self):
         ks = ", ".join(f"{b.log_k:.4g}" for b in self.blocks)
@@ -553,7 +542,6 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
         variant, alpha, p, blocks, fit["c1"], fit["c2"], fit["rho"],
         gamma=gamma, gamma_log=_as_gamma_log(gamma, gamma_log) if (gamma or gamma_log) else None,
         gamma_exp=gamma_exp, e_factor=fit["e_factor"],
-        desk_note=f"constants fitted on k in {sorted(r for r in fit['reports'])}",
     )
 
 

@@ -98,8 +98,6 @@ class LogComplex:
             self.log_mag + other.log_mag, _wrap_phase(self.phase + other.phase)
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: "LogComplex | complex | float") -> "LogComplex":
         other = _coerce(other)
         if other.is_zero():
@@ -119,21 +117,8 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(n * self.log_mag, _wrap_phase(n * self.phase))
 
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero():
-            return self
-        return LogComplex(self.log_mag, _wrap_phase(self.phase + math.pi))
-
     def __add__(self, other: "LogComplex | complex | float") -> "LogComplex":
         return log_sum((self, _coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LogComplex | complex | float") -> "LogComplex":
-        return log_sum((self, -_coerce(other)))
-
-    def conjugate(self) -> "LogComplex":
-        return LogComplex(self.log_mag, _wrap_phase(-self.phase))
 
 
 def _coerce(v) -> LogComplex:

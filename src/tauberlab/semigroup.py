@@ -123,15 +123,8 @@ class DampedWaveSystem:
     def hat_generator(self) -> np.ndarray:
         """Generator conjugated to the energy-orthonormal frame."""
         if self._hat is None:
-            g_work = self.G if self.basis is None else self.basis.T @ self.G @ self.basis
-            rhs = sla.solve_triangular(self.chol, (self.chol.T @ g_work).T, lower=True).T
-            self._hat = rhs
+            self._hat = _conjugate_to_hat(self, self.G)
         return self._hat
-
-    def op_norm(self, m_work: np.ndarray) -> float:
-        """Energy operator norm of a matrix acting on the working space."""
-        m_hat = sla.solve_triangular(self.chol, (self.chol.T @ m_work).T, lower=True).T
-        return float(np.linalg.norm(m_hat, 2))
 
     def spectral_abscissa(self) -> float:
         return float(np.max(np.linalg.eigvals(self.hat_generator()).real))

@@ -73,9 +73,6 @@ class RateFunction:
         """
         return 0.0
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
@@ -86,9 +83,6 @@ class ConstantRate(RateFunction):
 
     def raw_deriv(self, s):
         return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
-
-    def describe(self) -> str:
-        return f"constant({self.level:g})"
 
 
 @dataclass(frozen=True)
@@ -109,9 +103,6 @@ class PowerRate(RateFunction):
     def clamp_point(self) -> float:
         return float((RATE_FLOOR / self.kappa) ** (1.0 / self.alpha))
 
-    def describe(self) -> str:
-        return f"power(kappa={self.kappa:g}, alpha={self.alpha:g})"
-
 
 @dataclass(frozen=True)
 class LogRate(RateFunction):
@@ -130,9 +121,6 @@ class LogRate(RateFunction):
 
     def clamp_point(self) -> float:
         return float(math.exp(RATE_FLOOR ** (1.0 / self.alpha)) - 2.0)
-
-    def describe(self) -> str:
-        return f"log(alpha={self.alpha:g})"
 
 
 @dataclass(frozen=True)
@@ -154,9 +142,6 @@ class AffineRate(RateFunction):
         if self.offset >= RATE_FLOOR or self.slope == 0:
             return 0.0
         return (RATE_FLOOR - self.offset) / self.slope
-
-    def describe(self) -> str:
-        return f"affine(offset={self.offset:g}, slope={self.slope:g})"
 
 
 @dataclass(frozen=True)

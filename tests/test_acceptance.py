@@ -117,8 +117,7 @@ def test_04_envelope_fit_suite(capsys):
     all_pass = True
     for k in (15, 25, 40):
         fam = build_family("power", k, 2.0, 2.0)
-        backend = "oracle" if k <= 25 else "series"
-        reports = verify_prop52(fam, backend=backend)
+        reports = verify_prop52(fam)
         all_pass = all_pass and all(r.passed for r in reports)
         rhos.extend(r.constants["rho"] for r in reports
                     if "rho" in r.constants)

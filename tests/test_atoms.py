@@ -354,10 +354,19 @@ class TestInequalityFits:
         assert far.passed
         assert far.constants["rho"] > 0
 
-    def test_oracle_backend_agrees_with_series_verdicts(self):
+    def test_fit_inputs_match_oracle_on_grid(self):
+        # the series values verify_prop52 fits, against the mpmath direct
+        # sums at every grid point: a relative gap, except where L and N
+        # cancel to 0 at t = 0 and the gap is absolute
         fam = build_family("power", 12, 2.0, 2.0)
         tg = default_t_grid(fam, n=60)
         zs = default_z_samples(fam, n=10)
-        series = verify_prop52(fam, t_grid=tg, z_samples=zs)
-        oracle = verify_prop52(fam, t_grid=tg, z_samples=zs, backend="oracle")
-        assert [r.passed for r in series] == [r.passed for r in oracle]
+        cases = [(f(fam, tg, backend="oracle"), f(fam, tg), tg == 0)
+                 for f in (laplace_L, primitive_N)]
+        cases += [(green_G(fam, tg, z, backend="oracle"), green_G(fam, tg, z),
+                   np.zeros(tg.size, dtype=bool)) for z in zs[::4]]
+        for oracle, series, cancels in cases:
+            gap = np.abs(oracle - series)
+            scale = np.maximum(np.abs(oracle), np.abs(series))
+            limit = np.where(cancels, CANCEL_TOL, BACKEND_TOL * scale)
+            assert np.all(gap <= limit), np.max(gap / limit)

@@ -125,11 +125,39 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "bogus-knob" in proc.stderr
 
-    def test_oracle_backend_range_guard(self, tmp_path):
-        proc = run_cli(["atoms", "verify", "--k", "40", "--backend",
+    def test_removed_backend_option_is_rejected(self, tmp_path):
+        proc = run_cli(["atoms", "verify", "--k", "12", "--backend",
                         "oracle", "--out-dir", str(tmp_path)], cwd=tmp_path)
         assert proc.returncode == 2
-        assert "k" in proc.stderr and "30" in proc.stderr
+        assert "--backend" in proc.stderr
+        conf = tmp_path / "old.conf"
+        conf.write_text("[scenario]\ncommand = atoms\naction = verify\n"
+                        f"out-dir = {tmp_path}\nbackend = oracle\n\n"
+                        "[params]\nk = 12\n")
+        proc = run_cli(["run", "--config", str(conf)], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "unknown scenario key 'backend'" in proc.stderr
+        assert not (tmp_path / "atoms-verify-summary.json").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["contour", "reconstruct", "--points", "0"], "'points'"),
+        (["contour", "reconstruct", "--mode", "adaptive", "--points", "0"],
+         "'points'"),
+        (["wave", "energy", "--n", "20", "--dt", "0"], "'dt'"),
+    ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy"])
+    def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
+                                              monkeypatch, capsys):
+        calls = []
+        for mod, name in ((contour, "reconstruct_g_fixed"),
+                          (contour, "reconstruct_g_adaptive"),
+                          (semigroup, "evolve")):
+            monkeypatch.setattr(mod, name,
+                                lambda *args, **kwargs: calls.append(args))
+        code = cli.main([*argv, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.iterdir())
 
     def test_zero_z_count_is_a_usage_error(self, tmp_path):
         proc = run_cli(["atoms", "verify", "--k", "12", "--z-count", "0",
@@ -229,7 +257,7 @@ class TestListSuites:
         reports.append(semigroup.c0_example_suite([1.0, 0.5])[1])
         emitted = {rep.name for rep in reports}
         verdict_keys = set(cli.HANDLERS[("contour", "kernel")](
-            {"t-max": 10.0, "points": 3}, "series").passed)
+            {"t-max": 10.0, "points": 3}).passed)
 
         registered = {name for name, _ in cli.SUITES}
         assert emitted <= registered
