@@ -20,6 +20,7 @@ envelope fits for the four inequalities each family is designed to satisfy.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -439,7 +440,20 @@ def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):
 # ----------------------------------------------------------------------
 
 def _oracle_dps(fam: AtomFamily, t: float) -> int:
-    cancel_digits = fam.log_tau / _LN10 + 0.4343 * max(t, 0.0) + fam.k
+    """Working precision of the direct sums at t.
+
+    Digits for tau, for e^(t Re w) and for k, and for t > 0 also digits for
+    the cancellation near 0: the k terms have size about tau |e^(tw)| while
+    the root sum cancels every Taylor order below k-1, leaving about
+    tau k (t/A)^(k-1)/(k-1)!.  t = 0 is an exact cancellation and keeps the
+    first rule.
+    """
+    k = fam.k
+    cancel_digits = fam.log_tau / _LN10 + 0.4343 * max(t, 0.0) + k
+    if t > 0:
+        small_t_digits = ((k - 1) * math.log10(fam.circle_scale / t)
+                          + math.lgamma(k) / _LN10 - math.log10(k))
+        cancel_digits = max(cancel_digits, small_t_digits)
     return max(ORACLE_MIN_DPS, 50 + int(math.ceil(max(0.0, cancel_digits))))
 
 
@@ -457,42 +471,73 @@ def _oracle_map(fam: AtomFamily, t, fn):
     return np.array([fn(fam, float(ti)) for ti in np.asarray(t, dtype=float)])
 
 
-def _mp_atoms(fam: AtomFamily):
-    k = fam.k
-    a = mp.mpf(fam.circle_scale)
-    w = mp.mpc(fam.base.real, fam.base.imag)
-    tau = a ** (k - 1) / mp.sqrt(k)
-    qs = [mp.expjpi(mp.mpf(2 * s) / k) for s in range(1, k + 1)]
-    return a, w, tau, qs
+# the tables below are built once per working precision and shared: mpmath
+# numbers are immutable, and a grid has few distinct precisions
+_TABLE_CACHE = 512
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _unit_roots(k: int, dps: int) -> tuple:
+    """The k-th roots of unity q^s = e^(2 pi i s/k), s = 1..k, at dps digits."""
+    with mp.workdps(dps):
+        return tuple(mp.expjpi(mp.mpf(2 * s) / k) for s in range(1, k + 1))
+
+
+@dataclass(frozen=True)
+class _OracleAtoms:
+    """The t-independent inputs of the direct sums, at one precision."""
+
+    a: mp.mpf       # A
+    w: mp.mpc       # the base point
+    tau: mp.mpf     # A^(k-1)/sqrt(k)
+    qs: tuple       # q^s, s = 1..k
+    zetas: tuple    # atom locations w + q^s/A
+    weights: tuple  # atom weights tau q^s (1 + q^s/(A w))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
+    with mp.workdps(dps):
+        k = fam.k
+        a = mp.mpf(fam.circle_scale)
+        w = mp.mpc(fam.base.real, fam.base.imag)
+        tau = a ** (k - 1) / mp.sqrt(k)
+        qs = _unit_roots(k, dps)
+        return _OracleAtoms(
+            a, w, tau, qs,
+            tuple(w + q / a for q in qs),
+            tuple(tau * q * (1 + q / (a * w)) for q in qs),
+        )
 
 
 def _oracle_L(fam: AtomFamily, t: float) -> complex:
-    with mp.workdps(_oracle_dps(fam, t)):
-        a, w, tau, qs = _mp_atoms(fam)
+    dps = _oracle_dps(fam, t)
+    at = _oracle_atoms(fam, dps)
+    with mp.workdps(dps):
         tot = mp.mpc(0)
-        for q in qs:
-            zeta = w + q / a
-            tot += tau * q * (1 + q / (a * w)) * mp.exp(t * zeta)
+        for c, zeta in zip(at.weights, at.zetas):
+            tot += c * mp.exp(t * zeta)
         return complex(tot)
 
 
 def _oracle_N(fam: AtomFamily, t: float) -> complex:
-    with mp.workdps(_oracle_dps(fam, t)):
-        a, w, tau, qs = _mp_atoms(fam)
+    dps = _oracle_dps(fam, t)
+    at = _oracle_atoms(fam, dps)
+    with mp.workdps(dps):
         tot = mp.mpc(0)
-        for q in qs:
-            tot += q * mp.exp(q * t / a)
-        return complex(tau * mp.exp(t * w) / w * tot)
+        for q in at.qs:
+            tot += q * mp.exp(q * t / at.a)
+        return complex(at.tau * mp.exp(t * at.w) / at.w * tot)
 
 
 def _oracle_G(fam: AtomFamily, t: float, z: complex) -> complex:
-    with mp.workdps(_oracle_dps(fam, t)):
-        a, w, tau, qs = _mp_atoms(fam)
+    dps = _oracle_dps(fam, t)
+    at = _oracle_atoms(fam, dps)
+    with mp.workdps(dps):
         zz = mp.mpc(z)
         tot = mp.mpc(0)
-        for q in qs:
-            zeta = w + q / a
-            tot += tau * q * (1 + q / (a * w)) * mp.exp(t * zeta) / (zz - zeta)
+        for c, zeta in zip(at.weights, at.zetas):
+            tot += c * mp.exp(t * zeta) / (zz - zeta)
         return complex(tot)
 
 
@@ -516,10 +561,11 @@ def roots_identity(k: int, j: int, z: complex) -> tuple[complex, complex]:
         zk = zz ** k
         if zk == 1:
             raise ZeroDivisionError("z^k = 1: identity poles")
+        qs = _unit_roots(k, dps)
         lhs = mp.mpc(0)
-        for s in range(1, k + 1):
-            q = mp.expjpi(mp.mpf(2 * s) / k)
-            lhs += q ** j / (zz - q)
+        for s, q in enumerate(qs, start=1):
+            # q^(js) = q^(js mod k), read from the table
+            lhs += qs[(j * s) % k - 1] / (zz - q)
         rhs = k * zz ** (j - 1) / (zk - 1)
         return complex(lhs), complex(rhs)
 

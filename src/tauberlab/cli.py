@@ -432,6 +432,8 @@ def _h_weights_profile(params) -> RunResult:
 
     if params["t-min"] <= 0:
         raise ScenarioError("key 't-min' must be positive")
+    if params["points"] < 1:
+        raise ScenarioError("key 'points' must be >= 1")
     M = _rate_function(params)
     ts = np.geomspace(params["t-min"], params["t-max"], params["points"])
     rows = [(float(t), float(M(t)), wg.m_log_eval(M, float(t)),
@@ -482,6 +484,9 @@ def _h_contour_kernel(params) -> RunResult:
     import numpy as np
     from tauberlab import contour as ct
 
+    # t = 0 alone would check only the exact value there, not the cap
+    if params["points"] < 2:
+        raise ScenarioError("key 'points' must be >= 2")
     ts = np.r_[0.0, np.geomspace(1e-2, params["t-max"], params["points"] - 1)]
     rows = []
     worst = -math.inf
@@ -504,6 +509,9 @@ def _h_contour_reconstruct(params) -> RunResult:
 
     if params["points"] < 1:
         raise ScenarioError("key 'points' must be >= 1")
+    # the adaptive piece fit needs more than one t to fit a shape
+    if params["mode"] == "adaptive" and params["points"] < 2:
+        raise ScenarioError("key 'points' must be >= 2 in adaptive mode")
     target = params["target"]
     if target == "exp":
         tp = ct.exp_decay_pair()

@@ -110,9 +110,6 @@ class DampedWaveSystem:
         x = np.asarray(x)
         return x if self.basis is None else self.basis.T @ x
 
-    def unreduce(self, y: np.ndarray) -> np.ndarray:
-        return y if self.basis is None else self.basis @ y
-
     def to_hat(self, x: np.ndarray) -> np.ndarray:
         return self.chol.T @ self.reduce(x)
 

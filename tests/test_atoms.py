@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from tauberlab import weights
+from tauberlab import atoms, weights
 from tauberlab.atoms import (
     LogComplex,
     atoms_outside_region,
@@ -162,6 +162,21 @@ class TestTransforms:
         o = green_G(fam, 3.0, z, backend="oracle")
         assert abs(s - o) / max(abs(o), 1e-30) <= BACKEND_TOL
 
+    @pytest.mark.parametrize("k", [20, 30])
+    def test_series_matches_oracle_at_small_t(self, k):
+        # near t = 0 the k oracle terms cancel to t^(k-1)/(k-1)!, so the
+        # oracle needs digits for that cancellation to stay the arbiter
+        fam = build_family("power", k, 2.0, 2.0)
+        tg = default_t_grid(fam)
+        tg = tg[tg <= 0.01]
+        assert tg[0] == 0.0 and tg.size > 20
+        for f in (laplace_L, primitive_N):
+            oracle, series = f(fam, tg, backend="oracle"), f(fam, tg)
+            gap = np.abs(oracle - series)
+            scale = np.maximum(np.abs(oracle), np.abs(series))
+            limit = np.where(tg == 0, CANCEL_TOL, BACKEND_TOL * scale)
+            assert np.all(gap <= limit), tg[gap > limit]
+
 
 # ----------------------------------------------------------------------
 # G series: exact agreement with recorded values
@@ -227,6 +242,81 @@ class TestGreenGolden:
                 for v in green_G(fam, t, z):
                     digest.update(f"{v.real.hex()},{v.imag.hex()};".encode())
         assert digest.hexdigest() == GOLDEN["power_full_grid_sha256"]
+
+
+# ----------------------------------------------------------------------
+# oracle route: exact agreement with recorded values, and its work
+# ----------------------------------------------------------------------
+
+# float.hex of oracle outputs and roots_identity values, recorded before the
+# oracle read its roots and atom weights from per-precision tables; the
+# tables must reproduce each bit
+ORACLE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).with_name("oracle_golden.json")).read_text())
+
+
+def _roots_sweep(seed):
+    # drawn like the benchmark's roots sweep: every order k = 1..64 once,
+    # a stride j in {1, k/2, k}, radius 0.5 or 2 and a random angle
+    rng = np.random.default_rng(seed)
+    calls = []
+    for k in range(1, 65):
+        j = (1, max(1, round(k / 2)), k)[int(rng.integers(3))]
+        r = 0.5 if rng.integers(2) == 0 else 2.0
+        calls.append((k, j, r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+    return calls
+
+
+class TestOracleGolden:
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_power_family_on_short_grid(self, k):
+        rec = ORACLE_GOLDEN[f"power_k{k}"]
+        fam = build_family("power", k, 2.0, 2.0)
+        t = default_t_grid(fam, n=60)
+        assert _hex_list(t) == rec["t"]
+        zs = default_z_samples(fam, n=4)[[0, 3]]
+        assert [_hex_pair(z) for z in zs] == rec["z"]
+        assert [_hex_pair(v) for v in laplace_L(fam, t, backend="oracle")] == rec["L"]
+        assert [_hex_pair(v) for v in primitive_N(fam, t, backend="oracle")] == rec["N"]
+        for i, z in enumerate(zs):
+            assert [_hex_pair(v) for v in green_G(fam, t, z, backend="oracle")] \
+                == rec["G"][i]
+
+    def test_roots_identity_sweep(self):
+        rec = ORACLE_GOLDEN["roots"]
+        calls = _roots_sweep(rec["seed"])
+        assert [[k, j, _hex_pair(z)] for k, j, z in calls] == rec["calls"]
+        assert [[_hex_pair(v) for v in roots_identity(k, j, z)]
+                for k, j, z in calls] == rec["values"]
+
+
+class TestOracleWork:
+    @pytest.fixture
+    def expjpi_calls(self, monkeypatch):
+        for cache in (atoms._unit_roots, atoms._oracle_atoms):
+            cache.cache_clear()
+        calls = []
+        expjpi = atoms.mp.expjpi
+
+        def counted(x):
+            calls.append(x)
+            return expjpi(x)
+
+        monkeypatch.setattr(atoms.mp, "expjpi", counted)
+        return calls
+
+    def test_roots_built_once_per_precision_on_a_grid(self, expjpi_calls):
+        fam = build_family("power", 12, 2.0, 2.0)
+        t = default_t_grid(fam, n=60)
+        laplace_L(fam, t, backend="oracle")
+        distinct_dps = {atoms._oracle_dps(fam, float(ti)) for ti in t}
+        assert len(distinct_dps) < t.size
+        assert len(expjpi_calls) == fam.k * len(distinct_dps)
+
+    def test_roots_built_once_per_radius(self, expjpi_calls):
+        for theta in np.linspace(0.1, 6.0, 50):
+            roots_identity(16, 5, 2.0 * cmath.exp(1j * theta))
+        assert len(expjpi_calls) == 16
 
 
 # ----------------------------------------------------------------------

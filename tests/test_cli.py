@@ -144,13 +144,21 @@ class TestExitCodes:
         (["contour", "reconstruct", "--mode", "adaptive", "--points", "0"],
          "'points'"),
         (["wave", "energy", "--n", "20", "--dt", "0"], "'dt'"),
-    ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy"])
+        (["weights", "profile", "--points", "0"], "'points'"),
+        (["contour", "kernel", "--points", "1"], "'points'"),
+        (["contour", "reconstruct", "--mode", "adaptive", "--points", "1"],
+         "'points'"),
+    ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
+            "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t"])
     def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
                                               monkeypatch, capsys):
         calls = []
         for mod, name in ((contour, "reconstruct_g_fixed"),
                           (contour, "reconstruct_g_adaptive"),
-                          (semigroup, "evolve")):
+                          (contour, "lemma31_check"),
+                          (semigroup, "evolve"),
+                          (weights, "w_m_log"),
+                          (weights, "check_growth_bounds")):
             monkeypatch.setattr(mod, name,
                                 lambda *args, **kwargs: calls.append(args))
         code = cli.main([*argv, "--out-dir", str(tmp_path)])
