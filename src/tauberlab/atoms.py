@@ -190,12 +190,9 @@ def atoms_outside_region(fam: AtomFamily) -> bool:
 def _series_tail_sums(k: int, a_scale: float, t: float):
     """The two positive m-series shared by L and N.
 
-    Returns (S_plain, S_weighted, rel) with
+    Returns (S_plain, S_weighted) with
       S_plain    = sum_m c_m,           c_m = (t^k/A^k)^(m-1) (k-1)!/(km-1)!
-      S_weighted = sum_m c_m (km - 1),
-      rel        = sum_m c_m normalized so the m = 1 term is 1 (same series
-                   as S_plain; kept separate for the primitive's first-term
-                   factoring).
+      S_weighted = sum_m c_m (km - 1).
     All terms are positive; truncation at SERIES_TRUNC relative.
     """
     log_ta = math.log(t / a_scale)

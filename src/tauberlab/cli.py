@@ -40,6 +40,7 @@ import argparse
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -76,6 +77,7 @@ SUITES = (
     ("energy-decay-ladder", "weighted energy dyadic decay ladder"),
     ("rate-sandwich", "two-sided propagator-inverse norm sandwich"),
     ("diagonal-two-sided", "diagonal semigroup sharp two-sided decay"),
+    ("weighted-tail-ladder", "weighted tail integral dyadic decay ladder"),
 )
 
 
@@ -445,15 +447,15 @@ def _h_weights_profile(params) -> RunResult:
     res.residuals["growth"] = growth.worst_residual
     res.passed["growth"] = growth.passed
     if params["tail-alpha"] > 0 and params["tail-beta"] > 0:
-        tail = wg.weighted_tail_convergence(M, params["tail-alpha"],
-                                            params["tail-beta"])
-        res.constants["tail"] = {"estimate": tail.estimate}
-        res.residuals["tail"] = tail.increments[-1]
-        res.passed["tail"] = tail.converged
+        tail, increments = wg.weighted_tail_convergence(
+            M, params["tail-alpha"], params["tail-beta"])
+        res.constants["tail"] = dict(tail.constants)
+        res.residuals["tail"] = tail.worst_residual
+        res.passed["tail"] = tail.passed
         res.series.append(Series(
             "tail", ["block", "partial", "increment"],
             [(j, p, i) for j, (p, i) in
-             enumerate(zip(tail.partials, tail.increments))]))
+             enumerate(zip(itertools.accumulate(increments), increments))]))
     return res
 
 

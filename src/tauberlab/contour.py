@@ -38,7 +38,6 @@ __all__ = [
     "ContourSpec",
     "StepFunction",
     "adaptive_quad",
-    "composite_quad",
     "lemma31_check",
     "poisson_convolve",
     "step_lp_norm",
@@ -119,17 +118,6 @@ def adaptive_quad(fn, a: float, b: float, tol: float, *, order: int = 16,
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))
     return val, aval, evals
-
-
-def composite_quad(fn, a: float, b: float, panels: int, order: int = 4) -> complex:
-    """Fixed composite Gauss-Legendre rule (for refinement studies)."""
-    xs, ws = _gl(order)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
-    weights = (halves[:, None] * ws[None, :]).ravel()
-    return complex(np.sum(weights * np.asarray(fn(nodes))))
 
 
 # ----------------------------------------------------------------------

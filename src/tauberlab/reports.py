@@ -10,6 +10,7 @@ uniform JSON summary.
 Every envelope fit follows the one rule kept here: fit_rate pins the decay
 rate on the tail points, C is the extremal ratio on the rest padded by
 FIT_PAD, and upper_report / floor_report give the residual and verdict.
+Every dyadic ladder of weighted integrals is judged by ladder_report.
 """
 from __future__ import annotations
 
@@ -20,11 +21,18 @@ from typing import Mapping
 import numpy as np
 
 __all__ = ["FitReport", "FIT_PAD", "RHO_CAP", "fit_rate", "tail_fit",
-           "box_tail_fit", "upper_report", "floor_report"]
+           "box_tail_fit", "upper_report", "floor_report", "LADDER_WINDOW",
+           "LADDER_RATIO", "LADDER_MIN_RATIOS", "ladder_report"]
 
 # one-ulp slack so a fitted envelope clears its own binding grid point
 FIT_PAD = 1.0 + 1e-12
 RHO_CAP = 1.5  # fitted decay rates are capped here for stability
+# a ladder converges when, over its last LADDER_WINDOW increments, every
+# ratio of consecutive increments is below LADDER_RATIO and there are at
+# least LADDER_MIN_RATIOS of them (or the last increment is exactly 0)
+LADDER_WINDOW = 5
+LADDER_RATIO = 0.9
+LADDER_MIN_RATIOS = 3
 
 
 @dataclass(frozen=True)
@@ -119,3 +127,37 @@ def floor_report(name: str, values, scale: float, grid: str,
     resid = float(np.min(values - c * scale))
     return FitReport(name=name, constants={"c": c}, worst_residual=resid,
                      passed=c > 0 and resid >= 0, grid=grid, notes=notes)
+
+
+def ladder_report(name: str, increments, grid: str, notes: str) -> FitReport:
+    """Judge a dyadic ladder of nonnegative increments by geometric decay.
+
+    Ratios are taken over the last LADDER_WINDOW increments wherever the
+    denominator is positive.  Increments that underflow to exact zero are
+    stronger evidence than any ratio, so a last increment of 0 needs no
+    minimum ratio count.  The estimate extrapolates the tail geometrically
+    from the last ratio; it is inf when the ladder fails.
+    """
+    inc = [float(v) for v in increments]
+    first = max(0, len(inc) - LADDER_WINDOW)
+    ratios = [(inc[j + 1] / inc[j], j + 1)
+              for j in range(first, len(inc) - 1) if inc[j] > 0]
+    worst, binding = max(ratios, default=(0.0, len(inc) - 1))
+    passed = (all(r < LADDER_RATIO for r, _ in ratios)
+              and (len(ratios) >= LADDER_MIN_RATIOS or inc[-1] == 0.0))
+    total = sum(inc)
+    if not passed:
+        estimate = math.inf
+    elif inc[-1] > 0.0 and ratios:
+        r_last = ratios[-1][0]
+        estimate = total + inc[-1] * r_last / (1.0 - r_last)
+    else:
+        estimate = total
+    return FitReport(
+        name=name,
+        constants={"total": total, "last_increment": inc[-1],
+                   "worst_late_ratio": worst, "binding_rung": float(binding),
+                   "estimate": estimate},
+        worst_residual=LADDER_RATIO - worst, passed=passed,
+        grid=grid, notes=notes,
+    )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import FitReport
+from .reports import FitReport, ladder_report
 
 __all__ = [
     "RateFunction",
@@ -30,14 +30,12 @@ __all__ = [
     "PowerRate",
     "LogRate",
     "AffineRate",
-    "WeightProfile",
     "m_log_eval",
     "m_log_inverse",
     "w_m_log",
     "omega_m_contains",
     "check_growth_bounds",
     "weighted_tail_convergence",
-    "TailReport",
 ]
 
 RATE_FLOOR = 2.0  # all families are clamped at this level from below
@@ -144,21 +142,6 @@ class AffineRate(RateFunction):
         return (RATE_FLOOR - self.offset) / self.slope
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """The time-side weight w(t) = w_{M,log}(scale * t)."""
-
-    base: RateFunction
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("weight profile scale must be positive")
-
-    def __call__(self, t: float) -> float:
-        return w_m_log(self, t)
-
-
 def m_log_eval(M: RateFunction, s: float) -> float:
     """M_log(s) = M(s) * (log(1+M(s)) + log(1+s)); strictly increasing."""
     s = float(s)
@@ -205,22 +188,17 @@ def m_log_inverse(M: RateFunction, t: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def w_m_log(profile: "WeightProfile | RateFunction", t: float, tol: float = 1e-10) -> float:
-    """w(t) = 1 for scale*t <= M_log(1), else M_log^{-1}(scale*t).
+def w_m_log(M: RateFunction, t: float, tol: float = 1e-10) -> float:
+    """w(t) = 1 for t <= M_log(1), else M_log^{-1}(t).
 
-    Continuous at the junction since M_log^{-1}(M_log(1)) = 1.  A bare
-    RateFunction is accepted as a profile with scale 1.
+    Continuous at the junction since M_log^{-1}(M_log(1)) = 1.
     """
-    if isinstance(profile, RateFunction):
-        profile = WeightProfile(profile, 1.0)
     t = float(t)
     if t < 0:
         raise ValueError(f"w_m_log needs t >= 0, got {t}")
-    kt = profile.scale * t
-    junction = m_log_eval(profile.base, 1.0)
-    if kt <= junction:
+    if t <= m_log_eval(M, 1.0):
         return 1.0
-    return m_log_inverse(profile.base, kt, tol)
+    return m_log_inverse(M, t, tol)
 
 
 def omega_m_contains(M: RateFunction, lam: complex) -> bool:
@@ -282,33 +260,15 @@ def check_growth_bounds(M: RateFunction, t_grid=None) -> FitReport:
     )
 
 
-@dataclass(frozen=True)
-class TailReport:
-    """Partial-integral ladder for the weighted tail integral."""
-
-    partials: tuple  # integral over [2, 2^j] for ladder js
-    increments: tuple
-    converged: bool
-    estimate: float  # last partial + geometric extrapolation of the tail
-
-    def as_dict(self) -> dict:
-        return {
-            "partials": list(self.partials),
-            "increments": list(self.increments),
-            "converged": self.converged,
-            "estimate": self.estimate,
-        }
-
-
 def weighted_tail_convergence(
     M: RateFunction, alpha: float, beta: float, T_max: float = 2.0**20
-) -> TailReport:
+) -> tuple[FitReport, list[float]]:
     """Evidence that int_2^inf w(t)^(-alpha) M(w(t))^(-beta) dt converges.
 
     Integrates dyadic blocks [2^j, 2^(j+1)] with fixed Gauss-Legendre
-    panels and requires the block increments to decay geometrically
-    (ratio < 0.9 over the last 5 steps).  beta > 1 is a hard precondition;
-    alpha > 0 required likewise.
+    panels and judges the block increments by reports.ladder_report.
+    Returns the report and the increments.  beta > 1 is a hard
+    precondition; alpha > 0 required likewise.
     """
     if beta <= 1.0:
         raise ValueError(f"weighted_tail_convergence needs beta > 1, got {beta}")
@@ -326,28 +286,13 @@ def weighted_tail_convergence(
         return 0.5 * (b - a) * float(np.dot(wts, vals))
 
     increments = []
-    partials = []
-    total = 0.0
     a = 2.0
     while a < T_max:
         b = min(2.0 * a, T_max)
-        inc = block(a, b)
-        total += inc
-        increments.append(inc)
-        partials.append(total)
+        increments.append(block(a, b))
         a = b
-
-    tail = increments[-5:]
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1) if tail[i] > 0]
-    # increments that underflow to exact zero are stronger evidence than any
-    # geometric ratio; the ratio test applies only while they are representable
-    vanished = increments[-1] == 0.0 and all(r < 0.9 for r in ratios)
-    converged = vanished or (len(ratios) >= 3 and all(r < 0.9 for r in ratios))
-    if converged and increments[-1] > 0.0 and ratios:
-        r_last = max(min(ratios[-1], 0.9), 0.0)
-        estimate = total + increments[-1] * r_last / (1.0 - r_last)
-    elif converged:
-        estimate = total
-    else:
-        estimate = float("inf")
-    return TailReport(tuple(partials), tuple(increments), converged, estimate)
+    report = ladder_report(
+        "weighted-tail-ladder", increments,
+        grid=f"{len(increments)} dyadic blocks on [2, {T_max:g}]",
+        notes=f"int w^-{alpha:g} M(w)^-{beta:g} dt; block increments must decay")
+    return report, increments

@@ -263,6 +263,8 @@ class TestListSuites:
         reports += semigroup.weighted_decay_suite(sys_, x,
                                                   weights.ConstantRate(2.0))
         reports.append(semigroup.c0_example_suite([1.0, 0.5])[1])
+        reports.append(weights.weighted_tail_convergence(
+            weights.ConstantRate(2.0), 1.0, 2.0)[0])
         emitted = {rep.name for rep in reports}
         verdict_keys = set(cli.HANDLERS[("contour", "kernel")](
             {"t-max": 10.0, "points": 3}).passed)

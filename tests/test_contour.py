@@ -11,7 +11,6 @@ from tauberlab.contour import (
     ContourSpec,
     StepFunction,
     adaptive_quad,
-    composite_quad,
     default_k_scale,
     exp_decay_pair,
     fit_adaptive_piece_bounds,
@@ -95,17 +94,6 @@ def test_smoothing_contracts_lp_norms():
                 lambda x: np.abs([poisson_convolve(h, y, float(u)) for u in np.atleast_1d(x)]) ** p,
                 lo, hi, 1e-10)
             assert float(abs(lhs_p)) ** (1.0 / p) <= step_lp_norm(h, p) * CONTRACT_SLACK
-
-
-# ----------------------------------------------------------------------
-# composite_quad refinement
-# ----------------------------------------------------------------------
-
-def test_panel_halving_gains_at_least_fourth_order():
-    exact = math.sin(1.0)
-    coarse = abs(complex(composite_quad(np.cos, 0.0, 1.0, panels=2)).real - exact)
-    fine = abs(complex(composite_quad(np.cos, 0.0, 1.0, panels=4)).real - exact)
-    assert fine <= coarse / 4.0
 
 
 def test_laplace_quadrature_matches_closed_form():

@@ -5,8 +5,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from tauberlab import atoms, contour, counterexamples, weights
-from tauberlab.reports import RHO_CAP, fit_rate, upper_report
+from tauberlab import atoms, contour, counterexamples, semigroup, weights
+from tauberlab.reports import RHO_CAP, fit_rate, ladder_report, upper_report
 
 
 def _report_record(rep):
@@ -76,6 +76,88 @@ class TestFitGolden:
     @pytest.mark.parametrize("run", sorted(FIT_RUNS))
     def test_every_report_field(self, run):
         assert FIT_RUNS[run]() == GOLDEN[run]
+
+
+def _smooth_state(n):
+    xs = np.arange(1, n + 1) / (n + 1)
+    u = sum(c * np.sin(m * np.pi * xs) for m, c in zip((1, 2, 3), (1.0, 0.4, 0.2)))
+    return np.r_[u, np.sin(2 * np.pi * xs)]
+
+
+def _decay_ladder(damping, n):
+    a = np.ones(n) if damping == "constant" else semigroup.localized_bump_damping(n)
+    sys_ = semigroup.assemble_damped_wave(n, 1.0, a)
+    return semigroup.weighted_decay_suite(sys_, _smooth_state(n),
+                                          weights.ConstantRate(2.0))
+
+
+LADDER_RUNS = {
+    **{f"decay-{d}-n{n}": (lambda d=d, n=n: _decay_ladder(d, n))
+       for d in ("constant", "localized") for n in (30, 40)},
+    "tail-power-1-1": lambda: weights.weighted_tail_convergence(
+        weights.PowerRate(1.0, 1.0), 1.0, 2.0),
+    "tail-constant-2": lambda: weights.weighted_tail_convergence(
+        weights.ConstantRate(2.0), 1.0, 2.0),
+    "tail-affine-2-0.5": lambda: weights.weighted_tail_convergence(
+        weights.AffineRate(2.0, 0.5), 1.0, 2.0),
+}
+
+# verdicts and constants as float.hex, recorded while each ladder still
+# walked its own nodes and applied its own convergence rule
+LADDER_GOLDEN = json.loads(
+    (pathlib.Path(__file__).with_name("ladder_golden.json")).read_text())
+
+
+class TestLadderGolden:
+    def test_recorded_runs_are_the_defined_runs(self):
+        assert sorted(LADDER_GOLDEN) == sorted(LADDER_RUNS)
+
+    @pytest.mark.parametrize("run", sorted(r for r in LADDER_RUNS
+                                           if r.startswith("decay")))
+    def test_decay_ladder_verdicts_and_constants(self, run):
+        reports = LADDER_RUNS[run]()
+        golden = LADDER_GOLDEN[run]
+        assert [r.name for r in reports] == [g["name"] for g in golden]
+        for rep, gold in zip(reports, golden):
+            assert rep.passed == gold["passed"]
+            for key, value in gold["constants"].items():
+                assert rep.constants[key] == pytest.approx(
+                    float.fromhex(value), rel=1e-10, abs=0.0), (rep.name, key)
+
+    @pytest.mark.parametrize("run", sorted(r for r in LADDER_RUNS
+                                           if r.startswith("tail")))
+    def test_tail_ladder_increments_are_bit_identical(self, run):
+        rep, increments = LADDER_RUNS[run]()
+        golden = LADDER_GOLDEN[run]
+        assert [float(v).hex() for v in increments] == golden["increments"]
+        assert rep.passed == golden["passed"]
+        assert rep.constants["estimate"] == pytest.approx(
+            float.fromhex(golden["estimate"]), rel=1e-10, abs=0.0)
+
+
+class TestLadderReport:
+    def test_ratios_must_stay_below_the_bound(self):
+        assert ladder_report("l", [8.0, 4.0, 2.0, 1.0, 0.5], "", "").passed
+        rep = ladder_report("l", [8.0, 4.0, 2.0, 1.8, 0.5], "", "")
+        assert not rep.passed
+        assert rep.constants["worst_late_ratio"] == 0.9
+        assert rep.constants["binding_rung"] == 3.0
+        assert rep.worst_residual == 0.0
+        assert rep.constants["estimate"] == np.inf
+
+    def test_only_the_last_five_increments_count(self):
+        rep = ladder_report("l", [1.0, 100.0, 8.0, 4.0, 2.0, 1.0, 0.5], "", "")
+        assert rep.passed
+        assert rep.constants["worst_late_ratio"] == 0.5
+        assert rep.constants["total"] == 116.5
+        assert rep.constants["estimate"] == 117.0
+
+    def test_three_ratios_are_needed_unless_the_tail_vanished(self):
+        assert not ladder_report("l", [4.0, 2.0, 1.0], "", "").passed
+        assert not ladder_report("l", [0.0, 0.0, 0.0, 1.0, 0.5], "", "").passed
+        rep = ladder_report("l", [4.0, 2.0, 0.0, 0.0], "", "")
+        assert rep.passed
+        assert rep.constants["estimate"] == 6.0
 
 
 class TestFitRate:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from tauberlab import weights
 from tauberlab.semigroup import (
@@ -195,7 +196,39 @@ class TestWeightedDecay:
         assert reps["B-square-root"].constants["residual"] <= 1e-10
         assert reps["B-decay-ladder"].passed
         assert reps["energy-decay-ladder"].passed
-        assert reps["B-decay-ladder"].constants["worst_late_ratio"] < 1.0
+        assert reps["B-decay-ladder"].constants["worst_late_ratio"] < 0.9
+
+    @staticmethod
+    def _count_expm(monkeypatch):
+        calls = []
+        expm = sla.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+        monkeypatch.setattr(sla, "expm", counted)
+        return calls
+
+    @pytest.mark.parametrize("ladder", [1, 2])
+    def test_short_ladder_is_rejected_before_any_expm(self, ladder, monkeypatch):
+        # one or two ratios cannot show geometric decay; localized damping at
+        # n=10 fails at ladder=6, so a pass here could only be vacuous
+        n = 10
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        calls = self._count_expm(monkeypatch)
+        with pytest.raises(ValueError, match="ladder"):
+            weighted_decay_suite(sys, _smooth_state(n), weights.ConstantRate(2.0),
+                                 ladder=ladder)
+        assert calls == []
+
+    def test_default_ladder_sweeps_each_rung_once(self, monkeypatch):
+        # 7 rungs, each one orbit sweep: 8 node-offset steps and 1 panel step
+        n = 20
+        sys = assemble_damped_wave(n, 1.0, np.ones(n))
+        calls = self._count_expm(monkeypatch)
+        reps = weighted_decay_suite(sys, _smooth_state(n), weights.ConstantRate(2.0))
+        assert all(r.passed for r in reps)
+        assert 0 < len(calls) <= 63
 
 
 # ----------------------------------------------------------------------

@@ -169,14 +169,13 @@ def test_growth_fit_single_constant_across_grid(M):
 # ----------------------------------------------------------------------
 
 def test_tail_increments_shrink_for_power_family():
-    rep = weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 2.0)
-    assert rep.converged
-    inc = rep.increments
+    rep, inc = weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 2.0)
+    assert rep.passed
     assert all(inc[i + 1] < inc[i] for i in range(len(inc) - 6, len(inc) - 1))
 
 
 def test_tail_converges_for_constant_family():
-    assert weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0).converged
+    assert weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0)[0].passed
 
 
 def test_tail_rejects_unit_exponent():
@@ -185,7 +184,8 @@ def test_tail_rejects_unit_exponent():
 
 
 def test_tail_report_round_trips_to_dict():
-    rep = weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0)
+    rep, inc = weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0)
     d = rep.as_dict()
-    assert d["converged"] is True
-    assert d["estimate"] == pytest.approx(rep.estimate)
+    assert d["passed"] is True
+    assert d["constants"]["estimate"] == pytest.approx(rep.constants["estimate"])
+    assert d["constants"]["total"] == sum(inc)
