@@ -27,12 +27,13 @@ constants, worst residuals, per-invariant verdicts and wall time.
 Exit codes: 0 all invariants pass; 1 an invariant failed (the report is
 still written); 2 usage or config error.
 
-Determinism: two runs of the same scenario produce byte-identical CSV
-bodies -- fixed summation orders, explicit seeds, wall time only in JSON.
-The ``--threads`` cap (fallback: the TAUBERLAB_THREADS environment
-variable) bounds the linear-algebra thread pools; it never changes
-results, only scheduling.  A negative count, from either source or from a
-config's ``threads`` key, is a usage error.
+Determinism: two runs of the same scenario at the same BLAS thread count
+produce byte-identical CSV bodies -- fixed summation orders, explicit
+seeds, wall time only in JSON.  The ``--threads`` cap (fallback: the
+TAUBERLAB_THREADS environment variable) bounds the linear-algebra thread
+pools; a different thread count may split BLAS sums differently and move
+the last digits (about 1e-12 relative).  A negative count, from either
+source or from a config's ``threads`` key, is a usage error.
 """
 from __future__ import annotations
 
@@ -616,9 +617,8 @@ def _h_wave_energy(params) -> RunResult:
     t = np.linspace(0.0, params["t-max"], steps + 1)
     traj = sg.evolve(sys_, x0, t, tol=params["tol"])
     energies = traj.energies()
-    dissipation = np.array([sys_.dissipation(traj.states[:, j])
-                            for j in range(t.size)])
-    residual = sg.energy_derivative_check(sys_, traj)
+    dissipation = traj.dissipations()
+    residual = sg.energy_derivative_check(traj)
     e0 = float(energies[0])
     rows = list(zip(t.tolist(), energies.tolist(), dissipation.tolist()))
     res = RunResult(series=[Series("energy", ["t", "energy", "dissipation"],

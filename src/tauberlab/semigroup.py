@@ -80,13 +80,27 @@ def running_sup(series: DecaySeries) -> DecaySeries:
 
 @dataclass
 class Trajectory:
+    """States along a time grid; energies and dissipations are computed
+    once, on first read, and shared by every reader."""
+
     t: np.ndarray
     states: np.ndarray  # (2n, len(t))
     system: "DampedWaveSystem"
+    _energies: np.ndarray | None = field(default=None, init=False, repr=False)
+    _dissipations: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def energies(self) -> np.ndarray:
-        return np.array([self.system.energy(self.states[:, i])
-                         for i in range(self.states.shape[1])])
+        if self._energies is None:
+            self._energies = np.array([self.system.energy(self.states[:, i])
+                                       for i in range(self.states.shape[1])])
+        return self._energies
+
+    def dissipations(self) -> np.ndarray:
+        """-dE/dt at every grid time (DampedWaveSystem.dissipation)."""
+        if self._dissipations is None:
+            self._dissipations = np.array([self.system.dissipation(self.states[:, i])
+                                           for i in range(self.states.shape[1])])
+        return self._dissipations
 
 
 @dataclass
@@ -305,7 +319,7 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
     return Trajectory(t_grid, states, sys)
 
 
-def energy_derivative_check(sys: DampedWaveSystem, traj: Trajectory) -> float:
+def energy_derivative_check(traj: Trajectory) -> float:
     """Max |dE/dt + h sum a_j v_j^2| over interior times (4th-order stencil)."""
     t = traj.t
     dts = np.diff(t)
@@ -316,9 +330,7 @@ def energy_derivative_check(sys: DampedWaveSystem, traj: Trajectory) -> float:
     if e.size < 5:
         raise ValueError("need at least 5 samples")
     de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dt)
-    diss = np.array([sys.dissipation(traj.states[:, i])
-                     for i in range(2, e.size - 2)])
-    return float(np.max(np.abs(de + diss)))
+    return float(np.max(np.abs(de + traj.dissipations()[2:-2])))
 
 
 # ----------------------------------------------------------------------
@@ -520,17 +532,22 @@ def _orbit_sweep(ghat: np.ndarray, v0: np.ndarray, width: float, panels: int,
 
     Builds the node-offset steps and the panel step once, so the sweep
     costs order + 1 matrix exponentials however many panels it walks, and
-    keeps one running state so memory is O(size of v0).  Yields, panel by
-    panel, (nodes, weights, states at the nodes, state at the panel end).
+    keeps one running state so memory is O(size of v0).  The offset steps
+    are stacked into one (order * d, d) array and both are cast once to the
+    orbit's dtype, so a panel is one product for all nodes plus one for the
+    panel step, with no per-product real-to-complex cast.  Yields, panel by
+    panel, (nodes, weights, states at the nodes, state at the panel end);
+    the node states are views of one (order, *v0.shape) array.
     """
     xs, ws = np.polynomial.legendre.leggauss(order)
     offs = 0.5 * width * (xs + 1.0)
     wq = 0.5 * width * ws
-    phi_off = [sla.expm(ghat * o) for o in offs]
-    phi_panel = sla.expm(ghat * width)
+    dtype = np.result_type(ghat, v0)
+    phi_off = np.concatenate([sla.expm(ghat * o) for o in offs]).astype(dtype)
+    phi_panel = sla.expm(ghat * width).astype(dtype, copy=False)
     cur = v0
     for _ in range(panels):
-        at_nodes = [phi @ cur for phi in phi_off]
+        at_nodes = (phi_off @ cur).reshape(order, *cur.shape)
         cur = phi_panel @ cur
         yield t0 + offs, wq, at_nodes, cur
         t0 += width
@@ -547,6 +564,7 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
     width = min(0.25, math.pi / (4.0 * max(omega_max, 1.0)))
     panels = max(1, int(math.ceil(T / width)))
     lams = np.asarray(lams, dtype=complex)
+    obs = obs.astype(complex)
     acc = np.zeros((obs.shape[0], lams.size), dtype=complex)
     for t, wq, at_nodes, _ in _orbit_sweep(ghat, v0.astype(complex), T / panels, panels):
         f_panel = np.column_stack([obs @ s for s in at_nodes])
@@ -624,7 +642,8 @@ def _norm_series(sys, ghat, t1_hat, v0, t_grid):
     dt = float(t_grid[1] - t_grid[0])
     if np.ptp(np.diff(t_grid)) > 1e-12 * dt:
         raise ValueError("norm series needs a uniform grid")
-    phi = sla.expm(ghat * dt)
+    phi = sla.expm(ghat * dt).astype(complex)
+    t1_hat = t1_hat.astype(complex)
     out = np.empty(t_grid.size)
     cur = v0.astype(complex)
     for i in range(t_grid.size):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import FitReport, ladder_report
+from .reports import LADDER_MIN_RATIOS, FitReport, ladder_report
 
 __all__ = [
     "RateFunction",
@@ -268,12 +268,20 @@ def weighted_tail_convergence(
     Integrates dyadic blocks [2^j, 2^(j+1)] with fixed Gauss-Legendre
     panels and judges the block increments by reports.ladder_report.
     Returns the report and the increments.  beta > 1 is a hard
-    precondition; alpha > 0 required likewise.
+    precondition; alpha > 0 required likewise; T_max must give at least
+    LADDER_MIN_RATIOS + 1 blocks, so the ladder rule sees enough ratios.
     """
     if beta <= 1.0:
         raise ValueError(f"weighted_tail_convergence needs beta > 1, got {beta}")
     if alpha <= 0.0:
         raise ValueError(f"weighted_tail_convergence needs alpha > 0, got {alpha}")
+    edges = [2.0]
+    while edges[-1] < T_max:
+        edges.append(min(2.0 * edges[-1], T_max))
+    if len(edges) - 1 < LADDER_MIN_RATIOS + 1:
+        raise ValueError(f"weighted_tail_convergence needs T_max to give at least "
+                         f"{LADDER_MIN_RATIOS + 1} dyadic blocks from 2, got "
+                         f"{len(edges) - 1} for T_max={T_max:g}")
 
     nodes, wts = np.polynomial.legendre.leggauss(16)
 
@@ -285,12 +293,7 @@ def weighted_tail_convergence(
             vals.append(r ** (-alpha) * float(M(r)) ** (-beta))
         return 0.5 * (b - a) * float(np.dot(wts, vals))
 
-    increments = []
-    a = 2.0
-    while a < T_max:
-        b = min(2.0 * a, T_max)
-        increments.append(block(a, b))
-        a = b
+    increments = [block(a, b) for a, b in zip(edges[:-1], edges[1:])]
     report = ladder_report(
         "weighted-tail-ladder", increments,
         grid=f"{len(increments)} dyadic blocks on [2, {T_max:g}]",

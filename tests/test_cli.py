@@ -300,6 +300,26 @@ class TestThreadCount:
         assert "TAUBERLAB_THREADS" in proc.stderr
 
 
+class TestWaveEnergy:
+    def test_energies_are_computed_once(self, monkeypatch):
+        # evolve maps x0 into the energy frame once; the CSV columns and the
+        # derivative check then share one energy per grid time
+        params = cli._coerce_params("wave", "energy", {"n": 20, "t-max": 0.5})
+        real = semigroup.DampedWaveSystem.to_hat
+        calls = []
+
+        def counting(self, x):
+            calls.append(1)
+            return real(self, x)
+
+        monkeypatch.setattr(semigroup.DampedWaveSystem, "to_hat", counting)
+        res = cli.HANDLERS[("wave", "energy")](params)
+        rows = res.series[0].rows
+        assert len(rows) == 501
+        assert len(calls) <= len(rows) + 1
+        assert all(res.passed.values())
+
+
 class TestAdaptiveContour:
     def test_piece_fit_reuses_the_rows_contours(self, tmp_path, monkeypatch):
         points = 3

@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from tauberlab import weights
 from tauberlab.semigroup import (
     DiagonalSemigroup,
+    _orbit_sweep,
     assemble_damped_wave,
     c0_example_suite,
     cutoff_transform_check,
@@ -173,13 +174,13 @@ class TestEvolution:
         E = traj.energies()
         E0 = E[0]
         assert np.all(np.diff(E) <= 1e-12 * E0)
-        assert energy_derivative_check(sys, traj) <= 1e-6 * E0
+        assert energy_derivative_check(traj) <= 1e-6 * E0
 
     def test_undamped_residual_is_differentiation_noise(self):
         n = 40
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
         traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3), tol=1e-10)
-        assert energy_derivative_check(sys, traj) <= 1e-8 * traj.energies()[0]
+        assert energy_derivative_check(traj) <= 1e-8 * traj.energies()[0]
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +230,36 @@ class TestWeightedDecay:
         reps = weighted_decay_suite(sys, _smooth_state(n), weights.ConstantRate(2.0))
         assert all(r.passed for r in reps)
         assert 0 < len(calls) <= 63
+
+
+class TestOrbitSweep:
+    @pytest.mark.parametrize("kind", ["real-block", "complex-vector"])
+    def test_node_states_match_expm_steps_bit_for_bit(self, kind):
+        n = 10
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        ghat = sys.hat_generator()
+        rng = np.random.default_rng(5)
+        if kind == "real-block":
+            v0 = rng.standard_normal((2 * n, 2))
+        else:
+            v0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        width, panels, t0 = 0.3, 4, 1.5
+        xs, ws = np.polynomial.legendre.leggauss(8)
+        offs = 0.5 * width * (xs + 1.0)
+        steps = [sla.expm(ghat * o) for o in offs]
+        panel_step = sla.expm(ghat * width)
+        cur = v0
+        sweep = list(_orbit_sweep(ghat, v0, width, panels, t0=t0))
+        assert len(sweep) == panels
+        for j, (t, wq, at_nodes, end) in enumerate(sweep):
+            assert np.array_equal(t, t0 + j * width + offs)
+            assert np.array_equal(wq, 0.5 * width * ws)
+            assert at_nodes.shape == (8, *v0.shape)
+            for step, state in zip(steps, at_nodes):
+                assert np.array_equal(state, step @ cur)
+            cur = panel_step @ cur
+            assert end.dtype == v0.dtype
+            assert np.array_equal(end, cur)
 
 
 # ----------------------------------------------------------------------

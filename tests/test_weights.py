@@ -183,6 +183,23 @@ def test_tail_rejects_unit_exponent():
         weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("t_max", [2.0, 16.0])
+def test_short_tail_ladder_is_rejected_before_any_block(t_max, monkeypatch):
+    # T_max = 2 gives no block and T_max = 16 three: too few ratios to judge
+    calls = []
+    monkeypatch.setattr("tauberlab.weights.w_m_log",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="T_max"):
+        weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 2.0, T_max=t_max)
+    assert calls == []
+
+
+def test_shortest_tail_ladder_has_four_blocks():
+    rep, inc = weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 2.0, T_max=17.0)
+    assert len(inc) == 4
+    assert rep.grid.startswith("4 dyadic blocks")
+
+
 def test_tail_report_round_trips_to_dict():
     rep, inc = weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0)
     d = rep.as_dict()
