@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .logspace import LogComplex, log_sum_arrays
+from .logspace import LogComplex, log_from_sums, log_sum_arrays
 from .reports import FIT_PAD, FitReport, box_tail_fit, fit_rate, floor_report, \
     tail_fit, upper_report
 from .weights import LogRate, PowerRate, RateFunction, omega_m_contains
@@ -59,6 +59,7 @@ SERIES_CAP = 10_000        # hard cap on series terms
 ORACLE_MAX_K = 30          # mpmath direct sums are the arbiter only up to here
 ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
+BAND_MARGIN = 800.0        # main-sum rows this far under a column's peak are exp-underflow zeros
 
 _LN10 = math.log(10.0)
 
@@ -279,6 +280,91 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
+def _main_band(log_a: np.ndarray, k: int):
+    """Rows [lo, hi] of each column of the main sum whose terms survive exp.
+
+    Row j of column c has log-magnitude f(j) = j log_a[c] - log j!, concave
+    in j with its peak at j* = floor(e^log_a[c]) (clipped to the k-1 rows).
+    Every row outside [lo, hi] lies more than BAND_MARGIN below f(j*), so
+    below the column's pivot by more than exp's underflow point: its term is
+    an exact 0.0.  The live rows on each side of the peak are contiguous, so
+    both edges are reached from the peak by steps of halving length, taken
+    where they land on a live row, for all columns at once.
+    Returns None instead when every column is live on a window of more than
+    half the rows around its peak: each band is then read whole.
+    """
+    n = k - 1
+    lf = _log_factorials(n)
+    peak = np.minimum(np.exp(np.minimum(log_a, math.log(n))), n - 1).astype(np.intp)
+    floor = peak * log_a - lf[peak] - BAND_MARGIN
+
+    def live(j):
+        return j * log_a - lf[j] >= floor
+
+    # a window of more than n/2 rows around the peak, live at both ends, is
+    # live throughout
+    half = n // 2
+    first = np.maximum(np.minimum(peak - half // 2, n - 1 - half), 0)
+    if live(np.stack([first, np.minimum(first + half, n - 1)])).all():
+        return None
+    # row 0 walks down to lo, row 1 up to hi; the steps sum to at least n - 1
+    edge = np.stack([peak, peak])
+    steps = np.array([[-1], [1]]) << np.arange(n.bit_length() - 1, -1, -1)[:, None, None]
+    for step in steps:
+        cand = np.minimum(np.maximum(edge + step, 0), n - 1)
+        edge = np.where(live(cand), cand, edge)
+    return edge[0], edge[1]
+
+
+def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
+    """log_sum over j <= k-2 of e^(j log_a) e^(i j ph_x)/j!, per column.
+
+    Only each column's live band (_main_band) is read.  A column whose band
+    is at most half the n = k-1 rows joins the bucket of the narrowest width
+    in n, ceil(n/2), ceil(n/4), ... that holds its band, and reads the rows
+    [start, start + width) inside 0..n-1; the bucket of width n reads the
+    row range as a slice.  Every row left out is an exact 0.0, and numpy
+    sums axis 0 of a C-ordered array with two or more columns in row order,
+    so each column's pivot and sums are those of the full n-row matrix bit
+    for bit.  One t keeps the full range: a single column is summed pairwise.
+    """
+    n = k - 1
+    jj = np.arange(n, dtype=float)
+    lf = _log_factorials(n)
+    ph = jj * ph_x  # t^j contributes no phase: one phase per row
+    cos_j, sin_j = np.cos(ph), np.sin(ph)
+    band = _main_band(log_a, k) if log_a.size > 1 else None
+    buckets = [(n, slice(None))]
+    if band is not None:
+        lo, hi = band
+        width = np.right_shift(n - 1, np.frexp(n / (hi - lo + 1))[1] - 1) + 1
+        start = np.minimum(lo, n - width)
+        buckets = []
+        for w in np.unique(width).tolist():
+            cols = np.flatnonzero(width == w)
+            # alone a column would be summed pairwise; a second copy keeps
+            # the row order it gets beside others
+            buckets.append((w, np.repeat(cols, 2) if cols.size == 1 else cols))
+    pivot = np.empty(log_a.shape)
+    re = np.empty(log_a.shape)
+    im = np.empty(log_a.shape)
+    for w, cols in buckets:
+        if w == n:
+            lm = jj[:, None] * log_a[cols] - lf[:, None]
+            c, s = cos_j[:, None], sin_j[:, None]
+        else:
+            rows = start[cols] + np.arange(w)[:, None]
+            lm = rows * log_a[cols] - lf[rows]
+            c, s = cos_j[rows], sin_j[rows]
+        p = np.max(lm, axis=0)
+        scale = np.exp(np.subtract(lm, p, out=lm), out=lm)
+        pivot[cols] = p
+        part = np.multiply(scale, c)
+        re[cols] = np.sum(part, axis=0)
+        im[cols] = np.sum(np.multiply(scale, s, out=part), axis=0)
+    return log_from_sums(pivot, re, im)
+
+
 def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     """Resummed evaluation of G(t, z) over an array of t, in log space.
 
@@ -291,6 +377,10 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     and for n <= k-2 the bracket is exactly Z^n A z / w, turning that range
     into a truncated exponential in t(z - w).  Everything is accumulated as
     (log magnitude, phase) arrays; no intermediate exceeds float range.
+    The main sum (_main_sum) costs the area of its live band, not
+    (k-1) x t.size: each column reads only the rows whose terms survive
+    exp, and reduces them in row order, so it equals the full-matrix sum
+    bit for bit.
     At t = 0 the main sum is exactly 1 and the tail exactly 0, so those
     columns are set, not summed, and an all-zero t array (fhat = G(0, .))
     builds no series at all.
@@ -328,11 +418,7 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
 
         # ---- main part: sum_{j<=k-2} (t(z-w))^j / j!
         x = z - w
-        log_x, ph_x = math.log(abs(x)), cmath.phase(x)
-        jj = np.arange(k - 1, dtype=float)
-        lm = jj[:, None] * (log_t[None, :] + log_x) - _log_factorials(k - 1)[:, None]
-        # t^j contributes no phase: one phase per row, broadcast over t
-        s_lm, s_ph = log_sum_arrays(lm, (jj * ph_x)[:, None], axis=0)
+        s_lm, s_ph = _main_sum(log_t + math.log(abs(x)), cmath.phase(x), k)
         s_lm[zero_mask] = 0.0
         s_ph[zero_mask] = 0.0
 
@@ -400,22 +486,32 @@ def _check_backend(backend: str) -> str:
     return backend
 
 
+def _finite_t(t) -> np.ndarray:
+    """t as a float array; a nan or infinite entry is a ValueError."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise ValueError(f"t must be finite, got {t_arr[~np.isfinite(t_arr)][0]}")
+    return t_arr
+
+
 def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
     """Time profile L(t).  Scalar or array t; backend 'series' or 'oracle'."""
+    t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
         return _oracle_map(fam, t, _oracle_L)
-    if np.ndim(t) == 0:
+    if t.ndim == 0:
         return laplace_L_log(fam, float(t)).to_complex()
-    return np.array([laplace_L_log(fam, ti).to_complex() for ti in np.asarray(t, dtype=float)])
+    return np.array([laplace_L_log(fam, ti).to_complex() for ti in t])
 
 
 def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     """Decaying primitive N(t) (the running integral of L minus its total)."""
+    t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
         return _oracle_map(fam, t, _oracle_N)
-    if np.ndim(t) == 0:
+    if t.ndim == 0:
         return primitive_N_log(fam, float(t)).to_complex()
-    return np.array([primitive_N_log(fam, ti).to_complex() for ti in np.asarray(t, dtype=float)])
+    return np.array([primitive_N_log(fam, ti).to_complex() for ti in t])
 
 
 def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):
@@ -424,12 +520,12 @@ def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """
+    t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
         return _oracle_map(fam, t, lambda f, ti: _oracle_G(f, ti, z))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lm, ph = _green_series(fam, t_arr, z)
+    lm, ph = _green_series(fam, np.atleast_1d(t), z)
     out = _to_complex_array(lm, ph)
-    return out[0] if np.ndim(t) == 0 else out
+    return out[0] if t.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

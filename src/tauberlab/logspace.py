@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogComplex", "log_sum", "log_sum_arrays"]
+__all__ = ["LogComplex", "log_from_sums", "log_sum", "log_sum_arrays"]
 
 _NEG_INF = float("-inf")
 _TWO_PI = 2.0 * math.pi
@@ -162,7 +162,15 @@ def log_sum_arrays(log_mags, phases, axis: int = 0):
     scale = np.exp(log_mags - pivot)
     re = np.sum(scale * np.cos(phases), axis=axis)
     im = np.sum(scale * np.sin(phases), axis=axis)
-    mag = np.hypot(re, im)
+    return log_from_sums(np.squeeze(pivot, axis=axis), re, im)
+
+
+def log_from_sums(pivot, re, im):
+    """(log magnitude, phase) arrays of e^pivot (re + i im), elementwise.
+
+    The last step of log_sum_arrays, for callers that form the pivoted sums
+    themselves; re = im = 0 gives log magnitude -inf.
+    """
     with np.errstate(divide="ignore"):
-        out_log = np.squeeze(pivot, axis=axis) + np.log(mag)
+        out_log = pivot + np.log(np.hypot(re, im))
     return out_log, np.arctan2(im, re)

@@ -25,7 +25,8 @@ from tauberlab.atoms import (
     taylor_remainder_check,
     verify_prop52,
 )
-from tauberlab.atoms import _green_series
+from tauberlab.atoms import _green_series, _log_factorials, _main_band, _main_sum
+from tauberlab.logspace import log_sum_arrays
 
 CANCEL_TOL = 1e-25
 BACKEND_TOL = 1e-10
@@ -147,6 +148,24 @@ class TestTransforms:
             ref = laplace_L(fam, t)
             assert abs(fd - ref) / max(abs(ref), 1e-12) <= DERIV_TOL
 
+    @pytest.mark.parametrize("backend", ["series", "oracle"])
+    @pytest.mark.parametrize("fn", ["laplace_L", "primitive_N", "green_G"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_t_is_refused_before_any_work(self, monkeypatch, bad, fn, backend):
+        fam = build_family("power", 10, 2.0, 2.0)
+        z = default_z_samples(fam, n=1)[0]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("series or oracle work started")
+
+        for name in ("_series_tail_sums", "_green_series", "_oracle_map"):
+            monkeypatch.setattr(atoms, name, no_work)
+        call = getattr(atoms, fn)
+        args = (z,) if fn == "green_G" else ()
+        for t in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="t must be finite"):
+                call(fam, t, *args, backend=backend)
+
     def test_moving_resolvent_transform_finite_on_samples(self):
         fam = build_family("power", 10, 2.0, 2.0)
         M = weights.PowerRate(1.0, fam.alpha)
@@ -242,6 +261,87 @@ class TestGreenGolden:
                 for v in green_G(fam, t, z):
                     digest.update(f"{v.real.hex()},{v.imag.hex()};".encode())
         assert digest.hexdigest() == GOLDEN["power_full_grid_sha256"]
+
+    def test_log_families_at_scan_orders_on_full_default_grid(self):
+        # the counterexample scan fits log families of these orders; their
+        # main sums are wide, and most of each column underflows, so the log
+        # magnitude and phase are pinned rather than the complex values
+        digest = hashlib.sha256()
+        for k in (1026, 7506):
+            fam = build_family("log", k, 1.0)
+            t = default_t_grid(fam)
+            for z in default_z_samples(fam, n=4):
+                lm, ph = _green_series(fam, t, z)
+                for a, b in zip(lm, ph):
+                    digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
+        assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
+
+
+# ----------------------------------------------------------------------
+# G series: the main sum reads only its live band of terms
+# ----------------------------------------------------------------------
+
+def _main_log_a(fam, t, z):
+    # per-column log of t|z - w|: row j of the main sum has log-magnitude
+    # j log_a - log j!
+    return np.log(t) + math.log(abs(complex(z) - fam.base))
+
+
+class TestMainBand:
+    @pytest.mark.parametrize("k", [2502, 7506])
+    def test_every_surviving_term_lies_in_the_band(self, k):
+        fam = build_family("log", k, 1.0)
+        t = default_t_grid(fam)
+        t = t[t > 0]
+        lf = _log_factorials(k - 1)[:, None]
+        rows = np.arange(k - 1)[:, None]
+        for z in default_z_samples(fam, n=4):
+            log_a = _main_log_a(fam, t, z)
+            lo, hi = _main_band(log_a, k)
+            for c in range(0, t.size, 50):  # the full matrix, 50 columns at a time
+                lm = rows * log_a[c:c + 50] - lf
+                live = np.exp(lm - lm.max(axis=0)) != 0.0
+                inside = (rows >= lo[c:c + 50]) & (rows <= hi[c:c + 50])
+                assert not np.any(live & ~inside)
+
+    def test_band_area_at_the_largest_scan_order(self):
+        k = 7506
+        fam = build_family("log", k, 1.0)
+        t = default_t_grid(fam)
+        t = t[t > 0]
+        for z in default_z_samples(fam, n=4):
+            lo, hi = _main_band(_main_log_a(fam, t, z), k)
+            assert np.sum(hi - lo + 1) <= 0.25 * (k - 1) * t.size
+
+    @pytest.mark.parametrize("ph_x", [math.pi - 0.01, 2.0, 0.5])
+    def test_sums_equal_the_full_matrix_bit_for_bit(self, ph_x):
+        # near ph_x = pi the terms alternate in sign and cancel, so any
+        # change of summation order shows in the last bits
+        k = 2502
+        jj = np.arange(k - 1, dtype=float)
+        lf = _log_factorials(k - 1)[:, None]
+        rng = np.random.default_rng(5)
+        narrow_and_wide = np.log(rng.uniform([1.0, 300.0], [50.0, 2400.0], (8, 2)))
+        for log_a in [*narrow_and_wide, np.log(rng.uniform(1e-3, 3e3, 400)), np.log([40.0])]:
+            want = log_sum_arrays(jj[:, None] * log_a - lf, (jj * ph_x)[:, None], axis=0)
+            got = _main_sum(log_a, ph_x, k)
+            assert _hex_list(got[0]) == _hex_list(want[0])
+            assert _hex_list(got[1]) == _hex_list(want[1])
+
+    def test_columns_do_not_couple(self):
+        # a column's value must not depend on which other t share its call
+        fam = build_family("log", 2502, 1.0)
+        t = default_t_grid(fam)
+        rng = np.random.default_rng(3)
+        for z in default_z_samples(fam, n=4):
+            full = green_G(fam, t, z)
+            full_lm, full_ph = _green_series(fam, t, z)
+            for _ in range(6):
+                i, j = rng.choice(t.size, size=2, replace=False)
+                pair = t[[i, j]]
+                assert _hex_pair(green_G(fam, pair, z)[0]) == _hex_pair(full[i])
+                lm, ph = _green_series(fam, pair, z)
+                assert _hex_list([lm[0], ph[0]]) == _hex_list([full_lm[i], full_ph[i]])
 
 
 # ----------------------------------------------------------------------
