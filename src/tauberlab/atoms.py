@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .logspace import LogComplex, log_from_sums, log_sum_arrays
+from .logspace import _wrap_phase, log_from_sums, log_sum2, log_sum_arrays, to_complex
 from .reports import FIT_PAD, FitReport, box_tail_fit, fit_rate, floor_report, \
     tail_fit, upper_report
 from .weights import LogRate, PowerRate, RateFunction, omega_m_contains
@@ -215,48 +215,68 @@ def _series_tail_sums(k: int, a_scale: float, t: float):
     return s_plain, s_weighted
 
 
-def laplace_L_log(fam: AtomFamily, t: float) -> LogComplex:
+def _series_map(fam: AtomFamily, t, point):
+    """(log_mag, phase) arrays shaped like t, from point(fam, t_i) at each t_i > 0.
+
+    t = 0 is an exact zero, (-inf, 0.0).
+    """
+    t = _finite_t(t)
+    if (t < 0).any():
+        raise ValueError(f"t must be >= 0, got {t[t < 0].flat[0]}")
+    lm = np.full(t.shape, -np.inf)
+    ph = np.zeros(t.shape)
+    for i, ti in enumerate(t.ravel().tolist()):
+        if ti > 0.0:
+            lm.flat[i], ph.flat[i] = point(fam, ti)
+    return lm, ph
+
+
+def _laplace_point(fam: AtomFamily, t: float) -> tuple[float, float]:
+    """(log|L|, arg L) at one t > 0, in math-module floats."""
+    k, a, w = fam.k, fam.circle_scale, fam.base
+    s_plain, s_weighted = _series_tail_sums(k, a, t)
+    pref_lm = 0.5 * math.log(k) + (k - 1) * math.log(t) + t * w.real - math.lgamma(k)
+    pref_ph = _wrap_phase(t * w.imag)
+    tw_lm = math.log(t) + math.log(abs(w))
+    tw_ph = _wrap_phase(cmath.phase(w))
+    s_lm, s_ph = log_sum2(math.log(s_plain), 0.0,
+                          math.log(s_weighted) - tw_lm, _wrap_phase(0.0 - tw_ph))
+    return pref_lm + s_lm, _wrap_phase(pref_ph + s_ph)
+
+
+def laplace_L_log(fam: AtomFamily, t):
     """Series evaluation of the time profile, returned in log space.
 
     Factored form: sqrt(k) t^(k-1) e^(tw)/(k-1)! *
     sum_m (t^k/A^k)^(m-1) (k-1)!/(km-1)! (1 + (km-1)/(tw)); the two real
     positive sub-series are accumulated in doubles and the singular-looking
     1/(tw) piece is combined in log space (t=0 is an exact zero).
+    Scalar or array t; returns (log_mag, phase) float arrays shaped like t,
+    each point in math-module floats.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return LogComplex.zero()
+    return _series_map(fam, t, _laplace_point)
+
+
+def _primitive_point(fam: AtomFamily, t: float) -> tuple[float, float]:
+    """(log|N|, arg N) at one t > 0, in math-module floats."""
     k, a, w = fam.k, fam.circle_scale, fam.base
-    s_plain, s_weighted = _series_tail_sums(k, a, t)
-    pref = LogComplex.from_log(
-        0.5 * math.log(k) + (k - 1) * math.log(t) + t * w.real - math.lgamma(k),
-        t * w.imag,
+    s_plain, _ = _series_tail_sums(k, a, t)
+    lead = (k - 1) * (math.log(t) - math.log(a)) - math.lgamma(k)
+    return (
+        fam.log_tau + t * w.real - math.log(abs(w)) + math.log(k) + lead + math.log(s_plain),
+        _wrap_phase(t * w.imag - cmath.phase(w)),
     )
-    tw = LogComplex.from_log(math.log(t) + math.log(abs(w)), cmath.phase(w))
-    return pref * (LogComplex.from_real(s_plain) + LogComplex.from_real(s_weighted) / tw)
 
 
-def primitive_N_log(fam: AtomFamily, t: float) -> LogComplex:
+def primitive_N_log(fam: AtomFamily, t):
     """Series evaluation of the decaying primitive, in log space.
 
     Closed form (tau e^(tw)/w) * k * sum_m (t/A)^(km-1)/(km-1)!; the atom
     weight factor cancels the denominator w + q^s/A exactly, leaving an
-    all-positive series.
+    all-positive series.  Scalar or array t; returns (log_mag, phase) float
+    arrays shaped like t.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return LogComplex.zero()
-    k, a, w = fam.k, fam.circle_scale, fam.base
-    s_plain, _ = _series_tail_sums(k, a, t)
-    lead = (k - 1) * (math.log(t) - math.log(a)) - math.lgamma(k)
-    return LogComplex.from_log(
-        fam.log_tau + t * w.real - math.log(abs(w)) + math.log(k) + lead + math.log(s_plain),
-        t * w.imag - cmath.phase(w),
-    )
+    return _series_map(fam, t, _primitive_point)
 
 
 _LGAMMA = np.empty(0)  # log j! = math.lgamma(j + 1.0) for j < _LGAMMA.size
@@ -392,17 +412,18 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     abs_bigz = abs(bigz)
     if abs_bigz == 0.0:
         raise ValueError("z coincides with the family base point")
-    lc_z = LogComplex.from_complex(bigz)
-    if k * lc_z.log_mag > 50.0:
+    # the scalar factors are (log magnitude, phase) float pairs
+    z_lm, z_ph = math.log(abs_bigz), cmath.phase(bigz)
+    if k * z_lm > 50.0:
         # Z^k - 1 == Z^k to below every tolerance in play
-        lc_zk1 = lc_z ** k
+        zk1_lm, zk1_ph = k * z_lm, _wrap_phase(k * z_ph)
     else:
         zk = bigz ** k
         if zk == 1.0:
             raise ValueError("z coincides with an atom location (Z^k = 1)")
-        lc_zk1 = LogComplex.from_complex(zk - 1.0)
-        if lc_zk1.is_zero():
-            raise ValueError("z too close to an atom location")
+        zk1_lm, zk1_ph = math.log(abs(zk - 1.0)), cmath.phase(zk - 1.0)
+    w_lm, w_ph = math.log(abs(w)), cmath.phase(w)
+    a_lm = math.log(a)
 
     t_arr = np.asarray(t_arr, dtype=float)
     if np.any(t_arr < 0):
@@ -429,16 +450,16 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
         n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
         nn = np.arange(k - 1, n_hi + 1)
         res = nn % k
-        lc_w = LogComplex.from_complex(w)
-        lc_a = LogComplex.from_real(a)
         g_lm = np.empty(k)
         g_ph = np.empty(k)
         for r in np.unique(res).tolist():
-            g = lc_a * (lc_z ** r) + (lc_z ** ((r + 1) % k)) / lc_w
-            g_lm[r] = g.log_mag
-            g_ph[r] = g.phase
+            r1 = (r + 1) % k
+            # the 0.0 + is the real A's phase: it turns -0.0 (r = 0) into 0.0
+            g_lm[r], g_ph[r] = log_sum2(
+                a_lm + r * z_lm, 0.0 + _wrap_phase(r * z_ph),
+                r1 * z_lm - w_lm, _wrap_phase(_wrap_phase(r1 * z_ph) - w_ph))
         tail_lm = (
-            nn[:, None] * (log_t[None, :] - math.log(a))
+            nn[:, None] * (log_t[None, :] - a_lm)
             - _log_factorials(n_hi + 1)[k - 1:, None]
             + g_lm[res][:, None]
         )
@@ -450,18 +471,13 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
         main_ph = np.zeros_like(s_ph)
     else:
         # (k A z / (w (Z^k-1))) times the main sum
-        pref = (
-            LogComplex.from_real(float(k))
-            * LogComplex.from_real(a)
-            * LogComplex.from_complex(z)
-            / LogComplex.from_complex(w)
-            / lc_zk1
-        )
-        main_lm = s_lm + pref.log_mag
-        main_ph = s_ph + pref.phase
-    factor = LogComplex.from_real(float(k)) / lc_zk1
-    t_lm = t_lm + factor.log_mag
-    t_ph = t_ph + factor.phase
+        pref_lm = math.log(k) + a_lm + math.log(abs(z)) - w_lm - zk1_lm
+        pref_ph = _wrap_phase(_wrap_phase(_wrap_phase(0.0 + cmath.phase(z)) - w_ph) - zk1_ph)
+        main_lm = s_lm + pref_lm
+        main_ph = s_ph + pref_ph
+    # k / (Z^k - 1) times the tail sum
+    t_lm = t_lm + (math.log(k) - zk1_lm)
+    t_ph = t_ph + _wrap_phase(0.0 - zk1_ph)
 
     # ---- combine with the scalar prefactor tau e^(tw)
     pre_lm = fam.log_tau + t_arr * w.real
@@ -499,9 +515,7 @@ def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
         return _oracle_map(fam, t, _oracle_L)
-    if t.ndim == 0:
-        return laplace_L_log(fam, float(t)).to_complex()
-    return np.array([laplace_L_log(fam, ti).to_complex() for ti in t])
+    return to_complex(*laplace_L_log(fam, t))
 
 
 def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
@@ -509,9 +523,7 @@ def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
         return _oracle_map(fam, t, _oracle_N)
-    if t.ndim == 0:
-        return primitive_N_log(fam, float(t)).to_complex()
-    return np.array([primitive_N_log(fam, ti).to_complex() for ti in t])
+    return to_complex(*primitive_N_log(fam, t))
 
 
 def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):

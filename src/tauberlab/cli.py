@@ -470,10 +470,8 @@ def _h_atoms_verify(params) -> RunResult:
     zs = at.default_z_samples(fam, n=params["z-count"], seed=params["seed"])
     reports = at.verify_prop52(fam, t_grid=t, z_samples=zs)
 
-    rows = []
-    for ti in t:
-        rows.append((float(ti), at.laplace_L_log(fam, float(ti)).log_mag,
-                     at.primitive_N_log(fam, float(ti)).log_mag))
+    rows = list(zip(t.tolist(), at.laplace_L_log(fam, t)[0].tolist(),
+                    at.primitive_N_log(fam, t)[0].tolist()))
     res = RunResult(series=[Series("envelopes",
                                    ["t", "log_abs_L", "log_abs_N"], rows)])
     for rep in reports:
@@ -636,6 +634,8 @@ def _h_wave_sandwich(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
+    if params["scan-points"] < 1:
+        raise ScenarioError("key 'scan-points' must be >= 1")
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
     t = np.linspace(params["t-min"], params["t-max"], params["points"])
@@ -660,6 +660,10 @@ def _h_wave_cutoff(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
+    if params["t-points"] < 2:
+        raise ScenarioError("key 't-points' must be >= 2")
+    if params["lambdas"] < 1:
+        raise ScenarioError("key 'lambdas' must be >= 1")
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
     grid = np.arange(1, n + 1) / (n + 1)

@@ -33,6 +33,7 @@ from scipy.special import logsumexp
 from .atoms import AtomFamily, build_family, laplace_L_log, primitive_N_log, \
     green_G, default_z_samples, verify_prop52
 from .contour import adaptive_quad
+from .logspace import to_complex
 from .reports import FIT_PAD, FitReport, fit_rate, floor_report, upper_report
 
 __all__ = [
@@ -385,9 +386,9 @@ def _block_log_abs_window(block: Block, u: float, which: str = "N") -> float:
     """log |.| at t = k + u sqrt(k), exact in (log k, u)."""
     if block.fam is not None:
         t = block.k + u * math.sqrt(block.k)
-        lc = primitive_N_log(block.fam, t) if which == "N" \
+        lm, _ = primitive_N_log(block.fam, t) if which == "N" \
             else laplace_L_log(block.fam, t)
-        return lc.log_mag
+        return float(lm)
     s = u * math.exp(-0.5 * block.log_k)
     return _fused_log_abs(block, s, u * u, which)
 
@@ -398,9 +399,9 @@ def _block_log_abs_at(block: Block, t: float, which: str = "N") -> float:
         return -math.inf
     if block.fam is not None:
         try:
-            lc = primitive_N_log(block.fam, t) if which == "N" \
+            lm, _ = primitive_N_log(block.fam, t) if which == "N" \
                 else laplace_L_log(block.fam, t)
-            return lc.log_mag
+            return float(lm)
         except ArithmeticError:
             pass                           # t far past this order: series caps out
     delta = math.log(t) - block.log_k
@@ -588,12 +589,12 @@ def _train_sum(spec: CounterexampleSpec, t: float, which: str) -> complex:
                 f"block {b.n} contributes at t={t:g} but its order exceeds the "
                 "exact-series range; use the window tools for that scale")
         try:
-            lc = primitive_N_log(b.fam, t) if which == "N" else laplace_L_log(b.fam, t)
+            b_lm, b_ph = primitive_N_log(b.fam, t) if which == "N" else laplace_L_log(b.fam, t)
         except ArithmeticError:
             raise ValueError(
                 f"block {b.n} contributes at t={t:g} but the time sits too far "
                 "past its order for the exact series; use the window tools") from None
-        total += math.exp(b.coeff_log) * lc.to_complex()
+        total += math.exp(b.coeff_log) * to_complex(b_lm, b_ph)
     return total
 
 
@@ -713,13 +714,12 @@ def _abs_g_desk(spec: CounterexampleSpec, t: float) -> float:
     for b in spec.blocks:
         if b.fam is None:
             continue
-        lc = primitive_N_log(b.fam, t)
-        if lc.log_mag == -math.inf:
+        lm, ph = primitive_N_log(b.fam, t)
+        if lm == -math.inf:
             continue
-        lm = b.coeff_log + lc.log_mag
-        if lm < SKIP_LOG * 10:
+        if b.coeff_log + lm < SKIP_LOG * 10:
             continue
-        total += math.exp(b.coeff_log) * lc.to_complex()
+        total += math.exp(b.coeff_log) * to_complex(lm, ph)
     return abs(total)
 
 
@@ -805,8 +805,8 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
             wq.append(0.5 * (hi - lo) * glw)
         nodes = np.concatenate(nodes)
         wq = np.concatenate(wq)
-        abs_l = np.array([math.exp(laplace_L_log(fam, t).log_mag) for t in nodes])
-        abs_n = np.array([math.exp(primitive_N_log(fam, t).log_mag) for t in nodes])
+        abs_l = np.array([math.exp(m) for m in laplace_L_log(fam, nodes)[0].tolist()])
+        abs_n = np.array([math.exp(m) for m in primitive_N_log(fam, nodes)[0].tolist()])
 
         tail_l = np.sqrt(_suffix_tail_sums(abs_l ** 2, edges, wq, order))
         tail_n = np.sqrt(_suffix_tail_sums(abs_n ** 2, edges, wq, order))
@@ -851,13 +851,13 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
         hnorm_sq = None
         for t_probe in (0.5 * k, k, 2.0 * k):
             head_ad, _, _ = adaptive_quad(
-                lambda ts: np.array([math.exp(2.0 * laplace_L_log(fam, s).log_mag)
-                                     for s in np.atleast_1d(ts)]),
+                lambda ts: np.array([math.exp(2.0 * m) for m in
+                                     laplace_L_log(fam, np.atleast_1d(ts))[0].tolist()]),
                 0.0, t_probe, 1e-12, initial_panels=24, piece="tail-identity-head")
             if hnorm_sq is None:
                 total_ad, _, _ = adaptive_quad(
-                    lambda ts: np.array([math.exp(2.0 * laplace_L_log(fam, s).log_mag)
-                                         for s in np.atleast_1d(ts)]),
+                    lambda ts: np.array([math.exp(2.0 * m) for m in
+                                         laplace_L_log(fam, np.atleast_1d(ts))[0].tolist()]),
                     0.0, t_max, 1e-12, initial_panels=48, piece="tail-identity-total")
                 hnorm_sq = float(total_ad.real)
             idx = int(np.argmin(np.abs(te - t_probe)))

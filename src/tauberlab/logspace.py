@@ -2,20 +2,19 @@
 
 The atom-family transforms multiply factors like A^(k-1), t^(k-1), 1/(k-1)!
 and e^{tw} whose individual magnitudes overflow float64 long before the
-product does.  Values are carried as (log|z|, arg z) pairs; addition pivots
-on the largest magnitude so only ratios <= 1 are ever exponentiated.
+product does.  Values are carried as (log|z|, arg z) pairs of floats or
+float arrays, with log|z| = -inf for an exact zero; a sum pivots on the
+largest magnitude so only ratios <= 1 are ever exponentiated.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogComplex", "log_from_sums", "log_sum", "log_sum_arrays"]
+__all__ = ["log_from_sums", "log_sum2", "log_sum_arrays", "to_complex"]
 
-_NEG_INF = float("-inf")
 _TWO_PI = 2.0 * math.pi
 # exp() overflows just above this; to_complex refuses rather than returning inf
 _EXP_MAX = 709.0
@@ -33,122 +32,45 @@ def _wrap_phase(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex number stored as (log magnitude, phase).
+def log_sum2(lm1: float, ph1: float, lm2: float, ph2: float) -> tuple[float, float]:
+    """(log magnitude, phase) of the sum of two nonzero terms, in math floats.
 
-    log_mag = -inf encodes exact zero (phase is then meaningless but kept 0).
+    Pivots on the larger magnitude and adds the two scaled real parts and
+    the two imaginary parts, each sum rounded once; a sum that cancels
+    exactly gives (-inf, 0.0).
     """
-
-    log_mag: float
-    phase: float = 0.0
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LogComplex":
-        return LogComplex(_NEG_INF, 0.0)
-
-    @staticmethod
-    def from_complex(z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return LogComplex.zero()
-        return LogComplex(math.log(abs(z)), cmath.phase(z))
-
-    @staticmethod
-    def from_real(x: float) -> "LogComplex":
-        x = float(x)
-        if x == 0.0:
-            return LogComplex.zero()
-        if x > 0.0:
-            return LogComplex(math.log(x), 0.0)
-        return LogComplex(math.log(-x), math.pi)
-
-    @staticmethod
-    def from_log(log_mag: float, phase: float = 0.0) -> "LogComplex":
-        return LogComplex(float(log_mag), _wrap_phase(float(phase)))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.log_mag == _NEG_INF
-
-    def to_complex(self) -> complex:
-        """Round to an ordinary complex double.
-
-        Underflow quietly returns 0; overflow raises (the callers that can
-        legitimately exceed float range must stay in log space).
-        """
-        if self.is_zero():
-            return 0j
-        if self.log_mag > _EXP_MAX:
-            raise OverflowError(
-                f"log magnitude {self.log_mag:.6g} exceeds float64 range"
-            )
-        return cmath.rect(math.exp(self.log_mag), self.phase)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other: "LogComplex | complex | float") -> "LogComplex":
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return LogComplex.zero()
-        return LogComplex(
-            self.log_mag + other.log_mag, _wrap_phase(self.phase + other.phase)
-        )
-
-    def __truediv__(self, other: "LogComplex | complex | float") -> "LogComplex":
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("LogComplex division by zero")
-        if self.is_zero():
-            return LogComplex.zero()
-        return LogComplex(
-            self.log_mag - other.log_mag, _wrap_phase(self.phase - other.phase)
-        )
-
-    def __pow__(self, n: int) -> "LogComplex":
-        if self.is_zero():
-            if n == 0:
-                return LogComplex(0.0, 0.0)
-            if n < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return LogComplex.zero()
-        return LogComplex(n * self.log_mag, _wrap_phase(n * self.phase))
-
-    def __add__(self, other: "LogComplex | complex | float") -> "LogComplex":
-        return log_sum((self, _coerce(other)))
-
-
-def _coerce(v) -> LogComplex:
-    if isinstance(v, LogComplex):
-        return v
-    if isinstance(v, complex):
-        return LogComplex.from_complex(v)
-    return LogComplex.from_real(float(v))
-
-
-def log_sum(terms) -> LogComplex:
-    """Sum LogComplex terms: pivot on the largest magnitude, accumulate the
-    (<= 1) ratios in ordinary doubles with compensated summation."""
-    live = [t for t in terms if not t.is_zero()]
-    if not live:
-        return LogComplex.zero()
-    pivot = max(t.log_mag for t in live)
-    re = math.fsum(
-        math.exp(t.log_mag - pivot) * math.cos(t.phase) for t in live
-    )
-    im = math.fsum(
-        math.exp(t.log_mag - pivot) * math.sin(t.phase) for t in live
-    )
+    pivot = max(lm1, lm2)
+    e1 = math.exp(lm1 - pivot)
+    e2 = math.exp(lm2 - pivot)
+    re = e1 * math.cos(ph1) + e2 * math.cos(ph2)
+    im = e1 * math.sin(ph1) + e2 * math.sin(ph2)
     if re == 0.0 and im == 0.0:
-        return LogComplex.zero()
-    return LogComplex(pivot + math.log(math.hypot(re, im)), math.atan2(im, re))
+        return -math.inf, 0.0
+    return pivot + math.log(math.hypot(re, im)), math.atan2(im, re)
+
+
+def to_complex(log_mag, phase):
+    """e^log_mag e^(i phase) at each point, by math.exp and cmath.rect.
+
+    A scalar (or 0-d array) gives a complex, arrays give a complex array of
+    their shape.  Underflow quietly returns 0; a log magnitude above
+    _EXP_MAX raises OverflowError (the callers that can legitimately exceed
+    float range must stay in log space).
+    """
+    lm = np.asarray(log_mag, dtype=float)
+    over = lm > _EXP_MAX
+    if over.any():
+        raise OverflowError(
+            f"log magnitude {lm[over].flat[0]:.6g} exceeds float64 range")
+    vals = [cmath.rect(math.exp(m), p)
+            for m, p in zip(lm.ravel().tolist(), np.ravel(phase).tolist())]
+    if lm.ndim == 0:
+        return vals[0]
+    return np.array(vals, dtype=complex).reshape(lm.shape)
 
 
 def log_sum_arrays(log_mags, phases, axis: int = 0):
-    """Vectorized log_sum along `axis` of matching float arrays.
+    """Sum along `axis` of matching (log magnitude, phase) float arrays.
 
     `phases` may be any shape that broadcasts against `log_mags` (a column
     of per-row phases, say); its cos/sin are taken before broadcasting.

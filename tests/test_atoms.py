@@ -12,7 +12,6 @@ from hypothesis import given, seed, strategies as st
 
 from tauberlab import atoms, weights
 from tauberlab.atoms import (
-    LogComplex,
     atoms_outside_region,
     build_family,
     default_t_grid,
@@ -84,33 +83,6 @@ class TestBuildFamily:
 
 
 # ----------------------------------------------------------------------
-# LogComplex plumbing
-# ----------------------------------------------------------------------
-
-class TestLogComplex:
-    def test_round_trip(self):
-        z = 3.5 - 1.25j
-        assert LogComplex.from_complex(z).to_complex() == pytest.approx(z, rel=1e-15)
-
-    def test_zero_encoding(self):
-        assert LogComplex.zero().is_zero()
-        assert LogComplex.zero().to_complex() == 0.0
-
-    @seed(11)
-    @given(
-        st.floats(min_value=-50.0, max_value=50.0),
-        st.floats(min_value=-math.pi, max_value=math.pi),
-        st.floats(min_value=-50.0, max_value=50.0),
-        st.floats(min_value=-math.pi, max_value=math.pi),
-    )
-    def test_multiplication_adds_logs(self, m1, p1, m2, p2):
-        a = LogComplex.from_log(m1, p1)
-        b = LogComplex.from_log(m2, p2)
-        direct = a.to_complex() * b.to_complex()
-        assert (a * b).to_complex() == pytest.approx(direct, rel=1e-12, abs=1e-280)
-
-
-# ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
 
@@ -148,8 +120,12 @@ class TestTransforms:
             ref = laplace_L(fam, t)
             assert abs(fd - ref) / max(abs(ref), 1e-12) <= DERIV_TOL
 
-    @pytest.mark.parametrize("backend", ["series", "oracle"])
-    @pytest.mark.parametrize("fn", ["laplace_L", "primitive_N", "green_G"])
+    @pytest.mark.parametrize("fn,backend", [
+        *((fn, backend) for fn in ("laplace_L", "primitive_N", "green_G")
+          for backend in ("series", "oracle")),
+        pytest.param("laplace_L_log", None, id="laplace_L_log"),
+        pytest.param("primitive_N_log", None, id="primitive_N_log"),
+    ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_t_is_refused_before_any_work(self, monkeypatch, bad, fn, backend):
         fam = build_family("power", 10, 2.0, 2.0)
@@ -162,9 +138,10 @@ class TestTransforms:
             monkeypatch.setattr(atoms, name, no_work)
         call = getattr(atoms, fn)
         args = (z,) if fn == "green_G" else ()
+        kwargs = {} if backend is None else {"backend": backend}
         for t in (bad, np.array([0.5, bad])):
             with pytest.raises(ValueError, match="t must be finite"):
-                call(fam, t, *args, backend=backend)
+                call(fam, t, *args, **kwargs)
 
     def test_moving_resolvent_transform_finite_on_samples(self):
         fam = build_family("power", 10, 2.0, 2.0)
@@ -275,6 +252,64 @@ class TestGreenGolden:
                 for a, b in zip(lm, ph):
                     digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
         assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
+
+
+# ----------------------------------------------------------------------
+# L and N series: exact agreement with recorded values
+# ----------------------------------------------------------------------
+
+# per family and quantity, a sha256 over the float.hex of every value plus
+# every 20th value in full, recorded with the scalar log-space arithmetic
+# that L and N used before they took array t; each bit must be reproduced
+LN_GOLDEN = json.loads(
+    (pathlib.Path(__file__).with_name("ln_golden.json")).read_text())
+LN_FAMILIES = [("power", 10), ("power", 20), ("power", 40), ("log", 20)]
+
+
+def _ln_family(variant, k):
+    if variant == "power":
+        return build_family("power", k, 2.0, 2.0)
+    return build_family("log", k, 1.0)
+
+
+def _ln_points(fam):
+    # the default grid plus 200 draws on [0, 3k + 80], seeded by k
+    draws = np.random.default_rng(fam.k).uniform(0.0, 3.0 * fam.k + 80.0, 200)
+    return np.concatenate([default_t_grid(fam), draws])
+
+
+class TestLNGolden:
+    @pytest.mark.parametrize("variant,k", LN_FAMILIES)
+    def test_grid_and_draws_match_recorded_bits(self, variant, k):
+        rec = LN_GOLDEN[f"{variant}_k{k}"]
+        fam = _ln_family(variant, k)
+        t = _ln_points(fam)
+        assert t.size == rec["n"]
+        values = {"t": _hex_list(t)}
+        for name, fn in (("L_log", atoms.laplace_L_log), ("N_log", atoms.primitive_N_log)):
+            lm, ph = fn(fam, t)
+            assert lm.shape == ph.shape == t.shape
+            values[name] = [f"{a.hex()},{b.hex()}" for a, b in zip(lm.tolist(), ph.tolist())]
+        for name, fn in (("L", laplace_L), ("N", primitive_N)):
+            values[name] = [f"{v.real.hex()},{v.imag.hex()}" for v in fn(fam, t)]
+        for name, strings in values.items():
+            assert strings[::20] == rec[name]["every_20th"], name
+            digest = hashlib.sha256(";".join(strings).encode()).hexdigest()
+            assert digest == rec[name]["sha256"], name
+
+    def test_scalar_t_gives_the_array_entry(self):
+        fam = _ln_family("power", 20)
+        t = _ln_points(fam)[::37]
+        for fn, conv in ((atoms.laplace_L_log, laplace_L), (atoms.primitive_N_log, primitive_N)):
+            lm, ph = fn(fam, t)
+            values = conv(fam, t)
+            for i, ti in enumerate(t.tolist()):
+                one_lm, one_ph = fn(fam, ti)
+                assert one_lm.shape == one_ph.shape == ()
+                assert (float(one_lm).hex(), float(one_ph).hex()) == (lm[i].hex(), ph[i].hex())
+                one = conv(fam, ti)
+                assert type(one) is complex
+                assert _hex_pair(one) == _hex_pair(values[i])
 
 
 # ----------------------------------------------------------------------

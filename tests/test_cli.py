@@ -148,8 +148,14 @@ class TestExitCodes:
         (["contour", "kernel", "--points", "1"], "'points'"),
         (["contour", "reconstruct", "--mode", "adaptive", "--points", "1"],
          "'points'"),
+        (["wave", "cutoff", "--n", "20", "--t-points", "1"], "'t-points'"),
+        (["wave", "cutoff", "--n", "20", "--lambdas", "0"], "'lambdas'"),
+        (["wave", "sandwich", "--n", "20", "--scan-points", "0"],
+         "'scan-points'"),
     ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
-            "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t"])
+            "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t",
+            "wave-cutoff-one-t", "wave-cutoff-no-lambdas",
+            "wave-sandwich-no-scan"])
     def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
                                               monkeypatch, capsys):
         calls = []
@@ -157,6 +163,9 @@ class TestExitCodes:
                           (contour, "reconstruct_g_adaptive"),
                           (contour, "lemma31_check"),
                           (semigroup, "evolve"),
+                          (semigroup, "resolvent_norm_scan"),
+                          (semigroup, "propagator_inverse_norms"),
+                          (semigroup, "cutoff_transform_check"),
                           (weights, "w_m_log"),
                           (weights, "check_growth_bounds")):
             monkeypatch.setattr(mod, name,
