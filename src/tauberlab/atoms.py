@@ -221,8 +221,6 @@ def _series_map(fam: AtomFamily, t, point):
     t = 0 is an exact zero, (-inf, 0.0).
     """
     t = _finite_t(t)
-    if (t < 0).any():
-        raise ValueError(f"t must be >= 0, got {t[t < 0].flat[0]}")
     lm = np.full(t.shape, -np.inf)
     ph = np.zeros(t.shape)
     for i, ti in enumerate(t.ravel().tolist()):
@@ -426,8 +424,6 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     a_lm = math.log(a)
 
     t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be >= 0")
     zero_mask = t_arr == 0.0
     s_lm = np.zeros(t_arr.shape)
     s_ph = np.zeros(t_arr.shape)
@@ -503,10 +499,12 @@ def _check_backend(backend: str) -> str:
 
 
 def _finite_t(t) -> np.ndarray:
-    """t as a float array; a nan or infinite entry is a ValueError."""
+    """t as a float array; a nan, infinite or negative entry is a ValueError."""
     t_arr = np.asarray(t, dtype=float)
     if not np.isfinite(t_arr).all():
         raise ValueError(f"t must be finite, got {t_arr[~np.isfinite(t_arr)][0]}")
+    if (t_arr < 0).any():
+        raise ValueError(f"t must be >= 0, got {t_arr[t_arr < 0][0]}")
     return t_arr
 
 
@@ -514,7 +512,7 @@ def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
     """Time profile L(t).  Scalar or array t; backend 'series' or 'oracle'."""
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, _oracle_L)
+        return _oracle_map(fam, t, lambda at: at.weights, lambda at, e_tw: e_tw)
     return to_complex(*laplace_L_log(fam, t))
 
 
@@ -522,7 +520,10 @@ def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     """Decaying primitive N(t) (the running integral of L minus its total)."""
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, _oracle_N)
+        # tau/w stays out of the coefficients: folded in, it moves the bits
+        # of the exact zero N(0)
+        return _oracle_map(fam, t, lambda at: at.qs,
+                           lambda at, e_tw: at.tau * e_tw / at.w)
     return to_complex(*primitive_N_log(fam, t))
 
 
@@ -534,7 +535,7 @@ def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):
     """
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, lambda f, ti: _oracle_G(f, ti, z))
+        return _oracle_map(fam, t, _green_coeffs(z), lambda at, e_tw: e_tw)
     lm, ph = _green_series(fam, np.atleast_1d(t), z)
     out = _to_complex_array(lm, ph)
     return out[0] if t.ndim == 0 else out
@@ -554,7 +555,7 @@ def _oracle_dps(fam: AtomFamily, t: float) -> int:
     first rule.
     """
     k = fam.k
-    cancel_digits = fam.log_tau / _LN10 + 0.4343 * max(t, 0.0) + k
+    cancel_digits = fam.log_tau / _LN10 + 0.4343 * t + k
     if t > 0:
         small_t_digits = ((k - 1) * math.log10(fam.circle_scale / t)
                           + math.lgamma(k) / _LN10 - math.log10(k))
@@ -562,18 +563,16 @@ def _oracle_dps(fam: AtomFamily, t: float) -> int:
     return max(ORACLE_MIN_DPS, 50 + int(math.ceil(max(0.0, cancel_digits))))
 
 
-def _oracle_guard(fam: AtomFamily) -> None:
+def _oracle_map(fam: AtomFamily, t, coeffs, prefactor):
+    """_oracle_sum at each point of a scalar or array t >= 0."""
     if fam.k > ORACLE_MAX_K:
         raise ValueError(
             f"direct oracle is the arbiter only for k <= {ORACLE_MAX_K}; got k={fam.k}"
         )
-
-
-def _oracle_map(fam: AtomFamily, t, fn):
-    _oracle_guard(fam)
     if np.ndim(t) == 0:
-        return fn(fam, float(t))
-    return np.array([fn(fam, float(ti)) for ti in np.asarray(t, dtype=float)])
+        return _oracle_sum(fam, float(t), coeffs, prefactor)
+    return np.array([_oracle_sum(fam, float(ti), coeffs, prefactor)
+                     for ti in np.asarray(t, dtype=float)])
 
 
 # the tables below are built once per working precision and shared: mpmath
@@ -592,6 +591,7 @@ def _unit_roots(k: int, dps: int) -> tuple:
 class _OracleAtoms:
     """The t-independent inputs of the direct sums, at one precision."""
 
+    dps: int        # the working precision of every entry
     a: mp.mpf       # A
     w: mp.mpc       # the base point
     tau: mp.mpf     # A^(k-1)/sqrt(k)
@@ -609,41 +609,46 @@ def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
         tau = a ** (k - 1) / mp.sqrt(k)
         qs = _unit_roots(k, dps)
         return _OracleAtoms(
-            a, w, tau, qs,
+            dps, a, w, tau, qs,
             tuple(w + q / a for q in qs),
             tuple(tau * q * (1 + q / (a * w)) for q in qs),
         )
 
 
-def _oracle_L(fam: AtomFamily, t: float) -> complex:
+def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
+    """prefactor(at, e^(tw)) * sum_s coeffs(at)[s] e^(t q^s/A) at one t >= 0.
+
+    at is the _OracleAtoms table at the working precision of t.  Since
+    e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), a point costs
+    one exponential per conjugate pair of roots (q^(k/2) = -1 pairs with
+    itself), e^(t/A) for q^k = 1, and e^(tw): floor(k/2) + 2 in all.
+    """
+    k = fam.k
     dps = _oracle_dps(fam, t)
     at = _oracle_atoms(fam, dps)
     with mp.workdps(dps):
+        t = mp.mpf(t)
+        t_a = t / at.a
+        half = [mp.exp(t_a * q) for q in at.qs[:k // 2]]
+        es = half + [e.conjugate() for e in reversed(half[:(k - 1) // 2])] + [mp.exp(t_a)]
         tot = mp.mpc(0)
-        for c, zeta in zip(at.weights, at.zetas):
-            tot += c * mp.exp(t * zeta)
-        return complex(tot)
+        for c, e in zip(coeffs(at), es):
+            tot += c * e
+        return complex(prefactor(at, mp.exp(t * at.w)) * tot)
 
 
-def _oracle_N(fam: AtomFamily, t: float) -> complex:
-    dps = _oracle_dps(fam, t)
-    at = _oracle_atoms(fam, dps)
-    with mp.workdps(dps):
-        tot = mp.mpc(0)
-        for q in at.qs:
-            tot += q * mp.exp(q * t / at.a)
-        return complex(at.tau * mp.exp(t * at.w) / at.w * tot)
+def _green_coeffs(z: complex):
+    """G's coefficients weight_s/(z - zeta_s), built once per working
+    precision for one green_G call; nothing outlives the call."""
+    built = {}
 
+    def coeffs(at: _OracleAtoms) -> tuple:
+        if at.dps not in built:
+            zz = mp.mpc(z)
+            built[at.dps] = tuple(c / (zz - zeta) for c, zeta in zip(at.weights, at.zetas))
+        return built[at.dps]
 
-def _oracle_G(fam: AtomFamily, t: float, z: complex) -> complex:
-    dps = _oracle_dps(fam, t)
-    at = _oracle_atoms(fam, dps)
-    with mp.workdps(dps):
-        zz = mp.mpc(z)
-        tot = mp.mpc(0)
-        for c, zeta in zip(at.weights, at.zetas):
-            tot += c * mp.exp(t * zeta) / (zz - zeta)
-        return complex(tot)
+    return coeffs
 
 
 # ----------------------------------------------------------------------

@@ -636,9 +636,10 @@ def _h_wave_sandwich(params) -> RunResult:
 
     if params["scan-points"] < 1:
         raise ScenarioError("key 'scan-points' must be >= 1")
+    t = np.linspace(params["t-min"], params["t-max"], params["points"])
+    sg.sandwich_onset_mask(t, params["t0"])
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
-    t = np.linspace(params["t-min"], params["t-max"], params["points"])
     norms = sg.propagator_inverse_norms(sys_, t)
     scan = sg.running_sup(sg.resolvent_norm_scan(
         sys_, np.linspace(0.0, params["scan-max"], params["scan-points"])))

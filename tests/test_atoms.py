@@ -126,8 +126,13 @@ class TestTransforms:
         pytest.param("laplace_L_log", None, id="laplace_L_log"),
         pytest.param("primitive_N_log", None, id="primitive_N_log"),
     ])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_t_is_refused_before_any_work(self, monkeypatch, bad, fn, backend):
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param(math.nan, "t must be finite", id="nan"),
+        pytest.param(math.inf, "t must be finite", id="inf"),
+        pytest.param(-1.0, "t must be >= 0", id="negative"),
+    ])
+    def test_non_finite_t_is_refused_before_any_work(self, monkeypatch, bad, message,
+                                                     fn, backend):
         fam = build_family("power", 10, 2.0, 2.0)
         z = default_z_samples(fam, n=1)[0]
 
@@ -140,7 +145,7 @@ class TestTransforms:
         args = (z,) if fn == "green_G" else ()
         kwargs = {} if backend is None else {"backend": backend}
         for t in (bad, np.array([0.5, bad])):
-            with pytest.raises(ValueError, match="t must be finite"):
+            with pytest.raises(ValueError, match=message):
                 call(fam, t, *args, **kwargs)
 
     def test_moving_resolvent_transform_finite_on_samples(self):
@@ -385,7 +390,9 @@ class TestMainBand:
 
 # float.hex of oracle outputs and roots_identity values, recorded before the
 # oracle read its roots and atom weights from per-precision tables; the
-# tables must reproduce each bit
+# tables must reproduce each bit.  power_k7 and log_k10 were recorded from
+# the per-atom sums, before L, N and G shared one exponential per conjugate
+# pair of roots
 ORACLE_GOLDEN = json.loads(
     (pathlib.Path(__file__).with_name("oracle_golden.json")).read_text())
 
@@ -403,10 +410,16 @@ def _roots_sweep(seed):
 
 
 class TestOracleGolden:
-    @pytest.mark.parametrize("k", [10, 12])
-    def test_power_family_on_short_grid(self, k):
-        rec = ORACLE_GOLDEN[f"power_k{k}"]
-        fam = build_family("power", k, 2.0, 2.0)
+    @pytest.mark.parametrize("key,variant,k,alpha", [
+        pytest.param("power_k10", "power", 10, 2.0, id="10"),
+        pytest.param("power_k12", "power", 12, 2.0, id="12"),
+        # odd k: the root q^(k/2) = -1 is absent and every root has a partner
+        pytest.param("power_k7", "power", 7, 2.0, id="7"),
+        pytest.param("log_k10", "log", 10, 1.0, id="log-10"),
+    ])
+    def test_power_family_on_short_grid(self, key, variant, k, alpha):
+        rec = ORACLE_GOLDEN[key]
+        fam = build_family(variant, k, alpha, 2.0 if variant == "power" else None)
         t = default_t_grid(fam, n=60)
         assert _hex_list(t) == rec["t"]
         zs = default_z_samples(fam, n=4)[[0, 3]]
@@ -452,6 +465,32 @@ class TestOracleWork:
         for theta in np.linspace(0.1, 6.0, 50):
             roots_identity(16, 5, 2.0 * cmath.exp(1j * theta))
         assert len(expjpi_calls) == 16
+
+    @pytest.mark.parametrize("k", [7, 10, 12])
+    def test_one_exponential_per_conjugate_root_pair(self, monkeypatch, k):
+        # e^(t q^s/A) for s <= k/2, e^(t/A) for q^k = 1, and e^(tw)
+        fam = build_family("power", k, 2.0, 2.0)
+        z = complex(default_z_samples(fam, n=1)[0])
+        calls = []
+        exp = atoms.mp.exp
+
+        def counted(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(atoms.mp, "exp", counted)
+        for f, args in ((laplace_L, ()), (primitive_N, ()), (green_G, (z,))):
+            calls.clear()
+            f(fam, 3.0, *args, backend="oracle")
+            assert len(calls) == k // 2 + 2, f.__name__
+
+    def test_green_weights_do_not_leak_across_calls(self):
+        fam = build_family("power", 10, 2.0, 2.0)
+        t = default_t_grid(fam, n=20)
+        z1, z2 = default_z_samples(fam, n=4)[[0, 3]]
+        first = [_hex_pair(v) for v in green_G(fam, t, z1, backend="oracle")]
+        green_G(fam, t, z2, backend="oracle")
+        assert [_hex_pair(v) for v in green_G(fam, t, z1, backend="oracle")] == first
 
 
 # ----------------------------------------------------------------------

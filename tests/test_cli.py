@@ -152,10 +152,15 @@ class TestExitCodes:
         (["wave", "cutoff", "--n", "20", "--lambdas", "0"], "'lambdas'"),
         (["wave", "sandwich", "--n", "20", "--scan-points", "0"],
          "'scan-points'"),
+        (["wave", "sandwich", "--n", "20", "--t-max", "4"],
+         "no points at or beyond t0=5.0"),
+        (["wave", "sandwich", "--n", "20", "--points", "1"],
+         "no points at or beyond t0=5.0"),
     ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
             "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t",
             "wave-cutoff-one-t", "wave-cutoff-no-lambdas",
-            "wave-sandwich-no-scan"])
+            "wave-sandwich-no-scan", "wave-sandwich-before-t0",
+            "wave-sandwich-one-t"])
     def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
                                               monkeypatch, capsys):
         calls = []
