@@ -60,6 +60,8 @@ ORACLE_MAX_K = 30          # mpmath direct sums are the arbiter only up to here
 ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
 BAND_MARGIN = 800.0        # main-sum rows this far under a column's peak are exp-underflow zeros
+EXP_CUT = -708.39          # G's series sums skip exp below this: e^EXP_CUT is about the smallest normal
+Z_CHUNK_POINTS = 1 << 13   # green_G evaluates at most this many (z, t) points at once
 
 _LN10 = math.log(10.0)
 
@@ -334,6 +336,22 @@ def _main_band(log_a: np.ndarray, k: int):
     return edge[0], edge[1]
 
 
+def _exp_live(d: np.ndarray) -> np.ndarray:
+    """exp(d) in place where d >= EXP_CUT, and exactly 0.0 elsewhere.
+
+    Each d here is a log magnitude minus its column's pivot, so every column
+    holds a term of size 1, beside which a value under e^EXP_CUT (a
+    subnormal, or the 0.0 of an underflow) is lost in rounding.  Skipping
+    those keeps each sum bit for bit and spares exp its slow paths: on
+    x86-64 an underflow costs it about 15 times a normal result, and a
+    subnormal result about 100 times.
+    """
+    live = d >= EXP_CUT
+    np.exp(d, out=d, where=live)
+    d[~live] = 0.0
+    return d
+
+
 def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
     """log_sum over j <= k-2 of e^(j log_a) e^(i j ph_x)/j!, per column.
 
@@ -375,7 +393,7 @@ def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
             lm = rows * log_a[cols] - lf[rows]
             c, s = cos_j[rows], sin_j[rows]
         p = np.max(lm, axis=0)
-        scale = np.exp(np.subtract(lm, p, out=lm), out=lm)
+        scale = _exp_live(np.subtract(lm, p, out=lm))
         pivot[cols] = p
         part = np.multiply(scale, c)
         re[cols] = np.sum(part, axis=0)
@@ -383,8 +401,90 @@ def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
     return log_from_sums(pivot, re, im)
 
 
-def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
-    """Resummed evaluation of G(t, z) over an array of t, in log space.
+def _green_factors(fam: AtomFamily, z: complex):
+    """(log|Z|, arg Z, log|Z^k - 1|, arg(Z^k - 1)) at one z, Z = A(z - w)."""
+    k = fam.k
+    bigz = fam.circle_scale * (z - fam.base)
+    abs_bigz = abs(bigz)
+    if abs_bigz == 0.0:
+        raise ValueError("z coincides with the family base point")
+    z_lm, z_ph = math.log(abs_bigz), cmath.phase(bigz)
+    if k * z_lm > 50.0:
+        # Z^k - 1 == Z^k to below every tolerance in play
+        return z_lm, z_ph, k * z_lm, _wrap_phase(k * z_ph)
+    zk = bigz ** k
+    if zk == 1.0:
+        raise ValueError("z coincides with an atom location (Z^k = 1)")
+    return z_lm, z_ph, math.log(abs(zk - 1.0)), cmath.phase(zk - 1.0)
+
+
+def _tail_rows(fam: AtomFamily, t_arr: np.ndarray):
+    """The z-independent part of G's series at a 1-d t with some t > 0.
+
+    Returns (log t, the residues n mod k of the tail's rows, and the rows
+    nn (log t - log A) - log n! with -inf at t = 0).  green_G builds it
+    once for all its z.
+    """
+    k, a = fam.k, fam.circle_scale
+    zero_mask = t_arr == 0.0
+    log_t = np.log(np.where(zero_mask, 1.0, t_arr))
+    ratio = float(np.max(t_arr)) / a
+    n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
+    nn = np.arange(k - 1, n_hi + 1)
+    rows = nn[:, None] * (log_t[None, :] - math.log(a)) - _log_factorials(n_hi + 1)[k - 1:, None]
+    rows[:, zero_mask] = -np.inf
+    return log_t, nn % k, rows
+
+
+def _green_sums(fam: AtomFamily, tail_rows, zs: list, factors: list):
+    """(log_mag, phase) of G's main and tail sums, each (len(zs), t.size).
+
+    Columns at t = 0 are left to the caller.  Each z adds its bracket to
+    the shared tail rows in a scratch matrix and sums its own (rows x t)
+    matrices, so its values do not depend on which other z share the call.
+    The main sums all run before the tail's scratch matrices exist.
+    """
+    k, a, w = fam.k, fam.circle_scale, fam.base
+    w_lm, w_ph = math.log(abs(w)), cmath.phase(w)
+    a_lm = math.log(a)
+    log_t, res, rows = tail_rows
+    s_lm = np.empty((len(zs), log_t.size))
+    s_ph = np.empty_like(s_lm)
+    t_lm = np.empty_like(s_lm)
+    t_ph = np.empty_like(s_lm)
+
+    # ---- main part: sum_{j<=k-2} (t(z-w))^j / j!
+    for i, z in enumerate(zs):
+        x = z - w
+        s_lm[i], s_ph[i] = _main_sum(log_t + math.log(abs(x)), cmath.phase(x), k)
+
+    # ---- tail part: n >= k-1, bracket g_r = A Z^(r) + Z^((r+1) mod k)/w,
+    # built only at the residues r = n mod k the tail reads
+    tail = np.empty_like(rows)
+    part = np.empty_like(rows)
+    g_lm = np.empty(k)
+    g_ph = np.empty(k)
+    residues = np.unique(res).tolist()
+    for i, (z_lm, z_ph, _, _) in enumerate(factors):
+        for r in residues:
+            r1 = (r + 1) % k
+            # the 0.0 + is the real A's phase: it turns -0.0 (r = 0) into 0.0
+            g_lm[r], g_ph[r] = log_sum2(
+                a_lm + r * z_lm, 0.0 + _wrap_phase(r * z_ph),
+                r1 * z_lm - w_lm, _wrap_phase(_wrap_phase(r1 * z_ph) - w_ph))
+        np.add(rows, g_lm[res][:, None], out=tail)
+        pivot = np.max(tail, axis=0)
+        pivot = np.where(np.isfinite(pivot), pivot, 0.0)
+        scale = _exp_live(np.subtract(tail, pivot, out=tail))
+        ph = g_ph[res][:, None]
+        re = np.sum(np.multiply(scale, np.cos(ph), out=part), axis=0)
+        im = np.sum(np.multiply(scale, np.sin(ph), out=part), axis=0)
+        t_lm[i], t_ph[i] = log_from_sums(pivot, re, im)
+    return s_lm, s_ph, t_lm, t_ph
+
+
+def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows=None):
+    """Resummed evaluation of G(t, z) over a 1-d array of t, in log space.
 
     With Z = A(z - w), the atom sum collapses (root-of-unity partial
     fractions, all exponents) to
@@ -402,86 +502,50 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z: complex):
     At t = 0 the main sum is exactly 1 and the tail exactly 0, so those
     columns are set, not summed, and an all-zero t array (fhat = G(0, .))
     builds no series at all.
-    Returns (log_mag, phase) arrays over t.
+    z is one point or an array of them; row i of the result is the call
+    with z[i] alone, bit for bit (_green_sums).  tail_rows is
+    _tail_rows(fam, t_arr), when the caller keeps it across calls.
+    Returns (log_mag, phase) arrays of shape z.shape + t.shape.
     """
     k, a, w = fam.k, fam.circle_scale, fam.base
-    z = complex(z)
-    bigz = a * (z - w)
-    abs_bigz = abs(bigz)
-    if abs_bigz == 0.0:
-        raise ValueError("z coincides with the family base point")
-    # the scalar factors are (log magnitude, phase) float pairs
-    z_lm, z_ph = math.log(abs_bigz), cmath.phase(bigz)
-    if k * z_lm > 50.0:
-        # Z^k - 1 == Z^k to below every tolerance in play
-        zk1_lm, zk1_ph = k * z_lm, _wrap_phase(k * z_ph)
-    else:
-        zk = bigz ** k
-        if zk == 1.0:
-            raise ValueError("z coincides with an atom location (Z^k = 1)")
-        zk1_lm, zk1_ph = math.log(abs(zk - 1.0)), cmath.phase(zk - 1.0)
+    zs = np.asarray(z, dtype=complex)
+    z_list = zs.ravel().tolist()
+    factors = [_green_factors(fam, zi) for zi in z_list]
     w_lm, w_ph = math.log(abs(w)), cmath.phase(w)
     a_lm = math.log(a)
 
     t_arr = np.asarray(t_arr, dtype=float)
     zero_mask = t_arr == 0.0
-    s_lm = np.zeros(t_arr.shape)
-    s_ph = np.zeros(t_arr.shape)
-    t_lm = np.full(t_arr.shape, -np.inf)
-    t_ph = np.zeros(t_arr.shape)
-    if not np.all(zero_mask):
-        tpos = np.where(zero_mask, 1.0, t_arr)  # placeholder; t=0 columns reset below
-        log_t = np.log(tpos)
-
-        # ---- main part: sum_{j<=k-2} (t(z-w))^j / j!
-        x = z - w
-        s_lm, s_ph = _main_sum(log_t + math.log(abs(x)), cmath.phase(x), k)
-        s_lm[zero_mask] = 0.0
-        s_ph[zero_mask] = 0.0
-
-        # ---- tail part: n >= k-1, bracket g_r = A Z^(r) + Z^((r+1) mod k)/w,
-        # built only at the residues r = n mod k the tail reads
-        t_max = float(np.max(t_arr))
-        ratio = t_max / a
-        n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
-        nn = np.arange(k - 1, n_hi + 1)
-        res = nn % k
-        g_lm = np.empty(k)
-        g_ph = np.empty(k)
-        for r in np.unique(res).tolist():
-            r1 = (r + 1) % k
-            # the 0.0 + is the real A's phase: it turns -0.0 (r = 0) into 0.0
-            g_lm[r], g_ph[r] = log_sum2(
-                a_lm + r * z_lm, 0.0 + _wrap_phase(r * z_ph),
-                r1 * z_lm - w_lm, _wrap_phase(_wrap_phase(r1 * z_ph) - w_ph))
-        tail_lm = (
-            nn[:, None] * (log_t[None, :] - a_lm)
-            - _log_factorials(n_hi + 1)[k - 1:, None]
-            + g_lm[res][:, None]
-        )
-        tail_lm[:, zero_mask] = -np.inf
-        t_lm, t_ph = log_sum_arrays(tail_lm, g_ph[res][:, None], axis=0)
-
-    if z == 0:
-        main_lm = np.full_like(s_lm, -np.inf)
-        main_ph = np.zeros_like(s_ph)
+    shape = (len(z_list), t_arr.size)
+    if np.all(zero_mask):
+        s_lm, s_ph = np.zeros(shape), np.zeros(shape)
+        t_lm, t_ph = np.full(shape, -np.inf), np.zeros(shape)
     else:
-        # (k A z / (w (Z^k-1))) times the main sum
-        pref_lm = math.log(k) + a_lm + math.log(abs(z)) - w_lm - zk1_lm
-        pref_ph = _wrap_phase(_wrap_phase(_wrap_phase(0.0 + cmath.phase(z)) - w_ph) - zk1_ph)
-        main_lm = s_lm + pref_lm
-        main_ph = s_ph + pref_ph
+        if tail_rows is None:
+            tail_rows = _tail_rows(fam, t_arr)
+        s_lm, s_ph, t_lm, t_ph = _green_sums(fam, tail_rows, z_list, factors)
+        s_lm[:, zero_mask] = 0.0
+        s_ph[:, zero_mask] = 0.0
+
+    # (k A z / (w (Z^k-1))) times the main sum; nothing at z = 0
+    main_lm = np.full(shape, -np.inf)
+    main_ph = np.zeros(shape)
+    for i, (zi, (_, _, zk1_lm, zk1_ph)) in enumerate(zip(z_list, factors)):
+        if zi != 0:
+            main_lm[i] = s_lm[i] + (math.log(k) + a_lm + math.log(abs(zi)) - w_lm - zk1_lm)
+            main_ph[i] = s_ph[i] + _wrap_phase(
+                _wrap_phase(_wrap_phase(0.0 + cmath.phase(zi)) - w_ph) - zk1_ph)
     # k / (Z^k - 1) times the tail sum
-    t_lm = t_lm + (math.log(k) - zk1_lm)
-    t_ph = t_ph + _wrap_phase(0.0 - zk1_ph)
+    t_lm += np.array([math.log(k) - f[2] for f in factors]).reshape(-1, 1)
+    t_ph += np.array([_wrap_phase(0.0 - f[3]) for f in factors]).reshape(-1, 1)
 
     # ---- combine with the scalar prefactor tau e^(tw)
     pre_lm = fam.log_tau + t_arr * w.real
     pre_ph = t_arr * w.imag
-    both_lm = np.stack([main_lm, t_lm])
-    both_ph = np.stack([main_ph, t_ph])
-    tot_lm, tot_ph = log_sum_arrays(both_lm, both_ph, axis=0)
-    return pre_lm + tot_lm, pre_ph + tot_ph
+    tot_lm, tot_ph = log_sum_arrays(np.stack([main_lm, t_lm]), np.stack([main_ph, t_ph]),
+                                    axis=0)
+    out_shape = zs.shape + t_arr.shape
+    return (pre_lm + tot_lm).reshape(out_shape), (pre_ph + tot_ph).reshape(out_shape)
 
 
 def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -527,18 +591,32 @@ def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     return to_complex(*primitive_N_log(fam, t))
 
 
-def green_G(fam: AtomFamily, t, z: complex, backend: str = SERIES):
-    """Moving resolvent-type transform G(t, z).  Scalar or array t.
+def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
+    """Moving resolvent-type transform G(t, z).  Scalar or array t and z.
 
+    Returns shape z.shape + t.shape: a scalar z gives values over t, an
+    array of z one row per z.  Each value is the one a call with that z and
+    t alone would give, bit for bit.  The series route evaluates the z in
+    chunks of at most Z_CHUNK_POINTS (z, t) points, so no working array
+    outgrows a single z's tail matrix.
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """
     t = _finite_t(t)
+    zs = np.asarray(z, dtype=complex)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, _green_coeffs(z), lambda at, e_tw: e_tw)
-    lm, ph = _green_series(fam, np.atleast_1d(t), z)
-    out = _to_complex_array(lm, ph)
-    return out[0] if t.ndim == 0 else out
+        vals = [_oracle_map(fam, t, _green_coeffs(zi), lambda at, e_tw: e_tw)
+                for zi in zs.ravel().tolist()]
+        return vals[0] if zs.ndim == 0 else np.array(vals).reshape(zs.shape + t.shape)
+    t_flat = t.ravel()
+    z_flat = zs.ravel()
+    tail_rows = _tail_rows(fam, t_flat) if (t_flat > 0).any() and z_flat.size else None
+    out = np.empty((z_flat.size, t_flat.size), dtype=complex)
+    step = max(1, Z_CHUNK_POINTS // max(1, t_flat.size))
+    for lo in range(0, z_flat.size, step):
+        out[lo:lo + step] = _to_complex_array(
+            *_green_series(fam, t_flat, z_flat[lo:lo + step], tail_rows))
+    return out.reshape(zs.shape + t.shape)[()]
 
 
 # ----------------------------------------------------------------------
@@ -822,8 +900,8 @@ def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray
     return np.array(out[:n])
 
 
-def verify_prop52(fam: AtomFamily, t_grid=None,
-                  z_samples=None) -> list[FitReport]:
+def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
+                  ln_log=None) -> list[FitReport]:
     """Fit and verify the four envelope inequalities of the family.
 
     power variant: X3 (time-profile bump), XQ4 (transform box bound),
@@ -833,6 +911,8 @@ def verify_prop52(fam: AtomFamily, t_grid=None,
     The decay rate rho is pinned by the grid points where the envelope has
     no C-term (there the bound must hold with e^(-rho t) alone); C or c is
     then the extremal pointwise ratio on the remaining points.
+    ln_log, when the caller already has them, is the pair
+    (laplace_L_log(fam, t_grid), primitive_N_log(fam, t_grid)).
     """
     if t_grid is None:
         t_grid = default_t_grid(fam)
@@ -843,11 +923,10 @@ def verify_prop52(fam: AtomFamily, t_grid=None,
     k = fam.k
     grid_desc = f"k={k}: {t.size} t-pts on [0,{t.max():g}], {zs.size} z-samples"
 
-    abs_l = np.abs(laplace_L(fam, t))
-    abs_n = np.abs(primitive_N(fam, t))
-    abs_g = np.empty((zs.size, t.size))
-    for i, z in enumerate(zs):
-        abs_g[i] = np.abs(green_G(fam, t, z))
+    if ln_log is None:
+        ln_log = (laplace_L_log(fam, t), primitive_N_log(fam, t))
+    abs_l, abs_n = (np.abs(to_complex(*pair)) for pair in ln_log)
+    abs_g = np.abs(green_G(fam, t, zs)).reshape(zs.size, t.size)
 
     if fam.variant == "power":
         return _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc)

@@ -468,10 +468,10 @@ def _h_atoms_verify(params) -> RunResult:
                           beta=beta)
     t = at.default_t_grid(fam)
     zs = at.default_z_samples(fam, n=params["z-count"], seed=params["seed"])
-    reports = at.verify_prop52(fam, t_grid=t, z_samples=zs)
+    ln_log = (at.laplace_L_log(fam, t), at.primitive_N_log(fam, t))
+    reports = at.verify_prop52(fam, t_grid=t, z_samples=zs, ln_log=ln_log)
 
-    rows = list(zip(t.tolist(), at.laplace_L_log(fam, t)[0].tolist(),
-                    at.primitive_N_log(fam, t)[0].tolist()))
+    rows = list(zip(t.tolist(), ln_log[0][0].tolist(), ln_log[1][0].tolist()))
     res = RunResult(series=[Series("envelopes",
                                    ["t", "log_abs_L", "log_abs_N"], rows)])
     for rep in reports:

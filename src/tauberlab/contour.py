@@ -204,17 +204,18 @@ def poisson_convolve(h: StepFunction, y: float, x):
 class TransformPair:
     """Time function f (vectorized), its transform fhat, and metadata.
 
-    tail(t, z), when supplied, must equal e^{zt} (fhat(z) - fhat_t(z)) in
-    closed form -- the one combination the right arc needs that cannot be
-    assembled stably from its two exponentially large halves once
-    R*t is large.
+    fhat and tail take a 1-d array of z and return one value per z, so a
+    contour asks for a whole node batch in one call.  tail(t, z), when
+    supplied, must equal e^{zt} (fhat(z) - fhat_t(z)) in closed form -- the
+    one combination the right arc needs that cannot be assembled stably
+    from its two exponentially large halves once R*t is large.
     """
 
     f: object                       # callable: ndarray t -> ndarray complex
-    fhat: object                    # callable: scalar z -> complex
+    fhat: object                    # callable: ndarray z -> ndarray complex
     region: object = "entire-strip"  # RateFunction or descriptor string
     fhat0: complex = 0j
-    tail: object | None = None      # callable (t, z) -> complex, optional
+    tail: object | None = None      # callable (t, ndarray z) -> ndarray, optional
     label: str = ""
 
 
@@ -254,7 +255,12 @@ def rational_pair(poles, coeffs) -> TransformPair:
 
 
 def transform_pair_from_family(fam: AtomFamily) -> TransformPair:
-    """Pair for an atom family: f = L, fhat = G(0, .), remainder -N."""
+    """Pair for an atom family: f = L, fhat = G(0, .), remainder -N.
+
+    fhat and tail evaluate a node batch in one green_G call.  A tail at one
+    t > 0 still sums each z's tail on its own inside green_G: numpy sums a
+    lone column pairwise but a batch of columns in row order.
+    """
     return TransformPair(
         f=lambda t: laplace_L(fam, t),
         fhat=lambda z: green_G(fam, 0.0, z),
@@ -350,8 +356,7 @@ def _tail_fallback(tp: TransformPair, t: float, z_arr: np.ndarray, tol: float,
             "right-arc tail needs a closed form: cancellation e^{Re z * t} ~ "
             f"e^{worst:.1f} swamps tolerance {tol:g}; supply TransformPair.tail"
         )
-    fh = np.array([tp.fhat(z) for z in np.atleast_1d(z_arr)])
-    return np.exp(z_arr * t) * fh - etz_fhat_t(z_arr)
+    return np.exp(z_arr * t) * tp.fhat(np.atleast_1d(z_arr)) - etz_fhat_t(z_arr)
 
 
 def _arc_pair(tp: TransformPair, t: float, R: float, n: int, osc: int,
@@ -368,7 +373,7 @@ def _arc_pair(tp: TransformPair, t: float, R: float, n: int, osc: int,
 
     def right(z):
         if tp.tail is not None:
-            vals = np.array([tp.tail(t, zz) for zz in np.atleast_1d(z)])
+            vals = tp.tail(t, np.atleast_1d(z))
         else:
             vals = _tail_fallback(tp, t, z, ARC_TOL, etz_fhat_t)
         if c0 is None or t >= 1.0:
@@ -413,15 +418,13 @@ def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
     etz_fhat_t = _etz_fhat_t_factory(tp, t, R)
     u = min(t, 1.0)
 
-    def fhat_reduced(z: complex) -> complex:
-        return tp.fhat(z) - c0 * _phi(z)
-
     osc = max(1, int(math.ceil(R * t / 3.0)) + 4)
     i1, j1, i2, j2 = _arc_pair(tp, t, R, n, osc, etz_fhat_t, c0)
 
     def segment(y):
-        z = 1j * np.asarray(y)
-        fh = np.array([fhat_reduced(zz) for zz in np.atleast_1d(z)])
+        z = np.atleast_1d(1j * np.asarray(y))
+        # the transform minus c0 times the unit-step pair's
+        fh = np.array([f - c0 * _phi(zz) for f, zz in zip(tp.fhat(z), z)])
         return fh * np.exp(z * t) * (1.0 - np.asarray(y) ** 2 / R ** 2) ** n / np.asarray(y)
 
     i_seg, j3, _ = adaptive_quad(segment, R, -R, ARC_TOL,
@@ -463,8 +466,7 @@ def reconstruct_g_adaptive(tp: TransformPair, M: RateFunction, k_scale: float,
 
     def kernel_times_fhat(z_arr):
         z_arr = np.atleast_1d(z_arr)
-        fh = np.array([tp.fhat(zz) for zz in z_arr])
-        return fh * np.exp(z_arr * t) * (1.0 + z_arr ** 2 / R ** 2) ** n / z_arr
+        return tp.fhat(z_arr) * np.exp(z_arr * t) * (1.0 + z_arr ** 2 / R ** 2) ** n / z_arr
 
     depth_b = shift / float(M(R))
 

@@ -653,8 +653,11 @@ def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
     Per window: int (max(|g| - c2 e^{-rho t}, 0))^p weight(t) dt on
     [k_n - sqrt(k_n), k_n + sqrt(k_n)], all in log space, plus the
     pointwise floor assertion against c1 coeff_n scale_n - c2 e^{-rho t}.
-    Contributions must be strictly increasing in n.
+    Contributions must be strictly increasing in n.  nodes is the
+    Gauss-Legendre order per window; nodes < 1 is a ValueError.
     """
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
     wlog = weight_log or (lambda lt: _weight_log(spec, lt))
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     reports: list[WindowReport] = []
@@ -832,8 +835,7 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
         # 73b: transform L^2 growth along sampled frequencies
         zs = default_z_samples(fam, n=n_lambda, seed=seed)
         ratios = []
-        for z in zs:
-            gv = green_G(fam, nodes, z)
+        for z, gv in zip(zs, green_G(fam, nodes, zs)):
             norm = math.sqrt(float(np.dot(wq, np.abs(gv) ** 2)))
             ratios.append(norm / (1.0 + abs(z.imag)) ** (alpha / 2.0))
         sup = float(np.max(ratios))

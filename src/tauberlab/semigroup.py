@@ -590,7 +590,12 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     is checked by quadrature at each sample; and on the discrete grid
 
         || T1 T(.) R(omega,A) T2 x ||_p <= omega^{-1} || T1 T(.) T2 x ||_p.
+
+    T is the horizon of the identity quadrature; T <= 0 is a ValueError,
+    raised before any solve.
     """
+    if not T > 0:
+        raise ValueError(f"the identity quadrature horizon T must be positive, got {T:g}")
     ghat = sys.hat_generator()
     dim = ghat.shape[0]
     om0 = sys.spectral_abscissa()

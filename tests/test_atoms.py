@@ -258,6 +258,105 @@ class TestGreenGolden:
                     digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
         assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
 
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_shift_suite_node_grid(self, k):
+        # the shift suite's transform probe: on these grids a tenth of the
+        # tail's exp arguments underflow and a few percent give subnormals
+        rec = GOLDEN[f"shift_power_k{k}"]
+        fam = build_family("power", k, 2.0, beta=1.5)
+        t = _shift_nodes(k)
+        assert hashlib.sha256(",".join(_hex_list(t)).encode()).hexdigest() \
+            == rec["nodes_sha256"]
+        zs = default_z_samples(fam, n=40, seed=11)[[0, 10, 20, 30]]
+        assert [_hex_pair(z) for z in zs] == rec["z"]
+        batch = hashlib.sha256()
+        for row in green_G(fam, t, zs):
+            for v in row:
+                batch.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+        single = hashlib.sha256()
+        series = hashlib.sha256()
+        for z in zs:
+            for v in green_G(fam, t, z):
+                single.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+            for a, b in zip(*_green_series(fam, t, z)):
+                series.update(f"{float(a).hex()},{float(b).hex()};".encode())
+        assert batch.hexdigest() == rec["G_sha256"]
+        assert single.hexdigest() == rec["G_sha256"]
+        assert series.hexdigest() == rec["series_sha256"]
+
+    def test_contour_node_batch(self):
+        # 32 right-arc and 32 boundary-curve nodes, as one contour panel
+        # asks for them: fhat = G(0, .) and the right-arc tail at t = 0.5
+        rec = GOLDEN["contour_batch_power_k10"]
+        fam = build_family("power", 10, 2.0, beta=2.0)
+        xs, _ = np.polynomial.legendre.leggauss(32)
+        radius = 6.0
+        s = radius * xs
+        curve = -(1.0 - 1e-6) / np.asarray(fam.matching_rate()(np.abs(s)), dtype=float) + 1j * s
+        zs = np.concatenate([radius * np.exp(1j * (0.5 * math.pi) * xs), curve])
+        assert [_hex_pair(z) for z in zs] == rec["z"]
+        t = float.fromhex(rec["t"])
+        assert [_hex_pair(v) for v in green_G(fam, 0.0, zs)] == rec["G_t0"]
+        assert [_hex_pair(v) for v in green_G(fam, t, zs)] == rec["G_t"]
+
+
+def _shift_nodes(k):
+    """The Gauss-Legendre nodes of shift_semigroup_suite at order k."""
+    xs, _ = np.polynomial.legendre.leggauss(8)
+    t_max = 3.0 * k + 80.0
+    seams = [0.0, 0.5 * k, float(k), 2.0 * k, t_max]
+    edges = [np.array([0.0])]
+    for lo, hi in zip(seams[:-1], seams[1:]):
+        cnt = max(40, int(math.ceil((hi - lo) / (math.sqrt(k) / 6.0))))
+        edges.append(np.linspace(lo, hi, cnt + 1)[1:])
+    edges = np.concatenate(edges)
+    return np.concatenate([0.5 * (hi - lo) * (xs + 1.0) + lo
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+class TestGreenZBatch:
+    """green_G over an array of z: row i is the call with z[i] alone."""
+
+    @pytest.mark.parametrize("variant,k", [("power", 10), ("power", 40), ("log", 50)])
+    @pytest.mark.parametrize("grid", ["zero", "one-t", "full"])
+    def test_rows_equal_single_z_calls(self, variant, k, grid, monkeypatch):
+        fam = _ln_family(variant, k)
+        t = {"zero": 0.0, "one-t": float(k), "full": default_t_grid(fam)}[grid]
+        zs = np.concatenate([default_z_samples(fam, n=6),
+                             [0j, complex(0.3, -2.0), fam.base + 1e-7j]])
+        # a chunk of two z checks the seams between chunks
+        monkeypatch.setattr(atoms, "Z_CHUNK_POINTS", 2 * np.size(t))
+        batch = green_G(fam, t, zs)
+        assert batch.shape == zs.shape + np.shape(t)
+        for z, row in zip(zs, batch):
+            single = np.atleast_1d(green_G(fam, t, z))
+            assert [_hex_pair(v) for v in np.atleast_1d(row)] == [_hex_pair(v) for v in single]
+
+    def test_series_rows_equal_single_z_calls(self):
+        fam = build_family("log", 2502, 1.0)
+        t = default_t_grid(fam)[::10]
+        zs = default_z_samples(fam, n=4)
+        lm, ph = _green_series(fam, t, zs)
+        for i, z in enumerate(zs):
+            one_lm, one_ph = _green_series(fam, t, z)
+            assert _hex_list(lm[i]) == _hex_list(one_lm)
+            assert _hex_list(ph[i]) == _hex_list(one_ph)
+
+    def test_oracle_rows_equal_single_z_calls(self):
+        fam = build_family("power", 10, 2.0, 2.0)
+        t = default_t_grid(fam, n=40)
+        zs = default_z_samples(fam, n=3)
+        batch = green_G(fam, t, zs, backend="oracle")
+        for z, row in zip(zs, batch):
+            assert [_hex_pair(v) for v in row] \
+                == [_hex_pair(v) for v in green_G(fam, t, z, backend="oracle")]
+
+    def test_bad_z_in_a_batch_is_refused(self):
+        fam = build_family("power", 10, 2.0, 2.0)
+        zs = np.array([default_z_samples(fam, n=1)[0], fam.base])
+        with pytest.raises(ValueError, match="base point"):
+            green_G(fam, 1.0, zs)
+
 
 # ----------------------------------------------------------------------
 # L and N series: exact agreement with recorded values

@@ -92,6 +92,21 @@ class TestAtomsVerify:
         # body floats carry 17 significant digits
         assert b"e+00" in lines[2] or b"e-" in lines[2]
 
+    def test_series_are_evaluated_once(self, tmp_path, monkeypatch, capsys):
+        # L and N once each, shared by the fit and the CSV
+        calls = []
+        real = atoms._series_map
+
+        def counting(*args):
+            calls.append(args[2].__name__)
+            return real(*args)
+
+        monkeypatch.setattr(atoms, "_series_map", counting)
+        code = cli.main(["atoms", "verify", "--k", "12", "--z-count", "4",
+                         "--out-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert sorted(calls) == ["_laplace_point", "_primitive_point"]
+
 
 class TestWaveSandwich:
     def test_exit_zero(self, sandwich_outcome):
@@ -179,6 +194,31 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
         assert calls == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_non_positive_horizon_fails_before_any_solve(self, horizon, tmp_path,
+                                                         monkeypatch, capsys):
+        calls = []
+        real = semigroup._laplace_of_orbit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "_laplace_of_orbit", counting)
+        code = cli.main(["wave", "cutoff", "--n", "20", "--horizon", horizon,
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "horizon T must be positive" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_scan_nodes_names_the_key(self, tmp_path, capsys):
+        code = cli.main(["counterexample", "scan", "--nodes", "0",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "nodes must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_zero_z_count_is_a_usage_error(self, tmp_path):

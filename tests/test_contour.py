@@ -184,3 +184,50 @@ def test_rational_pole_near_boundary_still_reconstructs():
         g, _ = reconstruct_g_adaptive(tp, M, k_scale, 3, t)
         direct = -sum(c / p * np.exp(p * t) for p, c in poles_coeffs)
         assert abs(g - direct) <= 1e-6 * max(1.0, abs(direct))
+
+
+# ----------------------------------------------------------------------
+# transform pairs over node batches
+# ----------------------------------------------------------------------
+
+def _pair(name):
+    if name == "exp":
+        return exp_decay_pair()
+    if name == "rational":
+        return rational_pair((-1.0 + 2.0j, -1.0 - 2.0j, -3.0), (1.0, 1.0, 2.0))
+    return transform_pair_from_family(build_family("power", 10, 2.0, 2.0))
+
+
+def _hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("name", ["exp", "rational", "atom"])
+def test_array_fhat_and_tail_equal_single_z_calls(name):
+    # the contour used to call fhat and tail with one numpy complex scalar
+    # at a time; a node batch must give the same bits
+    tp = _pair(name)
+    xs, _ = np.polynomial.legendre.leggauss(32)
+    rng = np.random.default_rng(4)
+    # right-arc nodes, a vertical segment through 0, and scattered points
+    zs = np.concatenate([8.0 * np.exp(0.5j * math.pi * xs), 1j * 8.0 * xs,
+                         rng.uniform(-4.0, 4.0, 64) + 1j * rng.uniform(-30.0, 30.0, 64)])
+    assert _hex(tp.fhat(zs)) == _hex([tp.fhat(z) for z in zs])
+    for t in (0.5, 5.0):
+        assert _hex(tp.tail(t, zs)) == _hex([tp.tail(t, z) for z in zs])
+
+
+def test_contour_asks_for_fhat_once_per_node_batch(adaptive_setup, monkeypatch):
+    from tauberlab import contour
+    _, tp, M, k_scale = adaptive_setup
+    sizes = []
+    real = contour.green_G
+
+    def counting(fam, t, z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return real(fam, t, z, *args, **kwargs)
+
+    monkeypatch.setattr(contour, "green_G", counting)
+    reconstruct_g_adaptive(tp, M, k_scale, 3, 10.0)
+    # one call per Gauss-Legendre rule on a panel: 16 or 32 nodes
+    assert sizes and set(sizes) <= {16, 32}
