@@ -1,4 +1,5 @@
 """Fitted-constant reports: every field pinned against recorded values."""
+import dataclasses
 import json
 import pathlib
 
@@ -45,6 +46,28 @@ def _block_constants_log():
     }
 
 
+def _window_record(rep):
+    return {f.name: float(v).hex() if isinstance(v, float) else v
+            for f in dataclasses.fields(rep)
+            for v in (getattr(rep, f.name),)}
+
+
+def _scan(variant):
+    if variant == "power":
+        gamma, gamma_log = counterexamples.inverse_log_weight()
+        spec = counterexamples.build_counterexample(
+            "power", 2.0, 2.0, 4, gamma=gamma, gamma_log=gamma_log)
+    else:
+        spec = counterexamples.build_counterexample("log", 1.0, 2.0, 3)
+        counterexamples.fit_log_weight_exponent(spec)
+    return {
+        "gamma_exp": None if spec.gamma_exp is None
+        else float(spec.gamma_exp).hex(),
+        "windows": [_window_record(r)
+                    for r in counterexamples.divergence_scan(spec)],
+    }
+
+
 FIT_RUNS = {
     **{f"prop52-{v}-k{k}-seed{s}": (lambda v=v, k=k, s=s: _prop52(v, k, s))
        for v, ks in (("power", (12, 20, 30)), ("log", (12, 20)))
@@ -60,6 +83,8 @@ FIT_RUNS = {
             atoms.build_family("power", 10, 2.0, beta=2.0)),
         weights.PowerRate(1.0, 2.0), np.geomspace(0.5, 5.0, 3)),
     "block-constants-log": _block_constants_log,
+    "scan-power-alpha2-blocks4": lambda: _scan("power"),
+    "scan-log-alpha1-blocks3": lambda: _scan("log"),
 }
 
 # every field of every report, constants and residuals as float.hex,
