@@ -11,7 +11,8 @@ tau = A^(k-1)/sqrt(k).  Three derived quantities matter:
 The direct sums cancel catastrophically (about 10^15 digits at k = 40), so
 the production path evaluates factored power series / an exact resummation
 in log space, and an arbitrary-precision direct-sum oracle (mpmath) serves
-as the arbiter for k <= 30.
+as the arbiter for k <= 30.  mpmath loads on the oracle's first call, so
+the series route imports numpy alone.
 
 Also here: the root-of-unity partial-fraction identity, the truncated-
 exponential remainder bound, the Stirling-type peak envelopes, and the
@@ -24,7 +25,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .logspace import _wrap_phase, log_from_sums, log_sum2, log_sum_arrays, to_complex
@@ -623,6 +623,17 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
 # direct-sum oracle (mpmath)
 # ----------------------------------------------------------------------
 
+def __getattr__(name: str):
+    # the oracle functions import mpmath themselves; atoms.mp names the
+    # same module, loaded on first use
+    if name == "mp":
+        import mpmath
+
+        globals()[name] = mpmath
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _oracle_dps(fam: AtomFamily, t: float) -> int:
     """Working precision of the direct sums at t.
 
@@ -661,6 +672,8 @@ _TABLE_CACHE = 512
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _unit_roots(k: int, dps: int) -> tuple:
     """The k-th roots of unity q^s = e^(2 pi i s/k), s = 1..k, at dps digits."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         return tuple(mp.expjpi(mp.mpf(2 * s) / k) for s in range(1, k + 1))
 
@@ -680,6 +693,8 @@ class _OracleAtoms:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
+    import mpmath as mp
+
     with mp.workdps(dps):
         k = fam.k
         a = mp.mpf(fam.circle_scale)
@@ -701,6 +716,8 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
     one exponential per conjugate pair of roots (q^(k/2) = -1 pairs with
     itself), e^(t/A) for q^k = 1, and e^(tw): floor(k/2) + 2 in all.
     """
+    import mpmath as mp
+
     k = fam.k
     dps = _oracle_dps(fam, t)
     at = _oracle_atoms(fam, dps)
@@ -718,6 +735,8 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
 def _green_coeffs(z: complex):
     """G's coefficients weight_s/(z - zeta_s), built once per working
     precision for one green_G call; nothing outlives the call."""
+    import mpmath as mp
+
     built = {}
 
     def coeffs(at: _OracleAtoms) -> tuple:
@@ -743,6 +762,8 @@ def roots_identity(k: int, j: int, z: complex) -> tuple[complex, complex]:
     k, j = int(k), int(j)
     if k < 1 or not (1 <= j <= k):
         raise ValueError(f"need k >= 1 and 1 <= j <= k, got k={k}, j={j}")
+    import mpmath as mp
+
     dps = 80 + int(math.ceil(k * abs(math.log10(abs(z)))) if z != 0 else 0)
     with mp.workdps(dps):
         zz = mp.mpc(z)
@@ -768,6 +789,8 @@ def taylor_remainder_check(n: int, z: complex) -> tuple[float, float]:
         raise ValueError(f"need n >= 1, got {n}")
     if abs(z) > 1.0 + 1e-15:
         raise ValueError(f"need |z| <= 1, got |z| = {abs(z)}")
+    import mpmath as mp
+
     with mp.workdps(50):
         zz = mp.mpc(z)
         partial = mp.mpc(0)

@@ -429,12 +429,21 @@ def _rate_function(params):
     return wg.AffineRate(params["base"], params["slope"])
 
 
+def _check_t_span(params) -> None:
+    """A geometric t grid needs 0 < t-min < t-max; a reversed span would
+    write t decreasing, an empty one the same row over and over."""
+    if params["t-min"] <= 0:
+        raise ScenarioError("key 't-min' must be positive")
+    if params["t-max"] <= params["t-min"]:
+        raise ScenarioError(f"key 't-max' ({params['t-max']:g}) must exceed "
+                            f"key 't-min' ({params['t-min']:g})")
+
+
 def _h_weights_profile(params) -> RunResult:
     import numpy as np
     from tauberlab import weights as wg
 
-    if params["t-min"] <= 0:
-        raise ScenarioError("key 't-min' must be positive")
+    _check_t_span(params)
     if params["points"] < 1:
         raise ScenarioError("key 'points' must be >= 1")
     M = _rate_function(params)
@@ -488,7 +497,11 @@ def _h_contour_kernel(params) -> RunResult:
     # t = 0 alone would check only the exact value there, not the cap
     if params["points"] < 2:
         raise ScenarioError("key 'points' must be >= 2")
-    ts = np.r_[0.0, np.geomspace(1e-2, params["t-max"], params["points"] - 1)]
+    t_first = 1e-2
+    if params["t-max"] <= t_first:
+        raise ScenarioError(f"key 't-max' must exceed {t_first:g}, "
+                            "the grid's first point after t = 0")
+    ts = np.r_[0.0, np.geomspace(t_first, params["t-max"], params["points"] - 1)]
     rows = []
     worst = -math.inf
     for t in ts:
@@ -508,6 +521,7 @@ def _h_contour_reconstruct(params) -> RunResult:
     from tauberlab import contour as ct
     from tauberlab import weights as wg
 
+    _check_t_span(params)
     if params["points"] < 1:
         raise ScenarioError("key 'points' must be >= 1")
     # the adaptive piece fit needs more than one t to fit a shape

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .atoms import AtomFamily, build_family, laplace_L_log, primitive_N_log, \
     green_G, default_z_samples, verify_prop52
@@ -619,6 +618,22 @@ def _log_sub(a: float, b: float) -> float:
     return a + math.log1p(-math.exp(b - a))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(e^a)) of a nonempty, finite 1-d array, in scipy's steps.
+
+    The maximum entries are counted apart and the rest are summed shifted,
+    in the order of scipy.special.logsumexp (1.17.1), so the results are
+    bit-identical to it.
+    """
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+    if s != 0:
+        s /= m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def _tail_envelope_log(spec: CounterexampleSpec, log_t: float) -> float:
     """log of c2 e^{-rho t}: the threaded off-window contamination bound."""
     if log_t > 690.0:
@@ -655,6 +670,11 @@ def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
     pointwise floor assertion against c1 coeff_n scale_n - c2 e^{-rho t}.
     Contributions must be strictly increasing in n.  nodes is the
     Gauss-Legendre order per window; nodes < 1 is a ValueError.
+
+    The increasing rule is checked here, not by reports.ladder_report:
+    a ladder certifies convergence by geometric decay of its increments,
+    while this scan certifies divergence by their growth, so the two
+    rules share no test.
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -686,7 +706,7 @@ def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
             for g, e, w, gw in zip(g_log, env, w_vals, ws)
         ])
         finite = inte[np.isfinite(inte)]
-        contrib = float(logsumexp(finite)) if finite.size else -math.inf
+        contrib = _logsumexp(finite) if finite.size else -math.inf
         # window length times the worst pointwise lower integrand value
         bound = math.log(2.0) + 0.5 * b.log_k \
             + float(np.min(spec.p * floor + w_vals))

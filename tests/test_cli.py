@@ -21,13 +21,16 @@ CLI_TIMEOUT = 300
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(tauberlab.__file__)))
 
 
-def run_cli(args, cwd, env=None):
+def run_python(args, cwd, env=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "tauberlab.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=CLI_TIMEOUT)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=CLI_TIMEOUT)
+
+
+def run_cli(args, cwd, env=None):
+    return run_python(["-m", "tauberlab.cli", *args], cwd, env)
 
 
 def report(out, name, proc):
@@ -171,15 +174,29 @@ class TestExitCodes:
          "no points at or beyond t0=5.0"),
         (["wave", "sandwich", "--n", "20", "--points", "1"],
          "no points at or beyond t0=5.0"),
+        (["weights", "profile", "--t-max", "0.5"],
+         "key 't-max' (0.5) must exceed key 't-min' (1)"),
+        (["weights", "profile", "--t-max", "1", "--points", "3"],
+         "key 't-max' (1) must exceed key 't-min' (1)"),
+        (["contour", "reconstruct", "--t-max", "0.1"],
+         "key 't-max' (0.1) must exceed key 't-min' (0.5)"),
+        (["contour", "reconstruct", "--mode", "adaptive", "--target", "atom",
+          "--t-max", "0.5"], "key 't-max' (0.5) must exceed key 't-min' (0.5)"),
+        (["contour", "reconstruct", "--t-min", "0"], "'t-min' must be positive"),
+        (["contour", "kernel", "--t-max", "0.01"], "'t-max' must exceed 0.01"),
     ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
             "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t",
             "wave-cutoff-one-t", "wave-cutoff-no-lambdas",
             "wave-sandwich-no-scan", "wave-sandwich-before-t0",
-            "wave-sandwich-one-t"])
+            "wave-sandwich-one-t", "weights-profile-reversed",
+            "weights-profile-one-t", "reconstruct-fixed-reversed",
+            "reconstruct-adaptive-one-t-atom", "reconstruct-zero-t-min",
+            "contour-kernel-before-first-point"])
     def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
                                               monkeypatch, capsys):
         calls = []
-        for mod, name in ((contour, "reconstruct_g_fixed"),
+        for mod, name in ((atoms, "build_family"),
+                          (contour, "reconstruct_g_fixed"),
                           (contour, "reconstruct_g_adaptive"),
                           (contour, "lemma31_check"),
                           (semigroup, "evolve"),
@@ -415,6 +432,35 @@ class TestAdaptiveContour:
         assert code == 2
         assert "n > alpha" in capsys.readouterr().err
         assert calls == []
+
+
+class TestImportBudget:
+    # the series route (every module but semigroup) runs on numpy alone;
+    # mpmath loads on the oracle's first call
+    SCRIPT = """
+import sys
+import tauberlab.atoms, tauberlab.cli, tauberlab.contour
+import tauberlab.counterexamples, tauberlab.logspace, tauberlab.reports
+import tauberlab.weights
+from tauberlab import atoms, cli
+code = cli.run(cli.parse_config(
+    "[scenario]\\ncommand = counterexample\\naction = scan\\n"
+    "[params]\\nvariant = power\\nblocks = 2\\n"))
+assert code == 0, code
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath"})
+assert not loaded, loaded
+atoms.laplace_L(atoms.build_family("power", 10, 2.0, 2.0), 1.0,
+                backend="oracle")
+assert "mpmath" in sys.modules
+assert atoms.mp is sys.modules["mpmath"]
+print("ok")
+"""
+
+    def test_series_route_loads_numpy_alone(self, tmp_path):
+        proc = run_python(["-c", self.SCRIPT], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
+        assert (tmp_path / "counterexample-scan-windows.csv").exists()
 
 
 class TestThreadsFallback:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 import tauberlab.counterexamples as cx
 from tauberlab.atoms import verify_prop52
@@ -183,6 +184,32 @@ class TestDivergenceScan:
                                        gamma=gamma, gamma_log=gamma_log)
         scan = cx.divergence_scan(spec)
         assert len(scan) == 1 and scan[0].passed
+
+
+class TestLogSumExp:
+    """The scan's in-house logsumexp is scipy's, bit for bit."""
+
+    @staticmethod
+    def _arrays(rng):
+        for size in range(1, 49):
+            for spread in (0.0, 1e-12, 1.0, 30.0, 1e3):
+                for offset in (-800.0, 0.0, 800.0):
+                    a = offset + spread * rng.standard_normal(size)
+                    yield a
+                    ties = rng.integers(0, size, rng.integers(1, size + 1))
+                    b = a.copy()
+                    b[ties] = a.max()
+                    yield b
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(2024)
+        mismatches = [a for _ in range(2) for a in self._arrays(rng)
+                      if cx._logsumexp(a).hex() != float(logsumexp(a)).hex()]
+        assert mismatches == []
+
+    def test_tied_maxima_are_counted_apart(self):
+        # every entry is a maximum: the shifted sum is empty and s stays 0
+        assert cx._logsumexp(np.full(3, 1.0)) == math.log(3.0) + 1.0
 
 
 class TestLogVariant:
