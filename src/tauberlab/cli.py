@@ -25,7 +25,9 @@ comment line.  JSON: stable key order, holding the scenario echo, fitted
 constants, worst residuals, per-invariant verdicts and wall time.
 
 Exit codes: 0 all invariants pass; 1 an invariant failed (the report is
-still written); 2 usage or config error.
+still written); 2 usage or config error.  ``--help`` prints each
+parameter's bound from ``PARAMS``.  A value outside its bound, or a broken
+cross-key rule from ``RULES``, exits 2 naming the key, before any work.
 
 Determinism: two runs of the same scenario at the same BLAS thread count
 produce byte-identical CSV bodies -- fixed summation orders, explicit
@@ -118,7 +120,11 @@ class Param:
     default: object
     help: str
     choices: tuple = ()
+    above: float | None = None  # the value must exceed it
 
+
+# the contour kernel grid's first point after t = 0
+KERNEL_T_FIRST = 1e-2
 
 # typed parameter tables, one per (command, action); unknown keys rejected
 PARAMS: dict[tuple, dict] = {
@@ -130,9 +136,9 @@ PARAMS: dict[tuple, dict] = {
         "alpha": Param("float", 1.0, "power/log family exponent"),
         "base": Param("float", 2.0, "affine family intercept"),
         "slope": Param("float", 1.0, "affine family slope"),
-        "t-min": Param("float", 1.0, "grid start (> 0)"),
+        "t-min": Param("float", 1.0, "grid start", above=0),
         "t-max": Param("float", 1e4, "grid end"),
-        "points": Param("int", 200, "geometric grid size"),
+        "points": Param("int", 200, "geometric grid size", above=0),
         "tail-alpha": Param("float", 0.0, "tail-integral weight exponent (0 = skip)"),
         "tail-beta": Param("float", 0.0, "tail-integral rate exponent (0 = skip)"),
     },
@@ -145,22 +151,23 @@ PARAMS: dict[tuple, dict] = {
         "z-count": Param("int", 24, "spectral samples per verification"),
     },
     ("contour", "kernel"): {
-        "t-max": Param("float", 1e3, "log-grid end"),
-        "points": Param("int", 60, "grid size including t = 0"),
+        "t-max": Param("float", 1e3, "log-grid end", above=KERNEL_T_FIRST),
+        # t = 0 alone would check only the exact value there, not the cap
+        "points": Param("int", 60, "grid size including t = 0", above=1),
     },
     ("contour", "reconstruct"): {
         "target": Param("str", "exp", "transform pair", ("exp", "rational", "atom")),
         "mode": Param("str", "fixed", "contour mode", ("fixed", "adaptive")),
-        "t-min": Param("float", 0.5, "grid start (> 0)"),
+        "t-min": Param("float", 0.5, "grid start", above=0),
         "t-max": Param("float", 5.0, "grid end"),
-        "points": Param("int", 10, "geometric grid size"),
+        "points": Param("int", 10, "geometric grid size", above=0),
         "radius1": Param("float", 8.0, "first fixed-contour radius"),
         "radius2": Param("float", 16.0, "second fixed-contour radius"),
         "reg-n": Param("int", 2, "regularization power"),
         "k-scale": Param("float", 0.05, "adaptive radius schedule slope"),
         "growth-alpha": Param("float", 1.0, "declared transform growth exponent"),
         "growth-beta": Param("float", 1.0, "declared transform rate exponent"),
-        "p": Param("float", 2.0, "norm index for the piece-shape fit"),
+        "p": Param("float", 2.0, "norm index for the piece-shape fit", above=0),
         "atom-k": Param("int", 10, "atom order (target=atom)"),
         "atom-alpha": Param("float", 2.0, "atom family alpha (target=atom)"),
         "atom-beta": Param("float", 2.0, "atom family beta (target=atom)"),
@@ -174,9 +181,9 @@ PARAMS: dict[tuple, dict] = {
         "height": Param("float", 1.0, "damping amplitude"),
         "bc": Param("str", "dirichlet", "boundary condition",
                     ("dirichlet", "periodic")),
-        "mode": Param("int", 1, "initial sine mode"),
-        "t-max": Param("float", 4.0, "horizon"),
-        "dt": Param("float", 1e-3, "output step"),
+        "mode": Param("int", 1, "initial sine mode", above=0),
+        "t-max": Param("float", 4.0, "horizon", above=0),
+        "dt": Param("float", 1e-3, "output step", above=0),
         "tol": Param("float", 1e-10, "energy-guard tolerance"),
     },
     ("wave", "sandwich"): {
@@ -184,42 +191,62 @@ PARAMS: dict[tuple, dict] = {
         "damping": Param("str", "localized", "damping profile",
                          ("localized", "constant")),
         "height": Param("float", 1.0, "damping amplitude"),
-        "t0": Param("float", 5.0, "sandwich onset"),
+        "t0": Param("float", 5.0, "sandwich onset", above=0),
         "t-min": Param("float", 0.5, "grid start"),
         "t-max": Param("float", 40.0, "grid end"),
-        "points": Param("int", 60, "decay grid size"),
-        "scan-max": Param("float", 320.0, "resolvent scan frequency cap"),
-        "scan-points": Param("int", 161, "resolvent scan size"),
+        "points": Param("int", 60, "decay grid size", above=1),
+        "scan-max": Param("float", 320.0, "resolvent scan frequency cap",
+                          above=0),
+        "scan-points": Param("int", 161, "resolvent scan size", above=0),
     },
     ("wave", "cutoff"): {
         "n": Param("int", 60, "interior grid size"),
         "damping": Param("str", "localized", "damping profile",
                          ("localized", "constant")),
         "height": Param("float", 1.0, "damping amplitude"),
-        "omega": Param("float", 2.0, "resolvent shift (> 0)"),
+        "omega": Param("float", 2.0, "resolvent shift", above=0),
         "window1": Param("span", (0.0, 0.5), "left cutoff support, fractions"),
         "window2": Param("span", (0.5, 1.0), "right cutoff support, fractions"),
-        "lambdas": Param("int", 10, "identity sample count"),
+        "lambdas": Param("int", 10, "identity sample count", above=0),
         "seed": Param("int", 3, "data-vector seed"),
-        "t-max": Param("float", 60.0, "norm grid end"),
-        "t-points": Param("int", 3001, "norm grid size"),
+        "t-max": Param("float", 60.0, "norm grid end", above=0),
+        "t-points": Param("int", 3001, "norm grid size", above=1),
         "horizon": Param("float", 80.0, "identity quadrature horizon"),
     },
     ("counterexample", "scan"): {
         "variant": Param("str", "power", "train variant", ("power", "log")),
         "alpha": Param("float", 2.0, "envelope exponent"),
-        "p": Param("float", 2.0, "norm index"),
+        "p": Param("float", 2.0, "norm index", above=0),
         "blocks": Param("int", 4, "train length"),
-        "nodes": Param("int", 24, "window quadrature nodes"),
+        "nodes": Param("int", 24, "window quadrature nodes", above=0),
         "gamma-exp": Param("float", 0.0, "log-variant weight rate (0 = fit it)"),
     },
     ("counterexample", "shift"): {
         "alpha": Param("float", 2.0, "envelope exponent"),
-        "p": Param("float", 2.0, "norm index"),
+        "p": Param("float", 2.0, "norm index", above=0),
         "k": Param("int_list", (20, 40), "comma-separated probe orders"),
         "n-lambda": Param("int", 40, "boundary sample count"),
         "seed": Param("int", 11, "boundary sample seed"),
     },
+}
+
+# cross-key rules, checked once every default is filled in:
+# (keys read, test over their values, message over their values)
+_T_SPAN = (("t-max", "t-min"), lambda hi, lo: hi > lo,
+           "key 't-max' ({0:g}) must exceed key 't-min' ({1:g})")
+RULES: dict[tuple, tuple] = {
+    ("weights", "profile"): (_T_SPAN,),
+    ("contour", "reconstruct"): (
+        _T_SPAN,
+        # the adaptive piece fit needs more than one t to fit a shape
+        (("points", "mode"), lambda n, mode: n > 1 or mode != "adaptive",
+         "key 'points' ({0}) must exceed 1 when key 'mode' is {1!r}"),
+    ),
+    ("wave", "sandwich"): (
+        _T_SPAN,
+        (("t0", "t-max"), lambda t0, hi: t0 <= hi,
+         "key 't0' ({0:g}) must not exceed key 't-max' ({1:g})"),
+    ),
 }
 
 
@@ -298,9 +325,16 @@ def _coerce_params(command: str, action: str, raw: dict) -> dict:
         if spec.choices and value not in spec.choices:
             raise ScenarioError(
                 f"key {key!r} must be one of {spec.choices}, got {value!r}")
+        if spec.above is not None and not value > spec.above:
+            raise ScenarioError(
+                f"key {key!r} must exceed {spec.above:g}, got {value!r}")
         out[key] = value
     for key, spec in table.items():
         out.setdefault(key, spec.default)
+    for keys, holds, message in RULES.get((command, action), ()):
+        values = [out[key] for key in keys]
+        if not holds(*values):
+            raise ScenarioError(message.format(*values))
     return out
 
 
@@ -429,23 +463,10 @@ def _rate_function(params):
     return wg.AffineRate(params["base"], params["slope"])
 
 
-def _check_t_span(params) -> None:
-    """A geometric t grid needs 0 < t-min < t-max; a reversed span would
-    write t decreasing, an empty one the same row over and over."""
-    if params["t-min"] <= 0:
-        raise ScenarioError("key 't-min' must be positive")
-    if params["t-max"] <= params["t-min"]:
-        raise ScenarioError(f"key 't-max' ({params['t-max']:g}) must exceed "
-                            f"key 't-min' ({params['t-min']:g})")
-
-
 def _h_weights_profile(params) -> RunResult:
     import numpy as np
     from tauberlab import weights as wg
 
-    _check_t_span(params)
-    if params["points"] < 1:
-        raise ScenarioError("key 'points' must be >= 1")
     M = _rate_function(params)
     ts = np.geomspace(params["t-min"], params["t-max"], params["points"])
     rows = [(float(t), float(M(t)), wg.m_log_eval(M, float(t)),
@@ -494,14 +515,8 @@ def _h_contour_kernel(params) -> RunResult:
     import numpy as np
     from tauberlab import contour as ct
 
-    # t = 0 alone would check only the exact value there, not the cap
-    if params["points"] < 2:
-        raise ScenarioError("key 'points' must be >= 2")
-    t_first = 1e-2
-    if params["t-max"] <= t_first:
-        raise ScenarioError(f"key 't-max' must exceed {t_first:g}, "
-                            "the grid's first point after t = 0")
-    ts = np.r_[0.0, np.geomspace(t_first, params["t-max"], params["points"] - 1)]
+    ts = np.r_[0.0, np.geomspace(KERNEL_T_FIRST, params["t-max"],
+                                 params["points"] - 1)]
     rows = []
     worst = -math.inf
     for t in ts:
@@ -521,12 +536,6 @@ def _h_contour_reconstruct(params) -> RunResult:
     from tauberlab import contour as ct
     from tauberlab import weights as wg
 
-    _check_t_span(params)
-    if params["points"] < 1:
-        raise ScenarioError("key 'points' must be >= 1")
-    # the adaptive piece fit needs more than one t to fit a shape
-    if params["mode"] == "adaptive" and params["points"] < 2:
-        raise ScenarioError("key 'points' must be >= 2 in adaptive mode")
     target = params["target"]
     if target == "exp":
         tp = ct.exp_decay_pair()
@@ -618,8 +627,6 @@ def _h_wave_energy(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
-    if params["dt"] <= 0:
-        raise ScenarioError("key 'dt' must be positive")
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n),
                                    bc=params["bc"])
@@ -648,10 +655,7 @@ def _h_wave_sandwich(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
-    if params["scan-points"] < 1:
-        raise ScenarioError("key 'scan-points' must be >= 1")
     t = np.linspace(params["t-min"], params["t-max"], params["points"])
-    sg.sandwich_onset_mask(t, params["t0"])
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
     norms = sg.propagator_inverse_norms(sys_, t)
@@ -675,10 +679,6 @@ def _h_wave_cutoff(params) -> RunResult:
     import numpy as np
     from tauberlab import semigroup as sg
 
-    if params["t-points"] < 2:
-        raise ScenarioError("key 't-points' must be >= 2")
-    if params["lambdas"] < 1:
-        raise ScenarioError("key 'lambdas' must be >= 1")
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
     grid = np.arange(1, n + 1) / (n + 1)
@@ -694,8 +694,6 @@ def _h_wave_cutoff(params) -> RunResult:
     x /= math.sqrt(sys_.energy(x))
 
     omega = params["omega"]
-    if omega <= 0:
-        raise ScenarioError("key 'omega' must be positive")
     lams = []
     while len(lams) < params["lambdas"]:  # stay away from the shift itself
         cand = complex(rng.uniform(0.2, 2.0), rng.uniform(-3.0, 3.0))
@@ -852,7 +850,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 continue
             ap = action_sub.add_parser(action)
             for key, spec in table.items():
-                kwargs = {"help": spec.help, "default": None,
+                bound = "" if spec.above is None else f" (> {spec.above:g})"
+                kwargs = {"help": spec.help + bound, "default": None,
                           "type": _COERCE[spec.typ], "metavar": spec.typ.upper()}
                 if spec.choices:
                     kwargs["choices"] = spec.choices
@@ -904,10 +903,7 @@ def main(argv=None) -> int:
             scenario.threads = _env_thread_fallback(scenario.threads)
             return run(scenario)
         return run(_scenario_from_args(args))
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # precondition failures from the modules
+    except ValueError as exc:  # ScenarioError and the modules' preconditions
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # a guarded invariant broke mid-run

@@ -40,7 +40,6 @@ __all__ = [
     "evolve",
     "energy_derivative_check",
     "weighted_decay_suite",
-    "sandwich_onset_mask",
     "rate_sandwich_check",
     "cutoff_transform_check",
     "c0_example_suite",
@@ -443,14 +442,6 @@ def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     return DecaySeries(t_grid, np.array(norms), label="propagator-inverse-norm")
 
 
-def sandwich_onset_mask(t_grid, t0: float) -> np.ndarray:
-    """The grid points t >= t0 the sandwich is fitted on; none is a ValueError."""
-    mask = np.asarray(t_grid, dtype=float) >= t0
-    if not np.any(mask):
-        raise ValueError(f"grid has no points at or beyond t0={t0}")
-    return mask
-
-
 def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
                         t0: float = 5.0, norms=None) -> FitReport:
     """Sandwich ||T(t) G^{-1}||_E between the inverse weight functions.
@@ -485,7 +476,9 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
         # constant-M extension: invert m_max (log1p m_max + log1p s) = y
         return float(math.expm1(y / m_max - math.log1p(m_max)))
 
-    mask = sandwich_onset_mask(t_grid, t0)
+    mask = t_grid >= t0
+    if not np.any(mask):
+        raise ValueError(f"grid has no points at or beyond t0={t0}")
     if norms is None:
         norms = propagator_inverse_norms(sys, t_grid).values
     norms = np.asarray(norms, dtype=float)

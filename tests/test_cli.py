@@ -134,6 +134,76 @@ class TestWaveSandwich:
         assert summary["passed"]["rate-sandwich"] is True
 
 
+# one violating input per cross-key rule in cli.RULES, by scenario and keys
+RULE_BREAKERS = {
+    ("weights", "profile", ("t-max", "t-min")): {"t-max": "1"},
+    ("contour", "reconstruct", ("t-max", "t-min")): {"t-max": "0.5"},
+    ("contour", "reconstruct", ("points", "mode")): {"mode": "adaptive",
+                                                     "points": "1"},
+    ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
+    ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
+}
+
+
+def _table_cases():
+    """Each bounded key at its bound, then one breach of each cross-key rule."""
+    for (command, action), table in cli.PARAMS.items():
+        for key, spec in table.items():
+            if spec.above is not None:
+                yield pytest.param(command, action, {key: f"{spec.above:g}"},
+                                   (key,), id=f"{command}-{action}-{key}")
+    for (command, action), rules in cli.RULES.items():
+        for keys, _, _ in rules:
+            yield pytest.param(
+                command, action, RULE_BREAKERS.get((command, action, keys)),
+                keys, id=f"{command}-{action}-{'-vs-'.join(keys)}")
+
+
+class TestParamTable:
+    def test_defaults_keep_every_bound_and_rule(self):
+        for (command, action), table in cli.PARAMS.items():
+            for key, spec in table.items():
+                assert spec.above is None or spec.default > spec.above, key
+            cli._coerce_params(command, action, {})
+
+    @pytest.mark.parametrize("route", ["flags", "config"])
+    @pytest.mark.parametrize("command,action,raw,keys", list(_table_cases()))
+    def test_breach_exits_2_before_the_handler(self, command, action, raw,
+                                               keys, route, tmp_path,
+                                               monkeypatch, capsys):
+        assert raw, f"RULE_BREAKERS has no input breaking {keys}"
+        calls = []
+        monkeypatch.setattr(cli, "HANDLERS", {
+            scenario: lambda params: calls.append(params) or cli.RunResult()
+            for scenario in cli.HANDLERS})
+        out = tmp_path / "out"
+        if route == "flags":
+            argv = [command, action, "--out-dir", str(out)]
+            for key, value in raw.items():
+                argv += [f"--{key}", value]
+        else:
+            conf = tmp_path / "breach.conf"
+            conf.write_text(
+                f"[scenario]\ncommand = {command}\naction = {action}\n"
+                f"out-dir = {out}\n\n[params]\n"
+                + "".join(f"{key} = {value}\n" for key, value in raw.items()))
+            argv = ["run", "--config", str(conf)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        for key in keys:
+            assert f"key {key!r}" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_help_prints_each_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["wave", "sandwich", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "sandwich onset (> 0)" in help_text
+        assert "decay grid size (> 1)" in help_text
+
+
 class TestExitCodes:
     def test_unknown_config_key_names_it(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -171,9 +241,9 @@ class TestExitCodes:
         (["wave", "sandwich", "--n", "20", "--scan-points", "0"],
          "'scan-points'"),
         (["wave", "sandwich", "--n", "20", "--t-max", "4"],
-         "no points at or beyond t0=5.0"),
+         "key 't0' (5) must not exceed key 't-max' (4)"),
         (["wave", "sandwich", "--n", "20", "--points", "1"],
-         "no points at or beyond t0=5.0"),
+         "key 'points' must exceed 1"),
         (["weights", "profile", "--t-max", "0.5"],
          "key 't-max' (0.5) must exceed key 't-min' (1)"),
         (["weights", "profile", "--t-max", "1", "--points", "3"],
@@ -182,7 +252,7 @@ class TestExitCodes:
          "key 't-max' (0.1) must exceed key 't-min' (0.5)"),
         (["contour", "reconstruct", "--mode", "adaptive", "--target", "atom",
           "--t-max", "0.5"], "key 't-max' (0.5) must exceed key 't-min' (0.5)"),
-        (["contour", "reconstruct", "--t-min", "0"], "'t-min' must be positive"),
+        (["contour", "reconstruct", "--t-min", "0"], "'t-min' must exceed 0"),
         (["contour", "kernel", "--t-max", "0.01"], "'t-max' must exceed 0.01"),
     ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
             "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t",
@@ -235,7 +305,7 @@ class TestExitCodes:
         code = cli.main(["counterexample", "scan", "--nodes", "0",
                          "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "nodes must be >= 1" in capsys.readouterr().err
+        assert "key 'nodes' must exceed 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_zero_z_count_is_a_usage_error(self, tmp_path):

@@ -290,6 +290,13 @@ class TestRateSandwich:
         assert rep.passed
         assert "tail_exponent" in rep.constants
 
+    def test_grid_before_onset_is_refused(self):
+        n = 10
+        sys = assemble_damped_wave(n, 1.0, np.ones(n))
+        scan = running_sup(resolvent_norm_scan(sys, np.linspace(0.0, 20.0, 3)))
+        with pytest.raises(ValueError, match="no points at or beyond t0=5.0"):
+            rate_sandwich_check(sys, np.linspace(0.5, 4.0, 4), scan, t0=5.0)
+
 
 # ----------------------------------------------------------------------
 # cutoff families
