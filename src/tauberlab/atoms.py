@@ -105,12 +105,11 @@ def build_family(
     k: int,
     alpha: float,
     beta: float | None = None,
-    gamma: float | None = None,
 ) -> AtomFamily:
     """Construct a family; all derived parameters solved/validated here.
 
-    power: needs beta > alpha/2; gamma defaults to the midpoint
-    (beta - alpha/2)/2 of its admissible interval; the height H solves
+    power: needs beta > alpha/2; gamma is the midpoint (beta - alpha/2)/2
+    of its admissible interval (0, beta - alpha/2); the height H solves
     gamma * H^alpha * log H = k by bisection (residual <= 1e-10).
     log: H = exp(k^(1/(alpha+1))), base w = iH - 1 - 2 (log H)^(-alpha).
     """
@@ -127,12 +126,7 @@ def build_family(
             raise ValueError(
                 f"power variant needs beta > alpha/2, got beta={beta}, alpha={alpha}"
             )
-        if gamma is None:
-            gamma = 0.5 * (beta - alpha / 2.0)
-        if not (0.0 < gamma < beta - alpha / 2.0):
-            raise ValueError(
-                f"gamma must lie in (0, beta - alpha/2) = (0, {beta - alpha / 2.0}); got {gamma}"
-            )
+        gamma = 0.5 * (beta - alpha / 2.0)
         height = _solve_height(gamma, alpha, k)
         base = complex(-1.0, height)
         return AtomFamily("power", k, float(alpha), float(beta), float(gamma),
@@ -804,11 +798,11 @@ def taylor_remainder_check(n: int, z: complex) -> tuple[float, float]:
         return float(remainder), float(bound)
 
 
-def stirling_bounds_check(k: int, t_grid=None, rho: float = STIRLING_RHO) -> FitReport:
+def stirling_bounds_check(k: int) -> FitReport:
     """Fit the peak envelopes around t = k.
 
-    Upper shapes (C fitted jointly, rho fixed; rho = 0.19 is valid for all
-    t and k):
+    Upper shapes (C fitted jointly, rho = STIRLING_RHO = 0.19 fixed, which
+    is valid for all t and k):
         e^(k-t) (t/k)^k max(sqrt(t/k), 1)        <= C e^(-rho (t-k)^2/max(t,k))
         e^(-t) t^k max(sqrt t, sqrt k)/k!        <= C e^(-rho (t-k)^2/max(t,k))
     Floor (c fitted) on |t-k| <= sqrt(2k):
@@ -817,28 +811,26 @@ def stirling_bounds_check(k: int, t_grid=None, rho: float = STIRLING_RHO) -> Fit
     k = int(k)
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    if t_grid is None:
-        r = math.sqrt(2.0 * k)
-        t_grid = np.unique(
-            np.concatenate(
-                [
-                    [0.0, float(k)],
-                    np.geomspace(1e-3, 10.0 * k, 160),
-                    np.linspace(max(k - r, 0.0), k + r, 25),
-                ]
-            )
+    r = math.sqrt(2.0 * k)
+    t = np.unique(
+        np.concatenate(
+            [
+                [0.0, float(k)],
+                np.geomspace(1e-3, 10.0 * k, 160),
+                np.linspace(max(k - r, 0.0), k + r, 25),
+            ]
         )
-    t = np.asarray(t_grid, dtype=float)
+    )
     with np.errstate(divide="ignore"):
         log_tk = np.where(t > 0, np.log(t / k), -np.inf)
         log_t = np.where(t > 0, np.log(t), -np.inf)
     lhs_peak = (k - t) + k * log_tk + np.maximum(0.5 * log_tk, 0.0)
     lhs_floor = (k - t) + k * log_tk
     lhs_fact = -t + k * log_t + np.maximum(0.5 * log_t, 0.5 * math.log(k)) - math.lgamma(k + 1.0)
-    rhs = -rho * (t - k) ** 2 / np.maximum(t, float(k))
+    rhs = -STIRLING_RHO * (t - k) ** 2 / np.maximum(t, float(k))
 
     log_c_upper = float(max(np.max(lhs_peak - rhs), np.max(lhs_fact - rhs)))
-    window = np.abs(t - k) <= math.sqrt(2.0 * k)
+    window = np.abs(t - k) <= r
     log_c_floor = float(np.min(lhs_floor[window]))
 
     at_k = float(lhs_floor[np.argmin(np.abs(t - k))])
@@ -855,9 +847,9 @@ def stirling_bounds_check(k: int, t_grid=None, rho: float = STIRLING_RHO) -> Fit
     )
     return FitReport(
         name="stirling-peak-envelopes",
-        constants={"C": big_c, "rho": rho, "c": small_c},
+        constants={"C": big_c, "rho": STIRLING_RHO, "c": small_c},
         worst_residual=resid,
-        passed=math.isfinite(big_c) and small_c > 0 and rho > 0 and exact_at_peak,
+        passed=math.isfinite(big_c) and small_c > 0 and exact_at_peak,
         grid=f"k={k}, {t.size} pts on [0, {t.max():g}]",
         notes="" if exact_at_peak else "floor quantity not exactly 1 at t=k",
     )

@@ -81,6 +81,8 @@ SUITES = (
     ("rate-sandwich", "two-sided propagator-inverse norm sandwich"),
     ("diagonal-two-sided", "diagonal semigroup sharp two-sided decay"),
     ("weighted-tail-ladder", "weighted tail integral dyadic decay ladder"),
+    ("growth-of-M-along-weight",
+     "M(w(t)) between c t/log t and C t/log t (c for power rates only)"),
 )
 
 
@@ -241,6 +243,12 @@ RULES: dict[tuple, tuple] = {
         # the adaptive piece fit needs more than one t to fit a shape
         (("points", "mode"), lambda n, mode: n > 1 or mode != "adaptive",
          "key 'points' ({0}) must exceed 1 when key 'mode' is {1!r}"),
+    ),
+    ("wave", "energy"): (
+        # the initial state samples sin(mode pi j/(n+1)), j = 1..n, which
+        # vanishes at every grid point when n + 1 divides the mode
+        (("mode", "n"), lambda mode, n: mode % (n + 1) != 0,
+         "key 'mode' ({0}) must not be a multiple of key 'n' ({1}) + 1"),
     ),
     ("wave", "sandwich"): (
         _T_SPAN,

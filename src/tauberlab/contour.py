@@ -67,6 +67,7 @@ class QuadratureError(ArithmeticError):
 # ----------------------------------------------------------------------
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_DEPTH = 26  # panel halvings before a panel over budget is an error
 
 
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,21 +76,21 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-def adaptive_quad(fn, a: float, b: float, tol: float, *, order: int = 16,
-                  initial_panels: int = 1, max_depth: int = 26,
-                  piece: str = "integral"):
+def adaptive_quad(fn, a: float, b: float, tol: float, *,
+                  initial_panels: int = 1, piece: str = "integral"):
     """Adaptive composite Gauss-Legendre over a real parameter interval.
 
     fn maps a node array to (complex) integrand values.  Returns
     (integral, abs_integral, evals) where abs_integral accumulates
     int |fn| |du| over the accepted panels.  Panel error is the gap
-    between the order and 2*order rules; the tolerance budget is split
-    linearly in length.  Non-convergence raises QuadratureError.
+    between the 16- and 32-point rules; the tolerance budget is split
+    linearly in length.  A panel still more than 8 times over budget
+    after _MAX_DEPTH halvings raises QuadratureError.
     """
     if a == b:
         return 0j, 0.0, 0
-    xs_lo, ws_lo = _gl(order)
-    xs_hi, ws_hi = _gl(2 * order)
+    xs_lo, ws_lo = _gl(16)
+    xs_hi, ws_hi = _gl(32)
     total = abs(b - a)
     edges = np.linspace(a, b, max(1, initial_panels) + 1)
     stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
@@ -106,8 +107,8 @@ def adaptive_quad(fn, a: float, b: float, tol: float, *, order: int = 16,
         i_lo = half * np.sum(ws_lo * f_lo)
         err = abs(i_hi - i_lo)
         budget = max(tol * abs(hi - lo) / total, 1e-18)
-        if err <= budget or depth >= max_depth:
-            if depth >= max_depth and err > 8.0 * budget:
+        if err <= budget or depth >= _MAX_DEPTH:
+            if depth >= _MAX_DEPTH and err > 8.0 * budget:
                 raise QuadratureError(
                     f"{piece}: panel [{lo:g}, {hi:g}] error {err:.3e} vs budget "
                     f"{budget:.3e} at depth {depth}"

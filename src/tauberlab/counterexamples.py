@@ -108,20 +108,19 @@ class CounterexampleSpec:
 
     c1 is the window floor constant, (c2, rho) the off-window envelope;
     gamma/gamma_log carry the power-variant threshold schedule, gamma_exp
-    the fitted log-variant weight rate, e_factor the fitted log-variant
-    floor exponent.
+    the log-variant weight rate (None until fitted or set), e_factor the
+    fitted log-variant floor exponent.
     """
 
     def __init__(self, variant: str, alpha: float, p: float, blocks, c1, c2,
-                 rho, gamma=None, gamma_log=None, gamma_exp=None,
-                 e_factor=None):
+                 rho, gamma=None, gamma_log=None, e_factor=None):
         self.variant = variant
         self.alpha = float(alpha)
         self.p = float(p)
         self.blocks = list(blocks)
         self.c1, self.c2, self.rho = float(c1), float(c2), float(rho)
         self.gamma, self.gamma_log = gamma, gamma_log
-        self.gamma_exp = gamma_exp
+        self.gamma_exp = None
         self.e_factor = e_factor
 
     def __repr__(self):
@@ -187,7 +186,7 @@ def _log_floor_gap(n: int, lk: float, alpha: float, c1: float, c2: float,
     return floor - env - math.log(2.0)
 
 
-def select_k_sequence(variant: str, N: int, alpha: float, p: float,
+def select_k_sequence(variant: str, N: int, alpha: float,
                       gamma=None, gamma_log=None,
                       c1: float | None = None, c2: float | None = None,
                       rho: float | None = None, e_factor: float | None = None,
@@ -196,11 +195,11 @@ def select_k_sequence(variant: str, N: int, alpha: float, p: float,
 
     Growth demands k_n >= 3 k_{n-1} (k_1 >= 3).  The power variant also
     halves the schedule value 2^n gamma(k_n - sqrt(k_n))^{1/alpha} at each
-    step; the shift variant instead adds k_n >= (2 c2/c1)^p k_{n-1}.  The
-    log variant, given the fitted constants, demands the window floor beat
-    twice the contamination envelope throughout its own window -- the floor
-    shrinks like a stretched exponential while the envelope decays at the
-    full rate rho, so every rung has a first admissible order.
+    step.  The log variant, given the fitted constants, demands the window
+    floor beat twice the contamination envelope throughout its own window
+    -- the floor shrinks like a stretched exponential while the envelope
+    decays at the full rate rho, so every rung has a first admissible
+    order.  Any other variant is a ValueError.
     """
     if N < 1:
         raise ValueError("need at least one block")
@@ -211,10 +210,6 @@ def select_k_sequence(variant: str, N: int, alpha: float, p: float,
         if gamma is not None:
             _validate_gamma(gamma)
         glog = _as_gamma_log(gamma, gamma_log)
-    elif variant == "shift":
-        if not (c1 and c2):
-            raise ValueError("shift ladder needs the fitted block constants")
-        ratio_log = p * (math.log(2.0 * c2) - math.log(c1))
     elif variant == "log":
         if all(v is not None for v in (c1, c2, rho, e_factor, e_coeff)):
             def dominance(n: int, lk: float) -> float:
@@ -237,9 +232,7 @@ def select_k_sequence(variant: str, N: int, alpha: float, p: float,
             sep = math.log(2.0) + prev_log_k \
                 + math.log1p(math.exp(-0.5 * prev_log_k)) + 1e-9
             lo = max(lo, sep)
-        if variant == "shift" and prev_log_k is not None:
-            lo = max(lo, prev_log_k + ratio_log)
-        if variant != "power":
+        if variant == "log":
             log_k = lo
             if dominance is not None and dominance(n, log_k) < 0.0:
                 hi = log_k + 1.0
@@ -416,7 +409,7 @@ FLOOR_MARGIN = 1e-3   # threading margin between the swept floor and c1
 
 
 def _window_floor_log(variant: str, alpha: float, p: float,
-                      beta: float | None, log_k: float, points: int = 81) -> float:
+                      beta: float | None, log_k: float) -> float:
     """Endpoint-inclusive sweep of log |N| over the window [k +- sqrt(k)].
 
     The envelope reports mask the window strictly, so their constants miss
@@ -426,12 +419,12 @@ def _window_floor_log(variant: str, alpha: float, p: float,
     k = math.exp(log_k) if log_k < 690.0 else math.inf
     blk = _make_block(1, KSize(k, log_k), variant, alpha, p, 0.0, beta)
     return min(_block_log_abs_window(blk, u, "N")
-               for u in np.linspace(-1.0, 1.0, points))
+               for u in np.linspace(-1.0, 1.0, 81))
 
 
 def fit_block_constants(variant: str, alpha: float, p: float,
                         beta: float | None = None,
-                        k_fit=(16, 24, 40), seed: int = 7) -> dict:
+                        k_fit=(16, 24, 40)) -> dict:
     """Aggregate the envelope constants of the matched bump families.
 
     (c2, rho) come straight from the envelope reports: rho is the weakest
@@ -445,7 +438,7 @@ def fit_block_constants(variant: str, alpha: float, p: float,
     for k in k_fit:
         fam = build_family(variant, int(k), alpha, beta=beta) \
             if variant == "power" else build_family("log", int(k), alpha)
-        zs = default_z_samples(fam, n=8, seed=seed)
+        zs = default_z_samples(fam, n=8, seed=7)
         reports[int(k)] = verify_prop52(fam, z_samples=zs)
     by_name = {k: {r.name: r for r in reps} for k, reps in reports.items()}
     if variant == "power":
@@ -481,25 +474,27 @@ def fit_block_constants(variant: str, alpha: float, p: float,
 # ----------------------------------------------------------------------
 
 def build_counterexample(variant: str, alpha: float, p: float, N: int,
-                         gamma=None, gamma_log=None, k_seq=None,
-                         k_fit=None, gamma_exp: float | None = None) -> CounterexampleSpec:
-    """Select the ladder, fit the envelope constants, and wire the blocks."""
+                         gamma=None, gamma_log=None,
+                         k_seq=None) -> CounterexampleSpec:
+    """Select the ladder, fit the envelope constants, and wire the blocks.
+
+    variant is "power" (ladder from the threshold schedule gamma or its
+    log companion gamma_log) or "log" (ladder from the fitted envelope
+    constants); any other variant is a ValueError.  k_seq replaces the
+    selected ladder.  The constants are fitted at the orders (3, 16, 24,
+    40) for power and (3, 9, 27) for a log train given its k_seq; a
+    selected log ladder is refitted at its own orders.  The log-variant
+    weight rate gamma_exp is left unset.
+    """
     if variant == "power":
-        e_coeff = 1.0 / (2.0 * p)
         beta = alpha / 2.0 + alpha / (4.0 * p)
     elif variant == "log":
-        e_coeff = 1.0 / (2.0 * p)
         beta = None
-    elif variant == "shift":
-        e_coeff = 1.0 / p + 0.25
-        beta = alpha / 2.0 + alpha / (2.0 * p)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    e_coeff = 1.0 / (2.0 * p)
 
     fit = None
-    if variant == "shift":  # the shift selection rule consumes (c1, c2)
-        fit = fit_block_constants("power", alpha, p, beta=beta,
-                                  k_fit=k_fit or (16, 24, 40))
     if variant == "log" and k_seq is None:
         # select with provisionally fitted constants, refit at the selected
         # orders, and keep going until the refit still clears the dominance
@@ -507,10 +502,10 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
         const = fit_block_constants("log", alpha, p, k_fit=(3, 9, 27))
         for _ in range(4):
             sizes = select_k_sequence(
-                "log", N, alpha, p, c1=const["c1"], c2=const["c2"],
+                "log", N, alpha, c1=const["c1"], c2=const["c2"],
                 rho=const["rho"], e_factor=const["e_factor"], e_coeff=e_coeff)
             desk = tuple(int(round(s.k)) for s in sizes)
-            fit = fit_block_constants("log", alpha, p, k_fit=k_fit or desk)
+            fit = fit_block_constants("log", alpha, p, k_fit=desk)
             if all(_log_floor_gap(sz_n, sz.log_k, alpha, fit["c1"], fit["c2"],
                                   fit["rho"], fit["e_factor"], e_coeff) >= 0.0
                    for sz_n, sz in enumerate(sizes, start=1)):
@@ -520,28 +515,24 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
             raise ArithmeticError(
                 "log ladder failed to stabilise against the refitted envelope")
     elif k_seq is None:
-        sizes = select_k_sequence(variant, N, alpha, p, gamma=gamma,
-                                  gamma_log=gamma_log,
-                                  c1=fit["c1"] if fit else None,
-                                  c2=fit["c2"] if fit else None)
+        sizes = select_k_sequence(variant, N, alpha, gamma=gamma,
+                                  gamma_log=gamma_log)
     else:
         sizes = [KSize(float(k), math.log(float(k))) for k in k_seq]
     _check_ladder_invariants(variant, sizes, alpha, gamma, gamma_log)
     if fit is None:
         if variant == "power":
             fit = fit_block_constants("power", alpha, p, beta=beta,
-                                      k_fit=k_fit or (3, 16, 24, 40))
+                                      k_fit=(3, 16, 24, 40))
         else:
-            fit = fit_block_constants("log", alpha, p,
-                                      k_fit=k_fit or (3, 9, 27))
+            fit = fit_block_constants("log", alpha, p, k_fit=(3, 9, 27))
 
-    blocks = [_make_block(n + 1, sz, "log" if variant == "log" else "power",
-                          alpha, p, e_coeff, beta)
+    blocks = [_make_block(n + 1, sz, variant, alpha, p, e_coeff, beta)
               for n, sz in enumerate(sizes)]
     return CounterexampleSpec(
         variant, alpha, p, blocks, fit["c1"], fit["c2"], fit["rho"],
         gamma=gamma, gamma_log=_as_gamma_log(gamma, gamma_log) if (gamma or gamma_log) else None,
-        gamma_exp=gamma_exp, e_factor=fit["e_factor"],
+        e_factor=fit["e_factor"],
     )
 
 
@@ -661,7 +652,7 @@ def _weight_log(spec: CounterexampleSpec, log_t: float) -> float:
     return (spec.p / spec.alpha) * (log_t - spec.gamma_log(log_t) - loglog)
 
 
-def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
+def divergence_scan(spec: CounterexampleSpec, nodes: int = 24,
                     require_increasing: bool = True) -> list[WindowReport]:
     """Weighted window contributions along the train.
 
@@ -678,7 +669,6 @@ def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
-    wlog = weight_log or (lambda lt: _weight_log(spec, lt))
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     reports: list[WindowReport] = []
     for b in spec.blocks:
@@ -700,7 +690,7 @@ def divergence_scan(spec: CounterexampleSpec, weight_log=None, nodes: int = 24,
             for e in env
         ])
         ok = bool(np.all(g_log >= floor))
-        w_vals = np.array([wlog(lt) for lt in log_ts])
+        w_vals = np.array([_weight_log(spec, lt) for lt in log_ts])
         inte = np.array([
             spec.p * _log_sub(g, e) + w + math.log(gw) + 0.5 * b.log_k
             for g, e, w, gw in zip(g_log, env, w_vals, ws)
@@ -746,13 +736,13 @@ def _abs_g_desk(spec: CounterexampleSpec, t: float) -> float:
     return abs(total)
 
 
-def fit_log_weight_exponent(spec: CounterexampleSpec, start: float = 1.0) -> float:
-    """Double the stretched-exponential weight rate until the window
-    contributions increase strictly; cap at 4p + 1."""
+def fit_log_weight_exponent(spec: CounterexampleSpec) -> float:
+    """Double the stretched-exponential weight rate, from 1, until the
+    window contributions increase strictly; cap at 4p + 1."""
     if spec.variant != "log":
         raise ValueError("only the log variant fits its weight exponent")
     cap = 4.0 * spec.p + 1.0
-    g = start
+    g = 1.0
     while True:
         spec.gamma_exp = min(g, cap)
         try:

@@ -147,9 +147,10 @@ class DampedWaveSystem:
         return float(self.h * np.sum(self.a * np.abs(v) ** 2))
 
 
-def localized_bump_damping(n: int, lo: float = 0.35, hi: float = 0.65,
-                           height: float = 1.0, L: float = 1.0) -> np.ndarray:
-    """Smooth raised-cosine damping supported on [lo, hi] (fractions of L)."""
+def localized_bump_damping(n: int, height: float = 1.0) -> np.ndarray:
+    """Smooth raised-cosine damping on the n interior grid points, supported
+    on (0.35, 0.65) as fractions of the string length."""
+    lo, hi = 0.35, 0.65
     x = np.arange(1, n + 1) / (n + 1)
     a = np.zeros(n)
     inside = (x > lo) & (x < hi)
@@ -355,16 +356,15 @@ def _damping_sqrt_operator(sys: DampedWaveSystem) -> tuple[np.ndarray, float]:
 
 
 def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
-                         k_scale: float = 0.25, T0: float = 4.0,
                          ladder: int = 6) -> list[FitReport]:
     """Doubling-ladder evidence that the two weighted integrals converge.
 
         int ||B T(t) G^{-1} x||_E^2 w(t)^2 dt   and   int |dE/dt| w(t)^2 dt
 
-    with w the log-corrected inverse weight of M at slope k_scale.  The
-    ladder integrates each rung [0, T0], [T0, 2 T0], ..., [T0 2^(ladder-1),
-    T0 2^ladder] by one orbit sweep of 24 Gauss-Legendre panels, and
-    reports.ladder_report judges the rung increments.
+    with w(t) = w_m_log(M, t/4), the log-corrected inverse weight of M at
+    slope 1/4.  The ladder integrates each rung [0, 4], [4, 8], ...,
+    [4 2^(ladder-1), 4 2^ladder] by one orbit sweep of 24 Gauss-Legendre
+    panels, and reports.ladder_report judges the rung increments.
     """
     if ladder < LADDER_MIN_RATIOS:
         raise ValueError(f"weighted_decay_suite needs ladder >= {LADDER_MIN_RATIOS} "
@@ -384,7 +384,7 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
         notes="B^2 vs -(G+G*) in the energy frame",
     )]
 
-    edges = np.concatenate([[0.0], T0 * 2.0 ** np.arange(ladder + 1)])
+    edges = np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(ladder + 1)])
     panels = 24
     block = np.column_stack([ginv_x, xh]).astype(float)
     inc_b, inc_e = [], []
@@ -397,7 +397,7 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
             states.extend(at_nodes)
         weights = np.concatenate(weights)
         states = np.stack(states, axis=-1)
-        w2 = np.array([w_m_log(M, k_scale * t) for t in np.concatenate(nodes)]) ** 2
+        w2 = np.array([w_m_log(M, 0.25 * t) for t in np.concatenate(nodes)]) ** 2
         f_b = np.sum((b_hat @ states[:, 0, :]) ** 2, axis=0) * w2
         phys = sla.solve_triangular(sys.chol.T, states[:, 1, :], lower=False)
         phys = phys if sys.basis is None else sys.basis @ phys
@@ -526,19 +526,19 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
 # ----------------------------------------------------------------------
 
 def _orbit_sweep(ghat: np.ndarray, v0: np.ndarray, width: float, panels: int,
-                 t0: float = 0.0, order: int = 8):
-    """Walk t -> e^{tG} v0 over uniform Gauss-Legendre panels from t0.
+                 t0: float = 0.0):
+    """Walk t -> e^{tG} v0 over uniform 8-point Gauss-Legendre panels from t0.
 
     Builds the node-offset steps and the panel step once, so the sweep
-    costs order + 1 matrix exponentials however many panels it walks, and
+    costs 9 matrix exponentials however many panels it walks, and
     keeps one running state so memory is O(size of v0).  The offset steps
-    are stacked into one (order * d, d) array and both are cast once to the
+    are stacked into one (8 d, d) array and both are cast once to the
     orbit's dtype, so a panel is one product for all nodes plus one for the
     panel step, with no per-product real-to-complex cast.  Yields, panel by
     panel, (nodes, weights, states at the nodes, state at the panel end);
-    the node states are views of one (order, *v0.shape) array.
+    the node states are views of one (8, *v0.shape) array.
     """
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = np.polynomial.legendre.leggauss(8)
     offs = 0.5 * width * (xs + 1.0)
     wq = 0.5 * width * ws
     dtype = np.result_type(ghat, v0)
@@ -546,7 +546,7 @@ def _orbit_sweep(ghat: np.ndarray, v0: np.ndarray, width: float, panels: int,
     phi_panel = sla.expm(ghat * width).astype(dtype, copy=False)
     cur = v0
     for _ in range(panels):
-        at_nodes = (phi_off @ cur).reshape(order, *cur.shape)
+        at_nodes = (phi_off @ cur).reshape(xs.size, *cur.shape)
         cur = phi_panel @ cur
         yield t0 + offs, wq, at_nodes, cur
         t0 += width
@@ -572,15 +572,15 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
 
 
 def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
-                           lambda_samples, t_grid=None, p=(1.0, 2.0, math.inf),
-                           T: float = 80.0) -> dict:
+                           lambda_samples, t_grid=None, T: float = 80.0) -> dict:
     """Cutoff family transform identity plus the Minkowski norm bound.
 
     With F(t) = T1 T(t) A R(omega, A) T2 x and G(lam) = T1 R(lam, A) T2 x:
 
         Fhat(lam) = lam/(omega-lam) G(lam) - omega/(omega-lam) T1 R(omega,A) T2 x
 
-    is checked by quadrature at each sample; and on the discrete grid
+    is checked by quadrature at each sample; and on the discrete grid, for
+    p = 1, 2 and inf,
 
         || T1 T(.) R(omega,A) T2 x ||_p <= omega^{-1} || T1 T(.) T2 x ||_p.
 
@@ -621,10 +621,10 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     series_r = _norm_series(sys, ghat, t1_hat, base, t_grid)
     series_d = _norm_series(sys, ghat, t1_hat, t2x, t_grid)
     mink = {}
-    for pp in np.atleast_1d(p):
+    for pp in (1.0, 2.0, math.inf):
         lhs = _grid_lp(t_grid, series_r, pp)
         rhs = _grid_lp(t_grid, series_d, pp) / omega
-        mink[float(pp)] = (lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6)))
+        mink[pp] = (lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6)))
 
     return {
         "identity_residuals": np.array(resids),

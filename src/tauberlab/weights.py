@@ -40,6 +40,7 @@ __all__ = [
 
 RATE_FLOOR = 2.0  # all families are clamped at this level from below
 GROWTH_FIT_PAD = 1e-3  # coarse-fit allowance for peaks between samples
+_INVERSE_TOL = 1e-10  # m_log_inverse returns s with |M_log(s) - t| <= this
 
 
 class RateFunction:
@@ -151,18 +152,16 @@ def m_log_eval(M: RateFunction, s: float) -> float:
     return m * (math.log1p(m) + math.log1p(s))
 
 
-def m_log_inverse(M: RateFunction, t: float, tol: float = 1e-10) -> float:
+def m_log_inverse(M: RateFunction, t: float) -> float:
     """Solve M_log(s) = t by bracket doubling + bisection.
 
-    Returns s with |M_log(s) - t| <= tol.  M_log is strictly increasing
+    Returns s with |M_log(s) - t| <= 1e-10.  M_log is strictly increasing
     (the log(1+s) factor grows even where M is clamped flat), so the root
     is unique.
     """
     t = float(t)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     floor = m_log_eval(M, 0.0)
-    if t < floor - tol:
+    if t < floor - _INVERSE_TOL:
         raise ValueError(f"m_log_inverse: t={t:g} below M_log(0)={floor:g}")
     if t <= floor:
         return 0.0
@@ -173,11 +172,11 @@ def m_log_inverse(M: RateFunction, t: float, tol: float = 1e-10) -> float:
         lo, hi = hi, hi * 2.0
     else:
         raise ValueError(f"m_log_inverse: no bracket below s={hi:g} for t={t:g}")
-    # bisect on the residual, not the interval: the contract is a value tol
+    # bisect on the residual, not the interval: the tolerance is on the value
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         val = m_log_eval(M, mid)
-        if abs(val - t) <= tol:
+        if abs(val - t) <= _INVERSE_TOL:
             return mid
         if val < t:
             lo = mid
@@ -188,7 +187,7 @@ def m_log_inverse(M: RateFunction, t: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def w_m_log(M: RateFunction, t: float, tol: float = 1e-10) -> float:
+def w_m_log(M: RateFunction, t: float) -> float:
     """w(t) = 1 for t <= M_log(1), else M_log^{-1}(t).
 
     Continuous at the junction since M_log^{-1}(M_log(1)) = 1.
@@ -198,7 +197,7 @@ def w_m_log(M: RateFunction, t: float, tol: float = 1e-10) -> float:
         raise ValueError(f"w_m_log needs t >= 0, got {t}")
     if t <= m_log_eval(M, 1.0):
         return 1.0
-    return m_log_inverse(M, t, tol)
+    return m_log_inverse(M, t)
 
 
 def omega_m_contains(M: RateFunction, lam: complex) -> bool:

@@ -140,6 +140,7 @@ RULE_BREAKERS = {
     ("contour", "reconstruct", ("t-max", "t-min")): {"t-max": "0.5"},
     ("contour", "reconstruct", ("points", "mode")): {"mode": "adaptive",
                                                      "points": "1"},
+    ("wave", "energy", ("mode", "n")): {"n": "20", "mode": "21"},
     ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
     ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
 }
@@ -406,6 +407,7 @@ class TestListSuites:
         reports.append(semigroup.c0_example_suite([1.0, 0.5])[1])
         reports.append(weights.weighted_tail_convergence(
             weights.ConstantRate(2.0), 1.0, 2.0)[0])
+        reports.append(weights.check_growth_bounds(weights.ConstantRate(2.0)))
         emitted = {rep.name for rep in reports}
         verdict_keys = set(cli.HANDLERS[("contour", "kernel")](
             {"t-max": 10.0, "points": 3}).passed)

@@ -86,9 +86,12 @@ class TestSelection:
             cx.build_counterexample("power", 2, 2, 3, gamma=gamma,
                                     k_seq=(10, 30, 90))
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            cx.build_counterexample("cubic", 2, 2, 2)
+    @pytest.mark.parametrize("variant", ["cubic", "shift"])
+    def test_unknown_variant_rejected(self, variant):
+        with pytest.raises(ValueError, match="unknown variant"):
+            cx.build_counterexample(variant, 2, 2, 2)
+        with pytest.raises(ValueError, match="unknown variant"):
+            cx.select_k_sequence(variant, 2, 2.0)
 
 
 class TestFittedConstants:
