@@ -935,38 +935,31 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
         z_samples = default_z_samples(fam)
     t = np.asarray(t_grid, dtype=float)
     zs = np.asarray(z_samples, dtype=complex)
-    k = fam.k
-    grid_desc = f"k={k}: {t.size} t-pts on [0,{t.max():g}], {zs.size} z-samples"
+    grid_desc = f"k={fam.k}: {t.size} t-pts on [0,{t.max():g}], {zs.size} z-samples"
 
     if ln_log is None:
         ln_log = (laplace_L_log(fam, t), primitive_N_log(fam, t))
     abs_l, abs_n = (np.abs(to_complex(*pair)) for pair in ln_log)
     abs_g = np.abs(green_G(fam, t, zs)).reshape(zs.size, t.size)
 
-    if fam.variant == "power":
-        return _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc)
-    return _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc)
+    verify = _verify_power if fam.variant == "power" else _verify_log
+    return verify(fam, t, zs, abs_l, abs_n, abs_g, grid_desc) \
+        + [_primitive_envelope(fam, t, abs_n, grid_desc)]
 
 
 def _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
     k = fam.k
     in_window = np.abs(t - k) < k / 2.0
-    off = ~in_window & (t > 0)
     scale = (math.log(k) / k) ** (1.0 / fam.alpha)
-
-    def gauss(rho):
-        return np.exp(-rho * (t - k) ** 2 / k)
-
     # X3: |L| <= C 1_{|t-k|<k/2} e^{-rho (t-k)^2/k} + e^{-rho t}
-    c3, rho3, env3 = box_tail_fit(abs_l, t, in_window, off, gauss)
+    c3, rho3, env3 = box_tail_fit(abs_l, t, in_window, ~in_window & (t > 0),
+                                  lambda rho: np.exp(-rho * (t - k) ** 2 / k))
     # XQ4: |G| <= C 1_{t<=2k} (|Im z|^beta 1_{|z-w|<2} + 1) + e^{-rho t}
     tail_t = t > 2.0 * k
     near = np.abs(zs - fam.base) < 2.0
     shape_z = np.where(near, np.abs(zs.imag) ** fam.beta, 0.0) + 1.0
     c4, rho4, env4 = box_tail_fit(abs_g, t, ~tail_t, tail_t,
                                   lambda rho: shape_z[:, None])
-    # X6: |N| <= C (log k/k)^(1/alpha) e^{-rho (t-k)^2/k} 1_{|t-k|<k/2} + e^{-rho t}
-    c6, rho6, env6 = box_tail_fit(abs_n, t, in_window, off, gauss, scale)
     return [
         upper_report("X3", {"C": c3, "rho": rho3}, env3, abs_l, grid_desc,
                      "time-profile bump envelope"),
@@ -975,8 +968,6 @@ def _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
         # X5: |N| >= c (log k / k)^(1/alpha) on (t-k)^2 < k
         floor_report("X5", abs_n[(t - k) ** 2 < k], scale, grid_desc,
                      "primitive floor on the sqrt(k)-window"),
-        upper_report("X6", {"C": c6, "rho": rho6}, env6, abs_n, grid_desc,
-                     "primitive bump envelope"),
     ]
 
 
@@ -1018,10 +1009,22 @@ def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
         notes="window floor; exponent factor fitted (reference value 4)",
     ))
 
-    # Y4: |N| <= C e^{-rho t} off the half-width window
-    off = (np.abs(t - k) > k / 2.0) & pos
-    c4, rho4 = tail_fit(abs_n[off], t[off])
-    reports.append(upper_report(
-        "Y4", {"C": c4, "rho": rho4}, c4 * np.exp(-rho4 * t[off]), abs_n[off],
-        grid_desc, "primitive tail decay off the window"))
     return reports
+
+
+def _primitive_envelope(fam, t, abs_n, grid_desc):
+    """The |N| upper envelope, X6 (power) or Y4 (log): all a ladder fit reads."""
+    k = fam.k
+    if fam.variant == "log":
+        # Y4: |N| <= C e^{-rho t} off the half-width window
+        off = (np.abs(t - k) > k / 2.0) & (t > 0)
+        c, rho = tail_fit(abs_n[off], t[off])
+        return upper_report("Y4", {"C": c, "rho": rho}, c * np.exp(-rho * t[off]),
+                            abs_n[off], grid_desc, "primitive tail decay off the window")
+    # X6: |N| <= C (log k/k)^(1/alpha) e^{-rho (t-k)^2/k} 1_{|t-k|<k/2} + e^{-rho t}
+    win = np.abs(t - k) < k / 2.0
+    c, rho, env = box_tail_fit(abs_n, t, win, ~win & (t > 0),
+                               lambda rho: np.exp(-rho * (t - k) ** 2 / k),
+                               (math.log(k) / k) ** (1.0 / fam.alpha))
+    return upper_report("X6", {"C": c, "rho": rho}, env, abs_n, grid_desc,
+                        "primitive bump envelope")

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomFamily, build_family, laplace_L_log, primitive_N_log, \
-    green_G, default_z_samples, verify_prop52
+from .atoms import AtomFamily, _primitive_envelope, build_family, default_t_grid, \
+    default_z_samples, green_G, laplace_L_log, primitive_N_log
 from .contour import adaptive_quad
 from .logspace import to_complex
 from .reports import FIT_PAD, FitReport, fit_rate, floor_report, upper_report
@@ -304,7 +304,7 @@ def _power_log_height(alpha: float, gamma_atom: float, log_k: float) -> float:
     return x
 
 
-def _make_block(n: int, size: KSize, variant: str, alpha: float, p: float,
+def _make_block(n: int, size: KSize, variant: str, alpha: float,
                 e_coeff: float, beta: float | None) -> Block:
     coeff_log = -n * math.log(2.0) - e_coeff * size.log_k
     if variant == "log":
@@ -408,8 +408,8 @@ def _block_log_abs_at(block: Block, t: float, which: str = "N") -> float:
 FLOOR_MARGIN = 1e-3   # threading margin between the swept floor and c1
 
 
-def _window_floor_log(variant: str, alpha: float, p: float,
-                      beta: float | None, log_k: float) -> float:
+def _window_floor_log(variant: str, alpha: float, beta: float | None,
+                      log_k: float) -> float:
     """Endpoint-inclusive sweep of log |N| over the window [k +- sqrt(k)].
 
     The envelope reports mask the window strictly, so their constants miss
@@ -417,53 +417,51 @@ def _window_floor_log(variant: str, alpha: float, p: float,
     window, which dominates every interior quadrature node.
     """
     k = math.exp(log_k) if log_k < 690.0 else math.inf
-    blk = _make_block(1, KSize(k, log_k), variant, alpha, p, 0.0, beta)
+    blk = _make_block(1, KSize(k, log_k), variant, alpha, 0.0, beta)
     return min(_block_log_abs_window(blk, u, "N")
                for u in np.linspace(-1.0, 1.0, 81))
 
 
-def fit_block_constants(variant: str, alpha: float, p: float,
-                        beta: float | None = None,
+def fit_block_constants(variant: str, alpha: float, beta: float | None = None,
                         k_fit=(16, 24, 40)) -> dict:
-    """Aggregate the envelope constants of the matched bump families.
+    """Aggregate the envelope constants of the matched bump families from N alone.
 
-    (c2, rho) come straight from the envelope reports: rho is the weakest
-    fitted tail rate and c2 the off-window coefficient (exactly 1 for the
-    power shape, the fitted tail constant for the log shape).  The floor
-    constant c1 instead comes from a closed-window sweep over the fit
-    ladder -- extended, for the power variant, by fused-scale probes that
-    capture the large-order drift -- times the threading margin.
+    reports[k] is [the |N| envelope report of verify_prop52 at order k] (X6
+    for power, Y4 for log) on the default t grid: rho is its weakest tail
+    rate and c2 its off-window coefficient (exactly 1 for the power shape).
+    The floor c1 comes from a closed-window |N| sweep over the fit ladder --
+    extended, for power, by fused-scale probes that capture the large-order
+    drift -- times the threading margin.  No L, G or z sample is evaluated.
     """
     reports: dict[int, list[FitReport]] = {}
     for k in k_fit:
-        fam = build_family(variant, int(k), alpha, beta=beta) \
-            if variant == "power" else build_family("log", int(k), alpha)
-        zs = default_z_samples(fam, n=8, seed=7)
-        reports[int(k)] = verify_prop52(fam, z_samples=zs)
-    by_name = {k: {r.name: r for r in reps} for k, reps in reports.items()}
+        fam = build_family(variant, int(k), alpha, beta=beta)
+        t = default_t_grid(fam)
+        abs_n = np.abs(to_complex(*primitive_N_log(fam, t)))
+        reports[int(k)] = [_primitive_envelope(
+            fam, t, abs_n, f"k={fam.k}: {t.size} t-pts on [0,{t.max():g}]")]
+    rho = min(reps[0].constants["rho"] for reps in reports.values())
     if variant == "power":
         probe_logs = [math.log(float(k)) for k in k_fit] + [
             math.log(1e5), math.log(1e8), 300.0]
         floor = min(
-            _window_floor_log(variant, alpha, p, beta, lk)
+            _window_floor_log(variant, alpha, beta, lk)
             - (math.log(lk) - lk) / alpha
             for lk in probe_logs
         )
-        rho = min(by_name[k]["X6"].constants["rho"] for k in by_name)
         out = {"c1": math.exp(floor) * (1.0 - FLOOR_MARGIN), "c2": 1.0,
                "rho": rho, "e_factor": None}
     else:
         # joint floor c1 e^{-E k^str}: E from the extreme orders, c1 minimal
         str_exp = 1.0 / (alpha + 1.0)
-        ks = sorted(by_name)
+        ks = sorted(reports)
         x = np.array([k ** str_exp for k in ks])
-        y = np.array([_window_floor_log(variant, alpha, p, None, math.log(k))
+        y = np.array([_window_floor_log(variant, alpha, None, math.log(k))
                       for k in ks])
         e_fit = float((y[0] - y[-1]) / (x[-1] - x[0]))
         c1 = min(math.exp(y[i] + e_fit * x[i]) for i in range(len(ks)))
         c1 *= (1.0 - FLOOR_MARGIN)
-        rho = min(by_name[k]["Y4"].constants["rho"] for k in ks)
-        c2 = max(by_name[k]["Y4"].constants["C"] for k in ks) * FIT_PAD
+        c2 = max(reports[k][0].constants["C"] for k in ks) * FIT_PAD
         out = {"c1": c1, "c2": c2, "rho": rho, "e_factor": e_fit}
     out["reports"] = reports
     return out
@@ -499,13 +497,13 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
         # select with provisionally fitted constants, refit at the selected
         # orders, and keep going until the refit still clears the dominance
         # margin everywhere (the factor-2 cushion absorbs the drift)
-        const = fit_block_constants("log", alpha, p, k_fit=(3, 9, 27))
+        const = fit_block_constants("log", alpha, k_fit=(3, 9, 27))
         for _ in range(4):
             sizes = select_k_sequence(
                 "log", N, alpha, c1=const["c1"], c2=const["c2"],
                 rho=const["rho"], e_factor=const["e_factor"], e_coeff=e_coeff)
             desk = tuple(int(round(s.k)) for s in sizes)
-            fit = fit_block_constants("log", alpha, p, k_fit=desk)
+            fit = fit_block_constants("log", alpha, k_fit=desk)
             if all(_log_floor_gap(sz_n, sz.log_k, alpha, fit["c1"], fit["c2"],
                                   fit["rho"], fit["e_factor"], e_coeff) >= 0.0
                    for sz_n, sz in enumerate(sizes, start=1)):
@@ -521,13 +519,10 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
         sizes = [KSize(float(k), math.log(float(k))) for k in k_seq]
     _check_ladder_invariants(variant, sizes, alpha, gamma, gamma_log)
     if fit is None:
-        if variant == "power":
-            fit = fit_block_constants("power", alpha, p, beta=beta,
-                                      k_fit=(3, 16, 24, 40))
-        else:
-            fit = fit_block_constants("log", alpha, p, k_fit=(3, 9, 27))
+        fit = fit_block_constants(variant, alpha, beta=beta, k_fit=(
+            (3, 16, 24, 40) if variant == "power" else (3, 9, 27)))
 
-    blocks = [_make_block(n + 1, sz, variant, alpha, p, e_coeff, beta)
+    blocks = [_make_block(n + 1, sz, variant, alpha, e_coeff, beta)
               for n, sz in enumerate(sizes)]
     return CounterexampleSpec(
         variant, alpha, p, blocks, fit["c1"], fit["c2"], fit["rho"],

@@ -120,9 +120,9 @@ class DampedWaveSystem:
 
     # -- energy geometry -------------------------------------------------
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x in the working space (identity for Dirichlet)."""
+        """Working-space coordinates of x - P0 x (P0 is oblique); x for Dirichlet."""
         x = np.asarray(x)
-        return x if self.basis is None else self.basis.T @ x
+        return x if self.basis is None else self.basis.T @ (x - self.P0 @ x)
 
     def to_hat(self, x: np.ndarray) -> np.ndarray:
         return self.chol.T @ self.reduce(x)

@@ -462,6 +462,14 @@ class TestWaveEnergy:
         assert len(calls) <= len(rows) + 1
         assert all(res.passed.values())
 
+    def test_periodic_energy_identity_holds(self, tmp_path):
+        code = cli.main(["wave", "energy", "--n", "20", "--bc", "periodic",
+                         "--t-max", "1", "--out-dir", str(tmp_path)])
+        assert code == 0
+        summary = read_summary(tmp_path / "wave-energy-summary.json")
+        assert summary["passed"] == {"derivative_identity": True,
+                                     "nonincreasing": True}
+
 
 class TestAdaptiveContour:
     def test_piece_fit_reuses_the_rows_contours(self, tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 import tauberlab.counterexamples as cx
-from tauberlab.atoms import verify_prop52
+from tauberlab import atoms
+from tauberlab.atoms import build_family, default_z_samples, verify_prop52
 
 LADDER_TOL = 1e-6
 SUM_TOL = 1e-12
@@ -105,10 +106,32 @@ class TestFittedConstants:
             assert spec.c1 > 0 and spec.c2 > 0 and spec.rho > 0
 
     def test_fit_reports_all_pass(self):
-        fit = cx.fit_block_constants("power", 2, 2, beta=2.5, k_fit=(3, 16))
+        fit = cx.fit_block_constants("power", 2, beta=2.5, k_fit=(3, 16))
         assert fit["c1"] > 0 and fit["rho"] > 0
-        for reports in fit["reports"].values():
-            assert all(r.passed for r in reports)
+        for k, reports in fit["reports"].items():
+            assert [r.name for r in reports] == ["X6"] and reports[0].passed
+            # the families the fit reads must satisfy all of Prop 5.2
+            fam = build_family("power", k, 2, beta=2.5)
+            full = verify_prop52(fam, z_samples=default_z_samples(fam, n=8, seed=7))
+            assert all(r.passed for r in full)
+
+    def test_fit_evaluates_no_transform_or_z_sample(self, monkeypatch):
+        # the constants read only the |N| envelope and window floors, so
+        # the fit must never pay for L, G or the z samples that G needs
+        calls = []
+
+        def no_work(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called by the ladder fit")
+            return record
+
+        for name in ("green_G", "laplace_L_log", "default_z_samples"):
+            monkeypatch.setattr(cx, name, no_work(name))
+            monkeypatch.setattr(atoms, name, no_work(name))
+        cx.fit_block_constants("log", 1, k_fit=(3, 9, 27))
+        cx.fit_block_constants("power", 2, beta=2.5, k_fit=(3, 16))
+        assert calls == []
 
 
 class TestTrainSums:

@@ -176,6 +176,15 @@ class TestEvolution:
         assert np.all(np.diff(E) <= 1e-12 * E0)
         assert energy_derivative_check(traj) <= 1e-6 * E0
 
+    def test_periodic_round_trip_returns_the_initial_state(self):
+        # P0 is an oblique projector, so the working-space coordinates must be
+        # taken of x0 - P0 x0 for evolve's back-transform to give x0 at t = 0
+        n = 20
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc="periodic")
+        x0 = np.random.default_rng(5).standard_normal(2 * n)
+        traj = evolve(sys, x0, np.linspace(0.0, 1.0, 11))
+        np.testing.assert_allclose(traj.states[:, 0], x0, rtol=0, atol=1e-12)
+
     def test_undamped_residual_is_differentiation_noise(self):
         n = 40
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
