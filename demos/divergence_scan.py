@@ -30,9 +30,8 @@ def show(scan):
 
 def main():
     print("power variant: alpha=2, p=2, gamma(t) = 1/log(2+t), 4 blocks")
-    gamma, gamma_log = cx.inverse_log_weight()
     spec = cx.build_counterexample("power", 2, 2, 4,
-                                   gamma=gamma, gamma_log=gamma_log)
+                                   gamma_log=cx.inverse_log_weight)
     print(f"  selected log-orders: "
           f"{[round(b.log_k, 4) for b in spec.blocks]}")
     print(f"  fitted envelope constants: c1={spec.c1:.6f} "

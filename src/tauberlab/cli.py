@@ -245,10 +245,14 @@ RULES: dict[tuple, tuple] = {
          "key 'points' ({0}) must exceed 1 when key 'mode' is {1!r}"),
     ),
     ("wave", "energy"): (
-        # the initial state samples sin(mode pi j/(n+1)), j = 1..n, which
-        # vanishes at every grid point when n + 1 divides the mode
-        (("mode", "n"), lambda mode, n: mode % (n + 1) != 0,
-         "key 'mode' ({0}) must not be a multiple of key 'n' ({1}) + 1"),
+        # the initial state samples sin(mode pi j/(n+1)) (dirichlet) or
+        # sin(2 pi mode j/n) (periodic), j = 1..n; it vanishes at every grid
+        # point when n + 1 divides the mode, or n divides twice the mode
+        (("mode", "n", "bc"),
+         lambda mode, n, bc: (2 * mode % n if bc == "periodic"
+                              else mode % (n + 1)) != 0,
+         "key 'mode' ({0}) puts every point of key 'n' ({1}) on a zero of "
+         "the initial sine under key 'bc' {2!r}"),
     ),
     ("wave", "sandwich"): (
         _T_SPAN,
@@ -638,8 +642,13 @@ def _h_wave_energy(params) -> RunResult:
     n = params["n"]
     sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n),
                                    bc=params["bc"])
-    x = np.arange(1, n + 1) / (n + 1)
-    x0 = np.concatenate([np.sin(params["mode"] * math.pi * x), np.zeros(n)])
+    if params["bc"] == "periodic":
+        # whole periods over the n points: the periodic extension is smooth,
+        # where sin(mode pi x) would kink at the seam
+        u0 = np.sin(2.0 * math.pi * params["mode"] * np.arange(1, n + 1) / n)
+    else:
+        u0 = np.sin(params["mode"] * math.pi * (np.arange(1, n + 1) / (n + 1)))
+    x0 = np.concatenate([u0, np.zeros(n)])
     steps = int(round(params["t-max"] / params["dt"]))
     t = np.linspace(0.0, params["t-max"], steps + 1)
     traj = sg.evolve(sys_, x0, t, tol=params["tol"])
@@ -734,10 +743,9 @@ def _h_cx_scan(params) -> RunResult:
     from tauberlab import counterexamples as cx
 
     if params["variant"] == "power":
-        gamma, gamma_log = cx.inverse_log_weight()
         spec = cx.build_counterexample("power", params["alpha"], params["p"],
-                                       params["blocks"], gamma=gamma,
-                                       gamma_log=gamma_log)
+                                       params["blocks"],
+                                       gamma_log=cx.inverse_log_weight)
     else:
         spec = cx.build_counterexample("log", params["alpha"], params["p"],
                                        params["blocks"])

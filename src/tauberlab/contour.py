@@ -167,13 +167,6 @@ class StepFunction:
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.edges, x, side="right") - 1
-        inside = (idx >= 0) & (idx < self.values.size)
-        out = np.where(inside, self.values[np.clip(idx, 0, self.values.size - 1)], 0.0)
-        return out if out.ndim else float(out)
-
 
 def step_lp_norm(h: StepFunction, p) -> float:
     if p == math.inf or p == "inf":
@@ -203,21 +196,19 @@ def poisson_convolve(h: StepFunction, y: float, x):
 
 @dataclass
 class TransformPair:
-    """Time function f (vectorized), its transform fhat, and metadata.
+    """Time function f (vectorized), its transform fhat, fhat(0) and the tail.
 
     fhat and tail take a 1-d array of z and return one value per z, so a
-    contour asks for a whole node batch in one call.  tail(t, z), when
-    supplied, must equal e^{zt} (fhat(z) - fhat_t(z)) in closed form -- the
-    one combination the right arc needs that cannot be assembled stably
-    from its two exponentially large halves once R*t is large.
+    contour asks for a whole node batch in one call.  tail(t, z) must equal
+    e^{zt} (fhat(z) - fhat_t(z)) in closed form -- the one combination the
+    right arc needs that cannot be assembled stably from its two
+    exponentially large halves once R*t is large.
     """
 
-    f: object                       # callable: ndarray t -> ndarray complex
-    fhat: object                    # callable: ndarray z -> ndarray complex
-    region: object = "entire-strip"  # RateFunction or descriptor string
-    fhat0: complex = 0j
-    tail: object | None = None      # callable (t, ndarray z) -> ndarray, optional
-    label: str = ""
+    f: object       # callable: ndarray t -> ndarray complex
+    fhat: object    # callable: ndarray z -> ndarray complex
+    fhat0: complex
+    tail: object    # callable (t, ndarray z) -> ndarray
 
 
 def exp_decay_pair() -> TransformPair:
@@ -225,10 +216,8 @@ def exp_decay_pair() -> TransformPair:
     return TransformPair(
         f=lambda t: np.exp(-np.asarray(t, dtype=float)),
         fhat=lambda z: 1.0 / (1.0 + z),
-        region="entire-strip",
         fhat0=1.0 + 0j,
         tail=lambda t, z: math.exp(-t) / (1.0 + z),
-        label="exp-decay",
     )
 
 
@@ -248,10 +237,8 @@ def rational_pair(poles, coeffs) -> TransformPair:
     return TransformPair(
         f=f,
         fhat=lambda z: sum(c / (z - p) for c, p in zip(cs, ps)),
-        region="entire-strip",
         fhat0=sum(-c / p for c, p in zip(cs, ps)),
         tail=lambda t, z: sum(c * cmath.exp(p * t) / (z - p) for c, p in zip(cs, ps)),
-        label="rational",
     )
 
 
@@ -265,10 +252,8 @@ def transform_pair_from_family(fam: AtomFamily) -> TransformPair:
     return TransformPair(
         f=lambda t: laplace_L(fam, t),
         fhat=lambda z: green_G(fam, 0.0, z),
-        region=fam.matching_rate(),
         fhat0=0j,  # cancels exactly within each atom pair
         tail=lambda t, z: green_G(fam, t, z),
-        label=f"atoms-{fam.variant}-k{fam.k}",
     )
 
 
@@ -347,36 +332,20 @@ def _phi(z: complex) -> complex:
     return (1.0 - cmath.exp(-z)) / z
 
 
-def _tail_fallback(tp: TransformPair, t: float, z_arr: np.ndarray, tol: float,
-                   etz_fhat_t) -> np.ndarray:
-    """e^{zt}(fhat - fhat_t) by subtraction; only safe while e^{Re z * t} is small."""
-    z_arr = np.asarray(z_arr)
-    worst = float(np.max(z_arr.real)) * t
-    if worst > 25.0 + math.log(tol):
-        raise QuadratureError(
-            "right-arc tail needs a closed form: cancellation e^{Re z * t} ~ "
-            f"e^{worst:.1f} swamps tolerance {tol:g}; supply TransformPair.tail"
-        )
-    return np.exp(z_arr * t) * tp.fhat(np.atleast_1d(z_arr)) - etz_fhat_t(z_arr)
-
-
 def _arc_pair(tp: TransformPair, t: float, R: float, n: int, osc: int,
               etz_fhat_t, c0: complex | None = None):
     """The two circular arcs |z| = R against (1 + z^2/R^2)^n e^{zt}/z.
 
-    The right arc integrates the tail e^{zt}(fhat - fhat_t), in the pair's
-    closed form when it has one and by subtraction otherwise; the left arc
-    integrates e^{zt} fhat_t.  With c0, both integrands are those of the
-    pair minus c0 times the unit-step pair (reconstruct_g_fixed's
-    reduction).  Returns (right integral, right norm, left integral, left
-    norm).  osc is the initial panel count on each arc.
+    The right arc integrates the tail e^{zt}(fhat - fhat_t) in the pair's
+    closed form; the left arc integrates e^{zt} fhat_t.  With c0, both
+    integrands are those of the pair minus c0 times the unit-step pair
+    (reconstruct_g_fixed's reduction).  Returns (right integral, right
+    norm, left integral, left norm).  osc is the initial panel count on
+    each arc.
     """
 
     def right(z):
-        if tp.tail is not None:
-            vals = tp.tail(t, np.atleast_1d(z))
-        else:
-            vals = _tail_fallback(tp, t, z, ARC_TOL, etz_fhat_t)
+        vals = tp.tail(t, np.atleast_1d(z))
         if c0 is None or t >= 1.0:
             return vals  # the step pair's tail vanishes once t covers [0, 1]
         corr = np.array([_phi(zz * (1.0 - t)) for zz in np.atleast_1d(z)])

@@ -86,7 +86,7 @@ class Block:
 
     def window_log_t(self, u: float) -> float:
         """log t at window coordinate u in [-1, 1], t = k + u sqrt(k)."""
-        return self.log_k + math.log1p(u * math.exp(-0.5 * self.log_k))
+        return _window_edge_log(self.log_k, u)
 
 
 @dataclass(frozen=True)
@@ -103,73 +103,58 @@ class WindowReport:
     notes: str = ""
 
 
+@dataclass
 class CounterexampleSpec:
     """A wired train: blocks, threaded constants, and the weight data.
 
     c1 is the window floor constant, (c2, rho) the off-window envelope;
-    gamma/gamma_log carry the power-variant threshold schedule, gamma_exp
-    the log-variant weight rate (None until fitted or set), e_factor the
-    fitted log-variant floor exponent.
+    gamma_log carries the power-variant threshold schedule in log form
+    (log t in, log gamma(t) out), gamma_exp the log-variant weight rate
+    (None until fitted or set), e_factor the fitted log-variant floor
+    exponent.
     """
 
-    def __init__(self, variant: str, alpha: float, p: float, blocks, c1, c2,
-                 rho, gamma=None, gamma_log=None, e_factor=None):
-        self.variant = variant
-        self.alpha = float(alpha)
-        self.p = float(p)
-        self.blocks = list(blocks)
-        self.c1, self.c2, self.rho = float(c1), float(c2), float(rho)
-        self.gamma, self.gamma_log = gamma, gamma_log
-        self.gamma_exp = None
-        self.e_factor = e_factor
-
-    def __repr__(self):
-        ks = ", ".join(f"{b.log_k:.4g}" for b in self.blocks)
-        return (f"CounterexampleSpec({self.variant}, alpha={self.alpha:g}, "
-                f"p={self.p:g}, log_k=[{ks}])")
+    variant: str
+    alpha: float
+    p: float
+    blocks: list
+    c1: float
+    c2: float
+    rho: float
+    gamma_log: object | None    # callable log t -> log gamma(t), or None
+    e_factor: float | None
+    gamma_exp: float | None = None
 
 
 # ----------------------------------------------------------------------
 # canonical threshold schedule
 # ----------------------------------------------------------------------
 
-def inverse_log_weight():
-    """gamma(t) = 1/log(2+t) with a log-argument companion.
+def inverse_log_weight(log_t: float) -> float:
+    """log gamma(t) at log t for the schedule gamma(t) = 1/log(2+t).
 
-    The companion takes log t and returns log gamma(t); it is exact for
-    representable t and uses log(2+t) = log t + log1p(2 e^{-log t}) beyond.
+    Exact for representable t; beyond log t = 30 it uses log(2+t) = log t +
+    log1p(2 e^{-log t}), which stays finite however large log t grows.
     """
-    def gamma(t: float) -> float:
-        return 1.0 / math.log(2.0 + t)
-
-    def gamma_log(log_t: float) -> float:
-        if log_t < 30.0:
-            return math.log(gamma(math.exp(log_t)))
-        return -math.log(log_t + math.log1p(2.0 * math.exp(-min(log_t, 700.0))))
-
-    return gamma, gamma_log
+    if log_t < 30.0:
+        return math.log(1.0 / math.log(2.0 + math.exp(log_t)))
+    return -math.log(log_t + math.log1p(2.0 * math.exp(-min(log_t, 700.0))))
 
 
-def _as_gamma_log(gamma, gamma_log):
-    if gamma_log is not None:
-        return gamma_log
-
-    def fallback(log_t: float) -> float:
-        if log_t > 690.0:
-            raise ValueError(
-                "schedule needs arguments beyond float range; supply gamma_log")
-        return math.log(gamma(math.exp(log_t)))
-
-    return fallback
+def _validate_gamma(gamma_log) -> None:
+    vals = np.array([gamma_log(lt) for lt in np.linspace(0.0, math.log(1e6), 40)])
+    if np.any(np.diff(vals) >= 0):
+        raise ValueError("threshold schedule gamma_log must decrease in log t")
 
 
-def _validate_gamma(gamma) -> None:
-    ts = np.geomspace(1.0, 1e6, 40)
-    vals = np.array([gamma(t) for t in ts])
-    if np.any(vals <= 0):
-        raise ValueError("threshold schedule must be positive")
-    if np.any(np.diff(vals) > 1e-15):
-        raise ValueError("threshold schedule must be decreasing")
+def _window_edge_log(log_k: float, u: float) -> float:
+    """log(k + u sqrt(k)) from log k; u = -1 and 1 give the window edges."""
+    return log_k + math.log1p(u * math.exp(-0.5 * log_k))
+
+
+def _schedule_log(n: int, log_k: float, alpha: float, gamma_log) -> float:
+    """log of the power ladder's schedule value 2^n gamma(k - sqrt(k))^{1/alpha}."""
+    return n * math.log(2.0) + gamma_log(_window_edge_log(log_k, -1.0)) / alpha
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +171,7 @@ def _log_floor_gap(n: int, lk: float, alpha: float, c1: float, c2: float,
     return floor - env - math.log(2.0)
 
 
-def select_k_sequence(variant: str, N: int, alpha: float,
-                      gamma=None, gamma_log=None,
+def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
                       c1: float | None = None, c2: float | None = None,
                       rho: float | None = None, e_factor: float | None = None,
                       e_coeff: float | None = None) -> list[KSize]:
@@ -195,21 +179,20 @@ def select_k_sequence(variant: str, N: int, alpha: float,
 
     Growth demands k_n >= 3 k_{n-1} (k_1 >= 3).  The power variant also
     halves the schedule value 2^n gamma(k_n - sqrt(k_n))^{1/alpha} at each
-    step.  The log variant, given the fitted constants, demands the window
-    floor beat twice the contamination envelope throughout its own window
-    -- the floor shrinks like a stretched exponential while the envelope
-    decays at the full rate rho, so every rung has a first admissible
-    order.  Any other variant is a ValueError.
+    step, reading log gamma from gamma_log at log t.  The log variant,
+    given the fitted constants, demands the window floor beat twice the
+    contamination envelope throughout its own window -- the floor shrinks
+    like a stretched exponential while the envelope decays at the full
+    rate rho, so every rung has a first admissible order.  Any other
+    variant is a ValueError.
     """
     if N < 1:
         raise ValueError("need at least one block")
     dominance = None
     if variant == "power":
-        if gamma is None and gamma_log is None:
+        if gamma_log is None:
             raise ValueError("power ladder needs a threshold schedule")
-        if gamma is not None:
-            _validate_gamma(gamma)
-        glog = _as_gamma_log(gamma, gamma_log)
+        _validate_gamma(gamma_log)
     elif variant == "log":
         if all(v is not None for v in (c1, c2, rho, e_factor, e_coeff)):
             def dominance(n: int, lk: float) -> float:
@@ -229,8 +212,7 @@ def select_k_sequence(variant: str, N: int, alpha: float,
             # window separation: the next order's half-width indicator must
             # stay off throughout this order's window, so the pure tail
             # envelope bounds all cross-block contamination there
-            sep = math.log(2.0) + prev_log_k \
-                + math.log1p(math.exp(-0.5 * prev_log_k)) + 1e-9
+            sep = math.log(2.0) + _window_edge_log(prev_log_k, 1.0) + 1e-9
             lo = max(lo, sep)
         if variant == "log":
             log_k = lo
@@ -252,9 +234,7 @@ def select_k_sequence(variant: str, N: int, alpha: float,
                 log_k = hi
         else:
             def sched(lk: float) -> float:
-                # log of 2^n gamma(k - sqrt(k))^{1/alpha}
-                edge = lk + math.log1p(-math.exp(-0.5 * lk))
-                return n * math.log(2.0) + glog(edge) / alpha
+                return _schedule_log(n, lk, alpha, gamma_log)
 
             if prev_sched is None:
                 log_k = lo
@@ -374,21 +354,18 @@ def _fused_log_abs(block: Block, s: float, u_sq: float | None, which: str) -> fl
     return lm
 
 
-def _block_log_abs_window(block: Block, u: float, which: str = "N") -> float:
-    """log |.| at t = k + u sqrt(k), exact in (log k, u)."""
+def _block_log_abs_window(block: Block, u: float) -> float:
+    """log |N| at t = k + u sqrt(k), exact in (log k, u)."""
     if block.fam is not None:
         t = block.k + u * math.sqrt(block.k)
-        lm, _ = primitive_N_log(block.fam, t) if which == "N" \
-            else laplace_L_log(block.fam, t)
+        lm, _ = primitive_N_log(block.fam, t)
         return float(lm)
     s = u * math.exp(-0.5 * block.log_k)
-    return _fused_log_abs(block, s, u * u, which)
+    return _fused_log_abs(block, s, u * u, "N")
 
 
 def _block_log_abs_at(block: Block, t: float, which: str = "N") -> float:
-    """log |.| at an ordinary time; fused estimate for out-of-range orders."""
-    if t <= 0.0:
-        return -math.inf
+    """log |.| at a time t > 0; fused estimate for out-of-range orders."""
     if block.fam is not None:
         try:
             lm, _ = primitive_N_log(block.fam, t) if which == "N" \
@@ -418,7 +395,7 @@ def _window_floor_log(variant: str, alpha: float, beta: float | None,
     """
     k = math.exp(log_k) if log_k < 690.0 else math.inf
     blk = _make_block(1, KSize(k, log_k), variant, alpha, 0.0, beta)
-    return min(_block_log_abs_window(blk, u, "N")
+    return min(_block_log_abs_window(blk, u)
                for u in np.linspace(-1.0, 1.0, 81))
 
 
@@ -472,16 +449,15 @@ def fit_block_constants(variant: str, alpha: float, beta: float | None = None,
 # ----------------------------------------------------------------------
 
 def build_counterexample(variant: str, alpha: float, p: float, N: int,
-                         gamma=None, gamma_log=None,
-                         k_seq=None) -> CounterexampleSpec:
+                         gamma_log=None, k_seq=None) -> CounterexampleSpec:
     """Select the ladder, fit the envelope constants, and wire the blocks.
 
-    variant is "power" (ladder from the threshold schedule gamma or its
-    log companion gamma_log) or "log" (ladder from the fitted envelope
-    constants); any other variant is a ValueError.  k_seq replaces the
-    selected ladder.  The constants are fitted at the orders (3, 16, 24,
-    40) for power and (3, 9, 27) for a log train given its k_seq; a
-    selected log ladder is refitted at its own orders.  The log-variant
+    variant is "power" (ladder from the threshold schedule in log form,
+    gamma_log: log t -> log gamma(t)) or "log" (ladder from the fitted
+    envelope constants); any other variant is a ValueError.  k_seq
+    replaces the selected ladder.  The constants are fitted at the orders
+    (3, 16, 24, 40) for power and (3, 9, 27) for a log train given its
+    k_seq; a selected log ladder is refitted at its own orders.  The log-variant
     weight rate gamma_exp is left unset.
     """
     if variant == "power":
@@ -513,11 +489,10 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
             raise ArithmeticError(
                 "log ladder failed to stabilise against the refitted envelope")
     elif k_seq is None:
-        sizes = select_k_sequence(variant, N, alpha, gamma=gamma,
-                                  gamma_log=gamma_log)
+        sizes = select_k_sequence(variant, N, alpha, gamma_log=gamma_log)
     else:
         sizes = [KSize(float(k), math.log(float(k))) for k in k_seq]
-    _check_ladder_invariants(variant, sizes, alpha, gamma, gamma_log)
+    _check_ladder_invariants(variant, sizes, alpha, gamma_log)
     if fit is None:
         fit = fit_block_constants(variant, alpha, beta=beta, k_fit=(
             (3, 16, 24, 40) if variant == "power" else (3, 9, 27)))
@@ -525,13 +500,11 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
     blocks = [_make_block(n + 1, sz, variant, alpha, e_coeff, beta)
               for n, sz in enumerate(sizes)]
     return CounterexampleSpec(
-        variant, alpha, p, blocks, fit["c1"], fit["c2"], fit["rho"],
-        gamma=gamma, gamma_log=_as_gamma_log(gamma, gamma_log) if (gamma or gamma_log) else None,
-        e_factor=fit["e_factor"],
-    )
+        variant, float(alpha), float(p), blocks, float(fit["c1"]),
+        float(fit["c2"]), float(fit["rho"]), gamma_log, fit["e_factor"])
 
 
-def _check_ladder_invariants(variant, sizes, alpha, gamma, gamma_log):
+def _check_ladder_invariants(variant, sizes, alpha, gamma_log):
     logs = [s.log_k for s in sizes]
     if math.exp(logs[0]) < 3.0 - 1e-9:
         raise ValueError("first order must be at least 3")
@@ -539,16 +512,13 @@ def _check_ladder_invariants(variant, sizes, alpha, gamma, gamma_log):
         if b - a < math.log(3.0) - 1e-12:
             raise ValueError("orders must grow at least threefold")
         # window separation: k_n + sqrt(k_n) < k_m - k_m/2 for every m > n
-        hi_n = a + math.log1p(math.exp(-0.5 * a))
+        hi_n = _window_edge_log(a, 1.0)
         lo_margin = b - math.log(2.0)
         if hi_n >= lo_margin:
             raise ValueError("windows are not separated by the half-order margin")
     if variant == "power":
-        glog = _as_gamma_log(gamma, gamma_log)
-        vals = []
-        for n, lk in enumerate(logs, start=1):
-            edge = lk + math.log1p(-math.exp(-0.5 * lk))
-            vals.append(n * math.log(2.0) + glog(edge) / alpha)
+        vals = [_schedule_log(n, lk, alpha, gamma_log)
+                for n, lk in enumerate(logs, start=1)]
         if np.any(np.diff(vals) >= 0):
             raise ValueError("threshold schedule values must strictly decrease")
 

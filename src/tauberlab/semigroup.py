@@ -311,12 +311,16 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
         e_prev = e_now
         states_hat[:, i + 1] = cur
     # back to physical coordinates; the periodic constant mode is frozen by
-    # the flow (G kills it), so it is added back verbatim
+    # the flow (G kills it), so it is added back verbatim.  The basis maps
+    # one column at a time: in one matrix product, one BLAS thread rounds
+    # the last columns through another kernel than two threads do, and the
+    # states would depend on the thread count
     inv_lt = sla.solve_triangular(sys.chol.T, states_hat, lower=False)
     if sys.basis is None:
         states = inv_lt
     else:
-        states = sys.basis @ inv_lt + (sys.P0 @ x0)[:, None]
+        states = np.stack([sys.basis @ col for col in inv_lt.T], axis=1) \
+            + (sys.P0 @ x0)[:, None]
     return Trajectory(t_grid, states, sys)
 
 

@@ -250,9 +250,8 @@ def test_10_cutoff_transform_identity(capsys):
 
 
 def test_11_divergence_signature(capsys):
-    gamma, gamma_log = cx.inverse_log_weight()
     power = cx.build_counterexample("power", 2, 2, 4,
-                                    gamma=gamma, gamma_log=gamma_log)
+                                    gamma_log=cx.inverse_log_weight)
     pscan = cx.divergence_scan(power)
     contribs = [w.contribution_log for w in pscan]
     floors_ok = all(w.min_log_abs_g >= w.floor_log for w in pscan)

@@ -140,7 +140,7 @@ RULE_BREAKERS = {
     ("contour", "reconstruct", ("t-max", "t-min")): {"t-max": "0.5"},
     ("contour", "reconstruct", ("points", "mode")): {"mode": "adaptive",
                                                      "points": "1"},
-    ("wave", "energy", ("mode", "n")): {"n": "20", "mode": "21"},
+    ("wave", "energy", ("mode", "n", "bc")): {"n": "20", "mode": "21"},
     ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
     ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
 }
@@ -203,6 +203,55 @@ class TestParamTable:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "sandwich onset (> 0)" in help_text
         assert "decay grid size (> 1)" in help_text
+
+
+# toy sizes per scenario; the sweep runs each at these values, then each
+# non-default choice of PARAMS on top, one at a time.  The k and window1
+# values go in as strings so the int_list and span parsers run too.
+TOY_PARAMS = {
+    ("weights", "profile"): {"points": "20", "t-max": "100"},
+    ("atoms", "verify"): {"k": "10", "z-count": "4"},
+    ("contour", "kernel"): {"points": "8"},
+    ("contour", "reconstruct"): {"points": "2", "atom-k": "6"},
+    ("wave", "energy"): {"n": "20", "t-max": "0.5"},
+    ("wave", "sandwich"): {"n": "20", "points": "8", "scan-points": "16"},
+    # the identity check needs the default horizon
+    ("wave", "cutoff"): {"n": "20", "t-points": "101", "lambdas": "2",
+                         "window1": "0:0.4"},
+    # a log train needs 3 blocks to settle its ladder
+    ("counterexample", "scan"): {"blocks": "3"},
+    ("counterexample", "shift"): {"k": "20", "n-lambda": "4"},
+}
+
+
+def _path_cases():
+    for (command, action), table in cli.PARAMS.items():
+        toy = TOY_PARAMS.get((command, action), {})
+        yield pytest.param(command, action, toy, id=f"{command}-{action}")
+        for key, spec in table.items():
+            for choice in spec.choices:
+                if choice != spec.default:
+                    yield pytest.param(command, action, {**toy, key: choice},
+                                       id=f"{command}-{action}-{key}-{choice}")
+
+
+class TestEveryPath:
+    def test_toy_sizes_cover_every_scenario(self):
+        assert sorted(TOY_PARAMS) == sorted(cli.PARAMS)
+
+    @pytest.mark.parametrize("command,action,raw", list(_path_cases()))
+    def test_runs_and_passes(self, command, action, raw, tmp_path, capsys):
+        scenario = cli.Scenario(command, action,
+                                cli._coerce_params(command, action, raw),
+                                out_dir=str(tmp_path))
+        assert cli.run(scenario) == 0, capsys.readouterr().out
+
+    def test_periodic_mode_on_the_sine_zeros_is_refused(self, capsys):
+        # under periodic conditions the state vanishes when n divides 2 mode
+        code = cli.main(["wave", "energy", "--bc", "periodic", "--n", "20",
+                         "--mode", "10"])
+        assert code == 2
+        assert "key 'mode' (10)" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -16,11 +16,15 @@ SUM_TOL = 1e-12
 QUAD_TOL = 1e-6
 
 
+def fast_schedule(log_t):
+    """log gamma for gamma(t) = (2 + t)^-2, fast enough for a desk ladder."""
+    return -2.0 * math.log(2.0 + math.exp(log_t))
+
+
 @pytest.fixture(scope="module")
 def power_spec():
-    gamma, gamma_log = cx.inverse_log_weight()
     return cx.build_counterexample("power", 2, 2, 4,
-                                   gamma=gamma, gamma_log=gamma_log)
+                                   gamma_log=cx.inverse_log_weight)
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +38,14 @@ def log_spec():
 def desk_spec():
     # fast threshold weight so a small explicit ladder clears the schedule
     return cx.build_counterexample("power", 2, 2, 3,
-                                   gamma=lambda t: (2.0 + t) ** -2.0,
+                                   gamma_log=fast_schedule,
                                    k_seq=(10, 30, 90))
 
 
 class TestSelection:
     def test_single_block_base_case(self):
-        gamma, gamma_log = cx.inverse_log_weight()
         spec = cx.build_counterexample("power", 2, 2, 1,
-                                       gamma=gamma, gamma_log=gamma_log)
+                                       gamma_log=cx.inverse_log_weight)
         assert len(spec.blocks) == 1
         assert math.exp(spec.blocks[0].log_k) >= 3.0 - 1e-9
 
@@ -64,28 +67,38 @@ class TestSelection:
     def test_first_order_must_be_three(self):
         with pytest.raises(ValueError, match="at least 3"):
             cx.build_counterexample("power", 2, 2, 3,
-                                    gamma=lambda t: (2.0 + t) ** -2.0,
+                                    gamma_log=fast_schedule,
                                     k_seq=(2, 6, 18))
 
     def test_threefold_growth_enforced(self):
         with pytest.raises(ValueError, match="threefold"):
             cx.build_counterexample("power", 2, 2, 3,
-                                    gamma=lambda t: (2.0 + t) ** -2.0,
+                                    gamma_log=fast_schedule,
                                     k_seq=(10, 15, 90))
 
     def test_window_separation_enforced(self):
         # ratio exactly 3 from k=3: window tops at 3+sqrt(3) > 9/2 fails
         with pytest.raises(ValueError, match="separated"):
             cx.build_counterexample("power", 2, 2, 2,
-                                    gamma=lambda t: (2.0 + t) ** -2.0,
+                                    gamma_log=fast_schedule,
                                     k_seq=(3, 9))
 
     def test_threshold_schedule_must_decrease(self):
-        gamma, _ = cx.inverse_log_weight()
         # 1/log shrinks too slowly for a geometric desk ladder
         with pytest.raises(ValueError, match="strictly decrease"):
-            cx.build_counterexample("power", 2, 2, 3, gamma=gamma,
+            cx.build_counterexample("power", 2, 2, 3,
+                                    gamma_log=cx.inverse_log_weight,
                                     k_seq=(10, 30, 90))
+
+    @pytest.mark.parametrize("gamma_log", [lambda log_t: 0.1 * log_t,
+                                           lambda log_t: -1.0])
+    def test_non_decreasing_schedule_refused_by_name(self, gamma_log):
+        with pytest.raises(ValueError, match="gamma_log must decrease"):
+            cx.build_counterexample("power", 2, 2, 3, gamma_log=gamma_log)
+
+    def test_power_ladder_needs_a_schedule(self):
+        with pytest.raises(ValueError, match="needs a threshold schedule"):
+            cx.select_k_sequence("power", 2, 2.0)
 
     @pytest.mark.parametrize("variant", ["cubic", "shift"])
     def test_unknown_variant_rejected(self, variant):
@@ -205,9 +218,8 @@ class TestDivergenceScan:
                 assert w.min_log_abs_g >= w.floor_log
 
     def test_single_block_scan(self):
-        gamma, gamma_log = cx.inverse_log_weight()
         spec = cx.build_counterexample("power", 2, 2, 1,
-                                       gamma=gamma, gamma_log=gamma_log)
+                                       gamma_log=cx.inverse_log_weight)
         scan = cx.divergence_scan(spec)
         assert len(scan) == 1 and scan[0].passed
 
@@ -265,26 +277,28 @@ class TestShiftSuite:
 
 class TestInverseLogWeight:
     def test_pinned_values(self):
-        gamma, _ = cx.inverse_log_weight()
-        assert math.isclose(gamma(0.0), 1.0 / math.log(2.0), rel_tol=SUM_TOL)
-        assert math.isclose(gamma(math.e - 2.0), 1.0, rel_tol=SUM_TOL)
+        # gamma(0) = 1/log 2 and gamma(e - 2) = 1
+        assert math.isclose(cx.inverse_log_weight(-math.inf),
+                            -math.log(math.log(2.0)), rel_tol=SUM_TOL)
+        assert math.isclose(cx.inverse_log_weight(math.log(math.e - 2.0)),
+                            0.0, abs_tol=SUM_TOL)
 
     @seed(12)
-    @given(st.floats(min_value=0.0, max_value=1e6),
-           st.floats(min_value=0.0, max_value=1e6))
+    @given(st.floats(min_value=-30.0, max_value=29.0),
+           st.floats(min_value=-30.0, max_value=29.0))
     def test_decreasing(self, s, t):
-        gamma, _ = cx.inverse_log_weight()
         lo, hi = sorted((s, t))
-        assert gamma(lo) >= gamma(hi)
+        assert cx.inverse_log_weight(lo) >= cx.inverse_log_weight(hi)
 
     def test_log_companion_matches_direct(self):
-        gamma, gamma_log = cx.inverse_log_weight()
-        for log_t in np.linspace(0.0, 29.0, 30):
-            direct = math.log(gamma(math.exp(log_t)))
-            assert math.isclose(gamma_log(log_t), direct, rel_tol=1e-12)
+        # past log t = 30 the schedule drops the exact exp; wherever e^{log t}
+        # is still a float the two forms must agree
+        for log_t in np.linspace(30.0, 700.0, 68):
+            direct = -math.log(math.log(2.0 + math.exp(log_t)))
+            assert math.isclose(cx.inverse_log_weight(log_t), direct,
+                                rel_tol=1e-12)
 
     def test_log_companion_beyond_float_range(self):
-        _, gamma_log = cx.inverse_log_weight()
         # log(2 + t) == log t to double precision once t = e^1000
-        assert math.isclose(gamma_log(1000.0), -math.log(1000.0),
+        assert math.isclose(cx.inverse_log_weight(1000.0), -math.log(1000.0),
                             rel_tol=1e-15)

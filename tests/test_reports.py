@@ -65,9 +65,8 @@ def _window_record(rep):
 
 def _scan(variant):
     if variant == "power":
-        gamma, gamma_log = counterexamples.inverse_log_weight()
         spec = counterexamples.build_counterexample(
-            "power", 2.0, 2.0, 4, gamma=gamma, gamma_log=gamma_log)
+            "power", 2.0, 2.0, 4, gamma_log=counterexamples.inverse_log_weight)
     else:
         spec = counterexamples.build_counterexample("log", 1.0, 2.0, 3)
         counterexamples.fit_log_weight_exponent(spec)

@@ -47,6 +47,7 @@ CSV_RUNS = {
     **{f"cutoff-n40-seed{s}": ("wave", "cutoff", {"n": 40, "seed": s})
        for s in (3, 11)},
     "energy-n40": ("wave", "energy", {"n": 40}),
+    "energy-periodic-n40": ("wave", "energy", {"n": 40, "bc": "periodic"}),
 }
 LADDER_RUNS = {f"decay-{d}-n30": d for d in ("constant", "localized")}
 

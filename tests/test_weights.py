@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, strategies as st
 
 from tauberlab.weights import (
+    RATE_FLOOR,
     AffineRate,
     ConstantRate,
     LogRate,
@@ -21,6 +22,28 @@ from tauberlab.weights import (
 
 EVAL_TOL = 1e-12
 INV_TOL = 1e-10
+
+
+# ----------------------------------------------------------------------
+# rate families: derivative and clamp point
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("M", [ConstantRate(2.0), PowerRate(0.5, 1.5),
+                               LogRate(2.0), AffineRate(0.5, 1.5)],
+                         ids=lambda M: type(M).__name__)
+def test_rate_derivative_and_clamp_point(M):
+    kink = M.clamp_point()
+    # past the kink, deriv is the slope of the clamped M
+    for s in kink + np.array([0.25, 1.0, 4.0, 20.0]):
+        h = 1e-6 * (1.0 + s)
+        central = (float(M(s + h)) - float(M(s - h))) / (2.0 * h)
+        assert float(M.deriv(s)) == pytest.approx(central, rel=1e-6, abs=1e-9)
+    if kink > 0.0:
+        # the raw formula meets the floor at the kink; below it M is flat
+        assert float(M.raw(kink)) == pytest.approx(RATE_FLOOR, rel=1e-12)
+        for s in kink * np.array([0.1, 0.5, 0.9]):
+            assert float(M.deriv(s)) == 0.0
+            assert float(M(s)) == RATE_FLOOR
 
 
 # ----------------------------------------------------------------------
