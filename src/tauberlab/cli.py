@@ -25,9 +25,10 @@ comment line.  JSON: stable key order, holding the scenario echo, fitted
 constants, worst residuals, per-invariant verdicts and wall time.
 
 Exit codes: 0 all invariants pass; 1 an invariant failed (the report is
-still written); 2 usage or config error.  ``--help`` prints each
-parameter's bound from ``PARAMS``.  A value outside its bound, or a broken
-cross-key rule from ``RULES``, exits 2 naming the key, before any work.
+still written); 2 usage or config error.  ``ACTIONS`` declares each
+scenario once: handler, typed parameters, cross-key rules, emitted suites.
+``--help`` prints each parameter's bound; a value outside it, or a broken
+cross-key rule, exits 2 naming the key, before any work.
 
 Determinism: two runs of the same scenario at the same BLAS thread count
 produce byte-identical CSV bodies -- fixed summation orders, explicit
@@ -50,41 +51,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 SCHEMA_VERSION = 1
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
 )
-
-# every named verdict suite this laboratory can emit, with its anchor line
-SUITES = (
-    ("X3", "atom time-profile bump upper envelope"),
-    ("XQ4", "atom transform box bound over the admissible spectral region"),
-    ("X5", "atom primitive floor on the sqrt(k) window"),
-    ("X6", "atom primitive gaussian bump plus pure-tail envelope"),
-    ("Y1", "log-profile time upper envelope, stretched-exponential decay"),
-    ("Y2", "log-profile transform box bound"),
-    ("Y3", "log-profile primitive window floor, stretched-exponential scale"),
-    ("Y4", "log-profile primitive pure-tail envelope"),
-    ("lemma31", "resolvent kernel integral capped by min(2, pi^2/(2 t^2))"),
-    ("i3est", "adaptive contour stub-piece norm against its predicted shape"),
-    ("i4est1", "adaptive contour boundary-piece norm against its predicted shape"),
-    ("T1", "shift orbit two-regime envelope: k^(1/4) box plus decaying tail"),
-    ("T5", "shift primitive window floor at scale k^(1/4)(log k/k)^(1/alpha)"),
-    ("T6", "shift primitive window upper analogue"),
-    ("73b", "transform L^2 growth along sampled spectral frequencies"),
-    ("shift-tail-identity", "suffix tail sums against head/total quadrature"),
-    ("B-square-root", "damping square-root operator factorization residual"),
-    ("B-decay-ladder", "weighted damping-observation dyadic decay ladder"),
-    ("energy-decay-ladder", "weighted energy dyadic decay ladder"),
-    ("rate-sandwich", "two-sided propagator-inverse norm sandwich"),
-    ("diagonal-two-sided", "diagonal semigroup sharp two-sided decay"),
-    ("weighted-tail-ladder", "weighted tail integral dyadic decay ladder"),
-    ("growth-of-M-along-weight",
-     "M(w(t)) between c t/log t and C t/log t (c for power rates only)"),
-)
-
 
 # ----------------------------------------------------------------------
 # scenario: the full, serializable description of one run
@@ -125,141 +98,20 @@ class Param:
     above: float | None = None  # the value must exceed it
 
 
+@dataclass(frozen=True)
+class Action:
+    """One scenario, declared once in ACTIONS."""
+
+    handler: Callable
+    params: dict  # key -> Param; unknown keys are rejected
+    # (keys read, test over their values, message over their values),
+    # checked once every default is filled in
+    rules: tuple = ()
+    suites: tuple = ()  # (name, anchor line) of each verdict suite emitted
+
+
 # the contour kernel grid's first point after t = 0
 KERNEL_T_FIRST = 1e-2
-
-# typed parameter tables, one per (command, action); unknown keys rejected
-PARAMS: dict[tuple, dict] = {
-    ("weights", "profile"): {
-        "family": Param("str", "power", "rate-bound family",
-                        ("constant", "power", "log", "affine")),
-        "c0": Param("float", 2.0, "constant family level"),
-        "kappa": Param("float", 1.0, "power family coefficient"),
-        "alpha": Param("float", 1.0, "power/log family exponent"),
-        "base": Param("float", 2.0, "affine family intercept"),
-        "slope": Param("float", 1.0, "affine family slope"),
-        "t-min": Param("float", 1.0, "grid start", above=0),
-        "t-max": Param("float", 1e4, "grid end"),
-        "points": Param("int", 200, "geometric grid size", above=0),
-        "tail-alpha": Param("float", 0.0, "tail-integral weight exponent (0 = skip)"),
-        "tail-beta": Param("float", 0.0, "tail-integral rate exponent (0 = skip)"),
-    },
-    ("atoms", "verify"): {
-        "variant": Param("str", "power", "profile family", ("power", "log")),
-        "alpha": Param("float", 2.0, "envelope exponent"),
-        "beta": Param("float", 2.0, "power-variant second exponent"),
-        "k": Param("int", 20, "atom order"),
-        "seed": Param("int", 7, "spectral sample seed"),
-        "z-count": Param("int", 24, "spectral samples per verification"),
-    },
-    ("contour", "kernel"): {
-        "t-max": Param("float", 1e3, "log-grid end", above=KERNEL_T_FIRST),
-        # t = 0 alone would check only the exact value there, not the cap
-        "points": Param("int", 60, "grid size including t = 0", above=1),
-    },
-    ("contour", "reconstruct"): {
-        "target": Param("str", "exp", "transform pair", ("exp", "rational", "atom")),
-        "mode": Param("str", "fixed", "contour mode", ("fixed", "adaptive")),
-        "t-min": Param("float", 0.5, "grid start", above=0),
-        "t-max": Param("float", 5.0, "grid end"),
-        "points": Param("int", 10, "geometric grid size", above=0),
-        "radius1": Param("float", 8.0, "first fixed-contour radius"),
-        "radius2": Param("float", 16.0, "second fixed-contour radius"),
-        "reg-n": Param("int", 2, "regularization power"),
-        "k-scale": Param("float", 0.05, "adaptive radius schedule slope"),
-        "growth-alpha": Param("float", 1.0, "declared transform growth exponent"),
-        "growth-beta": Param("float", 1.0, "declared transform rate exponent"),
-        "p": Param("float", 2.0, "norm index for the piece-shape fit", above=0),
-        "atom-k": Param("int", 10, "atom order (target=atom)"),
-        "atom-alpha": Param("float", 2.0, "atom family alpha (target=atom)"),
-        "atom-beta": Param("float", 2.0, "atom family beta (target=atom)"),
-        "tol": Param("float", 1e-6, "reconstruction error tolerance"),
-        "agree-tol": Param("float", 1e-8, "two-radius agreement tolerance"),
-    },
-    ("wave", "energy"): {
-        "n": Param("int", 400, "interior grid size"),
-        "damping": Param("str", "localized", "damping profile",
-                         ("localized", "constant", "none")),
-        "height": Param("float", 1.0, "damping amplitude"),
-        "bc": Param("str", "dirichlet", "boundary condition",
-                    ("dirichlet", "periodic")),
-        "mode": Param("int", 1, "initial sine mode", above=0),
-        "t-max": Param("float", 4.0, "horizon", above=0),
-        "dt": Param("float", 1e-3, "output step", above=0),
-        "tol": Param("float", 1e-10, "energy-guard tolerance"),
-    },
-    ("wave", "sandwich"): {
-        "n": Param("int", 400, "interior grid size"),
-        "damping": Param("str", "localized", "damping profile",
-                         ("localized", "constant")),
-        "height": Param("float", 1.0, "damping amplitude"),
-        "t0": Param("float", 5.0, "sandwich onset", above=0),
-        "t-min": Param("float", 0.5, "grid start"),
-        "t-max": Param("float", 40.0, "grid end"),
-        "points": Param("int", 60, "decay grid size", above=1),
-        "scan-max": Param("float", 320.0, "resolvent scan frequency cap",
-                          above=0),
-        "scan-points": Param("int", 161, "resolvent scan size", above=0),
-    },
-    ("wave", "cutoff"): {
-        "n": Param("int", 60, "interior grid size"),
-        "damping": Param("str", "localized", "damping profile",
-                         ("localized", "constant")),
-        "height": Param("float", 1.0, "damping amplitude"),
-        "omega": Param("float", 2.0, "resolvent shift", above=0),
-        "window1": Param("span", (0.0, 0.5), "left cutoff support, fractions"),
-        "window2": Param("span", (0.5, 1.0), "right cutoff support, fractions"),
-        "lambdas": Param("int", 10, "identity sample count", above=0),
-        "seed": Param("int", 3, "data-vector seed"),
-        "t-max": Param("float", 60.0, "norm grid end", above=0),
-        "t-points": Param("int", 3001, "norm grid size", above=1),
-        "horizon": Param("float", 80.0, "identity quadrature horizon"),
-    },
-    ("counterexample", "scan"): {
-        "variant": Param("str", "power", "train variant", ("power", "log")),
-        "alpha": Param("float", 2.0, "envelope exponent"),
-        "p": Param("float", 2.0, "norm index", above=0),
-        "blocks": Param("int", 4, "train length"),
-        "nodes": Param("int", 24, "window quadrature nodes", above=0),
-        "gamma-exp": Param("float", 0.0, "log-variant weight rate (0 = fit it)"),
-    },
-    ("counterexample", "shift"): {
-        "alpha": Param("float", 2.0, "envelope exponent"),
-        "p": Param("float", 2.0, "norm index", above=0),
-        "k": Param("int_list", (20, 40), "comma-separated probe orders"),
-        "n-lambda": Param("int", 40, "boundary sample count"),
-        "seed": Param("int", 11, "boundary sample seed"),
-    },
-}
-
-# cross-key rules, checked once every default is filled in:
-# (keys read, test over their values, message over their values)
-_T_SPAN = (("t-max", "t-min"), lambda hi, lo: hi > lo,
-           "key 't-max' ({0:g}) must exceed key 't-min' ({1:g})")
-RULES: dict[tuple, tuple] = {
-    ("weights", "profile"): (_T_SPAN,),
-    ("contour", "reconstruct"): (
-        _T_SPAN,
-        # the adaptive piece fit needs more than one t to fit a shape
-        (("points", "mode"), lambda n, mode: n > 1 or mode != "adaptive",
-         "key 'points' ({0}) must exceed 1 when key 'mode' is {1!r}"),
-    ),
-    ("wave", "energy"): (
-        # the initial state samples sin(mode pi j/(n+1)) (dirichlet) or
-        # sin(2 pi mode j/n) (periodic), j = 1..n; it vanishes at every grid
-        # point when n + 1 divides the mode, or n divides twice the mode
-        (("mode", "n", "bc"),
-         lambda mode, n, bc: (2 * mode % n if bc == "periodic"
-                              else mode % (n + 1)) != 0,
-         "key 'mode' ({0}) puts every point of key 'n' ({1}) on a zero of "
-         "the initial sine under key 'bc' {2!r}"),
-    ),
-    ("wave", "sandwich"): (
-        _T_SPAN,
-        (("t0", "t-max"), lambda t0, hi: t0 <= hi,
-         "key 't0' ({0:g}) must not exceed key 't-max' ({1:g})"),
-    ),
-}
 
 
 @dataclass
@@ -294,6 +146,21 @@ class RunResult:
     constants: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     passed: dict = field(default_factory=dict)
+    suites: list = field(default_factory=list)  # emitted suite names; not reported
+
+    def verdict(self, suite: str, passed: bool, key: str | None = None):
+        """File a named suite's verdict under key (default: the suite's
+        name) and record the suite as emitted."""
+        self.passed[suite if key is None else key] = passed
+        self.suites.append(suite)
+
+    def add(self, report, key: str | None = None):
+        """File a FitReport's constants, residual and verdict under key
+        (default: the report's name)."""
+        key = report.name if key is None else key
+        self.constants[key] = dict(report.constants)
+        self.residuals[key] = report.worst_residual
+        self.verdict(report.name, report.passed, key)
 
 
 class ScenarioError(ValueError):
@@ -320,9 +187,10 @@ def _env_thread_fallback(threads: int) -> int:
 
 
 def _coerce_params(command: str, action: str, raw: dict) -> dict:
-    table = PARAMS.get((command, action))
-    if table is None:
+    declared = ACTIONS.get((command, action))
+    if declared is None:
         raise ScenarioError(f"unknown scenario {command!r} {action!r}")
+    table = declared.params
     out = {}
     for key, value in raw.items():
         spec = table.get(key)
@@ -343,7 +211,7 @@ def _coerce_params(command: str, action: str, raw: dict) -> dict:
         out[key] = value
     for key, spec in table.items():
         out.setdefault(key, spec.default)
-    for keys, holds, message in RULES.get((command, action), ()):
+    for keys, holds, message in declared.rules:
         values = [out[key] for key in keys]
         if not holds(*values):
             raise ScenarioError(message.format(*values))
@@ -485,16 +353,11 @@ def _h_weights_profile(params) -> RunResult:
              wg.w_m_log(M, float(t))) for t in ts]
     res = RunResult(series=[Series("profile", ["t", "m", "m_log", "w"], rows)])
 
-    growth = wg.check_growth_bounds(M)
-    res.constants["growth"] = dict(growth.constants)
-    res.residuals["growth"] = growth.worst_residual
-    res.passed["growth"] = growth.passed
+    res.add(wg.check_growth_bounds(M), "growth")
     if params["tail-alpha"] > 0 and params["tail-beta"] > 0:
         tail, increments = wg.weighted_tail_convergence(
             M, params["tail-alpha"], params["tail-beta"])
-        res.constants["tail"] = dict(tail.constants)
-        res.residuals["tail"] = tail.worst_residual
-        res.passed["tail"] = tail.passed
+        res.add(tail, "tail")
         res.series.append(Series(
             "tail", ["block", "partial", "increment"],
             [(j, p, i) for j, (p, i) in
@@ -517,9 +380,7 @@ def _h_atoms_verify(params) -> RunResult:
     res = RunResult(series=[Series("envelopes",
                                    ["t", "log_abs_L", "log_abs_N"], rows)])
     for rep in reports:
-        res.constants[rep.name] = dict(rep.constants)
-        res.residuals[rep.name] = rep.worst_residual
-        res.passed[rep.name] = rep.passed
+        res.add(rep)
     return res
 
 
@@ -538,7 +399,8 @@ def _h_contour_kernel(params) -> RunResult:
     t0_err = abs(rows[0][1] - 2.0)
     res = RunResult(series=[Series("kernel", ["t", "integral", "bound"], rows)])
     res.residuals = {"cap_gap": worst, "t0_error": t0_err}
-    res.passed = {"lemma31": worst <= 1e-9, "t0_exact": t0_err <= 1e-12}
+    res.verdict("lemma31", worst <= 1e-9)
+    res.passed["t0_exact"] = t0_err <= 1e-12
     return res
 
 
@@ -609,17 +471,12 @@ def _h_contour_reconstruct(params) -> RunResult:
             "reconstruction",
             ["t", "recon_re", "recon_im", "truth_re", "truth_im", "err",
              "j1_right_arc", "j2_left_arc", "i3_stubs", "i4_boundary"], rows))
-        stub_fit, boundary_fit = ct.fit_piece_norms(
-            M, params["k-scale"], params["reg-n"], ts, norms,
-            params["growth-alpha"], params["growth-beta"], p=params["p"])
-        res.residuals = {"worst_error": worst_err,
-                         stub_fit.name: stub_fit.worst_residual,
-                         boundary_fit.name: boundary_fit.worst_residual}
-        res.constants = {stub_fit.name: dict(stub_fit.constants),
-                         boundary_fit.name: dict(boundary_fit.constants)}
-        res.passed = {"error": worst_err <= params["tol"],
-                      stub_fit.name: stub_fit.passed,
-                      boundary_fit.name: boundary_fit.passed}
+        res.residuals["worst_error"] = worst_err
+        res.passed["error"] = worst_err <= params["tol"]
+        for fit in ct.fit_piece_norms(
+                M, params["k-scale"], params["reg-n"], ts, norms,
+                params["growth-alpha"], params["growth-beta"], p=params["p"]):
+            res.add(fit)
     return res
 
 
@@ -686,9 +543,7 @@ def _h_wave_sandwich(params) -> RunResult:
         Series("scan", ["s", "resolvent_sup"],
                list(zip(scan.grid.tolist(), scan.values.tolist()))),
     ])
-    res.constants[rep.name] = dict(rep.constants)
-    res.residuals[rep.name] = rep.worst_residual
-    res.passed[rep.name] = rep.passed
+    res.add(rep)
     return res
 
 
@@ -786,10 +641,7 @@ def _h_cx_shift(params) -> RunResult:
     res = RunResult()
     for i, rep in enumerate(reports):
         k = ks[i // per_k]
-        label = f"k{k}.{rep.name}"
-        res.residuals[label] = rep.worst_residual
-        res.passed[label] = rep.passed
-        res.constants[label] = dict(rep.constants)
+        res.add(rep, f"k{k}.{rep.name}")
         for cname, cval in rep.constants.items():
             rows.append((k, rep.name, cname, float(cval)))
     res.series.append(Series("constants", ["k", "suite", "constant", "value"],
@@ -797,16 +649,160 @@ def _h_cx_shift(params) -> RunResult:
     return res
 
 
-HANDLERS = {
-    ("weights", "profile"): _h_weights_profile,
-    ("atoms", "verify"): _h_atoms_verify,
-    ("contour", "kernel"): _h_contour_kernel,
-    ("contour", "reconstruct"): _h_contour_reconstruct,
-    ("wave", "energy"): _h_wave_energy,
-    ("wave", "sandwich"): _h_wave_sandwich,
-    ("wave", "cutoff"): _h_wave_cutoff,
-    ("counterexample", "scan"): _h_cx_scan,
-    ("counterexample", "shift"): _h_cx_shift,
+_T_SPAN = (("t-max", "t-min"), lambda hi, lo: hi > lo,
+           "key 't-max' ({0:g}) must exceed key 't-min' ({1:g})")
+
+# every scenario, declared once
+ACTIONS: dict[tuple, Action] = {
+    ("weights", "profile"): Action(_h_weights_profile, {
+        "family": Param("str", "power", "rate-bound family",
+                        ("constant", "power", "log", "affine")),
+        "c0": Param("float", 2.0, "constant family level"),
+        "kappa": Param("float", 1.0, "power family coefficient"),
+        "alpha": Param("float", 1.0, "power/log family exponent"),
+        "base": Param("float", 2.0, "affine family intercept"),
+        "slope": Param("float", 1.0, "affine family slope"),
+        "t-min": Param("float", 1.0, "grid start", above=0),
+        "t-max": Param("float", 1e4, "grid end"),
+        "points": Param("int", 200, "geometric grid size", above=0),
+        "tail-alpha": Param("float", 0.0, "tail-integral weight exponent (0 = skip)"),
+        "tail-beta": Param("float", 0.0, "tail-integral rate exponent (0 = skip)"),
+    }, rules=(_T_SPAN,), suites=(
+        ("growth-of-M-along-weight",
+         "M(w(t)) between c t/log t and C t/log t (c for power rates only)"),
+        ("weighted-tail-ladder", "weighted tail integral dyadic decay ladder"),
+    )),
+    ("atoms", "verify"): Action(_h_atoms_verify, {
+        "variant": Param("str", "power", "profile family", ("power", "log")),
+        "alpha": Param("float", 2.0, "envelope exponent"),
+        "beta": Param("float", 2.0, "power-variant second exponent"),
+        "k": Param("int", 20, "atom order"),
+        "seed": Param("int", 7, "spectral sample seed"),
+        "z-count": Param("int", 24, "spectral samples per verification"),
+    }, suites=(
+        ("X3", "atom time-profile bump upper envelope"),
+        ("XQ4", "atom transform box bound over the admissible spectral region"),
+        ("X5", "atom primitive floor on the sqrt(k) window"),
+        ("X6", "atom primitive gaussian bump plus pure-tail envelope"),
+        ("Y1", "log-profile time upper envelope, stretched-exponential decay"),
+        ("Y2", "log-profile transform box bound"),
+        ("Y3", "log-profile primitive window floor, stretched-exponential scale"),
+        ("Y4", "log-profile primitive pure-tail envelope"),
+    )),
+    ("contour", "kernel"): Action(_h_contour_kernel, {
+        "t-max": Param("float", 1e3, "log-grid end", above=KERNEL_T_FIRST),
+        # t = 0 alone would check only the exact value there, not the cap
+        "points": Param("int", 60, "grid size including t = 0", above=1),
+    }, suites=(
+        ("lemma31", "resolvent kernel integral capped by min(2, pi^2/(2 t^2))"),
+    )),
+    ("contour", "reconstruct"): Action(_h_contour_reconstruct, {
+        "target": Param("str", "exp", "transform pair", ("exp", "rational", "atom")),
+        "mode": Param("str", "fixed", "contour mode", ("fixed", "adaptive")),
+        "t-min": Param("float", 0.5, "grid start", above=0),
+        "t-max": Param("float", 5.0, "grid end"),
+        "points": Param("int", 10, "geometric grid size", above=0),
+        "radius1": Param("float", 8.0, "first fixed-contour radius"),
+        "radius2": Param("float", 16.0, "second fixed-contour radius"),
+        "reg-n": Param("int", 2, "regularization power"),
+        "k-scale": Param("float", 0.05, "adaptive radius schedule slope"),
+        "growth-alpha": Param("float", 1.0, "declared transform growth exponent"),
+        "growth-beta": Param("float", 1.0, "declared transform rate exponent"),
+        "p": Param("float", 2.0, "norm index for the piece-shape fit", above=0),
+        "atom-k": Param("int", 10, "atom order (target=atom)"),
+        "atom-alpha": Param("float", 2.0, "atom family alpha (target=atom)"),
+        "atom-beta": Param("float", 2.0, "atom family beta (target=atom)"),
+        "tol": Param("float", 1e-6, "reconstruction error tolerance"),
+        "agree-tol": Param("float", 1e-8, "two-radius agreement tolerance"),
+    }, rules=(
+        _T_SPAN,
+        # the adaptive piece fit needs more than one t to fit a shape
+        (("points", "mode"), lambda n, mode: n > 1 or mode != "adaptive",
+         "key 'points' ({0}) must exceed 1 when key 'mode' is {1!r}"),
+    ), suites=(
+        ("i3est", "adaptive contour stub-piece norm against its predicted shape"),
+        ("i4est1", "adaptive contour boundary-piece norm against its predicted shape"),
+    )),
+    ("wave", "energy"): Action(_h_wave_energy, {
+        "n": Param("int", 400, "interior grid size"),
+        "damping": Param("str", "localized", "damping profile",
+                         ("localized", "constant", "none")),
+        "height": Param("float", 1.0, "damping amplitude"),
+        "bc": Param("str", "dirichlet", "boundary condition",
+                    ("dirichlet", "periodic")),
+        "mode": Param("int", 1, "initial sine mode", above=0),
+        "t-max": Param("float", 4.0, "horizon", above=0),
+        "dt": Param("float", 1e-3, "output step", above=0),
+        "tol": Param("float", 1e-10, "energy-guard tolerance"),
+    }, rules=(
+        # the initial state samples sin(mode pi j/(n+1)) (dirichlet) or
+        # sin(2 pi mode j/n) (periodic), j = 1..n; it vanishes at every grid
+        # point when n + 1 divides the mode, or n divides twice the mode
+        (("mode", "n", "bc"),
+         lambda mode, n, bc: (2 * mode % n if bc == "periodic"
+                              else mode % (n + 1)) != 0,
+         "key 'mode' ({0}) puts every point of key 'n' ({1}) on a zero of "
+         "the initial sine under key 'bc' {2!r}"),
+    )),
+    ("wave", "sandwich"): Action(_h_wave_sandwich, {
+        "n": Param("int", 400, "interior grid size"),
+        "damping": Param("str", "localized", "damping profile",
+                         ("localized", "constant")),
+        "height": Param("float", 1.0, "damping amplitude"),
+        "t0": Param("float", 5.0, "sandwich onset", above=0),
+        "t-min": Param("float", 0.5, "grid start"),
+        "t-max": Param("float", 40.0, "grid end"),
+        "points": Param("int", 60, "decay grid size", above=1),
+        "scan-max": Param("float", 320.0, "resolvent scan frequency cap",
+                          above=0),
+        "scan-points": Param("int", 161, "resolvent scan size", above=0),
+    }, rules=(
+        _T_SPAN,
+        (("t0", "t-max"), lambda t0, hi: t0 <= hi,
+         "key 't0' ({0:g}) must not exceed key 't-max' ({1:g})"),
+    ), suites=(
+        ("rate-sandwich", "two-sided propagator-inverse norm sandwich"),
+    )),
+    ("wave", "cutoff"): Action(_h_wave_cutoff, {
+        "n": Param("int", 60, "interior grid size"),
+        "damping": Param("str", "localized", "damping profile",
+                         ("localized", "constant")),
+        "height": Param("float", 1.0, "damping amplitude"),
+        "omega": Param("float", 2.0, "resolvent shift", above=0),
+        "window1": Param("span", (0.0, 0.5), "left cutoff support, fractions"),
+        "window2": Param("span", (0.5, 1.0), "right cutoff support, fractions"),
+        "lambdas": Param("int", 10, "identity sample count", above=0),
+        "seed": Param("int", 3, "data-vector seed"),
+        "t-max": Param("float", 60.0, "norm grid end", above=0),
+        "t-points": Param("int", 3001, "norm grid size", above=1),
+        "horizon": Param("float", 80.0, "identity quadrature horizon"),
+    }),
+    ("counterexample", "scan"): Action(_h_cx_scan, {
+        "variant": Param("str", "power", "train variant", ("power", "log")),
+        "alpha": Param("float", 2.0, "envelope exponent"),
+        "p": Param("float", 2.0, "norm index", above=0),
+        "blocks": Param("int", 4, "train length", above=0),
+        "nodes": Param("int", 24, "window quadrature nodes", above=0),
+        "gamma-exp": Param("float", 0.0, "log-variant weight rate (0 = fit it)"),
+    }, rules=(
+        # a log train refits its envelope at its own orders; at one order
+        # the e_factor fit is 0/0
+        (("blocks", "variant"), lambda n, variant: n > 1 or variant != "log",
+         "key 'blocks' ({0}) must exceed 1 when key 'variant' is {1!r}"),
+    )),
+    ("counterexample", "shift"): Action(_h_cx_shift, {
+        "alpha": Param("float", 2.0, "envelope exponent"),
+        "p": Param("float", 2.0, "norm index", above=0),
+        "k": Param("int_list", (20, 40), "comma-separated probe orders"),
+        "n-lambda": Param("int", 40, "boundary sample count"),
+        "seed": Param("int", 11, "boundary sample seed"),
+    }, suites=(
+        ("T1", "shift orbit two-regime envelope: k^(1/4) box plus decaying tail"),
+        ("T5", "shift primitive window floor at scale k^(1/4)(log k/k)^(1/alpha)"),
+        ("T6", "shift primitive window upper analogue"),
+        ("73b", "transform L^2 growth along sampled spectral frequencies"),
+        ("shift-tail-identity", "suffix tail sums against head/total quadrature"),
+    )),
 }
 
 
@@ -831,7 +827,8 @@ def run(scenario: Scenario) -> int:
     start = time.perf_counter()
     limiter = _apply_thread_cap(scenario.threads)
     try:
-        result = HANDLERS[(scenario.command, scenario.action)](scenario.params)
+        result = ACTIONS[(scenario.command, scenario.action)].handler(
+            scenario.params)
     finally:
         if limiter is not None:
             limiter.unregister()
@@ -847,8 +844,10 @@ def run(scenario: Scenario) -> int:
 
 
 def list_suites() -> str:
-    lines = [f"{name}\t{desc}" for name, desc in SUITES]
-    return "\n".join(lines)
+    """One row per verdict suite: name, the scenario emitting it, anchor."""
+    return "\n".join(f"{name}\t{command} {action}\t{anchor}"
+                     for (command, action), declared in ACTIONS.items()
+                     for name, anchor in declared.suites)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -857,15 +856,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario runner for the decay-rate laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = sorted({cmd for cmd, _ in PARAMS})
+    commands = sorted({cmd for cmd, _ in ACTIONS})
     for cmd in commands:
         cmd_parser = sub.add_parser(cmd)
         action_sub = cmd_parser.add_subparsers(dest="action", required=True)
-        for (c, action), table in PARAMS.items():
+        for (c, action), declared in ACTIONS.items():
             if c != cmd:
                 continue
             ap = action_sub.add_parser(action)
-            for key, spec in table.items():
+            for key, spec in declared.params.items():
                 bound = "" if spec.above is None else f" (> {spec.above:g})"
                 kwargs = {"help": spec.help + bound, "default": None,
                           "type": _COERCE[spec.typ], "metavar": spec.typ.upper()}

@@ -171,6 +171,29 @@ def _log_floor_gap(n: int, lk: float, alpha: float, c1: float, c2: float,
     return floor - env - math.log(2.0)
 
 
+def _first_admissible(ok, lo: float, hi_max: float, failure: str) -> float:
+    """Smallest log order >= lo that passes ok, to float resolution.
+
+    ok must fail below some order and pass from there on.  The bracket
+    grows as hi -> 2 hi + 1 from lo + 1; past hi_max it is a ValueError
+    carrying the failure message.
+    """
+    if ok(lo):
+        return lo
+    hi = lo + 1.0
+    while not ok(hi):
+        hi = 2.0 * hi + 1.0
+        if hi > hi_max:
+            raise ValueError(failure)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
                       c1: float | None = None, c2: float | None = None,
                       rho: float | None = None, e_factor: float | None = None,
@@ -214,53 +237,24 @@ def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
             # envelope bounds all cross-block contamination there
             sep = math.log(2.0) + _window_edge_log(prev_log_k, 1.0) + 1e-9
             lo = max(lo, sep)
-        if variant == "log":
-            log_k = lo
-            if dominance is not None and dominance(n, log_k) < 0.0:
-                hi = log_k + 1.0
-                for _ in range(60):
-                    if dominance(n, hi) >= 0.0:
-                        break
-                    hi += 1.0
-                else:
-                    raise ValueError("no admissible order: envelope never "
-                                     "falls below the window floor")
-                for _ in range(200):
-                    mid = 0.5 * (log_k + hi)
-                    if dominance(n, mid) < 0.0:
-                        log_k = mid
-                    else:
-                        hi = mid
-                log_k = hi
+        if dominance is not None:
+            log_k = _first_admissible(
+                lambda lk: not dominance(n, lk) < 0.0, lo, 700.0,
+                "no admissible order: envelope never falls below the window "
+                "floor")
+        elif prev_sched is not None:
+            target = prev_sched - math.log(2.0)
+            log_k = _first_admissible(
+                lambda lk: not _schedule_log(n, lk, alpha, gamma_log) > target,
+                lo, 1e7, "threshold schedule cannot halve; not decreasing "
+                "fast enough")
         else:
-            def sched(lk: float) -> float:
-                return _schedule_log(n, lk, alpha, gamma_log)
-
-            if prev_sched is None:
-                log_k = lo
-            else:
-                target = prev_sched - math.log(2.0)
-                if sched(lo) <= target:
-                    log_k = lo
-                else:
-                    hi = lo + 1.0
-                    while sched(hi) > target:
-                        hi = hi * 2.0 + 1.0
-                        if hi > 1e7:
-                            raise ValueError(
-                                "threshold schedule cannot halve; not decreasing fast enough")
-                    for _ in range(200):
-                        mid = 0.5 * (lo + hi)
-                        if sched(mid) > target:
-                            lo = mid
-                        else:
-                            hi = mid
-                    log_k = hi
+            log_k = lo
         if log_k < math.log(KMAX_EXACT):
             k_int = max(3.0, math.ceil(math.exp(log_k) - 1e-9))
             log_k = math.log(k_int)
         if variant == "power":
-            prev_sched = sched(log_k)
+            prev_sched = _schedule_log(n, log_k, alpha, gamma_log)
         prev_log_k = log_k
         out.append(KSize(math.exp(log_k) if log_k < 690 else math.inf, log_k))
     return out

@@ -61,11 +61,6 @@ class FitReport:
             "notes": self.notes,
         }
 
-    def __str__(self) -> str:  # compact one-liner for CLI/demo output
-        consts = ", ".join(f"{k}={v:.6g}" for k, v in self.constants.items())
-        status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: {consts} (worst residual {self.worst_residual:.3e})"
-
 
 def _log_or_neg_inf(values) -> np.ndarray:
     with np.errstate(divide="ignore"):

@@ -53,11 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecaySeries:
-    """A nonnegative scalar time (or frequency) series with a label."""
+    """A nonnegative scalar time (or frequency) series."""
 
     grid: np.ndarray
     values: np.ndarray
-    label: str = ""
     notes: str = ""
 
     def __post_init__(self):
@@ -75,7 +74,7 @@ class DecaySeries:
 
 def running_sup(series: DecaySeries) -> DecaySeries:
     return DecaySeries(series.grid, np.maximum.accumulate(series.values),
-                       label=series.label + " (running sup)", notes=series.notes)
+                       notes=series.notes)
 
 
 @dataclass
@@ -234,7 +233,7 @@ def resolvent_norm_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
     nyquist = math.pi / sys.h
     if np.any(np.abs(s_grid) > nyquist):
         notes = f"grid exceeds the resolvable frequency pi/h = {nyquist:g}"
-    return DecaySeries(s_grid, vals, label="resolvent norm", notes=notes)
+    return DecaySeries(s_grid, vals, notes=notes)
 
 
 def _mode_blocks(sys: DampedWaveSystem) -> np.ndarray:
@@ -443,7 +442,7 @@ def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
             cache[float(dt)] = step
         cur = step @ cur
         norms.append(float(np.linalg.norm(cur, 2)))
-    return DecaySeries(t_grid, np.array(norms), label="propagator-inverse-norm")
+    return DecaySeries(t_grid, np.array(norms))
 
 
 def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
@@ -458,8 +457,7 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
     Conventions: c = 1, C' = max(1, M(0)/t0); C and c' are fitted extrema.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    svals = np.asarray(m_scan.grid, dtype=float)
-    mvals = np.maximum.accumulate(np.asarray(m_scan.values, dtype=float))
+    svals, mvals = m_scan.grid, m_scan.values
     if np.any(np.diff(mvals) < 0):
         raise ValueError("m_scan must be a running supremum")
     m0, m_max, s_max = float(mvals[0]), float(mvals[-1]), float(svals[-1])
@@ -635,9 +633,7 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         "identity_ok": bool(np.max(resids) <= 1e-6),
         "minkowski": mink,
         "minkowski_ok": all(v[2] for v in mink.values()),
-        "decay_series": DecaySeries(t_grid[1:], series_r[1:],
-                                    label="cutoff resolvent decay"),
-        "omega": omega,
+        "decay_series": DecaySeries(t_grid[1:], series_r[1:]),
     }
 
 
@@ -719,7 +715,7 @@ def c0_example_suite(beta_list, t_grid=None) -> tuple[DecaySeries, FitReport]:
     floors = beta / (np.sqrt(1.0 + beta ** 2) * math.e)
     lo_ok = bool(np.all(at_peaks >= floors * (1.0 - 1e-12)))
 
-    series = DecaySeries(t_grid, vals, label="diagonal sup-norm decay")
+    series = DecaySeries(t_grid, vals)
     report = FitReport(
         name="diagonal-two-sided",
         constants={"sup_et_norm": float(np.max(vals * math.e * t_grid)),

@@ -1,6 +1,8 @@
 """End-to-end tests for the batch front door: flags, configs, reports."""
+import contextlib
+import dataclasses
+import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 
 import tauberlab
 import tauberlab.cli as cli
-from tauberlab import atoms, contour, counterexamples, semigroup, weights
+from tauberlab import atoms, contour, semigroup, weights
 
 CLI_TIMEOUT = 300
 
@@ -134,7 +136,7 @@ class TestWaveSandwich:
         assert summary["passed"]["rate-sandwich"] is True
 
 
-# one violating input per cross-key rule in cli.RULES, by scenario and keys
+# one violating input per cross-key rule in cli.ACTIONS, by scenario and keys
 RULE_BREAKERS = {
     ("weights", "profile", ("t-max", "t-min")): {"t-max": "1"},
     ("contour", "reconstruct", ("t-max", "t-min")): {"t-max": "0.5"},
@@ -143,18 +145,20 @@ RULE_BREAKERS = {
     ("wave", "energy", ("mode", "n", "bc")): {"n": "20", "mode": "21"},
     ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
     ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
+    ("counterexample", "scan", ("blocks", "variant")): {"variant": "log",
+                                                         "blocks": "1"},
 }
 
 
 def _table_cases():
     """Each bounded key at its bound, then one breach of each cross-key rule."""
-    for (command, action), table in cli.PARAMS.items():
-        for key, spec in table.items():
+    for (command, action), declared in cli.ACTIONS.items():
+        for key, spec in declared.params.items():
             if spec.above is not None:
                 yield pytest.param(command, action, {key: f"{spec.above:g}"},
                                    (key,), id=f"{command}-{action}-{key}")
-    for (command, action), rules in cli.RULES.items():
-        for keys, _, _ in rules:
+    for (command, action), declared in cli.ACTIONS.items():
+        for keys, _, _ in declared.rules:
             yield pytest.param(
                 command, action, RULE_BREAKERS.get((command, action, keys)),
                 keys, id=f"{command}-{action}-{'-vs-'.join(keys)}")
@@ -162,8 +166,8 @@ def _table_cases():
 
 class TestParamTable:
     def test_defaults_keep_every_bound_and_rule(self):
-        for (command, action), table in cli.PARAMS.items():
-            for key, spec in table.items():
+        for (command, action), declared in cli.ACTIONS.items():
+            for key, spec in declared.params.items():
                 assert spec.above is None or spec.default > spec.above, key
             cli._coerce_params(command, action, {})
 
@@ -174,9 +178,11 @@ class TestParamTable:
                                                monkeypatch, capsys):
         assert raw, f"RULE_BREAKERS has no input breaking {keys}"
         calls = []
-        monkeypatch.setattr(cli, "HANDLERS", {
-            scenario: lambda params: calls.append(params) or cli.RunResult()
-            for scenario in cli.HANDLERS})
+        monkeypatch.setattr(cli, "ACTIONS", {
+            scenario: dataclasses.replace(
+                declared, handler=lambda params: calls.append(params)
+                or cli.RunResult())
+            for scenario, declared in cli.ACTIONS.items()})
         out = tmp_path / "out"
         if route == "flags":
             argv = [command, action, "--out-dir", str(out)]
@@ -206,8 +212,9 @@ class TestParamTable:
 
 
 # toy sizes per scenario; the sweep runs each at these values, then each
-# non-default choice of PARAMS on top, one at a time.  The k and window1
-# values go in as strings so the int_list and span parsers run too.
+# non-default choice of its parameters on top, one at a time, then the
+# EXTRA_PATHS.  The k and window1 values go in as strings so the int_list and
+# span parsers run too.
 TOY_PARAMS = {
     ("weights", "profile"): {"points": "20", "t-max": "100"},
     ("atoms", "verify"): {"k": "10", "z-count": "4"},
@@ -223,28 +230,78 @@ TOY_PARAMS = {
     ("counterexample", "shift"): {"k": "20", "n-lambda": "4"},
 }
 
+# paths no single choice reaches: the tail ladder, a given log weight rate
+EXTRA_PATHS = {
+    "weights-profile-tail": ("weights", "profile",
+                             {"tail-alpha": "1", "tail-beta": "2"}),
+    "counterexample-scan-variant-log-gamma-exp":
+        ("counterexample", "scan", {"variant": "log", "gamma-exp": "4"}),
+}
+
 
 def _path_cases():
-    for (command, action), table in cli.PARAMS.items():
+    for (command, action), declared in cli.ACTIONS.items():
         toy = TOY_PARAMS.get((command, action), {})
         yield pytest.param(command, action, toy, id=f"{command}-{action}")
-        for key, spec in table.items():
+        for key, spec in declared.params.items():
             for choice in spec.choices:
                 if choice != spec.default:
                     yield pytest.param(command, action, {**toy, key: choice},
                                        id=f"{command}-{action}-{key}-{choice}")
+    for case_id, (command, action, raw) in EXTRA_PATHS.items():
+        yield pytest.param(command, action,
+                           {**TOY_PARAMS[(command, action)], **raw}, id=case_id)
+
+
+PATH_CASES = list(_path_cases())
+
+
+@pytest.fixture(scope="module")
+def walk(tmp_path_factory):
+    """Every path case run once through cli.run, by id: its exit code, its
+    stdout and the names of the suites its run emitted."""
+    real = cli.write_reports
+    emitted = []
+
+    def recording(scenario, result, wall_time):
+        emitted.extend(result.suites)
+        return real(scenario, result, wall_time)
+
+    outcomes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_reports", recording)
+        for case in PATH_CASES:
+            command, action, raw = case.values
+            emitted = []
+            scenario = cli.Scenario(command, action,
+                                    cli._coerce_params(command, action, raw),
+                                    out_dir=str(tmp_path_factory.mktemp(case.id)))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.run(scenario)
+            outcomes[case.id] = (code, stdout.getvalue(), emitted)
+    return outcomes
 
 
 class TestEveryPath:
     def test_toy_sizes_cover_every_scenario(self):
-        assert sorted(TOY_PARAMS) == sorted(cli.PARAMS)
+        assert sorted(TOY_PARAMS) == sorted(cli.ACTIONS)
 
-    @pytest.mark.parametrize("command,action,raw", list(_path_cases()))
-    def test_runs_and_passes(self, command, action, raw, tmp_path, capsys):
-        scenario = cli.Scenario(command, action,
-                                cli._coerce_params(command, action, raw),
-                                out_dir=str(tmp_path))
-        assert cli.run(scenario) == 0, capsys.readouterr().out
+    @pytest.mark.parametrize("command,action,raw", PATH_CASES)
+    def test_runs_and_passes(self, command, action, raw, walk, request):
+        code, stdout, emitted = walk[request.node.callspec.id]
+        assert code == 0, stdout
+        declared = {name for name, _ in cli.ACTIONS[(command, action)].suites}
+        assert set(emitted) <= declared
+
+    def test_every_declared_suite_is_emitted(self, walk):
+        emitted = {}
+        for case in PATH_CASES:
+            command, action, _ = case.values
+            emitted.setdefault((command, action), set()).update(walk[case.id][2])
+        for scenario, declared in cli.ACTIONS.items():
+            assert {name for name, _ in declared.suites} <= emitted[scenario], \
+                scenario
 
     def test_periodic_mode_on_the_sine_zeros_is_refused(self, capsys):
         # under periodic conditions the state vanishes when n divides 2 mode
@@ -412,58 +469,15 @@ class TestDeterminism:
 
 class TestListSuites:
     def test_names_and_count(self, tmp_path):
+        # one row per suite some scenario emits: name, scenario, anchor line
         proc = run_cli(["list-suites"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        rows = [ln for ln in proc.stdout.splitlines() if ln.strip()]
-        names = [r.split("\t")[0] for r in rows]
-        assert "X3" in names and "lemma31" in names
-        assert len(rows) == len(cli.SUITES)
-
-    @pytest.mark.parametrize("variant,alpha,beta", [("power", 2.0, 2.0),
-                                                    ("log", 1.0, None)])
-    def test_every_envelope_report_is_registered(self, variant, alpha, beta):
-        fam = atoms.build_family(variant, 10, alpha, beta=beta)
-        reports = atoms.verify_prop52(
-            fam, t_grid=atoms.default_t_grid(fam, n=60),
-            z_samples=atoms.default_z_samples(fam, n=4))
-        registered = {name for name, _ in cli.SUITES}
-        assert {rep.name for rep in reports} <= registered
-
-    def test_registry_matches_every_emitter(self):
-        # report names travel through helper arguments, so each emitter runs
-        # once, small, and the table must match what they emit both ways
-        reports = []
-        for variant, alpha, beta in (("power", 2.0, 2.0), ("log", 1.0, None)):
-            fam = atoms.build_family(variant, 10, alpha, beta=beta)
-            reports += atoms.verify_prop52(
-                fam, t_grid=atoms.default_t_grid(fam, n=60),
-                z_samples=atoms.default_z_samples(fam, n=4))
-        reports += counterexamples.shift_semigroup_suite(2.0, 2.0, k_list=(20,),
-                                                         n_lambda=4)
-        reports += contour.fit_piece_norms(
-            weights.ConstantRate(2.0), 0.05, 2, [1.0, 2.0],
-            [(1.0, 1.0, 1e-3, 1e-3)] * 2, 1.0, 1.0)
-        n = 30
-        sys_ = semigroup.assemble_damped_wave(n, 1.0, np.ones(n))
-        scan = semigroup.running_sup(
-            semigroup.resolvent_norm_scan(sys_, np.linspace(0.0, 40.0, 9)))
-        reports.append(semigroup.rate_sandwich_check(
-            sys_, np.linspace(5.0, 10.0, 3), scan))
-        x = np.concatenate([np.sin(math.pi * np.arange(1, n + 1) / (n + 1)),
-                            np.zeros(n)])
-        reports += semigroup.weighted_decay_suite(sys_, x,
-                                                  weights.ConstantRate(2.0))
-        reports.append(semigroup.c0_example_suite([1.0, 0.5])[1])
-        reports.append(weights.weighted_tail_convergence(
-            weights.ConstantRate(2.0), 1.0, 2.0)[0])
-        reports.append(weights.check_growth_bounds(weights.ConstantRate(2.0)))
-        emitted = {rep.name for rep in reports}
-        verdict_keys = set(cli.HANDLERS[("contour", "kernel")](
-            {"t-max": 10.0, "points": 3}).passed)
-
-        registered = {name for name, _ in cli.SUITES}
-        assert emitted <= registered
-        assert registered <= emitted | verdict_keys
+        rows = [ln.split("\t") for ln in proc.stdout.splitlines() if ln.strip()]
+        assert len(rows) == 19
+        assert all(len(row) == 3 and row[2] for row in rows)
+        scenarios = {name: scenario for name, scenario, _ in rows}
+        assert scenarios["X3"] == "atoms verify"
+        assert scenarios["lemma31"] == "contour kernel"
 
 
 class TestThreadCount:
@@ -505,7 +519,7 @@ class TestWaveEnergy:
             return real(self, x)
 
         monkeypatch.setattr(semigroup.DampedWaveSystem, "to_hat", counting)
-        res = cli.HANDLERS[("wave", "energy")](params)
+        res = cli.ACTIONS[("wave", "energy")].handler(params)
         rows = res.series[0].rows
         assert len(rows) == 501
         assert len(calls) <= len(rows) + 1

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from tauberlab.atoms import build_family, primitive_N
 from tauberlab.contour import (
     ContourSpec,
     StepFunction,
+    _phi,
     adaptive_quad,
     default_k_scale,
     exp_decay_pair,
@@ -34,6 +36,15 @@ CONTRACT_SLACK = 1.0 + 1e-6
 # ----------------------------------------------------------------------
 # lemma31_check
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("z", [0.0, 1e-12, 1e-12j, 6e-13 - 8e-13j])
+def test_step_transform_near_zero_matches_mpmath(z):
+    # |z| < 1e-8 takes the Taylor branch of (1 - e^{-z})/z
+    with mpmath.workdps(50):
+        zz = mpmath.mpc(z)
+        exact = complex(1 if zz == 0 else -mpmath.expm1(-zz) / zz)
+    assert abs(_phi(z) - exact) <= 1e-16
+
 
 def test_kernel_value_at_origin_is_two():
     integral, bound = lemma31_check(0.0)

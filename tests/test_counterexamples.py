@@ -96,6 +96,20 @@ class TestSelection:
         with pytest.raises(ValueError, match="gamma_log must decrease"):
             cx.build_counterexample("power", 2, 2, 3, gamma_log=gamma_log)
 
+    def test_schedule_that_cannot_halve_is_refused_by_name(self):
+        # at alpha = 3 the 1/log schedule halves for four rungs, not five
+        with pytest.raises(ValueError, match="cannot halve"):
+            cx.select_k_sequence("power", 5, 3.0,
+                                 gamma_log=cx.inverse_log_weight)
+
+    def test_log_ladder_without_envelope_decay_is_refused_by_name(self):
+        # at rho = 0 the envelope never falls below the shrinking floor
+        fit = cx.fit_block_constants("log", 1, k_fit=(3, 9, 27))
+        with pytest.raises(ValueError, match="no admissible order"):
+            cx.select_k_sequence("log", 1, 1.0, c1=fit["c1"], c2=fit["c2"],
+                                 rho=0.0, e_factor=fit["e_factor"],
+                                 e_coeff=0.25)
+
     def test_power_ladder_needs_a_schedule(self):
         with pytest.raises(ValueError, match="needs a threshold schedule"):
             cx.select_k_sequence("power", 2, 2.0)

@@ -291,6 +291,16 @@ class TestRateSandwich:
         assert rep.constants["t0"] <= 5.0
         assert rep.constants["C"] > 0
 
+    def test_raw_scan_is_refused_by_name(self):
+        # the raw resolvent scan dips between frequencies; only its running
+        # sup has the inverse the sandwich reads
+        n = 20
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        scan = resolvent_norm_scan(sys, np.linspace(0.0, 40.0, 9))
+        assert np.any(np.diff(scan.values) < 0)
+        with pytest.raises(ValueError, match="m_scan must be a running supremum"):
+            rate_sandwich_check(sys, np.linspace(5.0, 10.0, 3), scan)
+
     def test_localized_damping_sandwich(self):
         n = 60
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))

@@ -20,7 +20,7 @@ def _csv_bodies(command, action, raw, out_dir):
     scenario = cli.Scenario(command, action,
                             cli._coerce_params(command, action, raw),
                             out_dir=str(out_dir))
-    result = cli.HANDLERS[(command, action)](scenario.params)
+    result = cli.ACTIONS[(command, action)].handler(scenario.params)
     paths = cli.write_reports(scenario, result, 0.0)
     return {pathlib.Path(p).name: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
             for p in paths if p.endswith(".csv")}
