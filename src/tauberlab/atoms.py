@@ -59,7 +59,6 @@ SERIES_CAP = 10_000        # hard cap on series terms
 ORACLE_MAX_K = 30          # mpmath direct sums are the arbiter only up to here
 ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
-BAND_MARGIN = 800.0        # main-sum rows this far under a column's peak are exp-underflow zeros
 EXP_CUT = -708.39          # G's series sums skip exp below this: e^EXP_CUT is about the smallest normal
 Z_CHUNK_POINTS = 1 << 13   # green_G evaluates at most this many (z, t) points at once
 
@@ -294,42 +293,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
-def _main_band(log_a: np.ndarray, k: int):
-    """Rows [lo, hi] of each column of the main sum whose terms survive exp.
-
-    Row j of column c has log-magnitude f(j) = j log_a[c] - log j!, concave
-    in j with its peak at j* = floor(e^log_a[c]) (clipped to the k-1 rows).
-    Every row outside [lo, hi] lies more than BAND_MARGIN below f(j*), so
-    below the column's pivot by more than exp's underflow point: its term is
-    an exact 0.0.  The live rows on each side of the peak are contiguous, so
-    both edges are reached from the peak by steps of halving length, taken
-    where they land on a live row, for all columns at once.
-    Returns None instead when every column is live on a window of more than
-    half the rows around its peak: each band is then read whole.
-    """
-    n = k - 1
-    lf = _log_factorials(n)
-    peak = np.minimum(np.exp(np.minimum(log_a, math.log(n))), n - 1).astype(np.intp)
-    floor = peak * log_a - lf[peak] - BAND_MARGIN
-
-    def live(j):
-        return j * log_a - lf[j] >= floor
-
-    # a window of more than n/2 rows around the peak, live at both ends, is
-    # live throughout
-    half = n // 2
-    first = np.maximum(np.minimum(peak - half // 2, n - 1 - half), 0)
-    if live(np.stack([first, np.minimum(first + half, n - 1)])).all():
-        return None
-    # row 0 walks down to lo, row 1 up to hi; the steps sum to at least n - 1
-    edge = np.stack([peak, peak])
-    steps = np.array([[-1], [1]]) << np.arange(n.bit_length() - 1, -1, -1)[:, None, None]
-    for step in steps:
-        cand = np.minimum(np.maximum(edge + step, 0), n - 1)
-        edge = np.where(live(cand), cand, edge)
-    return edge[0], edge[1]
-
-
 def _exp_live(d: np.ndarray) -> np.ndarray:
     """exp(d) in place where d >= EXP_CUT, and exactly 0.0 elsewhere.
 
@@ -349,49 +312,19 @@ def _exp_live(d: np.ndarray) -> np.ndarray:
 def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
     """log_sum over j <= k-2 of e^(j log_a) e^(i j ph_x)/j!, per column.
 
-    Only each column's live band (_main_band) is read.  A column whose band
-    is at most half the n = k-1 rows joins the bucket of the narrowest width
-    in n, ceil(n/2), ceil(n/4), ... that holds its band, and reads the rows
-    [start, start + width) inside 0..n-1; the bucket of width n reads the
-    row range as a slice.  Every row left out is an exact 0.0, and numpy
-    sums axis 0 of a C-ordered array with two or more columns in row order,
-    so each column's pivot and sums are those of the full n-row matrix bit
-    for bit.  One t keeps the full range: a single column is summed pairwise.
+    One (k-1) x t.size matrix of log magnitudes, taken against each
+    column's pivot; numpy sums axis 0 of a C-ordered array with two or more
+    columns in row order, and a single column (one t) pairwise.
     """
     n = k - 1
     jj = np.arange(n, dtype=float)
-    lf = _log_factorials(n)
     ph = jj * ph_x  # t^j contributes no phase: one phase per row
-    cos_j, sin_j = np.cos(ph), np.sin(ph)
-    band = _main_band(log_a, k) if log_a.size > 1 else None
-    buckets = [(n, slice(None))]
-    if band is not None:
-        lo, hi = band
-        width = np.right_shift(n - 1, np.frexp(n / (hi - lo + 1))[1] - 1) + 1
-        start = np.minimum(lo, n - width)
-        buckets = []
-        for w in np.unique(width).tolist():
-            cols = np.flatnonzero(width == w)
-            # alone a column would be summed pairwise; a second copy keeps
-            # the row order it gets beside others
-            buckets.append((w, np.repeat(cols, 2) if cols.size == 1 else cols))
-    pivot = np.empty(log_a.shape)
-    re = np.empty(log_a.shape)
-    im = np.empty(log_a.shape)
-    for w, cols in buckets:
-        if w == n:
-            lm = jj[:, None] * log_a[cols] - lf[:, None]
-            c, s = cos_j[:, None], sin_j[:, None]
-        else:
-            rows = start[cols] + np.arange(w)[:, None]
-            lm = rows * log_a[cols] - lf[rows]
-            c, s = cos_j[rows], sin_j[rows]
-        p = np.max(lm, axis=0)
-        scale = _exp_live(np.subtract(lm, p, out=lm))
-        pivot[cols] = p
-        part = np.multiply(scale, c)
-        re[cols] = np.sum(part, axis=0)
-        im[cols] = np.sum(np.multiply(scale, s, out=part), axis=0)
+    lm = jj[:, None] * log_a - _log_factorials(n)[:, None]
+    pivot = np.max(lm, axis=0)
+    scale = _exp_live(np.subtract(lm, pivot, out=lm))
+    part = np.multiply(scale, np.cos(ph)[:, None])
+    re = np.sum(part, axis=0)
+    im = np.sum(np.multiply(scale, np.sin(ph)[:, None], out=part), axis=0)
     return log_from_sums(pivot, re, im)
 
 
@@ -489,10 +422,7 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows=None):
     and for n <= k-2 the bracket is exactly Z^n A z / w, turning that range
     into a truncated exponential in t(z - w).  Everything is accumulated as
     (log magnitude, phase) arrays; no intermediate exceeds float range.
-    The main sum (_main_sum) costs the area of its live band, not
-    (k-1) x t.size: each column reads only the rows whose terms survive
-    exp, and reduces them in row order, so it equals the full-matrix sum
-    bit for bit.
+    The main sum (_main_sum) is one (k-1) x t.size matrix per z.
     At t = 0 the main sum is exactly 1 and the tail exactly 0, so those
     columns are set, not summed, and an all-zero t array (fhat = G(0, .))
     builds no series at all.
@@ -592,7 +522,7 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
     array of z one row per z.  Each value is the one a call with that z and
     t alone would give, bit for bit.  The series route evaluates the z in
     chunks of at most Z_CHUNK_POINTS (z, t) points, so no working array
-    outgrows a single z's tail matrix.
+    outgrows a single z's main-sum or tail matrix.
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """

@@ -354,7 +354,7 @@ def _h_weights_profile(params) -> RunResult:
     res = RunResult(series=[Series("profile", ["t", "m", "m_log", "w"], rows)])
 
     res.add(wg.check_growth_bounds(M), "growth")
-    if params["tail-alpha"] > 0 and params["tail-beta"] > 0:
+    if params["tail-alpha"] > 0:  # and so tail-beta (ACTIONS rule)
         tail, increments = wg.weighted_tail_convergence(
             M, params["tail-alpha"], params["tail-beta"])
         res.add(tail, "tail")
@@ -667,7 +667,13 @@ ACTIONS: dict[tuple, Action] = {
         "points": Param("int", 200, "geometric grid size", above=0),
         "tail-alpha": Param("float", 0.0, "tail-integral weight exponent (0 = skip)"),
         "tail-beta": Param("float", 0.0, "tail-integral rate exponent (0 = skip)"),
-    }, rules=(_T_SPAN,), suites=(
+    }, rules=(
+        _T_SPAN,
+        # the tail ladder needs both exponents; one alone would be dropped
+        (("tail-alpha", "tail-beta"), lambda a, b: (a > 0) == (b > 0),
+         "key 'tail-alpha' ({0:g}) and key 'tail-beta' ({1:g}) must both "
+         "exceed 0 (tail ladder) or neither (no ladder)"),
+    ), suites=(
         ("growth-of-M-along-weight",
          "M(w(t)) between c t/log t and C t/log t (c for power rates only)"),
         ("weighted-tail-ladder", "weighted tail integral dyadic decay ladder"),

@@ -326,16 +326,15 @@ def _stirling_body(block: Block, s: float, u_sq: float | None) -> float:
 
 
 def _fused_log_abs(block: Block, s: float, u_sq: float | None, which: str) -> float:
-    """log |L| or |N| from the leading series term (valid for k > KFUSE)."""
+    """log |L| or |N| from the leading series term (valid for k > KFUSE).
+
+    Only power blocks are fused, and their Re w = -1 adds no decay beyond
+    the e^{-t} in the Stirling body.
+    """
     body = _stirling_body(block, s, u_sq)
     if body == -math.inf:
         return -math.inf
     log_t = block.log_k + math.log1p(s)
-    depth = -block.re_w - 1.0          # extra decay beyond e^{-t}
-    if depth > 0.0:
-        if log_t > 690.0:
-            return -math.inf
-        body -= depth * math.exp(log_t)
     if which == "N":
         return body - log_t + 1.5 * block.log_k - block.log_absw
     # L carries the (1 + (k-1)/(t w)) bracket of the leading term
@@ -818,18 +817,19 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
         ))
 
         # tail identity by two independent quadrature routes
+        def abs_l_sq(ts):
+            return np.array([math.exp(2.0 * m) for m in
+                             laplace_L_log(fam, np.atleast_1d(ts))[0].tolist()])
+
         worst = 0.0
         hnorm_sq = None
         for t_probe in (0.5 * k, k, 2.0 * k):
-            head_ad, _, _ = adaptive_quad(
-                lambda ts: np.array([math.exp(2.0 * m) for m in
-                                     laplace_L_log(fam, np.atleast_1d(ts))[0].tolist()]),
-                0.0, t_probe, 1e-12, initial_panels=24, piece="tail-identity-head")
+            head_ad, _, _ = adaptive_quad(abs_l_sq, 0.0, t_probe, 1e-12, initial_panels=24,
+                                          piece="tail-identity-head")
             if hnorm_sq is None:
-                total_ad, _, _ = adaptive_quad(
-                    lambda ts: np.array([math.exp(2.0 * m) for m in
-                                         laplace_L_log(fam, np.atleast_1d(ts))[0].tolist()]),
-                    0.0, t_max, 1e-12, initial_panels=48, piece="tail-identity-total")
+                total_ad, _, _ = adaptive_quad(abs_l_sq, 0.0, t_max, 1e-12,
+                                               initial_panels=48,
+                                               piece="tail-identity-total")
                 hnorm_sq = float(total_ad.real)
             idx = int(np.argmin(np.abs(te - t_probe)))
             if abs(te[idx] - t_probe) > 1e-9:

@@ -166,18 +166,14 @@ def assemble_damped_wave(n: int, L: float, a, bc: str = "dirichlet") -> DampedWa
     if np.any(a < 0):
         raise ValueError("damping must be nonnegative")
     bc = bc.lower()
-    if bc == "dirichlet":
-        h = L / (n + 1)
-        stiff = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
-                 - np.diag(np.ones(n - 1), -1)) / h ** 2
-    elif bc == "periodic":
-        h = L / n
-        stiff = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
-                 - np.diag(np.ones(n - 1), -1)) / h ** 2
+    if bc not in ("dirichlet", "periodic"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    h = L / (n + 1) if bc == "dirichlet" else L / n
+    stiff = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) / h ** 2
+    if bc == "periodic":
         stiff[0, -1] -= 1.0 / h ** 2
         stiff[-1, 0] -= 1.0 / h ** 2
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
     big_g = np.zeros((2 * n, 2 * n))
     big_g[:n, n:] = np.eye(n)
     big_g[n:, :n] = -stiff

@@ -139,6 +139,7 @@ class TestWaveSandwich:
 # one violating input per cross-key rule in cli.ACTIONS, by scenario and keys
 RULE_BREAKERS = {
     ("weights", "profile", ("t-max", "t-min")): {"t-max": "1"},
+    ("weights", "profile", ("tail-alpha", "tail-beta")): {"tail-alpha": "1"},
     ("contour", "reconstruct", ("t-max", "t-min")): {"t-max": "0.5"},
     ("contour", "reconstruct", ("points", "mode")): {"mode": "adaptive",
                                                      "points": "1"},
