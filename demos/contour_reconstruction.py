@@ -32,8 +32,8 @@ def main():
     print("stage 1: g(t) = e^{-t} from two fixed-radius contours")
     tp = exp_decay_pair()
     for t in (0.5, 1.0, 5.0):
-        small = reconstruct_g_fixed(tp, ContourSpec(R=0.3), t)
-        large = reconstruct_g_fixed(tp, ContourSpec(R=0.6), t)
+        small, _ = reconstruct_g_fixed(tp, ContourSpec(R=0.3), t)
+        large, _ = reconstruct_g_fixed(tp, ContourSpec(R=0.6), t)
         print(f"  t={t:3.1f}: R=0.3 err {abs(small - math.exp(-t)):.2e}, "
               f"radius gap {abs(small - large):.2e}")
 
@@ -41,7 +41,7 @@ def main():
     fam = build_family("power", 10, 2.0, 2.0)
     atp = transform_pair_from_family(fam)
     for t in (5.0, 10.0, 15.0):
-        got = reconstruct_g_fixed(atp, ContourSpec(R=0.05, n=2), t)
+        got, _ = reconstruct_g_fixed(atp, ContourSpec(R=0.05, n=2), t)
         truth = -primitive_N(fam, t)
         print(f"  t={t:4.1f}: |recon - (-N)| = {abs(got - truth):.2e} "
               f"(|N| = {abs(truth):.3e})")
@@ -57,8 +57,10 @@ def main():
         print(f"  t={t:4.1f}: err {abs(g - truth):.2e}; piece norms "
               f"I1={i1:.3e} I2={i2:.3e} I3={i3:.3e} I4={i4:.3e}")
 
-    i3_rep, i4_rep = fit_adaptive_piece_bounds(
-        tp15, M, k_scale, 3, np.linspace(5.0, 35.0, 10), 2.0, 2.0)
+    t_fit = np.linspace(5.0, 35.0, 10)
+    norms = [reconstruct_g_adaptive(tp15, M, k_scale, 3, t)[1] for t in t_fit]
+    i3_rep, i4_rep = fit_adaptive_piece_bounds(M, k_scale, 3, t_fit, norms,
+                                               2.0, 2.0)
     print(f"  stub-piece shape fit:     C = {i3_rep.constants['C']:.3e}  "
           f"{'PASS' if i3_rep.passed else 'FAIL'}")
     print(f"  boundary-piece shape fit: C = {i4_rep.constants['C']:.3e}  "

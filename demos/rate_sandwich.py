@@ -42,7 +42,7 @@ def main():
     print(f"  lower: c' = {c['c_prime']:.6f}   with rate scale C' = {c['C_prime']:.6f}")
     print(f"  late-time tail exponent of the norm curve: "
           f"{c['tail_exponent']:.4f}")
-    print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}  ({rep.notes})")
+    print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}")
 
     print("\n  t      ||T(t)G^-1||_E  (localized damping)")
     for t, v in zip(t_grid[::10], norms.values[::10]):

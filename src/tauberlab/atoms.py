@@ -780,8 +780,6 @@ def stirling_bounds_check(k: int) -> FitReport:
         constants={"C": big_c, "rho": STIRLING_RHO, "c": small_c},
         worst_residual=resid,
         passed=math.isfinite(big_c) and small_c > 0 and exact_at_peak,
-        grid=f"k={k}, {t.size} pts on [0, {t.max():g}]",
-        notes="" if exact_at_peak else "floor quantity not exactly 1 at t=k",
     )
 
 
@@ -865,7 +863,6 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
         z_samples = default_z_samples(fam)
     t = np.asarray(t_grid, dtype=float)
     zs = np.asarray(z_samples, dtype=complex)
-    grid_desc = f"k={fam.k}: {t.size} t-pts on [0,{t.max():g}], {zs.size} z-samples"
 
     if ln_log is None:
         ln_log = (laplace_L_log(fam, t), primitive_N_log(fam, t))
@@ -873,11 +870,11 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
     abs_g = np.abs(green_G(fam, t, zs)).reshape(zs.size, t.size)
 
     verify = _verify_power if fam.variant == "power" else _verify_log
-    return verify(fam, t, zs, abs_l, abs_n, abs_g, grid_desc) \
-        + [_primitive_envelope(fam, t, abs_n, grid_desc)]
+    return verify(fam, t, zs, abs_l, abs_n, abs_g) \
+        + [_primitive_envelope(fam, t, abs_n)]
 
 
-def _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
+def _verify_power(fam, t, zs, abs_l, abs_n, abs_g):
     k = fam.k
     in_window = np.abs(t - k) < k / 2.0
     scale = (math.log(k) / k) ** (1.0 / fam.alpha)
@@ -891,17 +888,14 @@ def _verify_power(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
     c4, rho4, env4 = box_tail_fit(abs_g, t, ~tail_t, tail_t,
                                   lambda rho: shape_z[:, None])
     return [
-        upper_report("X3", {"C": c3, "rho": rho3}, env3, abs_l, grid_desc,
-                     "time-profile bump envelope"),
-        upper_report("XQ4", {"C": c4, "rho": rho4}, env4, abs_g, grid_desc,
-                     "transform box bound"),
+        upper_report("X3", {"C": c3, "rho": rho3}, env3, abs_l),
+        upper_report("XQ4", {"C": c4, "rho": rho4}, env4, abs_g),
         # X5: |N| >= c (log k / k)^(1/alpha) on (t-k)^2 < k
-        floor_report("X5", abs_n[(t - k) ** 2 < k], scale, grid_desc,
-                     "primitive floor on the sqrt(k)-window"),
+        floor_report("X5", abs_n[(t - k) ** 2 < k], scale),
     ]
 
 
-def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
+def _verify_log(fam, t, zs, abs_l, abs_n, abs_g):
     k = fam.k
     stretch = 1.0 / (fam.alpha + 1.0)
     u = t ** stretch
@@ -913,17 +907,14 @@ def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
     ok = pos & (abs_l > 0) & np.isfinite(abs_l)
     c1, rho1 = tail_fit(abs_l[ok], u[ok])
     reports.append(upper_report(
-        "Y1", {"C": c1, "rho": rho1}, c1 * np.exp(-rho1 * u), abs_l, grid_desc,
-        "stretched-exponential profile decay"))
+        "Y1", {"C": c1, "rho": rho1}, c1 * np.exp(-rho1 * u), abs_l))
 
     # Y2: |G| <= C 1_{t<=2k} + e^{-rho t}
     tail_t = t > 2.0 * k
     rho2 = fit_rate(abs_g[:, tail_t], t[tail_t])
     c2 = FIT_PAD * float(np.max(abs_g[:, ~tail_t]))
     env2 = c2 * (~tail_t)[None, :] + np.exp(-rho2 * t)[None, :]
-    reports.append(upper_report(
-        "Y2", {"C": c2, "rho": rho2}, env2, abs_g, grid_desc,
-        "transform box bound (log variant)"))
+    reports.append(upper_report("Y2", {"C": c2, "rho": rho2}, env2, abs_g))
 
     # Y3: |N| >= c e^{-E k^(1/(alpha+1))} on the window; E fitted, not asserted
     win = (t - k) ** 2 < k
@@ -935,14 +926,12 @@ def _verify_log(fam, t, zs, abs_l, abs_n, abs_g, grid_desc):
         name="Y3", constants={"c": c_at_4, "exponent_factor": e_fit},
         worst_residual=n_min,
         passed=n_min > 0 and math.isfinite(e_fit),
-        grid=grid_desc,
-        notes="window floor; exponent factor fitted (reference value 4)",
     ))
 
     return reports
 
 
-def _primitive_envelope(fam, t, abs_n, grid_desc):
+def _primitive_envelope(fam, t, abs_n):
     """The |N| upper envelope, X6 (power) or Y4 (log): all a ladder fit reads."""
     k = fam.k
     if fam.variant == "log":
@@ -950,11 +939,10 @@ def _primitive_envelope(fam, t, abs_n, grid_desc):
         off = (np.abs(t - k) > k / 2.0) & (t > 0)
         c, rho = tail_fit(abs_n[off], t[off])
         return upper_report("Y4", {"C": c, "rho": rho}, c * np.exp(-rho * t[off]),
-                            abs_n[off], grid_desc, "primitive tail decay off the window")
+                            abs_n[off])
     # X6: |N| <= C (log k/k)^(1/alpha) e^{-rho (t-k)^2/k} 1_{|t-k|<k/2} + e^{-rho t}
     win = np.abs(t - k) < k / 2.0
     c, rho, env = box_tail_fit(abs_n, t, win, ~win & (t > 0),
                                lambda rho: np.exp(-rho * (t - k) ** 2 / k),
                                (math.log(k) / k) ** (1.0 / fam.alpha))
-    return upper_report("X6", {"C": c, "rho": rho}, env, abs_n, grid_desc,
-                        "primitive bump envelope")
+    return upper_report("X6", {"C": c, "rho": rho}, env, abs_n)

@@ -436,8 +436,8 @@ def _h_contour_reconstruct(params) -> RunResult:
         spec2 = ct.ContourSpec(R=params["radius2"], n=params["reg-n"])
         rows, worst_err, worst_agree = [], 0.0, 0.0
         for t in ts:
-            g1 = ct.reconstruct_g_fixed(tp, spec1, float(t))
-            g2 = ct.reconstruct_g_fixed(tp, spec2, float(t))
+            g1, _ = ct.reconstruct_g_fixed(tp, spec1, float(t))
+            g2, _ = ct.reconstruct_g_fixed(tp, spec2, float(t))
             ref = complex(truth(float(t)))
             err1, err2 = abs(g1 - ref), abs(g2 - ref)
             agree = abs(g1 - g2)
@@ -473,7 +473,7 @@ def _h_contour_reconstruct(params) -> RunResult:
              "j1_right_arc", "j2_left_arc", "i3_stubs", "i4_boundary"], rows))
         res.residuals["worst_error"] = worst_err
         res.passed["error"] = worst_err <= params["tol"]
-        for fit in ct.fit_piece_norms(
+        for fit in ct.fit_adaptive_piece_bounds(
                 M, params["k-scale"], params["reg-n"], ts, norms,
                 params["growth-alpha"], params["growth-beta"], p=params["p"]):
             res.add(fit)

@@ -45,7 +45,6 @@ __all__ = [
     "reconstruct_g_adaptive",
     "check_piece_schedule",
     "fit_adaptive_piece_bounds",
-    "fit_piece_norms",
     "laplace_quadrature",
     "transform_pair_from_family",
     "exp_decay_pair",
@@ -370,15 +369,14 @@ def _arc_pair(tp: TransformPair, t: float, R: float, n: int, osc: int,
     return i1, j1, i2, j2
 
 
-def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
-                        want_norms: bool = False):
+def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float):
     """Remainder g(t) from the fixed two-radius contour.
 
     Internally reduces to a transform vanishing at 0 (subtracting fhat0
     times the unit-step pair) so the vertical segment through the origin
     has a removable singularity; the step's remainder fhat0*(1 - min(t,1))
-    is restored at the end.  With want_norms, also returns the piece norms
-    (J1 right arc, J2 left arc, J3 segment).
+    is restored at the end.  Returns (g, (J1, J2, J3)): right arc, left
+    arc, vertical segment.
     """
     t = float(t)
     if t < 0:
@@ -401,9 +399,7 @@ def reconstruct_g_fixed(tp: TransformPair, spec: ContourSpec, t: float,
                                  initial_panels=max(osc, 4), piece="vertical segment")
 
     g = (i1 + i_seg - i2) / (2j * math.pi) + c0 * (1.0 - u)
-    if want_norms:
-        return g, (j1, j2, j3)
-    return g
+    return g, (j1, j2, j3)
 
 
 def default_k_scale(alpha: float, beta: float) -> float:
@@ -488,34 +484,20 @@ def check_piece_schedule(k_scale: float, n: int, alpha: float, beta: float,
         )
 
 
-def fit_adaptive_piece_bounds(tp: TransformPair, M: RateFunction, k_scale: float,
-                              n: int, t_grid, alpha: float, beta: float,
+def fit_adaptive_piece_bounds(M: RateFunction, k_scale: float, n: int, t_grid,
+                              norms, alpha: float, beta: float,
                               p: float = 2.0) -> tuple[FitReport, FitReport]:
     """Fit the stub and boundary piece norms against their predicted shapes.
 
         stubs:    I3(t) <= C / (R^{n+1-alpha} M(R)^{n+1-beta})
         boundary: I4(t) <= C R^{alpha+1} M(R)^beta e^{-t/M(R)}
 
+    norms[i] is the (J1, J2, I3, I4) tuple reconstruct_g_adaptive returned
+    at t_grid[i] with the same M, k_scale and n; no contour runs here.
     alpha, beta declare the growth class K (1+|Im z|)^alpha M(|Im z|)^beta
     of fhat on the spectral region.  The regularization power must satisfy
     n > alpha and n > beta - 1 + 1/p, and the radius-schedule slope must
-    satisfy k_scale < min(1/(alpha+2), 1/(beta+1)).  Runs the adaptive
-    contour once per t; a caller that already has the piece norms passes
-    them to fit_piece_norms instead.
-    """
-    check_piece_schedule(k_scale, n, alpha, beta, p)
-    t_grid = np.asarray(t_grid, dtype=float)
-    norms = [reconstruct_g_adaptive(tp, M, k_scale, n, float(t))[1] for t in t_grid]
-    return fit_piece_norms(M, k_scale, n, t_grid, norms, alpha, beta, p)
-
-
-def fit_piece_norms(M: RateFunction, k_scale: float, n: int, t_grid, norms,
-                    alpha: float, beta: float,
-                    p: float = 2.0) -> tuple[FitReport, FitReport]:
-    """The fit of fit_adaptive_piece_bounds, from piece norms already computed.
-
-    norms[i] is the (J1, J2, I3, I4) tuple reconstruct_g_adaptive returned
-    at t_grid[i] with the same M, k_scale and n.
+    satisfy k_scale < min(1/(alpha+2), 1/(beta+1)).
     """
     check_piece_schedule(k_scale, n, alpha, beta, p)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -531,11 +513,5 @@ def fit_piece_norms(M: RateFunction, k_scale: float, n: int, t_grid, norms,
     shape3, shape4 = np.array(shape3), np.array(shape4)
     c3 = FIT_PAD * float(np.max(i3s / shape3))
     c4 = FIT_PAD * float(np.max(i4s / shape4))
-    grid_desc = f"{t_grid.size} t-pts on [{t_grid.min():g}, {t_grid.max():g}]"
-    offset = f"; boundary offset {BOUNDARY_OFFSET:g}/M inward"
-    return (
-        upper_report("i3est", {"C": c3, "n": float(n)}, c3 * shape3, i3s, grid_desc,
-                     "stub piece norm vs inverse-power shape" + offset),
-        upper_report("i4est1", {"C": c4, "n": float(n)}, c4 * shape4, i4s, grid_desc,
-                     "boundary piece norm vs weighted-decay shape" + offset),
-    )
+    return (upper_report("i3est", {"C": c3, "n": float(n)}, c3 * shape3, i3s),
+            upper_report("i4est1", {"C": c4, "n": float(n)}, c4 * shape4, i4s))

@@ -73,8 +73,6 @@ class Block:
     n: int                 # 1-based position in the train
     log_k: float
     coeff_log: float       # log(2^{-n} k^{-e})
-    alpha: float
-    variant: str           # "power" or "log" profile family
     log_h: float           # log of the bump height parameter
     re_w: float            # real part of the base point (always < 0)
     log_absw: float
@@ -294,8 +292,7 @@ def _make_block(n: int, size: KSize, variant: str, alpha: float,
         fam = build_family("power", int(size.k), alpha, beta=beta) \
             if size.k <= KFUSE else None
     log_absw = log_h + 0.5 * math.log1p(re_w * re_w * math.exp(-2.0 * log_h))
-    return Block(n, size.log_k, coeff_log, alpha, variant, log_h, re_w,
-                 log_absw, fam)
+    return Block(n, size.log_k, coeff_log, log_h, re_w, log_absw, fam)
 
 
 def _fpoly(s: float) -> float:
@@ -408,8 +405,7 @@ def fit_block_constants(variant: str, alpha: float, beta: float | None = None,
         fam = build_family(variant, int(k), alpha, beta=beta)
         t = default_t_grid(fam)
         abs_n = np.abs(to_complex(*primitive_N_log(fam, t)))
-        reports[int(k)] = [_primitive_envelope(
-            fam, t, abs_n, f"k={fam.k}: {t.size} t-pts on [0,{t.max():g}]")]
+        reports[int(k)] = [_primitive_envelope(fam, t, abs_n)]
     rho = min(reps[0].constants["rho"] for reps in reports.values())
     if variant == "power":
         probe_logs = [math.log(float(k)) for k in k_fit] + [
@@ -786,19 +782,16 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
         # T1: ||S(t) L|| <= c k^{1/4} 1_{t<=2k} + C e^{-rho t}
         c_box, c_tail, rho1, env = _orbit_envelope(tail_l, te, k, k ** 0.25)
         out.append(upper_report(
-            "T1", {"c": c_box, "C": c_tail, "rho": rho1}, env, tail_l,
-            f"k={k}, {te.size} edges to {t_max:g}", "shift orbit of the profile"))
+            "T1", {"c": c_box, "C": c_tail, "rho": rho1}, env, tail_l))
 
         # T5: ||S(t) N|| >= c k^{1/4} (log k/k)^{1/alpha} for t <= k
         scale = k ** 0.25 * (math.log(k) / k) ** (1.0 / alpha)
-        out.append(floor_report("T5", tail_n[te <= k], scale, f"k={k}, t<=k",
-                                "integrated-orbit floor"))
+        out.append(floor_report("T5", tail_n[te <= k], scale))
 
         # T6: matching upper bound with tail
         c_up, c6t, rho6, env6 = _orbit_envelope(tail_n, te, k, scale)
         out.append(upper_report(
-            "T6", {"C": c_up, "C_tail": c6t, "rho": rho6}, env6, tail_n,
-            f"k={k}", "integrated-orbit envelope"))
+            "T6", {"C": c_up, "C_tail": c6t, "rho": rho6}, env6, tail_n))
 
         # 73b: transform L^2 growth along sampled frequencies
         zs = default_z_samples(fam, n=n_lambda, seed=seed)
@@ -812,8 +805,6 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
             constants={"sup": sup, "normalized": sup / k ** (0.25 + 1.0 / p)},
             worst_residual=float(np.min(ratios)),
             passed=math.isfinite(sup),
-            grid=f"k={k}, {len(zs)} frequency samples",
-            notes="growth ratio bounded over the sampled region",
         ))
 
         # tail identity by two independent quadrature routes
@@ -841,7 +832,5 @@ def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
             constants={"worst_relative": worst, "h_norm_sq": hnorm_sq},
             worst_residual=1e-8 - worst,
             passed=worst <= 1e-8,
-            grid=f"k={k}, probes at k/2, k, 2k",
-            notes="suffix panel sums vs adaptive quadrature",
         ))
     return out

@@ -15,7 +15,7 @@ Every dyadic ladder of weighted integrals is judged by ladder_report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -45,21 +45,9 @@ class FitReport:
     """
 
     name: str
-    constants: Mapping[str, float] = field(default_factory=dict)
-    worst_residual: float = 0.0
-    passed: bool = False
-    grid: str = ""
-    notes: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "constants": dict(self.constants),
-            "worst_residual": self.worst_residual,
-            "passed": self.passed,
-            "grid": self.grid,
-            "notes": self.notes,
-        }
+    constants: Mapping[str, float]
+    worst_residual: float
+    passed: bool
 
 
 def _log_or_neg_inf(values) -> np.ndarray:
@@ -101,8 +89,8 @@ def box_tail_fit(values, t, box, tail, shape, scale: float = 1.0):
     return c, rho, c * scale * box * prof + np.exp(-rho * t)
 
 
-def upper_report(name: str, constants: Mapping[str, float], envelope, values,
-                 grid: str, notes: str) -> FitReport:
+def upper_report(name: str, constants: Mapping[str, float], envelope,
+                 values) -> FitReport:
     """Passes when every constant is finite, rho (if any) is positive and
     the envelope clears every value."""
     return FitReport(
@@ -111,20 +99,18 @@ def upper_report(name: str, constants: Mapping[str, float], envelope, values,
         passed=(all(math.isfinite(v) for v in constants.values())
                 and constants.get("rho", 1.0) > 0
                 and bool(np.all(envelope >= values))),
-        grid=grid, notes=notes,
     )
 
 
-def floor_report(name: str, values, scale: float, grid: str,
-                 notes: str) -> FitReport:
+def floor_report(name: str, values, scale: float) -> FitReport:
     """Fit the floor values >= c scale; passes when c > 0 and it clears every value."""
     c = float(np.min(values)) / scale / FIT_PAD
     resid = float(np.min(values - c * scale))
     return FitReport(name=name, constants={"c": c}, worst_residual=resid,
-                     passed=c > 0 and resid >= 0, grid=grid, notes=notes)
+                     passed=c > 0 and resid >= 0)
 
 
-def ladder_report(name: str, increments, grid: str, notes: str) -> FitReport:
+def ladder_report(name: str, increments) -> FitReport:
     """Judge a dyadic ladder of nonnegative increments by geometric decay.
 
     Ratios are taken over the last LADDER_WINDOW increments wherever the
@@ -154,5 +140,4 @@ def ladder_report(name: str, increments, grid: str, notes: str) -> FitReport:
                    "worst_late_ratio": worst, "binding_rung": float(binding),
                    "estimate": estimate},
         worst_residual=LADDER_RATIO - worst, passed=passed,
-        grid=grid, notes=notes,
     )

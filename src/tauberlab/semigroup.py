@@ -57,7 +57,6 @@ class DecaySeries:
 
     grid: np.ndarray
     values: np.ndarray
-    notes: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -73,8 +72,7 @@ class DecaySeries:
 
 
 def running_sup(series: DecaySeries) -> DecaySeries:
-    return DecaySeries(series.grid, np.maximum.accumulate(series.values),
-                       notes=series.notes)
+    return DecaySeries(series.grid, np.maximum.accumulate(series.values))
 
 
 @dataclass
@@ -225,11 +223,7 @@ def resolvent_norm_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
         if small < 1e-13 * max(1.0, sigma[0]):
             raise ArithmeticError(f"grid point s={s:g} hits the spectrum")
         vals[i] = 1.0 / small
-    notes = ""
-    nyquist = math.pi / sys.h
-    if np.any(np.abs(s_grid) > nyquist):
-        notes = f"grid exceeds the resolvable frequency pi/h = {nyquist:g}"
-    return DecaySeries(s_grid, vals, notes=notes)
+    return DecaySeries(s_grid, vals)
 
 
 def _mode_blocks(sys: DampedWaveSystem) -> np.ndarray:
@@ -379,8 +373,6 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
         constants={"residual": b_resid},
         worst_residual=1e-10 - b_resid,
         passed=b_resid <= 1e-10,
-        grid=f"n={sys.n}, {sys.bc}",
-        notes="B^2 vs -(G+G*) in the energy frame",
     )]
 
     edges = np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(ladder + 1)])
@@ -404,10 +396,8 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
         inc_b.append(float(np.sum(weights * f_b)))
         inc_e.append(float(np.sum(weights * f_e)))
 
-    grid = f"ladder {edges[0]:g}..{edges[-1]:g} (x2), n={sys.n}"
-    notes = "weighted tail increments must decay geometrically"
-    reports += [ladder_report("B-decay-ladder", inc_b, grid, notes),
-                ladder_report("energy-decay-ladder", inc_e, grid, notes)]
+    reports += [ladder_report("B-decay-ladder", inc_b),
+                ladder_report("energy-decay-ladder", inc_e)]
     return reports
 
 
@@ -456,7 +446,7 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
     svals, mvals = m_scan.grid, m_scan.values
     if np.any(np.diff(mvals) < 0):
         raise ValueError("m_scan must be a running supremum")
-    m0, m_max, s_max = float(mvals[0]), float(mvals[-1]), float(svals[-1])
+    m0, m_max = float(mvals[0]), float(mvals[-1])
     mlog = mvals * (np.log1p(mvals) + np.log1p(svals))
 
     def m_inverse(y: float) -> float:
@@ -513,9 +503,6 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
                    "t0": t0, "tail_exponent": slope},
         worst_residual=float(np.min(big_c / denom_up[usable_up] - vv[usable_up])),
         passed=ok_up and ok_lo and math.isfinite(big_c) and small_c >= 0,
-        grid=f"{tt.size} t-pts on [{tt[0]:g}, {tt[-1]:g}], scan to s={s_max:g}",
-        notes="lower bound vacuous where the scan max is exceeded"
-             + ("; " + m_scan.notes if m_scan.notes else ""),
     )
 
 
@@ -718,7 +705,5 @@ def c0_example_suite(beta_list, t_grid=None) -> tuple[DecaySeries, FitReport]:
                    "n_rates": float(beta.size)},
         worst_residual=float(np.min(upper * (1.0 + 1e-12) - vals)),
         passed=up_ok and lo_ok,
-        grid=f"{t_grid.size} t-pts on [{t_grid[0]:g}, {t_grid[-1]:g}]",
-        notes="exact envelopes, 1e-12 float slack only",
     )
     return series, report

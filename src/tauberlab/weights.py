@@ -237,16 +237,13 @@ def check_growth_bounds(M: RateFunction, t_grid=None) -> FitReport:
     constants = {"C": c_upper}
     passed = math.isfinite(c_upper) and upper_resid >= -1e-9 * c_upper * float(np.max(target))
 
-    lower_applies = isinstance(M, PowerRate)
-    notes = ""
-    if lower_applies:
+    if isinstance(M, PowerRate):
         c_lower = float(np.min(coarse)) * (1.0 - GROWTH_FIT_PAD)
         lower_resid = float(np.min(m_of_r - c_lower * target))
         constants["c"] = c_lower
         passed = passed and c_lower > 0 and lower_resid >= -1e-9 * float(np.max(m_of_r))
         worst = min(upper_resid, lower_resid)
     else:
-        notes = "lower-bound fit skipped: family grows too slowly for it"
         worst = upper_resid
 
     return FitReport(
@@ -254,8 +251,6 @@ def check_growth_bounds(M: RateFunction, t_grid=None) -> FitReport:
         constants=constants,
         worst_residual=worst,
         passed=passed,
-        grid=f"{t_grid.size} pts on [{t_grid.min():g}, {t_grid.max():g}]",
-        notes=notes,
     )
 
 
@@ -293,8 +288,4 @@ def weighted_tail_convergence(
         return 0.5 * (b - a) * float(np.dot(wts, vals))
 
     increments = [block(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    report = ladder_report(
-        "weighted-tail-ladder", increments,
-        grid=f"{len(increments)} dyadic blocks on [2, {T_max:g}]",
-        notes=f"int w^-{alpha:g} M(w)^-{beta:g} dt; block increments must decay")
-    return report, increments
+    return ladder_report("weighted-tail-ladder", increments), increments

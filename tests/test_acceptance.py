@@ -26,6 +26,7 @@ from tauberlab.contour import (
     fit_adaptive_piece_bounds,
     laplace_quadrature,
     lemma31_check,
+    reconstruct_g_adaptive,
     reconstruct_g_fixed,
     transform_pair_from_family,
 )
@@ -145,7 +146,7 @@ def test_06_contour_reconstruction(capsys):
     tp = exp_decay_pair()
     exp_ok, agree_ok = True, True
     for t in (0.5, 1.0, 5.0):
-        vals = [reconstruct_g_fixed(tp, ContourSpec(R=radius), t)
+        vals = [reconstruct_g_fixed(tp, ContourSpec(R=radius), t)[0]
                 for radius in (0.3, 0.6)]
         exp_ok = exp_ok and all(abs(v - math.exp(-t)) <= 1e-8 for v in vals)
         agree_ok = agree_ok and abs(vals[0] - vals[1]) <= 1e-8
@@ -155,15 +156,17 @@ def test_06_contour_reconstruction(capsys):
     atom_ok = True
     for t in (5.0, 10.0, 15.0):
         truth = -primitive_N(fam, t)
-        got = reconstruct_g_fixed(atp, ContourSpec(R=0.05, n=2), t)
+        got, _ = reconstruct_g_fixed(atp, ContourSpec(R=0.05, n=2), t)
         atom_ok = atom_ok and abs(got - truth) <= 1e-6 * max(1.0, abs(truth))
 
     fam15 = build_family("power", 15, 2.0, 2.0)
     tp15 = transform_pair_from_family(fam15)
     M = weights.PowerRate(1.0, 2.0)
     k_scale = 0.9 * default_k_scale(2.0, 2.0)
-    i3_rep, i4_rep = fit_adaptive_piece_bounds(
-        tp15, M, k_scale, 3, np.linspace(5.0, 35.0, 10), 2.0, 2.0)
+    t_fit = np.linspace(5.0, 35.0, 10)
+    norms = [reconstruct_g_adaptive(tp15, M, k_scale, 3, t)[1] for t in t_fit]
+    i3_rep, i4_rep = fit_adaptive_piece_bounds(M, k_scale, 3, t_fit, norms,
+                                               2.0, 2.0)
     _verdict(capsys, 6, "contour-reconstruction", {
         "exp profile recovered to 1e-8 at two radii": exp_ok,
         "radius independence <= 1e-8": agree_ok,

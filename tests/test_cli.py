@@ -12,7 +12,7 @@ import pytest
 
 import tauberlab
 import tauberlab.cli as cli
-from tauberlab import atoms, contour, semigroup, weights
+from tauberlab import atoms, contour, reports, semigroup, weights
 
 CLI_TIMEOUT = 300
 
@@ -468,6 +468,28 @@ class TestDeterminism:
         assert bodies[0] == bodies[1]
 
 
+class TestRunResultAdd:
+    def test_summary_files_every_report_field(self, tmp_path):
+        # a FitReport field the summary does not show is carried by every
+        # producer and read by no one
+        rep = reports.FitReport(name="probe", constants={"C": 2.5, "rho": 0.25},
+                                worst_residual=0.125, passed=True)
+        res = cli.RunResult()
+        res.add(rep)
+        scenario = cli.Scenario("weights", "profile", {}, out_dir=str(tmp_path))
+        cli.write_reports(scenario, res, 0.0)
+        summary = read_summary(tmp_path / "weights-profile-summary.json")
+        filed = {
+            "name": (list(summary["constants"]) == list(summary["residuals"])
+                     == list(summary["passed"]) == ["probe"]),
+            "constants": summary["constants"]["probe"] == {"C": 2.5, "rho": 0.25},
+            "worst_residual": summary["residuals"]["probe"] == 0.125,
+            "passed": summary["passed"]["probe"] is True,
+        }
+        assert sorted(filed) == sorted(f.name for f in dataclasses.fields(rep))
+        assert all(filed.values()), filed
+
+
 class TestListSuites:
     def test_names_and_count(self, tmp_path):
         # one row per suite some scenario emits: name, scenario, anchor line
@@ -557,10 +579,13 @@ class TestAdaptiveContour:
 
         fam = atoms.build_family("power", params["atom-k"], params["atom-alpha"],
                                  beta=params["atom-beta"])
+        tp, M = contour.transform_pair_from_family(fam), fam.matching_rate()
+        ts = np.geomspace(params["t-min"], params["t-max"], points)
+        norms = [contour.reconstruct_g_adaptive(tp, M, params["k-scale"],
+                                                params["reg-n"], float(t))[1]
+                 for t in ts]
         stub, boundary = contour.fit_adaptive_piece_bounds(
-            contour.transform_pair_from_family(fam), fam.matching_rate(),
-            params["k-scale"], params["reg-n"],
-            np.geomspace(params["t-min"], params["t-max"], points),
+            M, params["k-scale"], params["reg-n"], ts, norms,
             params["growth-alpha"], params["growth-beta"], p=params["p"])
         assert summary["constants"]["i3est"] == dict(stub.constants)
         assert summary["constants"]["i4est1"] == dict(boundary.constants)

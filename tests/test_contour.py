@@ -121,22 +121,22 @@ def test_exponential_tail_reconstructed():
     tp = exp_decay_pair()
     spec = ContourSpec(R=0.5, n=2)
     for t in (0.5, 1.0, 5.0):
-        g = reconstruct_g_fixed(tp, spec, t)
+        g, _ = reconstruct_g_fixed(tp, spec, t)
         assert abs(g - math.exp(-t)) <= RECON_TOL
 
 
 def test_reconstruction_independent_of_radius():
     tp = exp_decay_pair()
     for t in (0.5, 1.0, 5.0):
-        g_small = reconstruct_g_fixed(tp, ContourSpec(R=0.3, n=2), t)
-        g_large = reconstruct_g_fixed(tp, ContourSpec(R=0.6, n=2), t)
+        g_small, _ = reconstruct_g_fixed(tp, ContourSpec(R=0.3, n=2), t)
+        g_large, _ = reconstruct_g_fixed(tp, ContourSpec(R=0.6, n=2), t)
         assert abs(g_small - g_large) <= RECON_TOL
 
 
 def test_piece_sum_dominates_reconstruction():
     tp = exp_decay_pair()
     spec = ContourSpec(R=0.5, n=2)
-    g, (j1, j2, j3) = reconstruct_g_fixed(tp, spec, 1.0, want_norms=True)
+    g, (j1, j2, j3) = reconstruct_g_fixed(tp, spec, 1.0)
     assert 2.0 * math.pi * abs(g) <= j1 + j2 + j3 + 1e-12
 
 
@@ -145,7 +145,7 @@ def test_atom_family_reconstruction_matches_primitive():
     tp = transform_pair_from_family(fam)
     spec = ContourSpec(R=0.05, n=2)
     for t in (5.0, 10.0, 15.0):
-        g = reconstruct_g_fixed(tp, spec, t)
+        g, _ = reconstruct_g_fixed(tp, spec, t)
         truth = -primitive_N(fam, t)
         assert abs(g - truth) <= ATOM_RECON_TOL * max(1.0, abs(truth))
 
@@ -176,7 +176,9 @@ def test_adaptive_contour_matches_primitive(adaptive_setup):
 def test_adaptive_piece_shapes(adaptive_setup):
     _, tp, M, k_scale = adaptive_setup
     t_grid = np.linspace(5.0, 35.0, 10)
-    i3_rep, i4_rep = fit_adaptive_piece_bounds(tp, M, k_scale, 3, t_grid, 2.0, 2.0)
+    norms = [reconstruct_g_adaptive(tp, M, k_scale, 3, t)[1] for t in t_grid]
+    i3_rep, i4_rep = fit_adaptive_piece_bounds(M, k_scale, 3, t_grid, norms,
+                                               2.0, 2.0)
     assert i3_rep.passed
     assert i4_rep.passed
     assert i3_rep.constants["C"] > 0

