@@ -636,9 +636,15 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
     """prefactor(at, e^(tw)) * sum_s coeffs(at)[s] e^(t q^s/A) at one t >= 0.
 
     at is the _OracleAtoms table at the working precision of t.  Since
-    e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), a point costs
-    one exponential per conjugate pair of roots (q^(k/2) = -1 pairs with
-    itself), e^(t/A) for q^k = 1, and e^(tw): floor(k/2) + 2 in all.
+    e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), the roots
+    s <= k/2 are exponentiated and the rest conjugated from them (q^(k/2) = -1
+    pairs with itself); e^(t/A) for q^k = 1 and e^(tw) come once each.
+    Odd k takes one complex exponential per conjugate pair: floor(k/2) + 2
+    exponentials a point.  Even k also reflects, q^(k/2-s) = -conj(q^s):
+    with x = t/A, e^(x q^s) = e^(x Re q^s) cis(x Im q^s) and
+    e^(x q^(k/2-s)) = cis(x Im q^s)/e^(x Re q^s), so each s <= k/4 (s = k/4
+    pairs with itself) costs one real exponential and one cos/sin, and
+    e^(-x) = 1/e^x: floor(k/4) + 2 exponentials and floor(k/4) cos/sin.
     """
     import mpmath as mp
 
@@ -648,8 +654,19 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
     with mp.workdps(dps):
         t = mp.mpf(t)
         t_a = t / at.a
-        half = [mp.exp(t_a * q) for q in at.qs[:k // 2]]
-        es = half + [e.conjugate() for e in reversed(half[:(k - 1) // 2])] + [mp.exp(t_a)]
+        e_k = mp.exp(t_a)
+        if k % 2:
+            half = [mp.exp(t_a * q) for q in at.qs[:k // 2]]
+        else:
+            half = [None] * (k // 2)
+            half[-1] = 1 / e_k
+            for s in range(1, k // 4 + 1):
+                q = at.qs[s - 1]
+                mag = mp.exp(t_a * q.real)
+                cis = mp.mpc(*mp.cos_sin(t_a * q.imag))
+                half[k // 2 - s - 1] = cis / mag
+                half[s - 1] = cis * mag
+        es = half + [e.conjugate() for e in reversed(half[:(k - 1) // 2])] + [e_k]
         tot = mp.mpc(0)
         for c, e in zip(coeffs(at), es):
             tot += c * e

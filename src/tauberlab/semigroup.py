@@ -280,36 +280,43 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
         raise ValueError("t_grid must be increasing with at least two points")
     x0 = np.asarray(x0, dtype=float)
     ghat = sys.hat_generator()
-    xh = sys.to_hat(x0)
-    states_hat = np.empty((xh.size, t_grid.size))
-    states_hat[:, 0] = xh
+    dts = np.diff(t_grid)
+    # the step propagators come first, so expm's work arrays are freed
+    # before the trajectory is allocated
     props: dict[float, np.ndarray] = {}
-    cur = xh.copy()
-    e_prev = float(cur @ cur)
-    e0 = max(e_prev, 1e-300)
-    for i, dt in enumerate(np.diff(t_grid)):
+    for dt in dts:
         key = round(float(dt), 15)
         if key not in props:
             props[key] = sla.expm(ghat * float(dt))
-        cur = props[key] @ cur
+    xh = sys.to_hat(x0)
+    # column-major, so each state is a contiguous column written in place
+    # and the triangular solve below works in this same buffer
+    states_hat = np.empty((xh.size, t_grid.size), order="F")
+    states_hat[:, 0] = xh
+    cur = states_hat[:, 0]
+    e_prev = float(cur @ cur)
+    e0 = max(e_prev, 1e-300)
+    for i, dt in enumerate(dts):
+        cur = np.matmul(props[round(float(dt), 15)], cur, out=states_hat[:, i + 1])
         e_now = float(cur @ cur)
         if e_now > e_prev + tol * e0:
             raise ArithmeticError(
                 f"energy increased by {e_now - e_prev:.3e} over one step (tol {tol:g})"
             )
         e_prev = e_now
-        states_hat[:, i + 1] = cur
     # back to physical coordinates; the periodic constant mode is frozen by
     # the flow (G kills it), so it is added back verbatim.  The basis maps
     # one column at a time: in one matrix product, one BLAS thread rounds
     # the last columns through another kernel than two threads do, and the
     # states would depend on the thread count
-    inv_lt = sla.solve_triangular(sys.chol.T, states_hat, lower=False)
+    inv_lt = sla.solve_triangular(sys.chol.T, states_hat, lower=False, overwrite_b=True)
     if sys.basis is None:
         states = inv_lt
     else:
-        states = np.stack([sys.basis @ col for col in inv_lt.T], axis=1) \
-            + (sys.P0 @ x0)[:, None]
+        states = np.empty((sys.basis.shape[0], t_grid.size), order="F")
+        for i in range(t_grid.size):
+            np.matmul(sys.basis, inv_lt[:, i], out=states[:, i])
+        states += (sys.P0 @ x0)[:, None]
     return Trajectory(t_grid, states, sys)
 
 
@@ -603,8 +610,13 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     if t_grid is None:
         t_grid = np.linspace(0.0, 60.0, 3001)
     t_grid = np.asarray(t_grid, dtype=float)
-    series_r = _norm_series(sys, ghat, t1_hat, base, t_grid)
-    series_d = _norm_series(sys, ghat, t1_hat, t2x, t_grid)
+    dt = float(t_grid[1] - t_grid[0])
+    if np.ptp(np.diff(t_grid)) > 1e-12 * dt:
+        raise ValueError("norm series needs a uniform grid")
+    phi = sla.expm(ghat * dt).astype(complex)
+    t1_c = t1_hat.astype(complex)
+    series_r = _norm_series(phi, t1_c, base, t_grid.size)
+    series_d = _norm_series(phi, t1_c, t2x, t_grid.size)
     mink = {}
     for pp in (1.0, 2.0, math.inf):
         lhs = _grid_lp(t_grid, series_r, pp)
@@ -625,16 +637,12 @@ def _conjugate_to_hat(sys: DampedWaveSystem, m: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(sys.chol, (sys.chol.T @ m_work).T, lower=True).T
 
 
-def _norm_series(sys, ghat, t1_hat, v0, t_grid):
-    dt = float(t_grid[1] - t_grid[0])
-    if np.ptp(np.diff(t_grid)) > 1e-12 * dt:
-        raise ValueError("norm series needs a uniform grid")
-    phi = sla.expm(ghat * dt).astype(complex)
-    t1_hat = t1_hat.astype(complex)
-    out = np.empty(t_grid.size)
+def _norm_series(phi, t1, v0, size: int):
+    """|T1 e^(i dt G) v0| for i = 0..size-1, given the step phi = e^(dt G)."""
+    out = np.empty(size)
     cur = v0.astype(complex)
-    for i in range(t_grid.size):
-        out[i] = float(np.linalg.norm(t1_hat @ cur))
+    for i in range(size):
+        out[i] = float(np.linalg.norm(t1 @ cur))
         cur = phi @ cur
     return out
 

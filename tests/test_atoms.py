@@ -477,6 +477,26 @@ def _roots_sweep(seed):
     return calls
 
 
+def _per_atom_sums(fam, t, z):
+    """L, N and G at t by the defining sums, one exponential e^(t zeta_s)
+    per atom, at the oracle's working precision."""
+    mp = atoms.mp
+    with mp.workdps(atoms._oracle_dps(fam, t)):
+        k = fam.k
+        a = mp.mpf(fam.circle_scale)
+        w = mp.mpc(fam.base.real, fam.base.imag)
+        tau = a ** (k - 1) / mp.sqrt(k)
+        lsum = nsum = gsum = mp.mpc(0)
+        for s in range(1, k + 1):
+            q = mp.expjpi(mp.mpf(2 * s) / k)
+            zeta = w + q / a
+            term = tau * q * (1 + q / (a * w)) * mp.exp(mp.mpf(t) * zeta)
+            lsum += term
+            nsum += term / zeta
+            gsum += term / (mp.mpc(z) - zeta)
+        return complex(lsum), complex(nsum), complex(gsum)
+
+
 class TestOracleGolden:
     @pytest.mark.parametrize("key,variant,k,alpha", [
         pytest.param("power_k10", "power", 10, 2.0, id="10"),
@@ -497,6 +517,27 @@ class TestOracleGolden:
         for i, z in enumerate(zs):
             assert [_hex_pair(v) for v in green_G(fam, t, z, backend="oracle")] \
                 == rec["G"][i]
+
+    @pytest.mark.parametrize("variant,k,alpha", [
+        *(pytest.param("power", k, 2.0, id=str(k)) for k in (4, 6, 8, 20, 30)),
+        pytest.param("log", 10, 1.0, id="log-10"),
+    ])
+    def test_equals_per_atom_sums(self, variant, k, alpha):
+        # the shared and reflected exponentials round to the doubles of the
+        # plain sums over atoms; at t = 0 L and N cancel to working-precision
+        # noise, so there both routes are held to the cancellation level
+        fam = build_family(variant, k, alpha, 2.0 if variant == "power" else None)
+        t = default_t_grid(fam, n=60)
+        z = complex(default_z_samples(fam, n=4)[0])
+        got = [laplace_L(fam, t, backend="oracle"), primitive_N(fam, t, backend="oracle"),
+               green_G(fam, t, z, backend="oracle")]
+        want = np.array([_per_atom_sums(fam, float(ti), z) for ti in t]).T
+        for name, g, r in zip("LNG", got, want):
+            if name != "G":
+                assert t[0] == 0.0
+                assert max(abs(g[0]), abs(r[0])) <= CANCEL_TOL, name
+                g, r = g[1:], r[1:]
+            assert [_hex_pair(v) for v in g] == [_hex_pair(v) for v in r], name
 
     def test_roots_identity_sweep(self):
         rec = ORACLE_GOLDEN["roots"]
@@ -534,23 +575,36 @@ class TestOracleWork:
             roots_identity(16, 5, 2.0 * cmath.exp(1j * theta))
         assert len(expjpi_calls) == 16
 
-    @pytest.mark.parametrize("k", [7, 10, 12])
+    @pytest.mark.parametrize("k", [4, 6, 7, 8, 10, 12])
     def test_one_exponential_per_conjugate_root_pair(self, monkeypatch, k):
-        # e^(t q^s/A) for s <= k/2, e^(t/A) for q^k = 1, and e^(tw)
+        # odd k: e^(t q^s/A) for s <= k/2, e^(t/A) for q^k = 1, and e^(tw).
+        # Even k: e^(t Re q^s/A) and cis(t Im q^s/A) for s <= k/4, which also
+        # give the reflected roots q^(k/2-s) = -conj(q^s) (k = 4 and 8 pair
+        # s = k/4 with itself, k = 4 and 6 have k/4 = 1), then e^(t/A), whose
+        # inverse serves q^(k/2) = -1, and e^(tw)
         fam = build_family("power", k, 2.0, 2.0)
         z = complex(default_z_samples(fam, n=1)[0])
-        calls = []
-        exp = atoms.mp.exp
+        calls = {"exp": 0, "cos_sin": 0}
 
-        def counted(x):
-            calls.append(x)
-            return exp(x)
+        def counted(name):
+            real = getattr(atoms.mp, name)
 
-        monkeypatch.setattr(atoms.mp, "exp", counted)
+            def call(x):
+                calls[name] += 1
+                return real(x)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(atoms.mp, name, counted(name))
+        if k % 2:
+            expected = {"exp": k // 2 + 2, "cos_sin": 0}
+        else:
+            expected = {"exp": k // 4 + 2, "cos_sin": k // 4}
         for f, args in ((laplace_L, ()), (primitive_N, ()), (green_G, (z,))):
-            calls.clear()
+            calls.update(exp=0, cos_sin=0)
             f(fam, 3.0, *args, backend="oracle")
-            assert len(calls) == k // 2 + 2, f.__name__
+            assert calls == expected, f.__name__
 
     def test_green_weights_do_not_leak_across_calls(self):
         fam = build_family("power", 10, 2.0, 2.0)

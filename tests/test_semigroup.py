@@ -1,6 +1,7 @@
 """Damped-wave laboratory: generators, trajectories, decay fits, cutoff identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,23 @@ class TestEvolution:
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
         traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3), tol=1e-10)
         assert energy_derivative_check(traj) <= 1e-8 * traj.energies()[0]
+
+    @pytest.mark.parametrize("bc,limit", [("dirichlet", 1.25), ("periodic", 2.25)])
+    def test_peak_memory_is_one_trajectory_per_frame(self, bc, limit):
+        # Dirichlet holds only the states, solved in place; periodic adds
+        # the physical-frame copy.  Temporaries that scale with the step
+        # count would push the peak past the limit
+        n = 40
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc=bc)
+        x0 = _smooth_state(n)
+        tg = np.linspace(0.0, 20.0, 20_001)
+        tracemalloc.start()
+        try:
+            traj = evolve(sys, x0, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * traj.states.nbytes
 
 
 # ----------------------------------------------------------------------
