@@ -41,12 +41,9 @@ __all__ = [
     "primitive_N",
     "primitive_N_log",
     "roots_identity",
-    "taylor_remainder_check",
-    "stirling_bounds_check",
     "verify_prop52",
     "default_t_grid",
     "default_z_samples",
-    "atoms_outside_region",
     "SERIES",
     "DIRECT_ORACLE",
 ]
@@ -170,7 +167,8 @@ def _solve_height(gamma: float, alpha: float, k: int) -> float:
 
 
 def atoms_outside_region(fam: AtomFamily) -> bool:
-    """True iff no atom lies in the open spectral region of the matching M.
+    """Test support: True iff no atom lies in the open spectral region of
+    the matching M.
 
     Holds for every k >= 3: Re(atom) <= Re(w) + 1/A <= -1/2 while the
     region boundary sits at Re = -1/M >= -1/2.
@@ -721,7 +719,8 @@ def roots_identity(k: int, j: int, z: complex) -> tuple[complex, complex]:
 
 
 def taylor_remainder_check(n: int, z: complex) -> tuple[float, float]:
-    """(remainder, bound) for |e^z - sum_{j<=n} z^j/j!| <= 2|z|^(n+1)/(n+1)!.
+    """Test support: (remainder, bound) for
+    |e^z - sum_{j<=n} z^j/j!| <= 2|z|^(n+1)/(n+1)!.
 
     Valid for |z| <= 1 and n >= 1 (enforced).
     """
@@ -746,7 +745,7 @@ def taylor_remainder_check(n: int, z: complex) -> tuple[float, float]:
 
 
 def stirling_bounds_check(k: int) -> FitReport:
-    """Fit the peak envelopes around t = k.
+    """Test support: fit the peak envelopes around t = k.
 
     Upper shapes (C fitted jointly, rho = STIRLING_RHO = 0.19 fixed, which
     is valid for all t and k):

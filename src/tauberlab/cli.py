@@ -791,10 +791,10 @@ ACTIONS: dict[tuple, Action] = {
         "nodes": Param("int", 24, "window quadrature nodes", above=0),
         "gamma-exp": Param("float", 0.0, "log-variant weight rate (0 = fit it)"),
     }, rules=(
-        # a log train refits its envelope at its own orders; at one order
-        # the e_factor fit is 0/0
-        (("blocks", "variant"), lambda n, variant: n > 1 or variant != "log",
-         "key 'blocks' ({0}) must exceed 1 when key 'variant' is {1!r}"),
+        # a log train refits its envelope at its own orders: at one order
+        # the e_factor fit is 0/0, and at two it never stabilises
+        (("blocks", "variant"), lambda n, variant: n > 2 or variant != "log",
+         "key 'blocks' ({0}) must be at least 3 when key 'variant' is {1!r}"),
     )),
     ("counterexample", "shift"): Action(_h_cx_shift, {
         "alpha": Param("float", 2.0, "envelope exponent"),

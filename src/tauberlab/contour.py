@@ -36,16 +36,12 @@ __all__ = [
     "QuadratureError",
     "TransformPair",
     "ContourSpec",
-    "StepFunction",
     "adaptive_quad",
     "lemma31_check",
-    "poisson_convolve",
-    "step_lp_norm",
     "reconstruct_g_fixed",
     "reconstruct_g_adaptive",
     "check_piece_schedule",
     "fit_adaptive_piece_bounds",
-    "laplace_quadrature",
     "transform_pair_from_family",
     "exp_decay_pair",
     "rational_pair",
@@ -151,7 +147,8 @@ def lemma31_check(t: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Compactly supported piecewise-constant function on the line."""
+    """Test support: a compactly supported piecewise-constant function on
+    the line."""
 
     edges: np.ndarray   # ascending breakpoints, length m+1
     values: np.ndarray  # value on [edges[i], edges[i+1]), length m
@@ -168,6 +165,7 @@ class StepFunction:
 
 
 def step_lp_norm(h: StepFunction, p) -> float:
+    """Test support: the L^p norm of h, p >= 1 or inf."""
     if p == math.inf or p == "inf":
         return float(np.max(np.abs(h.values))) if h.values.size else 0.0
     p = float(p)
@@ -177,7 +175,8 @@ def step_lp_norm(h: StepFunction, p) -> float:
 
 
 def poisson_convolve(h: StepFunction, y: float, x):
-    """Harmonic extension (P_y * h)(x), exactly integrated per step.
+    """Test support: the harmonic extension (P_y * h)(x), exactly
+    integrated per step.
 
     (1/pi) sum_i v_i [arctan((e_{i+1}-x)/y) - arctan((e_i-x)/y)].
     """
@@ -257,7 +256,8 @@ def transform_pair_from_family(fam: AtomFamily) -> TransformPair:
 
 
 def laplace_quadrature(f, z: complex, T: float, tol: float = 1e-10) -> complex:
-    """int_0^T e^{-zs} f(s) ds by oscillation-matched adaptive panels."""
+    """Test support: int_0^T e^{-zs} f(s) ds by oscillation-matched
+    adaptive panels."""
     z = complex(z)
     T = float(T)
     if T <= 0:

@@ -44,8 +44,6 @@ __all__ = [
     "select_k_sequence",
     "fit_block_constants",
     "build_counterexample",
-    "f_sum_eval",
-    "g_sum_eval",
     "divergence_scan",
     "fit_log_weight_exponent",
     "shift_semigroup_suite",
@@ -543,12 +541,12 @@ def _train_sum(spec: CounterexampleSpec, t: float, which: str) -> complex:
 
 
 def f_sum_eval(spec: CounterexampleSpec, t: float) -> complex:
-    """The train profile f(t) = sum_n coeff_n L_n(t)."""
+    """Test support: the train profile f(t) = sum_n coeff_n L_n(t)."""
     return _train_sum(spec, float(t), "L")
 
 
 def g_sum_eval(spec: CounterexampleSpec, t: float) -> complex:
-    """The integrated train g(t) = -sum_n coeff_n N_n(t)."""
+    """Test support: the integrated train g(t) = -sum_n coeff_n N_n(t)."""
     return -_train_sum(spec, float(t), "N")
 
 

@@ -28,7 +28,6 @@ from .weights import RateFunction, w_m_log
 
 __all__ = [
     "DampedWaveSystem",
-    "DiagonalSemigroup",
     "DecaySeries",
     "Trajectory",
     "assemble_damped_wave",
@@ -42,7 +41,6 @@ __all__ = [
     "weighted_decay_suite",
     "rate_sandwich_check",
     "cutoff_transform_check",
-    "c0_example_suite",
     "localized_bump_damping",
 ]
 
@@ -102,27 +100,47 @@ class Trajectory:
 
 @dataclass
 class DampedWaveSystem:
+    """The finite-difference damped wave and its energy frame: the Cholesky
+    congruence of the energy Gram matrix, for periodic ends on a basis of
+    range(I - P0).  The verdicts read the frame only through the methods."""
+
     n: int
     L: float
     a: np.ndarray
     bc: str                      # "dirichlet" or "periodic"
     h: float
-    stiffness: np.ndarray        # K = -Delta_h, size n x n
     G: np.ndarray                # 2n x 2n block generator
-    gram: np.ndarray             # energy Gram matrix P (PD on the working space)
-    chol: np.ndarray             # lower Cholesky factor of P (working space)
+    chol: np.ndarray             # lower Cholesky factor of the energy Gram (working space)
     basis: np.ndarray | None = None   # periodic: orthonormal basis of range(I-P0)
     P0: np.ndarray | None = None      # periodic: spectral projection onto constants
     _hat: np.ndarray | None = field(default=None, repr=False)
 
     # -- energy geometry -------------------------------------------------
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Working-space coordinates of x - P0 x (P0 is oblique); x for Dirichlet."""
-        x = np.asarray(x)
-        return x if self.basis is None else self.basis.T @ (x - self.P0 @ x)
-
     def to_hat(self, x: np.ndarray) -> np.ndarray:
-        return self.chol.T @ self.reduce(x)
+        """Energy-frame coordinates of x - P0 x (P0 is oblique); of x for Dirichlet."""
+        x = np.asarray(x)
+        return self.chol.T @ (x if self.basis is None else self.basis.T @ (x - self.P0 @ x))
+
+    def from_hat(self, xh: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """Physical states of the energy-frame columns xh, solved in place if
+        xh is column-major; with x0, the part of x0 that the flow freezes (the
+        periodic constant mode: G kills it) is added back verbatim.  The basis
+        maps one column at a time: in one product, one BLAS thread rounds the
+        last columns through another kernel than two threads do."""
+        inv_lt = sla.solve_triangular(self.chol.T, xh, lower=False, overwrite_b=True)
+        if self.basis is None:
+            return inv_lt
+        states = np.empty((self.basis.shape[0], inv_lt.shape[1]), order="F")
+        for i in range(inv_lt.shape[1]):
+            np.matmul(self.basis, inv_lt[:, i], out=states[:, i])
+        if x0 is not None:
+            states += (self.P0 @ x0)[:, None]
+        return states
+
+    def conjugate_to_hat(self, m: np.ndarray) -> np.ndarray:
+        """The physical-frame operator m in the energy-orthonormal frame."""
+        m_work = m if self.basis is None else self.basis.T @ m @ self.basis
+        return sla.solve_triangular(self.chol, (self.chol.T @ m_work).T, lower=True).T
 
     def energy(self, x: np.ndarray) -> float:
         xh = self.to_hat(x)
@@ -131,17 +149,18 @@ class DampedWaveSystem:
     def hat_generator(self) -> np.ndarray:
         """Generator conjugated to the energy-orthonormal frame."""
         if self._hat is None:
-            self._hat = _conjugate_to_hat(self, self.G)
+            self._hat = self.conjugate_to_hat(self.G)
         return self._hat
 
     def spectral_abscissa(self) -> float:
         return float(np.max(np.linalg.eigvals(self.hat_generator()).real))
 
-    def dissipation(self, x: np.ndarray) -> float:
-        """-dE/dt = h sum_j a_j v_j^2 evaluated at the state x."""
-        x = np.asarray(x)
-        v = x[self.n:]
-        return float(self.h * np.sum(self.a * np.abs(v) ** 2))
+    def dissipation(self, x: np.ndarray):
+        """-dE/dt = h sum_j a_j v_j^2 at the state x, or at each column of a
+        (2n, m) block of states."""
+        v = np.asarray(x)[self.n:]
+        a = self.a if v.ndim == 1 else self.a[:, None]
+        return self.h * np.sum(a * np.abs(v) ** 2, axis=0)
 
 
 def localized_bump_damping(n: int, height: float = 1.0) -> np.ndarray:
@@ -180,8 +199,7 @@ def assemble_damped_wave(n: int, L: float, a, bc: str = "dirichlet") -> DampedWa
         [[stiff, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]]
     )
     if bc == "dirichlet":
-        chol = np.linalg.cholesky(gram)
-        return DampedWaveSystem(n, L, a, bc, h, stiff, big_g, gram, chol)
+        return DampedWaveSystem(n, L, a, bc, h, big_g, np.linalg.cholesky(gram))
 
     # periodic: energy is only a seminorm (constants are flat); work on the
     # complement of the constant mode via its spectral projection
@@ -195,8 +213,7 @@ def assemble_damped_wave(n: int, L: float, a, bc: str = "dirichlet") -> DampedWa
     basis = u[:, s > 1e-10]
     gram_r = basis.T @ gram @ basis
     chol = np.linalg.cholesky(0.5 * (gram_r + gram_r.T))
-    return DampedWaveSystem(n, L, a, bc, h, stiff, big_g, gram_r, chol,
-                            basis=basis, P0=P0)
+    return DampedWaveSystem(n, L, a, bc, h, big_g, chol, basis=basis, P0=P0)
 
 
 def dirichlet_mode_frequencies(n: int, L: float) -> np.ndarray:
@@ -304,20 +321,7 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
                 f"energy increased by {e_now - e_prev:.3e} over one step (tol {tol:g})"
             )
         e_prev = e_now
-    # back to physical coordinates; the periodic constant mode is frozen by
-    # the flow (G kills it), so it is added back verbatim.  The basis maps
-    # one column at a time: in one matrix product, one BLAS thread rounds
-    # the last columns through another kernel than two threads do, and the
-    # states would depend on the thread count
-    inv_lt = sla.solve_triangular(sys.chol.T, states_hat, lower=False, overwrite_b=True)
-    if sys.basis is None:
-        states = inv_lt
-    else:
-        states = np.empty((sys.basis.shape[0], t_grid.size), order="F")
-        for i in range(t_grid.size):
-            np.matmul(sys.basis, inv_lt[:, i], out=states[:, i])
-        states += (sys.P0 @ x0)[:, None]
-    return Trajectory(t_grid, states, sys)
+    return Trajectory(t_grid, sys.from_hat(states_hat, x0), sys)
 
 
 def energy_derivative_check(traj: Trajectory) -> float:
@@ -397,9 +401,7 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
         states = np.stack(states, axis=-1)
         w2 = np.array([w_m_log(M, 0.25 * t) for t in np.concatenate(nodes)]) ** 2
         f_b = np.sum((b_hat @ states[:, 0, :]) ** 2, axis=0) * w2
-        phys = sla.solve_triangular(sys.chol.T, states[:, 1, :], lower=False)
-        phys = phys if sys.basis is None else sys.basis @ phys
-        f_e = sys.h * np.sum(sys.a[:, None] * phys[sys.n:, :] ** 2, axis=0) * w2
+        f_e = sys.dissipation(sys.from_hat(states[:, 1, :])) * w2
         inc_b.append(float(np.sum(weights * f_b)))
         inc_e.append(float(np.sum(weights * f_e)))
 
@@ -586,8 +588,8 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     om0 = sys.spectral_abscissa()
     if not omega > max(om0, 0.0):
         raise ValueError(f"omega={omega:g} must exceed the spectral abscissa {om0:g}")
-    t1_hat = _conjugate_to_hat(sys, np.asarray(t1, dtype=float))
-    t2_hat = _conjugate_to_hat(sys, np.asarray(t2, dtype=float))
+    t1_hat = sys.conjugate_to_hat(np.asarray(t1, dtype=float))
+    t2_hat = sys.conjugate_to_hat(np.asarray(t2, dtype=float))
     xh = sys.to_hat(np.asarray(x, dtype=float))
 
     r_omega = np.linalg.solve(omega * np.eye(dim) - ghat, np.eye(dim))
@@ -632,11 +634,6 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     }
 
 
-def _conjugate_to_hat(sys: DampedWaveSystem, m: np.ndarray) -> np.ndarray:
-    m_work = m if sys.basis is None else sys.basis.T @ m @ sys.basis
-    return sla.solve_triangular(sys.chol, (sys.chol.T @ m_work).T, lower=True).T
-
-
 def _norm_series(phi, t1, v0, size: int):
     """|T1 e^(i dt G) v0| for i = 0..size-1, given the step phi = e^(dt G)."""
     out = np.empty(size)
@@ -660,7 +657,8 @@ def _grid_lp(t_grid, vals, p) -> float:
 
 @dataclass(frozen=True)
 class DiagonalSemigroup:
-    """Sup-norm diagonal semigroup with entries (beta/(beta-i)) e^{it-beta t}."""
+    """Test support: the sup-norm diagonal semigroup with entries
+    (beta/(beta-i)) e^{it-beta t}."""
 
     beta: np.ndarray
 
@@ -681,7 +679,8 @@ class DiagonalSemigroup:
 
 
 def c0_example_suite(beta_list, t_grid=None) -> tuple[DecaySeries, FitReport]:
-    """Two-sided envelope for the diagonal example with real rates.
+    """Test support: the two-sided envelope for the diagonal example with
+    real rates.
 
     Upper: ||g(t)|| <= 1/(e t) for t >= 1 (each term maximizes at t=1/beta).
     Lower: at t = 1/beta_n the n-th term alone gives

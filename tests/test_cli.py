@@ -147,7 +147,7 @@ RULE_BREAKERS = {
     ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
     ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
     ("counterexample", "scan", ("blocks", "variant")): {"variant": "log",
-                                                         "blocks": "1"},
+                                                         "blocks": "2"},
 }
 
 

@@ -1,13 +1,15 @@
 """Damped-wave laboratory: generators, trajectories, decay fits, cutoff identities."""
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tauberlab import weights
+from tauberlab import semigroup, weights
 from tauberlab.semigroup import (
     DiagonalSemigroup,
     _orbit_sweep,
@@ -59,7 +61,8 @@ class TestAssembly:
         n = 30
         a = localized_bump_damping(n)
         sys = assemble_damped_wave(n, 1.0, a)
-        adjoint = np.linalg.solve(sys.gram, sys.G.T @ sys.gram)
+        gram = sys.chol @ sys.chol.T
+        adjoint = np.linalg.solve(gram, sys.G.T @ gram)
         q = -(sys.G + adjoint)
         target = np.zeros((2 * n, 2 * n))
         target[n:, n:] = np.diag(2.0 * a)
@@ -77,11 +80,11 @@ class TestAssembly:
             assert float(xh @ (q @ xh)) == pytest.approx(sys.dissipation(x), rel=1e-10, abs=1e-12)
 
     def test_interval_stencil_eigenvalues_closed_form(self):
-        # stiffness holds the positive operator; its negative is the Laplacian
+        # G's lower-left block is -K, the Laplacian (K is the positive stiffness)
         n, L = 25, 1.0
         sys = assemble_damped_wave(n, L, np.zeros(n))
         h = L / (n + 1)
-        got = np.sort(np.linalg.eigvalsh(-sys.stiffness))
+        got = np.sort(np.linalg.eigvalsh(sys.G[n:, :n]))
         j = np.arange(1, n + 1)
         expected = np.sort(-(4.0 / h ** 2) * np.sin(j * math.pi / (2.0 * (n + 1))) ** 2)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
@@ -90,7 +93,7 @@ class TestAssembly:
         n = 18
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
         om = dirichlet_mode_frequencies(n, 1.0)
-        eig = np.sort(np.linalg.eigvalsh(sys.stiffness))
+        eig = np.sort(np.linalg.eigvalsh(-sys.G[n:, :n]))
         np.testing.assert_allclose(np.sort(om) ** 2, eig, rtol=1e-10)
 
     def test_negative_damping_rejected(self):
@@ -225,6 +228,25 @@ class TestWeightedDecay:
         assert reps["B-decay-ladder"].passed
         assert reps["energy-decay-ladder"].passed
         assert reps["B-decay-ladder"].constants["worst_late_ratio"] < 0.9
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_unit_weight_energy_ladder_is_the_energy_drop(self, bc):
+        # M = 18 puts M_log(1) = 65.48 past t/4 on the whole ladder [0, 256],
+        # so w = 1 and the energy ladder's total is int_0^256 -dE/dt dt:
+        # a second route through evolve's one step of 256
+        n = 30
+        sys = assemble_damped_wave(n, 1.0, np.ones(n), bc=bc)
+        if bc == "dirichlet":
+            xs = np.arange(1, n + 1) / (n + 1)
+            x = np.r_[np.sin(math.pi * xs) + 0.4 * np.sin(2 * math.pi * xs),
+                      np.sin(2 * math.pi * xs)]
+        else:
+            j = np.arange(n)
+            x = np.r_[np.sin(2 * math.pi * j / n), 0.5 * np.cos(4 * math.pi * j / n)]
+        reps = {r.name: r for r in weighted_decay_suite(sys, x, weights.ConstantRate(18.0))}
+        e0, e_end = evolve(sys, x, [0.0, 256.0]).energies()
+        total = reps["energy-decay-ladder"].constants["total"]
+        assert abs(total - (e0 - e_end)) <= 1e-11 * (e0 - e_end)
 
     @staticmethod
     def _count_expm(monkeypatch):
@@ -405,3 +427,39 @@ class TestDiagonalExamples:
         got = DiagonalSemigroup(np.array([1.0])).norm_g(grid)
         expected = np.exp(-grid) / math.sqrt(2.0)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the model boundary
+# ----------------------------------------------------------------------
+
+# the energy frame and the grid it is built on belong to the model; a second
+# model (another discretization) reaches every verdict only if none of them
+# reads these fields
+FRAME_FIELDS = {"chol", "basis", "P0", "G", "h", "_hat"}
+GRID_FIELDS = {"a", "n", "L", "bc"}
+MODEL = {"DampedWaveSystem", "assemble_damped_wave"}
+# the constant-damping oracle is a model of its own: exact 2x2 mode blocks
+GRID_READERS = {"_mode_blocks"}
+
+
+def _model_field_reads():
+    """(top-level name, field) for each read of a model field in the
+    semigroup module outside the model and, for grid fields, its oracle."""
+    tree = ast.parse(pathlib.Path(semigroup.__file__).read_text())
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if name in MODEL:
+            continue
+        banned = FRAME_FIELDS | (set() if name in GRID_READERS else GRID_FIELDS)
+        found += [(name, node.attr) for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load) and node.attr in banned]
+    return found
+
+
+def test_verdicts_read_the_frame_through_the_model():
+    reads = _model_field_reads()
+    assert not reads, ("read these through DampedWaveSystem methods: "
+                       + ", ".join(f"{fn} reads .{attr}" for fn, attr in reads))
