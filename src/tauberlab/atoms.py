@@ -11,8 +11,10 @@ tau = A^(k-1)/sqrt(k).  Three derived quantities matter:
 The direct sums cancel catastrophically (about 10^15 digits at k = 40), so
 the production path evaluates factored power series / an exact resummation
 in log space, and an arbitrary-precision direct-sum oracle (mpmath) serves
-as the arbiter for k <= 30.  mpmath loads on the oracle's first call, so
-the series route imports numpy alone.
+as the arbiter for k <= 30.  The oracle takes its exponentials from mpmath
+and sums them in integer fixed point with guard bits, rounding once to the
+working precision.  mpmath loads on the oracle's first call, so the series
+route imports numpy alone.
 
 Also here: the root-of-unity partial-fraction identity, the truncated-
 exponential remainder bound, the Stirling-type peak envelopes, and the
@@ -55,6 +57,7 @@ SERIES_TRUNC = 1e-30       # relative term size at which series stop
 SERIES_CAP = 10_000        # hard cap on series terms
 ORACLE_MAX_K = 30          # mpmath direct sums are the arbiter only up to here
 ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
+ORACLE_GUARD_BITS = 32     # fixed-point oracle sums carry this many bits past the precision
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
 EXP_CUT = -708.39          # G's series sums skip exp below this: e^EXP_CUT is about the smallest normal
 Z_CHUNK_POINTS = 1 << 13   # green_G evaluates at most this many (z, t) points at once
@@ -498,7 +501,7 @@ def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
     """Time profile L(t).  Scalar or array t; backend 'series' or 'oracle'."""
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, lambda at: at.weights, lambda at, e_tw: e_tw)
+        return _oracle_map(fam, t, lambda at: at.weights_fixed, lambda at, e_tw: e_tw)
     return to_complex(*laplace_L_log(fam, t))
 
 
@@ -508,7 +511,7 @@ def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     if _check_backend(backend) == DIRECT_ORACLE:
         # tau/w stays out of the coefficients: folded in, it moves the bits
         # of the exact zero N(0)
-        return _oracle_map(fam, t, lambda at: at.qs,
+        return _oracle_map(fam, t, lambda at: at.qs_fixed,
                            lambda at, e_tw: at.tau * e_tw / at.w)
     return to_complex(*primitive_N_log(fam, t))
 
@@ -601,6 +604,37 @@ def _unit_roots(k: int, dps: int) -> tuple:
 
 
 @dataclass(frozen=True)
+class _FixedTable:
+    """Complex numbers as integer pairs (re, im), each part times 2^shift
+    and truncated; the largest part has ORACLE_GUARD_BITS more bits than
+    the working precision."""
+
+    shift: int
+    pairs: tuple
+
+
+def _fixed_table(values, prec: int) -> _FixedTable:
+    """The mpc values as a _FixedTable for working precision prec."""
+    from mpmath import libmp
+
+    parts = [v._mpc_ for v in values]
+    # a nonzero raw mpf (sign, man, exp, bc) is below 2^(exp + bc)
+    top = max((p[2] + p[3] for pair in parts for p in pair if p[1]), default=0)
+    shift = prec + ORACLE_GUARD_BITS - top
+    return _FixedTable(shift, tuple((libmp.to_fixed(re, shift), libmp.to_fixed(im, shift))
+                                    for re, im in parts))
+
+
+def _round_fixed(re: int, im: int, shift: int, prec: int):
+    """(re + i im) 2^-shift rounded once to an mpc of prec bits."""
+    import mpmath as mp
+    from mpmath import libmp
+
+    return mp.make_mpc((libmp.from_man_exp(re, -shift, prec, libmp.round_nearest),
+                        libmp.from_man_exp(im, -shift, prec, libmp.round_nearest)))
+
+
+@dataclass(frozen=True)
 class _OracleAtoms:
     """The t-independent inputs of the direct sums, at one precision."""
 
@@ -611,6 +645,8 @@ class _OracleAtoms:
     qs: tuple       # q^s, s = 1..k
     zetas: tuple    # atom locations w + q^s/A
     weights: tuple  # atom weights tau q^s (1 + q^s/(A w))
+    qs_fixed: _FixedTable       # qs, the coefficients of N
+    weights_fixed: _FixedTable  # weights, the coefficients of L
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -623,15 +659,15 @@ def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
         w = mp.mpc(fam.base.real, fam.base.imag)
         tau = a ** (k - 1) / mp.sqrt(k)
         qs = _unit_roots(k, dps)
-        return _OracleAtoms(
-            dps, a, w, tau, qs,
-            tuple(w + q / a for q in qs),
-            tuple(tau * q * (1 + q / (a * w)) for q in qs),
-        )
+        weights = tuple(tau * q * (1 + q / (a * w)) for q in qs)
+        prec = mp.mp.prec
+        return _OracleAtoms(dps, a, w, tau, qs, tuple(w + q / a for q in qs), weights,
+                            _fixed_table(qs, prec), _fixed_table(weights, prec))
 
 
 def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
-    """prefactor(at, e^(tw)) * sum_s coeffs(at)[s] e^(t q^s/A) at one t >= 0.
+    """prefactor(at, e^(tw)) * sum_s c_s e^(t q^s/A) at one t >= 0, where
+    coeffs(at) is the _FixedTable of the c_s.
 
     at is the _OracleAtoms table at the working precision of t.  Since
     e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), the roots
@@ -643,8 +679,16 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
     e^(x q^(k/2-s)) = cis(x Im q^s)/e^(x Re q^s), so each s <= k/4 (s = k/4
     pairs with itself) costs one real exponential and one cos/sin, and
     e^(-x) = 1/e^x: floor(k/4) + 2 exponentials and floor(k/4) cos/sin.
+
+    The sum itself runs in integers: each exponential becomes fixed point
+    at 2^-shift, where e^x, the largest factor, has the working precision
+    plus ORACLE_GUARD_BITS bits.  The reflected products and quotients are
+    truncated back to 2^-shift, the conjugates and the dot product with the
+    c_s are exact, and the total is rounded once to the working precision
+    before the prefactor.
     """
     import mpmath as mp
+    from mpmath import libmp
 
     k = fam.k
     dps = _oracle_dps(fam, t)
@@ -653,35 +697,46 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
         t = mp.mpf(t)
         t_a = t / at.a
         e_k = mp.exp(t_a)
+        prec = mp.mp.prec
+        _, _, e_exp, e_bc = e_k._mpf_
+        shift = prec + ORACLE_GUARD_BITS - (e_exp + e_bc)
+        top = libmp.to_fixed(e_k._mpf_, shift)
+        one_sq = 1 << (2 * shift)   # one_sq // x is 1/x in fixed point
         if k % 2:
-            half = [mp.exp(t_a * q) for q in at.qs[:k // 2]]
+            half = [tuple(libmp.to_fixed(p, shift) for p in mp.exp(t_a * q)._mpc_)
+                    for q in at.qs[:k // 2]]
         else:
             half = [None] * (k // 2)
-            half[-1] = 1 / e_k
+            half[-1] = (one_sq // top, 0)
             for s in range(1, k // 4 + 1):
                 q = at.qs[s - 1]
-                mag = mp.exp(t_a * q.real)
-                cis = mp.mpc(*mp.cos_sin(t_a * q.imag))
-                half[k // 2 - s - 1] = cis / mag
-                half[s - 1] = cis * mag
-        es = half + [e.conjugate() for e in reversed(half[:(k - 1) // 2])] + [e_k]
-        tot = mp.mpc(0)
-        for c, e in zip(coeffs(at), es):
-            tot += c * e
+                mag = libmp.to_fixed(mp.exp(t_a * q.real)._mpf_, shift)
+                inv = one_sq // mag
+                cos, sin = (libmp.to_fixed(v._mpf_, shift) for v in mp.cos_sin(t_a * q.imag))
+                half[k // 2 - s - 1] = ((cos * inv) >> shift, (sin * inv) >> shift)
+                half[s - 1] = ((cos * mag) >> shift, (sin * mag) >> shift)
+        es = half + [(re, -im) for re, im in reversed(half[:(k - 1) // 2])] + [(top, 0)]
+        table = coeffs(at)
+        re = im = 0
+        for (c_re, c_im), (e_re, e_im) in zip(table.pairs, es):
+            re += c_re * e_re - c_im * e_im
+            im += c_re * e_im + c_im * e_re
+        tot = _round_fixed(re, im, shift + table.shift, prec)
         return complex(prefactor(at, mp.exp(t * at.w)) * tot)
 
 
 def _green_coeffs(z: complex):
-    """G's coefficients weight_s/(z - zeta_s), built once per working
-    precision for one green_G call; nothing outlives the call."""
+    """G's coefficients weight_s/(z - zeta_s) as a _FixedTable, built once
+    per working precision for one green_G call; nothing outlives the call."""
     import mpmath as mp
 
     built = {}
 
-    def coeffs(at: _OracleAtoms) -> tuple:
+    def coeffs(at: _OracleAtoms) -> _FixedTable:
         if at.dps not in built:
             zz = mp.mpc(z)
-            built[at.dps] = tuple(c / (zz - zeta) for c, zeta in zip(at.weights, at.zetas))
+            built[at.dps] = _fixed_table(
+                [c / (zz - zeta) for c, zeta in zip(at.weights, at.zetas)], mp.mp.prec)
         return built[at.dps]
 
     return coeffs
@@ -702,6 +757,7 @@ def roots_identity(k: int, j: int, z: complex) -> tuple[complex, complex]:
     if k < 1 or not (1 <= j <= k):
         raise ValueError(f"need k >= 1 and 1 <= j <= k, got k={k}, j={j}")
     import mpmath as mp
+    from mpmath import libmp
 
     dps = 80 + int(math.ceil(k * abs(math.log10(abs(z)))) if z != 0 else 0)
     with mp.workdps(dps):
@@ -709,11 +765,21 @@ def roots_identity(k: int, j: int, z: complex) -> tuple[complex, complex]:
         zk = zz ** k
         if zk == 1:
             raise ZeroDivisionError("z^k = 1: identity poles")
-        qs = _unit_roots(k, dps)
-        lhs = mp.mpc(0)
-        for s, q in enumerate(qs, start=1):
+        # the left side in fixed point at 2^-shift, each term divided as
+        # conj(d)/|d|^2 in integers, then rounded once
+        prec = mp.mp.prec
+        shift = prec + ORACLE_GUARD_BITS
+        z_re, z_im = (libmp.to_fixed(p, shift) for p in zz._mpc_)
+        qs = [tuple(libmp.to_fixed(p, shift) for p in q._mpc_) for q in _unit_roots(k, dps)]
+        re = im = 0
+        for s, (q_re, q_im) in enumerate(qs, start=1):
             # q^(js) = q^(js mod k), read from the table
-            lhs += qs[(j * s) % k - 1] / (zz - q)
+            n_re, n_im = qs[(j * s) % k - 1]
+            d_re, d_im = z_re - q_re, z_im - q_im
+            d2 = d_re * d_re + d_im * d_im
+            re += ((n_re * d_re + n_im * d_im) << shift) // d2
+            im += ((n_im * d_re - n_re * d_im) << shift) // d2
+        lhs = _round_fixed(re, im, shift, prec)
         rhs = k * zz ** (j - 1) / (zk - 1)
         return complex(lhs), complex(rhs)
 

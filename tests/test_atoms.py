@@ -1,10 +1,12 @@
 """Atomic measure families and their transforms, evaluated in log-space."""
 
 import cmath
+import gc
 import hashlib
 import json
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -460,7 +462,9 @@ class TestMainBand:
 # oracle read its roots and atom weights from per-precision tables; the
 # tables must reproduce each bit.  power_k7 and log_k10 were recorded from
 # the per-atom sums, before L, N and G shared one exponential per conjugate
-# pair of roots
+# pair of roots.  L and N at t = 0 are exact zeros, so their entries are
+# working-precision noise; they were re-recorded when the sums moved to
+# fixed point
 ORACLE_GOLDEN = json.loads(
     (pathlib.Path(__file__).with_name("oracle_golden.json")).read_text())
 
@@ -520,6 +524,8 @@ class TestOracleGolden:
 
     @pytest.mark.parametrize("variant,k,alpha", [
         *(pytest.param("power", k, 2.0, id=str(k)) for k in (4, 6, 8, 20, 30)),
+        # odd k: one complex exponential per conjugate pair, no reflection
+        *(pytest.param("power", k, 2.0, id=str(k)) for k in (5, 7, 15, 29)),
         pytest.param("log", 10, 1.0, id="log-10"),
     ])
     def test_equals_per_atom_sums(self, variant, k, alpha):
@@ -606,13 +612,36 @@ class TestOracleWork:
             f(fam, 3.0, *args, backend="oracle")
             assert calls == expected, f.__name__
 
-    def test_green_weights_do_not_leak_across_calls(self):
+    def test_green_weights_do_not_leak_across_calls(self, monkeypatch):
         fam = build_family("power", 10, 2.0, 2.0)
         t = default_t_grid(fam, n=20)
         z1, z2 = default_z_samples(fam, n=4)[[0, 3]]
         first = [_hex_pair(v) for v in green_G(fam, t, z1, backend="oracle")]
         green_G(fam, t, z2, backend="oracle")
         assert [_hex_pair(v) for v in green_G(fam, t, z1, backend="oracle")] == first
+        # after calls at 50 z, the only fixed-point tables still alive are
+        # the per-precision L and N tables of the shared cache
+        atoms._oracle_atoms.cache_clear()
+        built = []
+        fixed_table = atoms._fixed_table
+
+        def recorded(values, prec):
+            table = fixed_table(values, prec)
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(atoms, "_fixed_table", recorded)
+        zs = default_z_samples(fam, n=50)
+        assert np.unique(zs).size == 50
+        for z in zs:
+            green_G(fam, t, z, backend="oracle")
+        gc.collect()
+        dps = {atoms._oracle_dps(fam, float(ti)) for ti in t}
+        cached = {id(table) for d in dps
+                  for table in (atoms._oracle_atoms(fam, d).qs_fixed,
+                                atoms._oracle_atoms(fam, d).weights_fixed)}
+        assert len(built) == (2 + zs.size) * len(dps)
+        assert {id(ref()) for ref in built if ref() is not None} == cached
 
 
 # ----------------------------------------------------------------------

@@ -136,7 +136,9 @@ LADDER_RUNS = {
 }
 
 # verdicts and constants as float.hex, recorded while each ladder still
-# walked its own nodes and applied its own convergence rule
+# walked its own nodes and applied its own convergence rule; the decay-*
+# runs were re-recorded when the panels of a rung came from the generator
+# instead of a fixed 24
 LADDER_GOLDEN = json.loads(
     (pathlib.Path(__file__).with_name("ladder_golden.json")).read_text())
 
