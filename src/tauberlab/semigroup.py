@@ -37,6 +37,7 @@ __all__ = [
     "per_mode_resolvent_oracle",
     "per_mode_propagator_oracle",
     "evolve",
+    "evolve_chunks",
     "energy_derivative_check",
     "weighted_decay_suite",
     "rate_sandwich_check",
@@ -73,28 +74,21 @@ def running_sup(series: DecaySeries) -> DecaySeries:
     return DecaySeries(series.grid, np.maximum.accumulate(series.values))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """States along a time grid; energies and dissipations are computed
-    once, on first read, and shared by every reader."""
+    """Energies and dissipations along a time grid.  evolve reads them off
+    each chunk of states before the chunk's buffer is reused, so the states
+    are not kept; evolve_chunks yields them to a caller that needs them."""
 
     t: np.ndarray
-    states: np.ndarray  # (2n, len(t))
-    system: "DampedWaveSystem"
-    _energies: np.ndarray | None = field(default=None, init=False, repr=False)
-    _dissipations: np.ndarray | None = field(default=None, init=False, repr=False)
+    _energies: np.ndarray = field(repr=False)
+    _dissipations: np.ndarray = field(repr=False)
 
     def energies(self) -> np.ndarray:
-        if self._energies is None:
-            self._energies = np.array([self.system.energy(self.states[:, i])
-                                       for i in range(self.states.shape[1])])
         return self._energies
 
     def dissipations(self) -> np.ndarray:
         """-dE/dt at every grid time (DampedWaveSystem.dissipation)."""
-        if self._dissipations is None:
-            self._dissipations = np.array([self.system.dissipation(self.states[:, i])
-                                           for i in range(self.states.shape[1])])
         return self._dissipations
 
 
@@ -283,12 +277,30 @@ def per_mode_propagator_oracle(sys: DampedWaveSystem, t_grid) -> np.ndarray:
 # evolution and the energy identity
 # ----------------------------------------------------------------------
 
-def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
-    """Propagate by per-step scaling-and-squaring matrix exponentials.
+# columns of the energy-frame buffer that evolve_chunks propagates into.
+# Each chunk's back-solve is a threaded LAPACK call, and its thread pool
+# (scipy's, apart from numpy's) spins for about 0.1 s after it, slowing the
+# numpy products that follow: at n = 400 over 4,001 steps (2-core Xeon),
+# chunks of 256 columns made evolve 47% slower than one whole solve, and
+# 1024 11%.
+_CHUNK = 1024
+
+
+def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
+    """Propagate by per-step scaling-and-squaring matrix exponentials,
+    yielding (slice of t_grid, physical states at those times), chunk by
+    chunk.
 
     Exact for the discrete system up to expm roundoff; the per-step energy
     increase guard at tol catches assembly errors rather than integrator
-    drift.
+    drift.  The steps run in the energy frame into one column-major buffer
+    of _CHUNK columns, solved back in place chunk by chunk, so memory does
+    not grow with the grid; a yielded block may be that buffer, so copy
+    what you keep before asking for the next chunk.  A one-column tail
+    joins the chunk before it: the triangular solve of a single column
+    goes through another kernel than a block's and would move the last
+    bits of that state.  Every block of two or more columns solves bit for
+    bit as it would within the whole trajectory.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -299,41 +311,86 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
     ghat = sys.hat_generator()
     dts = np.diff(t_grid)
     # the step propagators come first, so expm's work arrays are freed
-    # before the trajectory is allocated
+    # before the buffer is allocated
     props: dict[float, np.ndarray] = {}
     for dt in dts:
         key = round(float(dt), 15)
         if key not in props:
             props[key] = sla.expm(ghat * float(dt))
     xh = sys.to_hat(x0)
+    bounds = list(range(0, t_grid.size, _CHUNK)) + [t_grid.size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     # column-major, so each state is a contiguous column written in place
-    # and the triangular solve below works in this same buffer
-    states_hat = np.empty((xh.size, t_grid.size), order="F")
-    states_hat[:, 0] = xh
-    cur = states_hat[:, 0]
+    # and the triangular solve works in this same buffer
+    buf = np.empty((xh.size, max(np.diff(bounds))), order="F")
+    cur = xh
     e_prev = float(cur @ cur)
     e0 = max(e_prev, 1e-300)
-    for i, dt in enumerate(dts):
-        cur = np.matmul(props[round(float(dt), 15)], cur, out=states_hat[:, i + 1])
-        e_now = float(cur @ cur)
-        if e_now > e_prev + tol * e0:
-            raise ArithmeticError(
-                f"energy increased by {e_now - e_prev:.3e} over one step (tol {tol:g})"
-            )
-        e_prev = e_now
-    return Trajectory(t_grid, sys.from_hat(states_hat, x0), sys)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = buf[:, :hi - lo]
+        if lo == 0:
+            block[:, 0] = xh
+        for i in range(max(lo, 1), hi):
+            cur = np.matmul(props[round(float(dts[i - 1]), 15)], cur,
+                            out=block[:, i - lo])
+            e_now = float(cur @ cur)
+            if e_now > e_prev + tol * e0:
+                raise ArithmeticError(
+                    f"energy increased by {e_now - e_prev:.3e} over one step (tol {tol:g})"
+                )
+            e_prev = e_now
+        cur = block[:, -1].copy()  # the solve below overwrites the block
+        yield slice(lo, hi), sys.from_hat(block, x0)
+
+
+def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
+    """Energy and dissipation at every grid time, from evolve_chunks.
+
+    Each chunk's states are read column by column before its buffer is
+    reused, so memory does not grow with the grid.  The chunks change no
+    bit of the result: a one-column tail, whose solve alone would take
+    another kernel, joins the chunk before it (see evolve_chunks).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    energies = np.empty(t_grid.size)
+    dissipations = np.empty(t_grid.size)
+    for sl, states in evolve_chunks(sys, x0, t_grid, tol):
+        cols = range(states.shape[1])
+        energies[sl] = [sys.energy(states[:, j]) for j in cols]
+        dissipations[sl] = [sys.dissipation(states[:, j]) for j in cols]
+    return Trajectory(t_grid, energies, dissipations)
+
+
+# a grid is uniform when each point lies this many ulps of its largest
+# |t| or fewer from its line; linspace and arange grids stay within 2
+_UNIFORM_ULPS = 8
+
+
+def _is_uniform(t: np.ndarray) -> bool:
+    """Whether each t_i lies within _UNIFORM_ULPS ulps of max|t| of
+    t_0 + i h, where h = (t_last - t_0)/(len(t) - 1).
+
+    A float grid cannot be more uniform than the rounding of its points,
+    about one ulp of max|t| each, so the spread of its steps grows with
+    max|t|/dt and no bound relative to dt fits every horizon.  The step h
+    spans the whole grid: the first step of a grid that does not start at
+    0 carries half an ulp of t_1, which i would multiply.
+    """
+    h = (t[-1] - t[0]) / (t.size - 1)
+    dev = np.max(np.abs(t - (t[0] + np.arange(t.size) * h)))
+    return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(t))))
 
 
 def energy_derivative_check(traj: Trajectory) -> float:
     """Max |dE/dt + h sum a_j v_j^2| over interior times (4th-order stencil)."""
     t = traj.t
-    dts = np.diff(t)
-    if np.ptp(dts) > 1e-12 * dts[0]:
-        raise ValueError("energy differentiation needs a uniform time grid")
-    dt = float(dts[0])
     e = traj.energies()
     if e.size < 5:
         raise ValueError("need at least 5 samples")
+    if not _is_uniform(t):
+        raise ValueError("energy differentiation needs a uniform time grid")
+    dt = float(t[1] - t[0])
     de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dt)
     return float(np.max(np.abs(de + traj.dissipations()[2:-2])))
 
@@ -568,8 +625,12 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
     lams = np.asarray(lams, dtype=complex)
     obs = obs.astype(complex)
     acc = np.zeros((obs.shape[0], lams.size), dtype=complex)
+    # one gemv per Gauss-Legendre node (8 a panel) into a reused
+    # column-major block; one gemm over the nodes would round differently
+    f_panel = np.empty((obs.shape[0], 8), dtype=complex, order="F")
     for t, wq, at_nodes, _ in _orbit_sweep(ghat, v0.astype(complex), T / panels, panels):
-        f_panel = np.column_stack([obs @ s for s in at_nodes])
+        for j, s in enumerate(at_nodes):
+            np.matmul(obs, s, out=f_panel[:, j])
         acc += f_panel @ (np.exp(-np.outer(t, lams)) * wq[:, None])
     return acc
 
@@ -621,9 +682,9 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     if t_grid is None:
         t_grid = np.linspace(0.0, 60.0, 3001)
     t_grid = np.asarray(t_grid, dtype=float)
-    dt = float(t_grid[1] - t_grid[0])
-    if np.ptp(np.diff(t_grid)) > 1e-12 * dt:
+    if not _is_uniform(t_grid):
         raise ValueError("norm series needs a uniform grid")
+    dt = float(t_grid[1] - t_grid[0])
     phi = sla.expm(ghat * dt).astype(complex)
     t1_c = t1_hat.astype(complex)
     series_r = _norm_series(phi, t1_c, base, t_grid.size)

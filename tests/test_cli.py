@@ -557,6 +557,17 @@ class TestWaveEnergy:
                                      "nonincreasing": True}
 
 
+class TestLongGrids:
+    @pytest.mark.parametrize("argv", [
+        ["wave", "energy", "--n", "40", "--t-max", "20"],
+        ["wave", "cutoff", "--n", "20", "--t-points", "30001"],
+    ], ids=["energy-t-max-20", "cutoff-30001-points"])
+    def test_long_linspace_grids_pass_the_uniform_check(self, argv, tmp_path):
+        # linspace rounds a long grid's points by about an ulp of its end,
+        # which a step spread bound of 1e-12 dt used to refuse (exit 2)
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+
+
 class TestAdaptiveContour:
     def test_piece_fit_reuses_the_rows_contours(self, tmp_path, monkeypatch):
         points = 3

@@ -12,6 +12,9 @@ import scipy.linalg as sla
 from tauberlab import semigroup, weights
 from tauberlab.semigroup import (
     DiagonalSemigroup,
+    Trajectory,
+    _CHUNK,
+    _is_uniform,
     _orbit_sweep,
     assemble_damped_wave,
     c0_example_suite,
@@ -19,6 +22,7 @@ from tauberlab.semigroup import (
     dirichlet_mode_frequencies,
     energy_derivative_check,
     evolve,
+    evolve_chunks,
     localized_bump_damping,
     per_mode_propagator_oracle,
     per_mode_resolvent_oracle,
@@ -41,6 +45,34 @@ def _smooth_state(n, modes=(1, 2, 3), coeffs=(1.0, 0.4, 0.2)):
     u = sum(c * np.sin(m * math.pi * xs) for m, c in zip(modes, coeffs))
     v = np.sin(2 * math.pi * xs)
     return np.r_[u, v]
+
+
+def _states(sys, x0, t_grid):
+    """Every state evolve_chunks yields, copied out of its reused buffer."""
+    out = np.empty((2 * sys.n, len(t_grid)))
+    for sl, block in evolve_chunks(sys, x0, t_grid):
+        out[:, sl] = block
+    return out
+
+
+def _whole_block_reference(sys, x0, t_grid):
+    """evolve as one block: every energy-frame state first, one back-solve,
+    then energy and dissipation column by column."""
+    ghat = sys.hat_generator()
+    props = {}
+    for dt in np.diff(t_grid):
+        key = round(float(dt), 15)
+        if key not in props:
+            props[key] = sla.expm(ghat * float(dt))
+    xh = sys.to_hat(x0)
+    states_hat = np.empty((xh.size, t_grid.size), order="F")
+    states_hat[:, 0] = xh
+    for i, dt in enumerate(np.diff(t_grid)):
+        np.matmul(props[round(float(dt), 15)], states_hat[:, i], out=states_hat[:, i + 1])
+    states = sys.from_hat(states_hat, x0)
+    cols = range(t_grid.size)
+    return ([sys.energy(states[:, i]) for i in cols],
+            [float(sys.dissipation(states[:, i])) for i in cols])
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +188,9 @@ class TestEvolution:
         x = rng.standard_normal(2 * n)
         y = rng.standard_normal(2 * n)
         tg = np.linspace(0.0, 4.0, 9)
-        a = evolve(sys, x, tg).states
-        b = evolve(sys, y, tg).states
-        ab = evolve(sys, x + y, tg).states
+        a = _states(sys, x, tg)
+        b = _states(sys, y, tg)
+        ab = _states(sys, x + y, tg)
         np.testing.assert_allclose(ab, a + b, atol=1e-9 * float(np.max(np.abs(a + b)) + 1.0))
 
     def test_uniform_damping_matches_per_mode_oracle(self):
@@ -186,8 +218,8 @@ class TestEvolution:
         n = 20
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc="periodic")
         x0 = np.random.default_rng(5).standard_normal(2 * n)
-        traj = evolve(sys, x0, np.linspace(0.0, 1.0, 11))
-        np.testing.assert_allclose(traj.states[:, 0], x0, rtol=0, atol=1e-12)
+        _, block = next(evolve_chunks(sys, x0, np.linspace(0.0, 1.0, 11)))
+        np.testing.assert_allclose(block[:, 0], x0, rtol=0, atol=1e-12)
 
     def test_undamped_residual_is_differentiation_noise(self):
         n = 40
@@ -195,22 +227,81 @@ class TestEvolution:
         traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3), tol=1e-10)
         assert energy_derivative_check(traj) <= 1e-8 * traj.energies()[0]
 
-    @pytest.mark.parametrize("bc,limit", [("dirichlet", 1.25), ("periodic", 2.25)])
-    def test_peak_memory_is_one_trajectory_per_frame(self, bc, limit):
-        # Dirichlet holds only the states, solved in place; periodic adds
-        # the physical-frame copy.  Temporaries that scale with the step
-        # count would push the peak past the limit
-        n = 40
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_peak_memory_does_not_grow_with_the_horizon(self, bc):
+        # the states stream through one buffer of _CHUNK columns, so ten
+        # times the steps keep the peak within 20%.  The step propagators
+        # are keyed by the step rounded to 1e-15, and linspace's rounding
+        # spreads a long grid's steps over more keys: each extra key is one
+        # more propagator, counted here apart from the states
+        n = 150
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc=bc)
         x0 = _smooth_state(n)
-        tg = np.linspace(0.0, 20.0, 20_001)
-        tracemalloc.start()
-        try:
-            traj = evolve(sys, x0, tg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit * traj.states.nbytes
+        prop_bytes = sys.hat_generator().nbytes
+
+        def peak(steps):
+            tg = np.linspace(0.0, (steps - 1) * 1e-3, steps)
+            keys = len({round(float(dt), 15) for dt in np.diff(tg)})
+            tracemalloc.start()
+            try:
+                evolve(sys, x0, tg)
+                return tracemalloc.get_traced_memory()[1] - keys * prop_bytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_001) <= 1.2 * peak(2_001)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("tail", [1, 2, _CHUNK])
+    def test_chunked_energies_match_the_whole_block_bit_for_bit(self, bc, tail):
+        # a tail of 1 joins the chunk before it; 2 and _CHUNK are their own
+        n = 16
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc=bc)
+        x0 = _smooth_state(n)
+        size = 2 * _CHUNK + tail
+        tg = np.linspace(0.0, (size - 1) * 1e-3, size)
+        traj = evolve(sys, x0, tg)
+        ref_e, ref_d = _whole_block_reference(sys, x0, tg)
+        assert [float(e).hex() for e in traj.energies()] == [e.hex() for e in ref_e]
+        assert [float(d).hex() for d in traj.dissipations()] == [d.hex() for d in ref_d]
+
+    def test_chunks_tile_the_grid(self):
+        n = 8
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        size = 2 * _CHUNK + 1
+        spans = [(sl.start, sl.stop, block.shape[1]) for sl, block in
+                 evolve_chunks(sys, _smooth_state(n), np.linspace(0.0, 1.0, size))]
+        assert spans == [(0, _CHUNK, _CHUNK), (_CHUNK, size, _CHUNK + 1)]
+
+
+class TestUniformGrid:
+    def test_linspace_grid_of_40001_points_is_uniform(self):
+        # linspace rounds its points by about an ulp of t_max, well past
+        # 1e-12 dt once t_max/dt passes a few thousand
+        t = np.linspace(0.0, 40.0, 40_001)
+        assert np.ptp(np.diff(t)) > 1e-12 * (t[1] - t[0])
+        assert _is_uniform(t)
+        traj = Trajectory(t, np.exp(-t), np.exp(-t))
+        assert energy_derivative_check(traj) <= 1e-12
+
+    def test_one_step_off_by_1e_9_is_refused(self, system):
+        t = np.linspace(0.0, 40.0, 40_001)
+        t[20_000:] += 1e-9 * (t[1] - t[0])
+        assert not _is_uniform(t)
+        with pytest.raises(ValueError, match="uniform time grid"):
+            energy_derivative_check(Trajectory(t, np.exp(-t), np.exp(-t)))
+        eye = np.eye(2 * system.n)
+        with pytest.raises(ValueError, match="norm series needs a uniform grid"):
+            cutoff_transform_check(system, eye, eye, _smooth_state(system.n), 1.2,
+                                   [1.5], t_grid=t, T=1.0)
+
+    def test_grids_off_zero_are_uniform(self):
+        # the whole-grid step: t_1 - t_0 off zero carries half an ulp of t_1
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a = rng.uniform(-5.0, 5.0)
+            t = np.linspace(a, a + rng.uniform(0.1, 50.0), int(rng.integers(3, 50_000)))
+            assert _is_uniform(t)
 
 
 # ----------------------------------------------------------------------
