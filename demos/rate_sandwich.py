@@ -34,7 +34,7 @@ def main():
 
     t_grid = np.linspace(0.5, 25.0, 50)
     norms = propagator_inverse_norms(sys_, t_grid)
-    rep = rate_sandwich_check(sys_, t_grid, scan, t0=5.0, norms=norms.values)
+    rep = rate_sandwich_check(norms, scan, t0=5.0)
 
     c = rep.constants
     print(f"\nfitted sandwich constants (t0 = {c['t0']:g}):")

@@ -411,7 +411,7 @@ def _green_sums(fam: AtomFamily, tail_rows, zs: list, factors: list):
     return s_lm, s_ph, t_lm, t_ph
 
 
-def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows=None):
+def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
     """Resummed evaluation of G(t, z) over a 1-d array of t, in log space.
 
     With Z = A(z - w), the atom sum collapses (root-of-unity partial
@@ -429,7 +429,8 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows=None):
     builds no series at all.
     z is one point or an array of them; row i of the result is the call
     with z[i] alone, bit for bit (_green_sums).  tail_rows is
-    _tail_rows(fam, t_arr), when the caller keeps it across calls.
+    _tail_rows(fam, t_arr), built once by the caller for all its z; green_G
+    passes None only when no t > 0, and this function then never reads it.
     Returns (log_mag, phase) arrays of shape z.shape + t.shape.
     """
     k, a, w = fam.k, fam.circle_scale, fam.base
@@ -446,8 +447,6 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows=None):
         s_lm, s_ph = np.zeros(shape), np.zeros(shape)
         t_lm, t_ph = np.full(shape, -np.inf), np.zeros(shape)
     else:
-        if tail_rows is None:
-            tail_rows = _tail_rows(fam, t_arr)
         s_lm, s_ph, t_lm, t_ph = _green_sums(fam, tail_rows, z_list, factors)
         s_lm[:, zero_mask] = 0.0
         s_ph[:, zero_mask] = 0.0
@@ -925,8 +924,7 @@ def default_z_samples(fam: AtomFamily, n: int = 60, seed: int = 7) -> np.ndarray
     return np.array(out[:n])
 
 
-def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
-                  ln_log=None) -> list[FitReport]:
+def verify_prop52(fam: AtomFamily, t_grid, z_samples, ln_log) -> list[FitReport]:
     """Fit and verify the four envelope inequalities of the family.
 
     power variant: X3 (time-profile bump), XQ4 (transform box bound),
@@ -936,18 +934,11 @@ def verify_prop52(fam: AtomFamily, t_grid=None, z_samples=None,
     The decay rate rho is pinned by the grid points where the envelope has
     no C-term (there the bound must hold with e^(-rho t) alone); C or c is
     then the extremal pointwise ratio on the remaining points.
-    ln_log, when the caller already has them, is the pair
-    (laplace_L_log(fam, t_grid), primitive_N_log(fam, t_grid)).
+    ln_log is the pair (laplace_L_log(fam, t_grid), primitive_N_log(fam,
+    t_grid)): the caller computes it once, for its own report as well.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(fam)
-    if z_samples is None:
-        z_samples = default_z_samples(fam)
     t = np.asarray(t_grid, dtype=float)
     zs = np.asarray(z_samples, dtype=complex)
-
-    if ln_log is None:
-        ln_log = (laplace_L_log(fam, t), primitive_N_log(fam, t))
     abs_l, abs_n = (np.abs(to_complex(*pair)) for pair in ln_log)
     abs_g = np.abs(green_G(fam, t, zs)).reshape(zs.size, t.size)
 

@@ -480,16 +480,19 @@ def _h_contour_reconstruct(params) -> RunResult:
     return res
 
 
-def _damping_profile(params, n):
+def _wave_system(params, bc="dirichlet"):
+    """The damped wave on [0, 1] with the n, damping and height of params."""
     import numpy as np
     from tauberlab import semigroup as sg
 
-    kind = params["damping"]
+    n, kind = params["n"], params["damping"]
     if kind == "localized":
-        return sg.localized_bump_damping(n, height=params["height"])
-    if kind == "constant":
-        return np.full(n, params["height"])
-    return np.zeros(n)
+        a = sg.localized_bump_damping(n, height=params["height"])
+    elif kind == "constant":
+        a = np.full(n, params["height"])
+    else:
+        a = np.zeros(n)
+    return sg.assemble_damped_wave(n, 1.0, a, bc=bc)
 
 
 def _h_wave_energy(params) -> RunResult:
@@ -497,8 +500,7 @@ def _h_wave_energy(params) -> RunResult:
     from tauberlab import semigroup as sg
 
     n = params["n"]
-    sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n),
-                                   bc=params["bc"])
+    sys_ = _wave_system(params, params["bc"])
     if params["bc"] == "periodic":
         # whole periods over the n points: the periodic extension is smooth,
         # where sin(mode pi x) would kink at the seam
@@ -506,14 +508,13 @@ def _h_wave_energy(params) -> RunResult:
     else:
         u0 = np.sin(params["mode"] * math.pi * (np.arange(1, n + 1) / (n + 1)))
     x0 = np.concatenate([u0, np.zeros(n)])
-    steps = int(round(params["t-max"] / params["dt"]))
+    steps = int(round(params["t-max"] / params["dt"]))  # >= 4 (ACTIONS rule)
     t = np.linspace(0.0, params["t-max"], steps + 1)
     traj = sg.evolve(sys_, x0, t, tol=params["tol"])
-    energies = traj.energies()
-    dissipation = traj.dissipations()
+    energies = traj.energies
     residual = sg.energy_derivative_check(traj)
     e0 = float(energies[0])
-    rows = list(zip(t.tolist(), energies.tolist(), dissipation.tolist()))
+    rows = list(zip(t.tolist(), energies.tolist(), traj.dissipations.tolist()))
     res = RunResult(series=[Series("energy", ["t", "energy", "dissipation"],
                                    rows)])
     res.constants = {"initial_energy": e0, "threshold": 1e-6 * e0}
@@ -530,13 +531,11 @@ def _h_wave_sandwich(params) -> RunResult:
     from tauberlab import semigroup as sg
 
     t = np.linspace(params["t-min"], params["t-max"], params["points"])
-    n = params["n"]
-    sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
+    sys_ = _wave_system(params)
     norms = sg.propagator_inverse_norms(sys_, t)
     scan = sg.running_sup(sg.resolvent_norm_scan(
         sys_, np.linspace(0.0, params["scan-max"], params["scan-points"])))
-    rep = sg.rate_sandwich_check(sys_, t, scan, t0=params["t0"],
-                                 norms=norms.values)
+    rep = sg.rate_sandwich_check(norms, scan, t0=params["t0"])
     res = RunResult(series=[
         Series("decay", ["t", "norm"],
                list(zip(t.tolist(), norms.values.tolist()))),
@@ -552,7 +551,7 @@ def _h_wave_cutoff(params) -> RunResult:
     from tauberlab import semigroup as sg
 
     n = params["n"]
-    sys_ = sg.assemble_damped_wave(n, 1.0, _damping_profile(params, n))
+    sys_ = _wave_system(params)
     grid = np.arange(1, n + 1) / (n + 1)
 
     def cutoff(lo, hi):
@@ -741,6 +740,11 @@ ACTIONS: dict[tuple, Action] = {
         "dt": Param("float", 1e-3, "output step", above=0),
         "tol": Param("float", 1e-10, "energy-guard tolerance"),
     }, rules=(
+        # the energy identity's 4th-order stencil reads 5 samples, so the
+        # grid needs round(t-max/dt) >= 4 steps
+        (("t-max", "dt"), lambda hi, dt: round(hi / dt) >= 4,
+         "key 't-max' ({0:g}) must span at least 4 steps of key 'dt' "
+         "({1:g})"),
         # the initial state samples sin(mode pi j/(n+1)) (dirichlet) or
         # sin(2 pi mode j/n) (periodic), j = 1..n; it vanishes at every grid
         # point when n + 1 divides the mode, or n divides twice the mode

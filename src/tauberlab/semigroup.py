@@ -76,20 +76,14 @@ def running_sup(series: DecaySeries) -> DecaySeries:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Energies and dissipations along a time grid.  evolve reads them off
-    each chunk of states before the chunk's buffer is reused, so the states
-    are not kept; evolve_chunks yields them to a caller that needs them."""
+    """Energies and dissipations (-dE/dt, DampedWaveSystem.dissipation)
+    along a time grid.  evolve reads them off each chunk of states before
+    the chunk's buffer is reused, so the states are not kept; evolve_chunks
+    yields them to a caller that needs them."""
 
     t: np.ndarray
-    _energies: np.ndarray = field(repr=False)
-    _dissipations: np.ndarray = field(repr=False)
-
-    def energies(self) -> np.ndarray:
-        return self._energies
-
-    def dissipations(self) -> np.ndarray:
-        """-dE/dt at every grid time (DampedWaveSystem.dissipation)."""
-        return self._dissipations
+    energies: np.ndarray
+    dissipations: np.ndarray
 
 
 @dataclass
@@ -385,14 +379,14 @@ def _is_uniform(t: np.ndarray) -> bool:
 def energy_derivative_check(traj: Trajectory) -> float:
     """Max |dE/dt + h sum a_j v_j^2| over interior times (4th-order stencil)."""
     t = traj.t
-    e = traj.energies()
+    e = traj.energies
     if e.size < 5:
         raise ValueError("need at least 5 samples")
     if not _is_uniform(t):
         raise ValueError("energy differentiation needs a uniform time grid")
     dt = float(t[1] - t[0])
     de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dt)
-    return float(np.max(np.abs(de + traj.dissipations()[2:-2])))
+    return float(np.max(np.abs(de + traj.dissipations[2:-2])))
 
 
 # ----------------------------------------------------------------------
@@ -506,18 +500,21 @@ def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     return DecaySeries(t_grid, np.array(norms))
 
 
-def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
-                        t0: float = 5.0, norms=None) -> FitReport:
-    """Sandwich ||T(t) G^{-1}||_E between the inverse weight functions.
+def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
+                        t0: float = 5.0) -> FitReport:
+    """Sandwich the orbit norms ||T(t) G^{-1}||_E between the inverse weight
+    functions of the resolvent bound M.
 
         c' / M^{-1}(C' t)  <=  ||T(t) G^{-1}||_E  <=  C / Mlog^{-1}(c t)
 
-    M is the running-sup scan, extended constant beyond its grid (which
+    A verdict on two series, and it reads no model: norms is the series
+    propagator_inverse_norms returns, m_scan the running sup of
+    resolvent_norm_scan, both computed once by the caller.  Only the norms
+    at t >= t0 are judged.  M is extended constant beyond its grid (which
     makes the log-corrected inverse total while leaving the plain inverse
     infinite beyond the scan -- there the lower bound is vacuous).
     Conventions: c = 1, C' = max(1, M(0)/t0); C and c' are fitted extrema.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     svals, mvals = m_scan.grid, m_scan.values
     if np.any(np.diff(mvals) < 0):
         raise ValueError("m_scan must be a running supremum")
@@ -539,15 +536,10 @@ def rate_sandwich_check(sys: DampedWaveSystem, t_grid, m_scan: DecaySeries,
         # constant-M extension: invert m_max (log1p m_max + log1p s) = y
         return float(math.expm1(y / m_max - math.log1p(m_max)))
 
-    mask = t_grid >= t0
+    mask = norms.grid >= t0
     if not np.any(mask):
         raise ValueError(f"grid has no points at or beyond t0={t0}")
-    if norms is None:
-        norms = propagator_inverse_norms(sys, t_grid).values
-    norms = np.asarray(norms, dtype=float)
-    if norms.shape != t_grid.shape:
-        raise ValueError("norms must match t_grid point for point")
-    tt, vv = t_grid[mask], norms[mask]
+    tt, vv = norms.grid[mask], norms.values[mask]
 
     # upper bound: c = 1, fit C
     denom_up = np.array([mlog_inverse(t) for t in tt])
@@ -636,7 +628,7 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
 
 
 def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
-                           lambda_samples, t_grid=None, T: float = 80.0) -> dict:
+                           lambda_samples, t_grid, T: float) -> dict:
     """Cutoff family transform identity plus the Minkowski norm bound.
 
     With F(t) = T1 T(t) A R(omega, A) T2 x and G(lam) = T1 R(lam, A) T2 x:
@@ -648,8 +640,9 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
 
         || T1 T(.) R(omega,A) T2 x ||_p <= omega^{-1} || T1 T(.) T2 x ||_p.
 
-    T is the horizon of the identity quadrature; T <= 0 is a ValueError,
-    raised before any solve.
+    t_grid is the uniform grid of the norm series and T the horizon of the
+    identity quadrature; both come from the caller, which owns their
+    defaults.  T <= 0 is a ValueError, raised before any solve.
     """
     if not T > 0:
         raise ValueError(f"the identity quadrature horizon T must be positive, got {T:g}")
@@ -679,8 +672,6 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         scale = max(np.linalg.norm(closed), 1e-30)
         resids.append(float(np.linalg.norm(fhat_all[:, j] - closed) / scale))
 
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 60.0, 3001)
     t_grid = np.asarray(t_grid, dtype=float)
     if not _is_uniform(t_grid):
         raise ValueError("norm series needs a uniform grid")

@@ -9,8 +9,9 @@ in this process.  A ``sitecustomize`` placed first on ``PYTHONPATH`` starts
 the same tracer in every Python subprocess the tests launch (the CLI and demo
 runs), and each one writes its lines out at exit.  A line counts as
 executable when an instruction of some code object of the module sits on it;
-the audit prints, per module, the executable lines that no run reached and
-then the total.  Tracing makes the run about twice as slow.  pytest does not
+the audit prints, per module, the executable lines that no run reached, and
+on its last line their total and the total line count of the package's
+``.py`` files.  Tracing makes the run about twice as slow.  pytest does not
 collect this file: its name does not start with ``test_``.
 """
 import json
@@ -109,13 +110,15 @@ def main(argv) -> int:
             for name, lines in json.loads(part.read_text()).items():
                 hits.setdefault(name, set()).update(lines)
 
-    total = 0
+    total = lines = 0
     for path in sorted(PACKAGE.glob("*.py")):
+        lines += len(path.read_text().splitlines())
         missed = sorted(executable_lines(path) - hits.get(str(path.resolve()), set()))
         total += len(missed)
         print(f"{path.name}: {len(missed)} never run"
               + (f" ({_ranges(missed)})" if missed else ""))
-    print(f"total never-run lines: {total} (pytest exit {int(code)})")
+    print(f"total never-run lines: {total} of {lines} src lines "
+          f"(pytest exit {int(code)})")
     return int(code)
 
 

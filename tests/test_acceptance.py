@@ -45,6 +45,7 @@ from tauberlab.semigroup import (
     running_sup,
 )
 import tauberlab.counterexamples as cx
+from conftest import prop52_inputs
 
 
 def _verdict(capsys, num, name, checks):
@@ -118,7 +119,7 @@ def test_04_envelope_fit_suite(capsys):
     all_pass = True
     for k in (15, 25, 40):
         fam = build_family("power", k, 2.0, 2.0)
-        reports = verify_prop52(fam)
+        reports = verify_prop52(fam, *prop52_inputs(fam))
         all_pass = all_pass and all(r.passed for r in reports)
         rhos.extend(r.constants["rho"] for r in reports
                     if "rho" in r.constants)
@@ -200,7 +201,7 @@ def test_08_wave_energy_identity(capsys):
                np.sin(2 * math.pi * xs)]
     tg = np.arange(0.0, 2.0 + 1e-12, 1e-3)
     traj = evolve(sys_, x0, tg, tol=1e-10)
-    E = traj.energies()
+    E = traj.energies
     _verdict(capsys, 8, "wave-energy-identity", {
         "dE/dt + dissipation residual <= 1e-6 E(0)":
             energy_derivative_check(traj) <= 1e-6 * E[0],
@@ -218,8 +219,7 @@ def test_09_decay_rate_sandwich(capsys):
                             / np.maximum(1.0, oracle)))
     tg = np.linspace(0.5, 30.0, 60)
     norms = propagator_inverse_norms(sys_, tg)
-    rep = rate_sandwich_check(sys_, tg, running_sup(scan), t0=5.0,
-                              norms=norms.values)
+    rep = rate_sandwich_check(norms, running_sup(scan), t0=5.0)
     consts = rep.constants
     _verdict(capsys, 9, "decay-rate-sandwich", {
         "both inequalities hold from t0": rep.passed,
@@ -242,7 +242,9 @@ def test_10_cutoff_transform_identity(capsys):
     d2 = np.r_[rng.integers(0, 2, n), rng.integers(0, 2, n)].astype(float)
     x = rng.standard_normal(2 * n)
     lam = 2.0 + 1j * np.linspace(-8.0, 8.0, 10)
-    out = cutoff_transform_check(sys_, np.diag(d1), np.diag(d2), x, 1.4, lam)
+    # the norm grid and identity horizon of `wave cutoff` at its defaults
+    out = cutoff_transform_check(sys_, np.diag(d1), np.diag(d2), x, 1.4, lam,
+                                 np.linspace(0.0, 60.0, 3001), 80.0)
     _verdict(capsys, 10, "cutoff-transform-identity", {
         "identity residual <= 1e-6 at 10 lambda":
             max(out["identity_residuals"]) <= 1e-6,

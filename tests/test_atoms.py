@@ -26,7 +26,8 @@ from tauberlab.atoms import (
     taylor_remainder_check,
     verify_prop52,
 )
-from tauberlab.atoms import _green_series, _log_factorials, _main_sum
+from tauberlab.atoms import _green_series, _log_factorials, _main_sum, _tail_rows
+from conftest import prop52_inputs
 from tauberlab.logspace import log_sum_arrays
 
 CANCEL_TOL = 1e-25
@@ -222,7 +223,7 @@ class TestGreenGolden:
         assert [_hex_pair(z) for z in zs] == rec["z"]
         for i, z in enumerate(zs):
             assert [_hex_pair(v) for v in green_G(fam, t, z)] == rec["G"][i]
-            lm, ph = _green_series(fam, t, z)
+            lm, ph = _green_series(fam, t, z, _tail_rows(fam, t))
             assert _hex_list(lm) == rec["log_mag"][i]
             assert _hex_list(ph) == rec["phase"][i]
 
@@ -254,8 +255,9 @@ class TestGreenGolden:
         for k in (1026, 7506):
             fam = build_family("log", k, 1.0)
             t = default_t_grid(fam)
+            rows = _tail_rows(fam, t)
             for z in default_z_samples(fam, n=4):
-                lm, ph = _green_series(fam, t, z)
+                lm, ph = _green_series(fam, t, z, rows)
                 for a, b in zip(lm, ph):
                     digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
         assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
@@ -280,7 +282,7 @@ class TestGreenGolden:
         for z in zs:
             for v in green_G(fam, t, z):
                 single.update(f"{v.real.hex()},{v.imag.hex()};".encode())
-            for a, b in zip(*_green_series(fam, t, z)):
+            for a, b in zip(*_green_series(fam, t, z, _tail_rows(fam, t))):
                 series.update(f"{float(a).hex()},{float(b).hex()};".encode())
         assert batch.hexdigest() == rec["G_sha256"]
         assert single.hexdigest() == rec["G_sha256"]
@@ -338,9 +340,10 @@ class TestGreenZBatch:
         fam = build_family("log", 2502, 1.0)
         t = default_t_grid(fam)[::10]
         zs = default_z_samples(fam, n=4)
-        lm, ph = _green_series(fam, t, zs)
+        rows = _tail_rows(fam, t)
+        lm, ph = _green_series(fam, t, zs, rows)
         for i, z in enumerate(zs):
-            one_lm, one_ph = _green_series(fam, t, z)
+            one_lm, one_ph = _green_series(fam, t, z, rows)
             assert _hex_list(lm[i]) == _hex_list(one_lm)
             assert _hex_list(ph[i]) == _hex_list(one_ph)
 
@@ -445,12 +448,12 @@ class TestMainBand:
         rng = np.random.default_rng(3)
         for z in default_z_samples(fam, n=4):
             full = green_G(fam, t, z)
-            full_lm, full_ph = _green_series(fam, t, z)
+            full_lm, full_ph = _green_series(fam, t, z, _tail_rows(fam, t))
             for _ in range(6):
                 i, j = rng.choice(t.size, size=2, replace=False)
                 pair = t[[i, j]]
                 assert _hex_pair(green_G(fam, pair, z)[0]) == _hex_pair(full[i])
-                lm, ph = _green_series(fam, pair, z)
+                lm, ph = _green_series(fam, pair, z, _tail_rows(fam, pair))
                 assert _hex_list([lm[0], ph[0]]) == _hex_list([full_lm[i], full_ph[i]])
 
 
@@ -750,7 +753,7 @@ class TestZSamples:
 class TestInequalityFits:
     def test_power_variant_all_four_pass(self):
         fam = build_family("power", 15, 2.0, 2.0)
-        reps = verify_prop52(fam)
+        reps = verify_prop52(fam, *prop52_inputs(fam))
         assert [r.name for r in reps] == ["X3", "XQ4", "X5", "X6"]
         assert all(r.passed for r in reps)
         assert all(r.constants.get("rho", 1.0) > 0 for r in reps)
@@ -764,7 +767,7 @@ class TestInequalityFits:
 
     def test_log_variant_far_field_envelope(self):
         fam = build_family("log", 30, 1.0)
-        reps = {r.name: r for r in verify_prop52(fam)}
+        reps = {r.name: r for r in verify_prop52(fam, *prop52_inputs(fam))}
         far = reps["Y4"]
         assert far.passed
         assert far.constants["rho"] > 0

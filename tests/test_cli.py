@@ -144,6 +144,7 @@ RULE_BREAKERS = {
     ("contour", "reconstruct", ("points", "mode")): {"mode": "adaptive",
                                                      "points": "1"},
     ("wave", "energy", ("mode", "n", "bc")): {"n": "20", "mode": "21"},
+    ("wave", "energy", ("t-max", "dt")): {"t-max": "0.003"},
     ("wave", "sandwich", ("t-max", "t-min")): {"t-max": "0.5"},
     ("wave", "sandwich", ("t0", "t-max")): {"t0": "41"},
     ("counterexample", "scan", ("blocks", "variant")): {"variant": "log",
@@ -362,6 +363,10 @@ class TestExitCodes:
           "--t-max", "0.5"], "key 't-max' (0.5) must exceed key 't-min' (0.5)"),
         (["contour", "reconstruct", "--t-min", "0"], "'t-min' must exceed 0"),
         (["contour", "kernel", "--t-max", "0.01"], "'t-max' must exceed 0.01"),
+        (["wave", "energy", "--n", "20", "--t-max", "1", "--dt", "0.3"],
+         "key 't-max' (1) must span at least 4 steps of key 'dt' (0.3)"),
+        (["wave", "energy", "--n", "20", "--t-max", "0.001", "--dt", "0.01"],
+         "key 't-max' (0.001) must span at least 4 steps of key 'dt' (0.01)"),
     ], ids=["reconstruct-fixed", "reconstruct-adaptive", "wave-energy",
             "weights-profile", "contour-kernel", "reconstruct-adaptive-one-t",
             "wave-cutoff-one-t", "wave-cutoff-no-lambdas",
@@ -369,7 +374,8 @@ class TestExitCodes:
             "wave-sandwich-one-t", "weights-profile-reversed",
             "weights-profile-one-t", "reconstruct-fixed-reversed",
             "reconstruct-adaptive-one-t-atom", "reconstruct-zero-t-min",
-            "contour-kernel-before-first-point"])
+            "contour-kernel-before-first-point", "wave-energy-three-steps",
+            "wave-energy-no-step"])
     def test_empty_grid_fails_before_any_work(self, argv, key, tmp_path,
                                               monkeypatch, capsys):
         calls = []

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 import tauberlab.counterexamples as cx
 from tauberlab import atoms
 from tauberlab.atoms import build_family, default_z_samples, verify_prop52
+from conftest import prop52_inputs
 
 LADDER_TOL = 1e-6
 SUM_TOL = 1e-12
@@ -139,7 +140,8 @@ class TestFittedConstants:
             assert [r.name for r in reports] == ["X6"] and reports[0].passed
             # the families the fit reads must satisfy all of Prop 5.2
             fam = build_family("power", k, 2, beta=2.5)
-            full = verify_prop52(fam, z_samples=default_z_samples(fam, n=8, seed=7))
+            full = verify_prop52(fam, *prop52_inputs(
+                fam, default_z_samples(fam, n=8, seed=7)))
             assert all(r.passed for r in full)
 
     def test_fit_evaluates_no_transform_or_z_sample(self, monkeypatch):
@@ -196,7 +198,8 @@ class TestFarFieldEnvelope:
     def test_g_below_bump_envelope_sum(self, desk_spec):
         envs = []
         for b in desk_spec.blocks:
-            rep = [r for r in verify_prop52(b.fam) if r.name == "X6"][0]
+            rep = [r for r in verify_prop52(b.fam, *prop52_inputs(b.fam))
+                   if r.name == "X6"][0]
             k = math.exp(b.log_k)
             envs.append((k, b.coeff_log,
                          rep.constants["C"], rep.constants["rho"]))

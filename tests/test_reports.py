@@ -8,6 +8,7 @@ import pytest
 
 from tauberlab import atoms, contour, counterexamples, semigroup, weights
 from tauberlab.reports import RHO_CAP, fit_rate, ladder_report, upper_report
+from conftest import prop52_inputs
 
 
 def _report_record(rep):
@@ -23,7 +24,8 @@ def _prop52(variant, k, seed):
     fam = atoms.build_family(variant, k, 2.0 if variant == "power" else 1.0,
                              beta=2.0 if variant == "power" else None)
     zs = atoms.default_z_samples(fam, n=8, seed=seed)
-    return [_report_record(r) for r in atoms.verify_prop52(fam, z_samples=zs)]
+    return [_report_record(r)
+            for r in atoms.verify_prop52(fam, *prop52_inputs(fam, zs))]
 
 
 def _piece_norms(tp, M, t_grid):
@@ -43,7 +45,7 @@ def _block_constants_log():
         fam = atoms.build_family("log", k, 1.0)
         zs = atoms.default_z_samples(fam, n=8, seed=7)
         reports[str(k)] = [_report_record(r)
-                           for r in atoms.verify_prop52(fam, z_samples=zs)]
+                           for r in atoms.verify_prop52(fam, *prop52_inputs(fam, zs))]
         y4, fit_rec = reports[str(k)][-1], _report_record(fit_y4)
         assert y4["name"] == fit_rec["name"] == "Y4"
         for field in ("constants", "worst_residual", "passed"):

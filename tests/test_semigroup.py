@@ -38,6 +38,9 @@ SCAN_TOL = 1e-8
 MODE_DECAY_TOL = 1e-6
 IDENTITY_TOL = 1e-6
 MINKOWSKI_SLACK = 1.0 + 1e-6
+# the norm grid and identity horizon of `wave cutoff` at its defaults
+CUTOFF_T_GRID = np.linspace(0.0, 60.0, 3001)
+CUTOFF_HORIZON = 80.0
 
 
 def _smooth_state(n, modes=(1, 2, 3), coeffs=(1.0, 0.4, 0.2)):
@@ -178,7 +181,7 @@ class TestEvolution:
         x0 = _smooth_state(n)
         tol = 1e-10
         traj = evolve(sys, x0, np.linspace(0.0, 100.0, 201), tol=tol)
-        E = traj.energies()
+        E = traj.energies
         assert np.max(np.abs(E - E[0])) <= 10.0 * tol * max(1.0, E[0])
 
     def test_evolution_is_linear(self):
@@ -207,7 +210,7 @@ class TestEvolution:
         x0 = _smooth_state(n)
         tg = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         traj = evolve(sys, x0, tg, tol=1e-10)
-        E = traj.energies()
+        E = traj.energies
         E0 = E[0]
         assert np.all(np.diff(E) <= 1e-12 * E0)
         assert energy_derivative_check(traj) <= 1e-6 * E0
@@ -225,7 +228,7 @@ class TestEvolution:
         n = 40
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
         traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3), tol=1e-10)
-        assert energy_derivative_check(traj) <= 1e-8 * traj.energies()[0]
+        assert energy_derivative_check(traj) <= 1e-8 * traj.energies[0]
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
     def test_peak_memory_does_not_grow_with_the_horizon(self, bc):
@@ -262,8 +265,8 @@ class TestEvolution:
         tg = np.linspace(0.0, (size - 1) * 1e-3, size)
         traj = evolve(sys, x0, tg)
         ref_e, ref_d = _whole_block_reference(sys, x0, tg)
-        assert [float(e).hex() for e in traj.energies()] == [e.hex() for e in ref_e]
-        assert [float(d).hex() for d in traj.dissipations()] == [d.hex() for d in ref_d]
+        assert [float(e).hex() for e in traj.energies] == [e.hex() for e in ref_e]
+        assert [float(d).hex() for d in traj.dissipations] == [d.hex() for d in ref_d]
 
     def test_chunks_tile_the_grid(self):
         n = 8
@@ -344,7 +347,7 @@ class TestWeightedDecay:
             j = np.arange(n)
             x = np.r_[np.sin(2 * math.pi * j / n), 0.5 * np.cos(4 * math.pi * j / n)]
         reps = {r.name: r for r in weighted_decay_suite(sys, x, weights.ConstantRate(18.0))}
-        e0, e_end = evolve(sys, x, [0.0, 256.0]).energies()
+        e0, e_end = evolve(sys, x, [0.0, 256.0]).energies
         total = reps["energy-decay-ladder"].constants["total"]
         assert abs(total - (e0 - e_end)) <= 1e-11 * (e0 - e_end)
 
@@ -426,7 +429,8 @@ class TestRateSandwich:
         n = 60
         sys = assemble_damped_wave(n, 1.0, np.ones(n))
         scan = running_sup(resolvent_norm_scan(sys, np.linspace(0.0, 240.0, 121)))
-        rep = rate_sandwich_check(sys, np.linspace(0.5, 25.0, 50), scan)
+        norms = propagator_inverse_norms(sys, np.linspace(0.5, 25.0, 50))
+        rep = rate_sandwich_check(norms, scan)
         assert rep.passed
         assert rep.constants["t0"] <= 5.0
         assert rep.constants["C"] > 0
@@ -439,13 +443,15 @@ class TestRateSandwich:
         scan = resolvent_norm_scan(sys, np.linspace(0.0, 40.0, 9))
         assert np.any(np.diff(scan.values) < 0)
         with pytest.raises(ValueError, match="m_scan must be a running supremum"):
-            rate_sandwich_check(sys, np.linspace(5.0, 10.0, 3), scan)
+            rate_sandwich_check(propagator_inverse_norms(sys, np.linspace(5.0, 10.0, 3)),
+                                scan)
 
     def test_localized_damping_sandwich(self):
         n = 60
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
         scan = running_sup(resolvent_norm_scan(sys, np.linspace(0.0, 240.0, 121)))
-        rep = rate_sandwich_check(sys, np.linspace(0.5, 25.0, 50), scan)
+        norms = propagator_inverse_norms(sys, np.linspace(0.5, 25.0, 50))
+        rep = rate_sandwich_check(norms, scan)
         assert rep.passed
         assert "tail_exponent" in rep.constants
 
@@ -454,7 +460,8 @@ class TestRateSandwich:
         sys = assemble_damped_wave(n, 1.0, np.ones(n))
         scan = running_sup(resolvent_norm_scan(sys, np.linspace(0.0, 20.0, 3)))
         with pytest.raises(ValueError, match="no points at or beyond t0=5.0"):
-            rate_sandwich_check(sys, np.linspace(0.5, 4.0, 4), scan, t0=5.0)
+            rate_sandwich_check(propagator_inverse_norms(sys, np.linspace(0.5, 4.0, 4)),
+                                scan, t0=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +480,8 @@ class TestCutoffFamilies:
         eye = np.eye(2 * n)
         x = _smooth_state(n)
         lam = 1.5 + 1j * np.linspace(-6.0, 6.0, 10)
-        out = cutoff_transform_check(system, eye, eye, x, 1.2, lam)
+        out = cutoff_transform_check(system, eye, eye, x, 1.2, lam,
+                                     CUTOFF_T_GRID, CUTOFF_HORIZON)
         assert out["identity_ok"]
         assert max(out["identity_residuals"]) <= IDENTITY_TOL
 
@@ -484,7 +492,8 @@ class TestCutoffFamilies:
         d2 = np.r_[rng.integers(0, 2, n), rng.integers(0, 2, n)].astype(float)
         x = rng.standard_normal(2 * n)
         lam = 2.0 + 1j * np.linspace(-8.0, 8.0, 10)
-        out = cutoff_transform_check(system, np.diag(d1), np.diag(d2), x, 1.4, lam)
+        out = cutoff_transform_check(system, np.diag(d1), np.diag(d2), x, 1.4, lam,
+                                     CUTOFF_T_GRID, CUTOFF_HORIZON)
         assert out["identity_ok"]
         assert out["minkowski_ok"]
         for p in (1.0, 2.0, math.inf):
