@@ -35,8 +35,10 @@ produce byte-identical CSV bodies -- fixed summation orders, explicit
 seeds, wall time only in JSON.  The ``--threads`` cap (fallback: the
 TAUBERLAB_THREADS environment variable) bounds the linear-algebra thread
 pools; a different thread count may split BLAS sums differently and move
-the last digits (about 1e-12 relative).  A negative count, from either
-source or from a config's ``threads`` key, is a usage error.
+the last digits (about 1e-12 relative).  A positive cap overwrites
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the other pool variables already
+set in the environment.  A negative count, from either source or from a
+config's ``threads`` key, is a usage error.
 """
 from __future__ import annotations
 
@@ -349,8 +351,8 @@ def _h_weights_profile(params) -> RunResult:
 
     M = _rate_function(params)
     ts = np.geomspace(params["t-min"], params["t-max"], params["points"])
-    rows = [(float(t), float(M(t)), wg.m_log_eval(M, float(t)),
-             wg.w_m_log(M, float(t))) for t in ts]
+    rows = list(zip(ts.tolist(), np.asarray(M(ts), dtype=float).tolist(),
+                    wg.m_log_eval(M, ts).tolist(), wg.w_m_log(M, ts).tolist()))
     res = RunResult(series=[Series("profile", ["t", "m", "m_log", "w"], rows)])
 
     res.add(wg.check_growth_bounds(M), "growth")
@@ -656,7 +658,7 @@ ACTIONS: dict[tuple, Action] = {
     ("weights", "profile"): Action(_h_weights_profile, {
         "family": Param("str", "power", "rate-bound family",
                         ("constant", "power", "log", "affine")),
-        "c0": Param("float", 2.0, "constant family level"),
+        "c0": Param("float", 2.0, "constant family level", above=0),
         "kappa": Param("float", 1.0, "power family coefficient"),
         "alpha": Param("float", 1.0, "power/log family exponent"),
         "base": Param("float", 2.0, "affine family intercept"),
@@ -824,7 +826,7 @@ def _apply_thread_cap(threads: int):
     if threads <= 0:
         return None
     for var in _THREAD_ENV_VARS:  # matters only before the pools spin up
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
     try:
         from threadpoolctl import threadpool_limits
         return threadpool_limits(limits=threads)

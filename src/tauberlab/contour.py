@@ -501,10 +501,12 @@ def fit_adaptive_piece_bounds(M: RateFunction, k_scale: float, n: int, t_grid,
     """
     check_piece_schedule(k_scale, n, alpha, beta, p)
     t_grid = np.asarray(t_grid, dtype=float)
+    radii = w_m_log(M, k_scale * t_grid)
     i3s, i4s, shape3, shape4 = [], [], [], []
-    for t, (_, _, i3, i4) in zip(t_grid, norms, strict=True):
-        r = w_m_log(M, k_scale * float(t))
-        m_r = float(M(r))
+    # the shapes in Python floats: numpy's power differs from ** in the last bit
+    for t, r, m_r, (_, _, i3, i4) in zip(t_grid.tolist(), radii.tolist(),
+                                         np.asarray(M(radii), dtype=float).tolist(),
+                                         norms, strict=True):
         i3s.append(i3)
         i4s.append(i4)
         shape3.append(r ** -(n + 1.0 - alpha) * m_r ** -(n + 1.0 - beta))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .reports import FIT_PAD, LADDER_MIN_RATIOS, FitReport, ladder_report
+from .reports import FIT_PAD, FitReport, ladder_report
 from .weights import RateFunction, w_m_log
 
 __all__ = [
@@ -416,22 +416,18 @@ def _damping_sqrt_operator(sys: DampedWaveSystem) -> tuple[np.ndarray, float]:
 LADDER_PANEL_PHASE = 8.0
 
 
-def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
-                         ladder: int = 6) -> list[FitReport]:
+def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction) -> list[FitReport]:
     """Doubling-ladder evidence that the two weighted integrals converge.
 
         int ||B T(t) G^{-1} x||_E^2 w(t)^2 dt   and   int |dE/dt| w(t)^2 dt
 
     with w(t) = w_m_log(M, t/4), the log-corrected inverse weight of M at
-    slope 1/4.  The ladder integrates each rung [0, 4], [4, 8], ...,
-    [4 2^(ladder-1), 4 2^ladder] by one orbit sweep of Gauss-Legendre
-    panels, as many as keep the generator's fastest rotation ||G|| within
-    LADDER_PANEL_PHASE radians a panel, and reports.ladder_report judges
-    the rung increments.
+    slope 1/4.  The ladder integrates each of the 7 rungs [0, 4], [4, 8],
+    ..., [128, 256] by one orbit sweep of Gauss-Legendre panels, as many as
+    keep the generator's fastest rotation ||G|| within LADDER_PANEL_PHASE
+    radians a panel, with the weight solved at all of a rung's nodes in one
+    call, and reports.ladder_report judges the rung increments.
     """
-    if ladder < LADDER_MIN_RATIOS:
-        raise ValueError(f"weighted_decay_suite needs ladder >= {LADDER_MIN_RATIOS} "
-                         f"so the ladder rule sees enough ratios, got {ladder}")
     x = np.asarray(x, dtype=float)
     ghat = sys.hat_generator()
     b_hat, b_resid = _damping_sqrt_operator(sys)
@@ -445,7 +441,7 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
         passed=b_resid <= 1e-10,
     )]
 
-    edges = np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(ladder + 1)])
+    edges = np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(7)])
     omega_max = max(float(np.linalg.norm(ghat, 2)), 1.0)
     block = np.column_stack([ginv_x, xh]).astype(float)
     inc_b, inc_e = [], []
@@ -459,7 +455,7 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction,
             states.extend(at_nodes)
         weights = np.concatenate(weights)
         states = np.stack(states, axis=-1)
-        w2 = np.array([w_m_log(M, 0.25 * t) for t in np.concatenate(nodes)]) ** 2
+        w2 = w_m_log(M, 0.25 * np.concatenate(nodes)) ** 2
         f_b = np.sum((b_hat @ states[:, 0, :]) ** 2, axis=0) * w2
         f_e = sys.dissipation(sys.from_hat(states[:, 1, :])) * w2
         inc_b.append(float(np.sum(weights * f_b)))
@@ -521,34 +517,29 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
     m0, m_max = float(mvals[0]), float(mvals[-1])
     mlog = mvals * (np.log1p(mvals) + np.log1p(svals))
 
-    def m_inverse(y: float) -> float:
-        if y < m0:
-            return 0.0
-        if y > m_max:
-            return math.inf
-        return float(svals[np.searchsorted(mvals, y, side="left")])
-
-    def mlog_inverse(y: float) -> float:
-        if y < mlog[0]:
-            return 0.0
-        if y <= mlog[-1]:
-            return float(svals[np.searchsorted(mlog, y, side="left")])
-        # constant-M extension: invert m_max (log1p m_max + log1p s) = y
-        return float(math.expm1(y / m_max - math.log1p(m_max)))
-
     mask = norms.grid >= t0
     if not np.any(mask):
         raise ValueError(f"grid has no points at or beyond t0={t0}")
     tt, vv = norms.grid[mask], norms.values[mask]
 
-    # upper bound: c = 1, fit C
-    denom_up = np.array([mlog_inverse(t) for t in tt])
+    def step_inverse(values, y, beyond):
+        # at each y: svals at the first values >= y, 0 below the samples,
+        # beyond(y) past them
+        out = svals[np.minimum(np.searchsorted(values, y, side="left"), svals.size - 1)]
+        out[y < values[0]] = 0.0
+        out[y > values[-1]] = beyond(y[y > values[-1]])
+        return out
+
+    # upper bound: c = 1, fit C; past the scan, M_log inverts its constant-M
+    # extension: m_max (log1p m_max + log1p s) = t
+    denom_up = step_inverse(mlog, tt, lambda y: [
+        math.expm1(v / m_max - math.log1p(m_max)) for v in y.tolist()])
     usable_up = denom_up > 0
     big_c = float(np.max(vv[usable_up] * denom_up[usable_up])) * FIT_PAD
 
     # lower bound: C' fixed by convention, fit c'
     c_prime_cap = max(1.0, m0 / t0)
-    denom_lo = np.array([m_inverse(c_prime_cap * t) for t in tt])
+    denom_lo = step_inverse(mvals, c_prime_cap * tt, lambda y: math.inf)
     usable_lo = np.isfinite(denom_lo) & (denom_lo > 0)
     if np.any(usable_lo):
         small_c = float(np.min(vv[usable_lo] * denom_lo[usable_lo])) * (1.0 - 1e-12)

@@ -11,6 +11,10 @@ time-side weight w(t) = 1 until M_log(1) and M_log^{-1} afterwards, and
 the membership test for the open spectral region
 {lambda : Re lambda > -1/M(|Im lambda|)}.
 
+m_log_eval, m_log_inverse and w_m_log map a scalar to a Python float and an
+array to an array of its shape, each point bit for bit as if alone: M through
+numpy, then log1p and the product per point in math (np.log1p is not bit-equal).
+
 Also here: the two growth estimates tying M(w(t)) to t/log t, and the
 doubling-ladder convergence check for the weighted tail integral
 int R(t)^(-alpha) M(R(t))^(-beta) dt.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import LADDER_MIN_RATIOS, FitReport, ladder_report
+from .reports import FitReport, ladder_report
 
 __all__ = [
     "RateFunction",
@@ -76,6 +80,10 @@ class RateFunction:
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
     level: float = 2.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.level) and self.level > 0):
+            raise ValueError(f"constant rate needs a finite level > 0, got {self.level}")
 
     def raw(self, s):
         return np.full_like(np.asarray(s, dtype=float), self.level) if np.ndim(s) else self.level
@@ -143,61 +151,71 @@ class AffineRate(RateFunction):
         return (RATE_FLOOR - self.offset) / self.slope
 
 
-def m_log_eval(M: RateFunction, s: float) -> float:
+def _shaped(values: np.ndarray, like: np.ndarray):
+    """values in the shape of like; a Python float when like is 0-d."""
+    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
+
+
+def m_log_eval(M: RateFunction, s):
     """M_log(s) = M(s) * (log(1+M(s)) + log(1+s)); strictly increasing."""
-    s = float(s)
-    if s < 0:
-        raise ValueError(f"m_log_eval needs s >= 0, got {s}")
-    m = float(M(s))
-    return m * (math.log1p(m) + math.log1p(s))
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError(f"m_log_eval needs s >= 0, got {s[s < 0].flat[0]}")
+    m = np.asarray(M(s.ravel()), dtype=float).tolist()
+    vals = [a * (math.log1p(a) + math.log1p(b)) for a, b in zip(m, s.ravel().tolist())]
+    return _shaped(np.array(vals, dtype=float), s)
 
 
-def m_log_inverse(M: RateFunction, t: float) -> float:
-    """Solve M_log(s) = t by bracket doubling + bisection.
+def m_log_inverse(M: RateFunction, t):
+    """Solve M_log(s) = t at each point of a scalar or array t.
 
-    Returns s with |M_log(s) - t| <= 1e-10.  M_log is strictly increasing
-    (the log(1+s) factor grows even where M is clamped flat), so the root
-    is unique.
+    Each point doubles its own bracket from s = 1, then bisects until
+    |M_log(s) - t| <= 1e-10 (absolute) or, at t so large that floats near s
+    are coarser, until the bracket is a few ulps wide (s at float
+    resolution).  M_log is strictly increasing, so the root is unique.
     """
-    t = float(t)
-    floor = m_log_eval(M, 0.0)
-    if t < floor - _INVERSE_TOL:
-        raise ValueError(f"m_log_inverse: t={t:g} below M_log(0)={floor:g}")
-    if t <= floor:
-        return 0.0
-    lo, hi = 0.0, 1.0
+    t = np.asarray(t, dtype=float)
+    y, floor = t.ravel(), m_log_eval(M, 0.0)
+    if np.any(y < floor - _INVERSE_TOL):
+        raise ValueError(f"m_log_inverse: t={y[y < floor - _INVERSE_TOL][0]:g} "
+                         f"below M_log(0)={floor:g}")
+    lo, hi = np.zeros(y.size), np.ones(y.size)
+    todo = live = np.flatnonzero(~(y <= floor))  # live: brackets still open
     for _ in range(2200):
-        if m_log_eval(M, hi) >= t:
+        live = live[~(m_log_eval(M, hi[live]) >= y[live])]
+        if live.size == 0:
             break
-        lo, hi = hi, hi * 2.0
+        with np.errstate(over="ignore"):  # as a Python float, hi may double to inf
+            lo[live], hi[live] = hi[live], hi[live] * 2.0
     else:
-        raise ValueError(f"m_log_inverse: no bracket below s={hi:g} for t={t:g}")
-    # bisect on the residual, not the interval: the tolerance is on the value
+        raise ValueError(f"m_log_inverse: no bracket below s={hi[live[0]]:g} for t={y[live[0]]:g}")
+    # bisect on the residual, not the interval: the tolerance is on the value;
+    # each point returns the midpoint of its last bracket
+    live = todo
     for _ in range(400):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
         val = m_log_eval(M, mid)
-        if abs(val - t) <= _INVERSE_TOL:
-            return mid
-        if val < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+        going = ~(np.abs(val - y[live]) <= _INVERSE_TOL)
+        live, mid, below = live[going], mid[going], (val < y[live])[going]
+        lo[live[below]], hi[live[~below]] = mid[below], mid[~below]
+        live = live[~(hi[live] - lo[live] <= 1e-17 * np.maximum(1.0, hi[live]))]
+        if live.size == 0:
+            break
+    return _shaped(np.where(y <= floor, 0.0, 0.5 * (lo + hi)), t)
 
 
-def w_m_log(M: RateFunction, t: float) -> float:
-    """w(t) = 1 for t <= M_log(1), else M_log^{-1}(t).
+def w_m_log(M: RateFunction, t):
+    """w(t) = 1 for t <= M_log(1), else M_log^{-1}(t), at a scalar or array t.
 
     Continuous at the junction since M_log^{-1}(M_log(1)) = 1.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"w_m_log needs t >= 0, got {t}")
-    if t <= m_log_eval(M, 1.0):
-        return 1.0
-    return m_log_inverse(M, t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"w_m_log needs t >= 0, got {t[t < 0].flat[0]}")
+    w = np.ones(t.size)
+    past = ~(t.ravel() <= m_log_eval(M, 1.0))
+    w[past] = m_log_inverse(M, t.ravel()[past])
+    return _shaped(w, t)
 
 
 def omega_m_contains(M: RateFunction, lam: complex) -> bool:
@@ -206,29 +224,23 @@ def omega_m_contains(M: RateFunction, lam: complex) -> bool:
     return lam.real > -1.0 / float(M(abs(lam.imag)))
 
 
-def check_growth_bounds(M: RateFunction, t_grid=None) -> FitReport:
+def check_growth_bounds(M: RateFunction) -> FitReport:
     """Fit C (and for power families c) in  c*t/log t <= M(w(t)) <= C*t/log t.
 
-    Constants are fitted on a coarse subgrid (max/min of pointwise ratios,
-    padded by a 0.1% refinement allowance for peaks that land between the
-    coarse samples) and the residuals reported from the full grid, so the
-    fit is honest evidence rather than tautology.  The lower estimate needs
-    the growth hypothesis M(s) >= kappa*s^alpha and is skipped for the
-    other families.
+    The grid is 240 geometric points from 2 to 1e6, or to where w itself
+    would overflow (log-growth families).  Constants are fitted on a coarse
+    subgrid (max/min of pointwise ratios, padded by a 0.1% refinement
+    allowance for peaks that land between the coarse samples) and the
+    residuals reported from the full grid, so the fit is honest evidence
+    rather than tautology.  The lower estimate needs the growth hypothesis
+    M(s) >= kappa*s^alpha and is skipped for the other families.
     """
-    if t_grid is None:
-        # stop where the weight itself would overflow (log-growth families)
-        with np.errstate(over="ignore"):
-            t_cap = min(1e6, 0.9 * m_log_eval(M, 1e300))
-        t_grid = np.geomspace(2.0, max(4.0, t_cap), 240)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("check_growth_bounds: empty grid")
-    if t_grid.min() < 2.0:
-        raise ValueError("check_growth_bounds: grid must lie in [2, inf)")
+    with np.errstate(over="ignore"):
+        t_cap = min(1e6, 0.9 * m_log_eval(M, 1e300))
+    t_grid = np.geomspace(2.0, max(4.0, t_cap), 240)
 
     target = t_grid / np.log(t_grid)
-    m_of_r = np.array([float(M(w_m_log(M, t))) for t in t_grid])
+    m_of_r = np.asarray(M(w_m_log(M, t_grid)), dtype=float)
     ratios = m_of_r / target
 
     coarse = np.r_[ratios[::3], ratios[-1]]  # endpoints carry the extrema
@@ -254,38 +266,25 @@ def check_growth_bounds(M: RateFunction, t_grid=None) -> FitReport:
     )
 
 
-def weighted_tail_convergence(
-    M: RateFunction, alpha: float, beta: float, T_max: float = 2.0**20
-) -> tuple[FitReport, list[float]]:
+def weighted_tail_convergence(M: RateFunction, alpha: float,
+                              beta: float) -> tuple[FitReport, list[float]]:
     """Evidence that int_2^inf w(t)^(-alpha) M(w(t))^(-beta) dt converges.
 
-    Integrates dyadic blocks [2^j, 2^(j+1)] with fixed Gauss-Legendre
-    panels and judges the block increments by reports.ladder_report.
-    Returns the report and the increments.  beta > 1 is a hard
-    precondition; alpha > 0 required likewise; T_max must give at least
-    LADDER_MIN_RATIOS + 1 blocks, so the ladder rule sees enough ratios.
+    Integrates the 19 dyadic blocks [2^j, 2^(j+1)] up to 2^20 with 16-node
+    Gauss-Legendre panels (one weight solve for all nodes; the integrand in
+    Python floats, as numpy's power differs from ** in the last bit) and
+    judges the increments by reports.ladder_report.  Returns the report and
+    the increments.  beta > 1 and alpha > 0 are hard preconditions.
     """
     if beta <= 1.0:
         raise ValueError(f"weighted_tail_convergence needs beta > 1, got {beta}")
     if alpha <= 0.0:
         raise ValueError(f"weighted_tail_convergence needs alpha > 0, got {alpha}")
-    edges = [2.0]
-    while edges[-1] < T_max:
-        edges.append(min(2.0 * edges[-1], T_max))
-    if len(edges) - 1 < LADDER_MIN_RATIOS + 1:
-        raise ValueError(f"weighted_tail_convergence needs T_max to give at least "
-                         f"{LADDER_MIN_RATIOS + 1} dyadic blocks from 2, got "
-                         f"{len(edges) - 1} for T_max={T_max:g}")
-
+    edges = 2.0 ** np.arange(1, 21)
+    half = 0.5 * (edges[1:] - edges[:-1])
     nodes, wts = np.polynomial.legendre.leggauss(16)
-
-    def block(a: float, b: float) -> float:
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        vals = []
-        for t in x:
-            r = w_m_log(M, t)
-            vals.append(r ** (-alpha) * float(M(r)) ** (-beta))
-        return 0.5 * (b - a) * float(np.dot(wts, vals))
-
-    increments = [block(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    r = w_m_log(M, half[:, None] * nodes + 0.5 * (edges[:-1] + edges[1:])[:, None])
+    vals = np.array([[ri ** (-alpha) * mi ** (-beta) for ri, mi in zip(r_row, m_row)]
+                     for r_row, m_row in zip(r.tolist(), np.asarray(M(r), dtype=float).tolist())])
+    increments = [h * float(np.dot(wts, v)) for h, v in zip(half.tolist(), vals)]
     return ladder_report("weighted-tail-ladder", increments), increments

@@ -415,6 +415,14 @@ class TestExitCodes:
         assert calls == []
         assert not list(tmp_path.iterdir())
 
+    def test_non_positive_constant_level_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["weights", "profile", "--family", "constant",
+                         "--c0=-3", "--out-dir", str(out)])
+        assert code == 2
+        assert "key 'c0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_scan_nodes_names_the_key(self, tmp_path, capsys):
         code = cli.main(["counterexample", "scan", "--nodes", "0",
                          "--out-dir", str(tmp_path)])
@@ -526,6 +534,16 @@ class TestThreadCount:
         assert proc.returncode == 2
         assert "'threads'" in proc.stderr
         assert not (tmp_path / "atoms-verify-summary.json").exists()
+
+    def test_cap_overrides_pool_variables_already_set(self, monkeypatch):
+        for var in cli._THREAD_ENV_VARS:
+            monkeypatch.setenv(var, "7")
+        assert cli._apply_thread_cap(0) is None
+        assert {os.environ[var] for var in cli._THREAD_ENV_VARS} == {"7"}
+        limiter = cli._apply_thread_cap(2)
+        if limiter is not None:
+            limiter.unregister()
+        assert {os.environ[var] for var in cli._THREAD_ENV_VARS} == {"2"}
 
     def test_negative_env_var_rejected(self, tmp_path):
         env = dict(os.environ, TAUBERLAB_THREADS="-2")

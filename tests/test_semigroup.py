@@ -362,18 +362,6 @@ class TestWeightedDecay:
         monkeypatch.setattr(sla, "expm", counted)
         return calls
 
-    @pytest.mark.parametrize("ladder", [1, 2])
-    def test_short_ladder_is_rejected_before_any_expm(self, ladder, monkeypatch):
-        # one or two ratios cannot show geometric decay; localized damping at
-        # n=10 fails at ladder=6, so a pass here could only be vacuous
-        n = 10
-        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
-        calls = self._count_expm(monkeypatch)
-        with pytest.raises(ValueError, match="ladder"):
-            weighted_decay_suite(sys, _smooth_state(n), weights.ConstantRate(2.0),
-                                 ladder=ladder)
-        assert calls == []
-
     def test_default_ladder_sweeps_each_rung_once(self, monkeypatch):
         # 7 rungs, each one orbit sweep: 8 node-offset steps and 1 panel step
         n = 20
