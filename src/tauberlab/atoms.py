@@ -26,6 +26,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +61,13 @@ ORACLE_MIN_DPS = 60        # >= 160-bit significand floor, with headroom
 ORACLE_GUARD_BITS = 32     # fixed-point oracle sums carry this many bits past the precision
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
 EXP_CUT = -708.39          # G's series sums skip exp below this: e^EXP_CUT is about the smallest normal
-Z_CHUNK_POINTS = 1 << 13   # green_G evaluates at most this many (z, t) points at once
+# G's series walks t in column tiles of at most TILE_POINTS elements of its
+# (rows x t) matrices, though never narrower than TILE_MIN_COLUMNS columns
+# (past 1,024 rows, so k > 1,025), and takes each tile's z in chunks of at
+# most Z_CHUNK_POINTS (z, t) points
+TILE_POINTS = 1 << 15
+TILE_MIN_COLUMNS = 32
+Z_CHUNK_POINTS = 1 << 12
 
 _LN10 = math.log(10.0)
 
@@ -184,6 +191,25 @@ def atoms_outside_region(fam: AtomFamily) -> bool:
 # series backends
 # ----------------------------------------------------------------------
 
+# k -> (nan, then lgamma(k(m+1)) - lgamma(km) at index m >= 1), grown on need
+_LGAMMA_STEPS: dict = {}
+
+
+def _lgamma_steps(k: int, n: int) -> tuple:
+    """The per-k table of lgamma(k(m+1)) - lgamma(km), with n entries or more.
+
+    Each entry is the same difference of math.lgamma values whatever order
+    the table grew in; a caller reads the tuple it grew or got, never a
+    table another thread may have replaced.
+    """
+    table = _LGAMMA_STEPS.get(k, (math.nan,))
+    if len(table) < n:
+        table += tuple(math.lgamma(k * (m + 1)) - math.lgamma(k * m)
+                       for m in range(len(table), max(n, 2 * len(table))))
+        _LGAMMA_STEPS[k] = table
+    return table
+
+
 def _series_tail_sums(k: int, a_scale: float, t: float):
     """The two positive m-series shared by L and N.
 
@@ -193,6 +219,7 @@ def _series_tail_sums(k: int, a_scale: float, t: float):
     All terms are positive; truncation at SERIES_TRUNC relative.
     """
     log_ta = math.log(t / a_scale)
+    steps = _lgamma_steps(k, 2)
     c = 1.0
     s_plain = 0.0
     s_weighted = 0.0
@@ -201,8 +228,9 @@ def _series_tail_sums(k: int, a_scale: float, t: float):
         s_plain += c
         s_weighted += c * (k * m - 1.0)
         # ratio c_{m+1}/c_m = (t/A)^k * (km-1)!/(k(m+1)-1)!
-        step = k * log_ta - (math.lgamma(k * (m + 1)) - math.lgamma(k * m))
-        c = c * math.exp(step)
+        if m == len(steps):
+            steps = _lgamma_steps(k, m + 1)
+        c = c * math.exp(k * log_ta - steps[m])
         if c * (k * (m + 1)) < SERIES_TRUNC * max(s_plain, s_weighted):
             break
         m += 1
@@ -211,30 +239,49 @@ def _series_tail_sums(k: int, a_scale: float, t: float):
     return s_plain, s_weighted
 
 
+class _SeriesLogs(NamedTuple):
+    """The t-independent logs of one family that L's and N's series read."""
+
+    k: int
+    a: float            # A
+    w: complex
+    log_tau: float
+    half_log_k: float   # 0.5 log k
+    log_k: float
+    lgamma_k: float     # log (k-1)!
+    log_a: float
+    log_abs_w: float
+    arg_w: float        # arg w
+    neg_tw_ph: float    # arg(1/w), as L's 1/(tw) piece reads it
+
+
 def _series_map(fam: AtomFamily, t, point):
-    """(log_mag, phase) arrays shaped like t, from point(fam, t_i) at each t_i > 0.
+    """(log_mag, phase) arrays shaped like t, from point(logs, t_i) at each
+    t_i > 0, with the family's _SeriesLogs built once.
 
     t = 0 is an exact zero, (-inf, 0.0).
     """
     t = _finite_t(t)
-    lm = np.full(t.shape, -np.inf)
-    ph = np.zeros(t.shape)
-    for i, ti in enumerate(t.ravel().tolist()):
-        if ti > 0.0:
-            lm.flat[i], ph.flat[i] = point(fam, ti)
-    return lm, ph
+    k, w = fam.k, fam.base
+    logs = _SeriesLogs(k, fam.circle_scale, w, fam.log_tau, 0.5 * math.log(k), math.log(k),
+                       math.lgamma(k), math.log(fam.circle_scale), math.log(abs(w)),
+                       cmath.phase(w), _wrap_phase(0.0 - _wrap_phase(cmath.phase(w))))
+    lm, ph = [], []
+    for ti in t.ravel().tolist():
+        m, p = point(logs, ti) if ti > 0.0 else (-math.inf, 0.0)
+        lm.append(m)
+        ph.append(p)
+    return np.array(lm, dtype=float).reshape(t.shape), np.array(ph, dtype=float).reshape(t.shape)
 
 
-def _laplace_point(fam: AtomFamily, t: float) -> tuple[float, float]:
+def _laplace_point(c: _SeriesLogs, t: float) -> tuple[float, float]:
     """(log|L|, arg L) at one t > 0, in math-module floats."""
-    k, a, w = fam.k, fam.circle_scale, fam.base
-    s_plain, s_weighted = _series_tail_sums(k, a, t)
-    pref_lm = 0.5 * math.log(k) + (k - 1) * math.log(t) + t * w.real - math.lgamma(k)
-    pref_ph = _wrap_phase(t * w.imag)
-    tw_lm = math.log(t) + math.log(abs(w))
-    tw_ph = _wrap_phase(cmath.phase(w))
+    s_plain, s_weighted = _series_tail_sums(c.k, c.a, t)
+    log_t = math.log(t)
+    pref_lm = c.half_log_k + (c.k - 1) * log_t + t * c.w.real - c.lgamma_k
+    pref_ph = _wrap_phase(t * c.w.imag)
     s_lm, s_ph = log_sum2(math.log(s_plain), 0.0,
-                          math.log(s_weighted) - tw_lm, _wrap_phase(0.0 - tw_ph))
+                          math.log(s_weighted) - (log_t + c.log_abs_w), c.neg_tw_ph)
     return pref_lm + s_lm, _wrap_phase(pref_ph + s_ph)
 
 
@@ -251,14 +298,13 @@ def laplace_L_log(fam: AtomFamily, t):
     return _series_map(fam, t, _laplace_point)
 
 
-def _primitive_point(fam: AtomFamily, t: float) -> tuple[float, float]:
+def _primitive_point(c: _SeriesLogs, t: float) -> tuple[float, float]:
     """(log|N|, arg N) at one t > 0, in math-module floats."""
-    k, a, w = fam.k, fam.circle_scale, fam.base
-    s_plain, _ = _series_tail_sums(k, a, t)
-    lead = (k - 1) * (math.log(t) - math.log(a)) - math.lgamma(k)
+    s_plain, _ = _series_tail_sums(c.k, c.a, t)
+    lead = (c.k - 1) * (math.log(t) - c.log_a) - c.lgamma_k
     return (
-        fam.log_tau + t * w.real - math.log(abs(w)) + math.log(k) + lead + math.log(s_plain),
-        _wrap_phase(t * w.imag - cmath.phase(w)),
+        c.log_tau + t * c.w.real - c.log_abs_w + c.log_k + lead + math.log(s_plain),
+        _wrap_phase(t * c.w.imag - c.arg_w),
     )
 
 
@@ -294,8 +340,9 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
-def _exp_live(d: np.ndarray) -> np.ndarray:
-    """exp(d) in place where d >= EXP_CUT, and exactly 0.0 elsewhere.
+def _exp_live(d: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """exp(d) in place where d >= EXP_CUT, and exactly 0.0 elsewhere; live
+    is a boolean scratch array of d's shape.
 
     Each d here is a log magnitude minus its column's pivot, so every column
     holds a term of size 1, beside which a value under e^EXP_CUT (a
@@ -304,29 +351,68 @@ def _exp_live(d: np.ndarray) -> np.ndarray:
     x86-64 an underflow costs it about 15 times a normal result, and a
     subnormal result about 100 times.
     """
-    live = d >= EXP_CUT
+    np.greater_equal(d, EXP_CUT, out=live)
     np.exp(d, out=d, where=live)
-    d[~live] = 0.0
+    np.putmask(d, np.logical_not(live, out=live), 0.0)
     return d
 
 
-def _main_sum(log_a: np.ndarray, ph_x: float, k: int):
-    """log_sum over j <= k-2 of e^(j log_a) e^(i j ph_x)/j!, per column.
+def _column_tiles(n_cols: int, n_rows: int) -> list:
+    """Column slices of an (n_rows x n_cols) matrix, each of at most
+    TILE_POINTS elements, but never fewer than TILE_MIN_COLUMNS columns.
 
-    One (k-1) x t.size matrix of log magnitudes, taken against each
-    column's pivot; numpy sums axis 0 of a C-ordered array with two or more
-    columns in row order, and a single column (one t) pairwise.
+    numpy sums axis 0 of a C-ordered matrix of two or more columns in row
+    order, each column as the whole matrix would, but a lone column
+    pairwise.  So every tile has two or more columns: a 1-column remainder
+    joins the tile before it, as in semigroup.evolve_chunks, and only
+    n_cols = 1 gives a 1-column tile.  The floor spreads each tile's fixed
+    cost over enough columns when the rows are many: a reduction over
+    axis 0 loops once per row, whatever the width.
     """
+    width = max(TILE_MIN_COLUMNS, TILE_POINTS // max(1, n_rows))
+    bounds = [*range(0, n_cols, width), n_cols]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _phase_columns(ph: np.ndarray) -> tuple:
+    """(cos, sin) of one phase per row, each as a column."""
+    return np.cos(ph)[:, None], np.sin(ph)[:, None]
+
+
+def _row_sums(lm: np.ndarray, cos_sin: tuple, part: np.ndarray, live: np.ndarray):
+    """(pivot, re, im) per column of the sum over rows of e^lm e^(i phase),
+    the row phases given by their cos/sin columns: log_from_sums of these
+    is the sum in log space.
+
+    Each column is taken against its largest log term (0.0 where all are
+    -inf), and summed in row order unless it is lm's only column.  lm is
+    overwritten; part and live are float and boolean scratch arrays of its
+    shape.
+    """
+    cos, sin = cos_sin
+    # the ufuncs' own reductions, which np.max and np.sum call
+    pivot = np.maximum.reduce(lm, axis=0)
+    pivot = np.where(np.isfinite(pivot), pivot, 0.0)
+    scale = _exp_live(np.subtract(lm, pivot, out=lm), live)
+    re = np.add.reduce(np.multiply(scale, cos, out=part), axis=0)
+    im = np.add.reduce(np.multiply(scale, sin, out=part), axis=0)
+    return pivot, re, im
+
+
+def _main_rows(log_a: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """The log terms j log_a - log j!, j <= k-2, of G's main sum, written
+    into out, a (k-1) x log_a.size matrix."""
     n = k - 1
-    jj = np.arange(n, dtype=float)
-    ph = jj * ph_x  # t^j contributes no phase: one phase per row
-    lm = jj[:, None] * log_a - _log_factorials(n)[:, None]
-    pivot = np.max(lm, axis=0)
-    scale = _exp_live(np.subtract(lm, pivot, out=lm))
-    part = np.multiply(scale, np.cos(ph)[:, None])
-    re = np.sum(part, axis=0)
-    im = np.sum(np.multiply(scale, np.sin(ph)[:, None], out=part), axis=0)
-    return log_from_sums(pivot, re, im)
+    np.multiply(np.arange(n, dtype=float)[:, None], log_a, out=out)
+    return np.subtract(out, _log_factorials(n)[:, None], out=out)
+
+
+def _shaped(flat: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The first n_rows * n_cols entries of a flat buffer as a C-ordered
+    matrix, so that tiles of any width share one allocation."""
+    return flat[:n_rows * n_cols].reshape(n_rows, n_cols)
 
 
 def _green_factors(fam: AtomFamily, z: complex):
@@ -346,73 +432,142 @@ def _green_factors(fam: AtomFamily, z: complex):
     return z_lm, z_ph, math.log(abs(zk - 1.0)), cmath.phase(zk - 1.0)
 
 
-def _tail_rows(fam: AtomFamily, t_arr: np.ndarray):
-    """The z-independent part of G's series at a 1-d t with some t > 0.
+class _TailPlan(NamedTuple):
+    """The z-independent part of G's tail over one 1-d t array."""
 
-    Returns (log t, the residues n mod k of the tail's rows, and the rows
-    nn (log t - log A) - log n! with -inf at t = 0).  green_G builds it
-    once for all its z.
+    log_t: np.ndarray     # log t, 0.0 at t = 0
+    zero: np.ndarray      # t == 0
+    log_a: float          # log A
+    nn: np.ndarray        # the tail's orders k-1..n_hi, as a column
+    log_fact: np.ndarray  # log nn!, as a column
+    res: np.ndarray       # nn mod k
+    residues: list        # the distinct residues, the only brackets the tail reads
+
+    def rows(self, cols: slice, out: np.ndarray) -> np.ndarray:
+        """The tail rows nn (log t - log A) - log nn! at the columns cols,
+        -inf at t = 0, written into out."""
+        np.multiply(self.nn, self.log_t[cols] - self.log_a, out=out)
+        np.subtract(out, self.log_fact, out=out)
+        out[:, self.zero[cols]] = -np.inf
+        return out
+
+
+def _tail_rows(fam: AtomFamily, t_arr: np.ndarray) -> _TailPlan:
+    """The plan of G's tail at a 1-d t with some t > 0.
+
+    The tail length n_hi comes from the largest t, so it is the same for
+    every column tile; the rows themselves are built one tile at a time
+    (_TailPlan.rows), shared by all z of the call.
     """
     k, a = fam.k, fam.circle_scale
-    zero_mask = t_arr == 0.0
-    log_t = np.log(np.where(zero_mask, 1.0, t_arr))
+    zero = t_arr == 0.0
+    log_t = np.log(np.where(zero, 1.0, t_arr))
     ratio = float(np.max(t_arr)) / a
     n_hi = int(max(k - 1, math.ceil(ratio)) + 90 + 4.0 * math.sqrt(max(k, ratio)))
     nn = np.arange(k - 1, n_hi + 1)
-    rows = nn[:, None] * (log_t[None, :] - math.log(a)) - _log_factorials(n_hi + 1)[k - 1:, None]
-    rows[:, zero_mask] = -np.inf
-    return log_t, nn % k, rows
+    res = nn % k
+    return _TailPlan(log_t, zero, math.log(a), nn[:, None],
+                     _log_factorials(n_hi + 1)[k - 1:, None], res, np.unique(res).tolist())
 
 
-def _green_sums(fam: AtomFamily, tail_rows, zs: list, factors: list):
-    """(log_mag, phase) of G's main and tail sums, each (len(zs), t.size).
+class _GreenPoint(NamedTuple):
+    """The t-independent work of G's series at one z; the array fields are
+    None when no t of the call is > 0."""
 
-    Columns at t = 0 are left to the caller.  Each z adds its bracket to
-    the shared tail rows in a scratch matrix and sums its own (rows x t)
-    matrices, so its values do not depend on which other z share the call.
-    The main sums all run before the tail's scratch matrices exist.
-    """
+    log_x: float          # log|z - w|
+    main_cs: tuple        # _phase_columns(j arg(z - w)), j <= k-2
+    main_lm: float        # log|k A z / (w (Z^k - 1))|, the main sum's factor
+    main_ph: float
+    tail_lm: np.ndarray   # log|g_r| at the tail's rows, as a column
+    tail_cs: tuple        # _phase_columns(arg g_r) at the tail's rows
+    tail_k_lm: float      # log|k / (Z^k - 1)|, the tail sum's factor
+    tail_k_ph: float
+
+
+def _green_point(fam: AtomFamily, z: complex, plan: _TailPlan | None) -> _GreenPoint:
+    """_GreenPoint at z, for the t of plan (None: no t > 0)."""
     k, a, w = fam.k, fam.circle_scale, fam.base
     w_lm, w_ph = math.log(abs(w)), cmath.phase(w)
     a_lm = math.log(a)
-    log_t, res, rows = tail_rows
-    s_lm = np.empty((len(zs), log_t.size))
-    s_ph = np.empty_like(s_lm)
-    t_lm = np.empty_like(s_lm)
-    t_ph = np.empty_like(s_lm)
-
-    # ---- main part: sum_{j<=k-2} (t(z-w))^j / j!
-    for i, z in enumerate(zs):
-        x = z - w
-        s_lm[i], s_ph[i] = _main_sum(log_t + math.log(abs(x)), cmath.phase(x), k)
-
-    # ---- tail part: n >= k-1, bracket g_r = A Z^(r) + Z^((r+1) mod k)/w,
-    # built only at the residues r = n mod k the tail reads
-    tail = np.empty_like(rows)
-    part = np.empty_like(rows)
-    g_lm = np.empty(k)
-    g_ph = np.empty(k)
-    residues = np.unique(res).tolist()
-    for i, (z_lm, z_ph, _, _) in enumerate(factors):
-        for r in residues:
+    z_lm, z_ph, zk1_lm, zk1_ph = _green_factors(fam, z)
+    x = z - w
+    main_cs = tail_lm = tail_cs = None
+    if plan is not None:
+        main_cs = _phase_columns(np.arange(k - 1, dtype=float) * cmath.phase(x))
+        # bracket g_r = A Z^(r) + Z^((r+1) mod k)/w, at the residues r = n mod k
+        # the tail reads
+        g_lm = np.empty(k)
+        g_ph = np.empty(k)
+        for r in plan.residues:
             r1 = (r + 1) % k
             # the 0.0 + is the real A's phase: it turns -0.0 (r = 0) into 0.0
             g_lm[r], g_ph[r] = log_sum2(
                 a_lm + r * z_lm, 0.0 + _wrap_phase(r * z_ph),
                 r1 * z_lm - w_lm, _wrap_phase(_wrap_phase(r1 * z_ph) - w_ph))
-        np.add(rows, g_lm[res][:, None], out=tail)
-        pivot = np.max(tail, axis=0)
-        pivot = np.where(np.isfinite(pivot), pivot, 0.0)
-        scale = _exp_live(np.subtract(tail, pivot, out=tail))
-        ph = g_ph[res][:, None]
-        re = np.sum(np.multiply(scale, np.cos(ph), out=part), axis=0)
-        im = np.sum(np.multiply(scale, np.sin(ph), out=part), axis=0)
-        t_lm[i], t_ph[i] = log_from_sums(pivot, re, im)
-    return s_lm, s_ph, t_lm, t_ph
+        tail_lm = g_lm[plan.res][:, None]
+        tail_cs = _phase_columns(g_ph[plan.res])
+    # k A z / (w (Z^k - 1)) times the main sum; nothing at z = 0
+    if z != 0:
+        main_lm = math.log(k) + a_lm + math.log(abs(z)) - w_lm - zk1_lm
+        main_ph = _wrap_phase(_wrap_phase(_wrap_phase(0.0 + cmath.phase(z)) - w_ph) - zk1_ph)
+    else:
+        main_lm, main_ph = -math.inf, 0.0
+    return _GreenPoint(math.log(abs(x)), main_cs, main_lm, main_ph, tail_lm, tail_cs,
+                       math.log(k) - zk1_lm, _wrap_phase(0.0 - zk1_ph))
 
 
-def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
-    """Resummed evaluation of G(t, z) over a 1-d array of t, in log space.
+def _green_block(fam: AtomFamily, t: np.ndarray, points: list, plan, cols: slice, rows,
+                 scratch: tuple):
+    """(log_mag, phase) of G at the _GreenPoints over the tile t of the
+    call's t (its columns cols), each (len(points), t.size).
+
+    rows is plan.rows(cols), or None when no t of the call is > 0: then
+    the main sum is exactly 1 and the tail exactly 0 everywhere, so no
+    series is built.  Otherwise columns at t = 0 are summed with the rest
+    and then set, not read.  scratch holds three flat buffers (log terms,
+    products, live mask) of at least rows x t.size entries each.
+    """
+    shape = (len(points), t.size)
+    if rows is None:
+        s_lm, s_ph = np.zeros(shape), np.zeros(shape)
+        t_lm, t_ph = np.full(shape, -np.inf), np.zeros(shape)
+    else:
+        main, tail = (tuple(np.empty(shape) for _ in range(3)) for _ in range(2))
+        log_t = plan.log_t[cols]
+        lm_main, *tmp_main = (_shaped(b, fam.k - 1, t.size) for b in scratch)
+        lm_tail, *tmp_tail = (_shaped(b, rows.shape[0], t.size) for b in scratch)
+        for i, p in enumerate(points):
+            _main_rows(log_t + p.log_x, fam.k, lm_main)
+            for part, sums in zip(main, _row_sums(lm_main, p.main_cs, *tmp_main)):
+                part[i] = sums
+            np.add(rows, p.tail_lm, out=lm_tail)
+            for part, sums in zip(tail, _row_sums(lm_tail, p.tail_cs, *tmp_tail)):
+                part[i] = sums
+        s_lm, s_ph = log_from_sums(*main)
+        t_lm, t_ph = log_from_sums(*tail)
+        zero = plan.zero[cols]
+        s_lm[:, zero] = 0.0
+        s_ph[:, zero] = 0.0
+    at_zero = [p.main_lm == -math.inf for p in points]
+    main_lm = s_lm + np.array([p.main_lm for p in points])[:, None]
+    main_ph = s_ph + np.array([p.main_ph for p in points])[:, None]
+    main_lm[at_zero] = -np.inf
+    main_ph[at_zero] = 0.0
+    t_lm += np.array([p.tail_k_lm for p in points])[:, None]
+    t_ph += np.array([p.tail_k_ph for p in points])[:, None]
+
+    # ---- combine with the scalar prefactor tau e^(tw)
+    w = fam.base
+    pre_lm = fam.log_tau + t * w.real
+    pre_ph = t * w.imag
+    tot_lm, tot_ph = log_sum_arrays(np.stack([main_lm, t_lm]), np.stack([main_ph, t_ph]),
+                                    axis=0)
+    return pre_lm + tot_lm, pre_ph + tot_ph
+
+
+def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
+    """Resummed evaluation of G(t, z) over a 1-d array of t, in log space,
+    as (z slice, t slice, log_mag, phase) blocks that cover z x t.
 
     With Z = A(z - w), the atom sum collapses (root-of-unity partial
     fractions, all exponents) to
@@ -423,53 +578,54 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
     and for n <= k-2 the bracket is exactly Z^n A z / w, turning that range
     into a truncated exponential in t(z - w).  Everything is accumulated as
     (log magnitude, phase) arrays; no intermediate exceeds float range.
-    The main sum (_main_sum) is one (k-1) x t.size matrix per z.
-    At t = 0 the main sum is exactly 1 and the tail exactly 0, so those
-    columns are set, not summed, and an all-zero t array (fhat = G(0, .))
-    builds no series at all.
-    z is one point or an array of them; row i of the result is the call
-    with z[i] alone, bit for bit (_green_sums).  tail_rows is
-    _tail_rows(fam, t_arr), built once by the caller for all its z; green_G
-    passes None only when no t > 0, and this function then never reads it.
-    Returns (log_mag, phase) arrays of shape z.shape + t.shape.
+
+    The t-independent work of each z (_green_point) runs once per call.
+    The t are then walked in column tiles (_column_tiles) sized to the
+    taller of the main sum's k-1 rows and the tail's, and each tile's z
+    in chunks of at most Z_CHUNK_POINTS (z, t) points, so the working
+    arrays do not grow with t.size.  Every column sums in the order of the
+    whole matrix, so each value is bit for bit the call with that z and t
+    alone, whatever the tiles.  tail_rows is _tail_rows(fam, t_arr), read
+    only when some t > 0; it may be None otherwise.
     """
-    k, a, w = fam.k, fam.circle_scale, fam.base
-    zs = np.asarray(z, dtype=complex)
-    z_list = zs.ravel().tolist()
-    factors = [_green_factors(fam, zi) for zi in z_list]
-    w_lm, w_ph = math.log(abs(w)), cmath.phase(w)
-    a_lm = math.log(a)
-
     t_arr = np.asarray(t_arr, dtype=float)
-    zero_mask = t_arr == 0.0
-    shape = (len(z_list), t_arr.size)
-    if np.all(zero_mask):
-        s_lm, s_ph = np.zeros(shape), np.zeros(shape)
-        t_lm, t_ph = np.full(shape, -np.inf), np.zeros(shape)
-    else:
-        s_lm, s_ph, t_lm, t_ph = _green_sums(fam, tail_rows, z_list, factors)
-        s_lm[:, zero_mask] = 0.0
-        s_ph[:, zero_mask] = 0.0
+    plan = None if np.all(t_arr == 0.0) else tail_rows
+    points = [_green_point(fam, zi, plan) for zi in np.ravel(z).tolist()]
+    n_rows = 1 if plan is None else max(fam.k - 1, plan.nn.shape[0])
+    tiles = _column_tiles(t_arr.size, n_rows)
+    # every tile matrix lives in buffers allocated once per call: a fresh
+    # allocation per tile made the allocator return and re-fault the pages,
+    # some 87,000 page faults per call at log k = 7506
+    max_width = 0 if plan is None else max(c.stop - c.start for c in tiles)
+    scratch = tuple(np.empty(n_rows * max_width, dtype=d) for d in (float, float, bool))
+    rows_flat = np.empty(0 if plan is None else plan.nn.shape[0] * max_width)
+    for cols in tiles:
+        width = cols.stop - cols.start
+        rows = None if plan is None else plan.rows(
+            cols, _shaped(rows_flat, plan.nn.shape[0], width))
+        step = max(1, Z_CHUNK_POINTS // width)
+        for lo in range(0, len(points), step):
+            yield (slice(lo, lo + step), cols,
+                   *_green_block(fam, t_arr[cols], points[lo:lo + step], plan, cols, rows,
+                                 scratch))
 
-    # (k A z / (w (Z^k-1))) times the main sum; nothing at z = 0
-    main_lm = np.full(shape, -np.inf)
-    main_ph = np.zeros(shape)
-    for i, (zi, (_, _, zk1_lm, zk1_ph)) in enumerate(zip(z_list, factors)):
-        if zi != 0:
-            main_lm[i] = s_lm[i] + (math.log(k) + a_lm + math.log(abs(zi)) - w_lm - zk1_lm)
-            main_ph[i] = s_ph[i] + _wrap_phase(
-                _wrap_phase(_wrap_phase(0.0 + cmath.phase(zi)) - w_ph) - zk1_ph)
-    # k / (Z^k - 1) times the tail sum
-    t_lm += np.array([math.log(k) - f[2] for f in factors]).reshape(-1, 1)
-    t_ph += np.array([_wrap_phase(0.0 - f[3]) for f in factors]).reshape(-1, 1)
 
-    # ---- combine with the scalar prefactor tau e^(tw)
-    pre_lm = fam.log_tau + t_arr * w.real
-    pre_ph = t_arr * w.imag
-    tot_lm, tot_ph = log_sum_arrays(np.stack([main_lm, t_lm]), np.stack([main_ph, t_ph]),
-                                    axis=0)
+def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
+    """G(t, z) in log space over a 1-d array of t (_green_blocks).
+
+    z is one point or an array of them; row i of the result is the call
+    with z[i] alone, bit for bit.  Returns (log_mag, phase) arrays of shape
+    z.shape + t.shape.
+    """
+    zs = np.asarray(z, dtype=complex)
+    t_arr = np.asarray(t_arr, dtype=float)
+    lm = np.empty((zs.size, t_arr.size))
+    ph = np.empty_like(lm)
+    for z_rows, cols, b_lm, b_ph in _green_blocks(fam, t_arr, zs, tail_rows):
+        lm[z_rows, cols] = b_lm
+        ph[z_rows, cols] = b_ph
     out_shape = zs.shape + t_arr.shape
-    return (pre_lm + tot_lm).reshape(out_shape), (pre_ph + tot_ph).reshape(out_shape)
+    return lm.reshape(out_shape), ph.reshape(out_shape)
 
 
 def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -500,7 +656,7 @@ def laplace_L(fam: AtomFamily, t, backend: str = SERIES):
     """Time profile L(t).  Scalar or array t; backend 'series' or 'oracle'."""
     t = _finite_t(t)
     if _check_backend(backend) == DIRECT_ORACLE:
-        return _oracle_map(fam, t, lambda at: at.weights_fixed, lambda at, e_tw: e_tw)
+        return _oracle_map(fam, t, [lambda at: at.weights_fixed], lambda at, e_tw: e_tw)[0]
     return to_complex(*laplace_L_log(fam, t))
 
 
@@ -510,8 +666,8 @@ def primitive_N(fam: AtomFamily, t, backend: str = SERIES):
     if _check_backend(backend) == DIRECT_ORACLE:
         # tau/w stays out of the coefficients: folded in, it moves the bits
         # of the exact zero N(0)
-        return _oracle_map(fam, t, lambda at: at.qs_fixed,
-                           lambda at, e_tw: at.tau * e_tw / at.w)
+        return _oracle_map(fam, t, [lambda at: at.qs_fixed],
+                           lambda at, e_tw: at.tau * e_tw / at.w)[0]
     return to_complex(*primitive_N_log(fam, t))
 
 
@@ -520,26 +676,26 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
 
     Returns shape z.shape + t.shape: a scalar z gives values over t, an
     array of z one row per z.  Each value is the one a call with that z and
-    t alone would give, bit for bit.  The series route evaluates the z in
-    chunks of at most Z_CHUNK_POINTS (z, t) points, so no working array
-    outgrows a single z's main-sum or tail matrix.
+    t alone would give, bit for bit.  The series route walks t in column
+    tiles of TILE_POINTS elements and each tile's z in chunks of
+    Z_CHUNK_POINTS points (_green_blocks), so beyond the output its working
+    arrays do not grow with the size of t.  The oracle route builds each
+    t's exponentials once for all z.
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """
     t = _finite_t(t)
     zs = np.asarray(z, dtype=complex)
     if _check_backend(backend) == DIRECT_ORACLE:
-        vals = [_oracle_map(fam, t, _green_coeffs(zi), lambda at, e_tw: e_tw)
-                for zi in zs.ravel().tolist()]
+        vals = _oracle_map(fam, t, [_green_coeffs(zi) for zi in zs.ravel().tolist()],
+                           lambda at, e_tw: e_tw)
         return vals[0] if zs.ndim == 0 else np.array(vals).reshape(zs.shape + t.shape)
     t_flat = t.ravel()
     z_flat = zs.ravel()
     tail_rows = _tail_rows(fam, t_flat) if (t_flat > 0).any() and z_flat.size else None
     out = np.empty((z_flat.size, t_flat.size), dtype=complex)
-    step = max(1, Z_CHUNK_POINTS // max(1, t_flat.size))
-    for lo in range(0, z_flat.size, step):
-        out[lo:lo + step] = _to_complex_array(
-            *_green_series(fam, t_flat, z_flat[lo:lo + step], tail_rows))
+    for z_rows, cols, lm, ph in _green_blocks(fam, t_flat, z_flat, tail_rows):
+        out[z_rows, cols] = _to_complex_array(lm, ph)
     return out.reshape(zs.shape + t.shape)[()]
 
 
@@ -576,16 +732,21 @@ def _oracle_dps(fam: AtomFamily, t: float) -> int:
     return max(ORACLE_MIN_DPS, 50 + int(math.ceil(max(0.0, cancel_digits))))
 
 
-def _oracle_map(fam: AtomFamily, t, coeffs, prefactor):
-    """_oracle_sum at each point of a scalar or array t >= 0."""
+def _oracle_map(fam: AtomFamily, t, coeffs: list, prefactor) -> list:
+    """_oracle_sums at each point of a scalar or array t >= 0: one complex
+    (scalar t) or array shaped like t per entry of coeffs."""
+    if not coeffs:
+        return []
     if fam.k > ORACLE_MAX_K:
         raise ValueError(
             f"direct oracle is the arbiter only for k <= {ORACLE_MAX_K}; got k={fam.k}"
         )
     if np.ndim(t) == 0:
-        return _oracle_sum(fam, float(t), coeffs, prefactor)
-    return np.array([_oracle_sum(fam, float(ti), coeffs, prefactor)
-                     for ti in np.asarray(t, dtype=float)])
+        return _oracle_sums(fam, float(t), coeffs, prefactor)
+    t = np.asarray(t, dtype=float)
+    vals = np.array([_oracle_sums(fam, ti, coeffs, prefactor) for ti in t.ravel().tolist()],
+                    dtype=complex).reshape(t.shape + (len(coeffs),))
+    return list(np.ascontiguousarray(np.moveaxis(vals, -1, 0)))
 
 
 # the tables below are built once per working precision and shared: mpmath
@@ -664,9 +825,9 @@ def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
                             _fixed_table(qs, prec), _fixed_table(weights, prec))
 
 
-def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
-    """prefactor(at, e^(tw)) * sum_s c_s e^(t q^s/A) at one t >= 0, where
-    coeffs(at) is the _FixedTable of the c_s.
+def _oracle_sums(fam: AtomFamily, t: float, coeffs: list, prefactor) -> list:
+    """prefactor(at, e^(tw)) * sum_s c_s e^(t q^s/A) at one t >= 0, for each
+    entry of coeffs, where coeffs[i](at) is the _FixedTable of its c_s.
 
     at is the _OracleAtoms table at the working precision of t.  Since
     e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), the roots
@@ -678,6 +839,7 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
     e^(x q^(k/2-s)) = cis(x Im q^s)/e^(x Re q^s), so each s <= k/4 (s = k/4
     pairs with itself) costs one real exponential and one cos/sin, and
     e^(-x) = 1/e^x: floor(k/4) + 2 exponentials and floor(k/4) cos/sin.
+    These, e^(tw) and the prefactor serve every entry of coeffs.
 
     The sum itself runs in integers: each exponential becomes fixed point
     at 2^-shift, where e^x, the largest factor, has the working precision
@@ -715,13 +877,15 @@ def _oracle_sum(fam: AtomFamily, t: float, coeffs, prefactor) -> complex:
                 half[k // 2 - s - 1] = ((cos * inv) >> shift, (sin * inv) >> shift)
                 half[s - 1] = ((cos * mag) >> shift, (sin * mag) >> shift)
         es = half + [(re, -im) for re, im in reversed(half[:(k - 1) // 2])] + [(top, 0)]
-        table = coeffs(at)
-        re = im = 0
-        for (c_re, c_im), (e_re, e_im) in zip(table.pairs, es):
-            re += c_re * e_re - c_im * e_im
-            im += c_re * e_im + c_im * e_re
-        tot = _round_fixed(re, im, shift + table.shift, prec)
-        return complex(prefactor(at, mp.exp(t * at.w)) * tot)
+        pre = prefactor(at, mp.exp(t * at.w))
+        out = []
+        for table in (c(at) for c in coeffs):
+            re = im = 0
+            for (c_re, c_im), (e_re, e_im) in zip(table.pairs, es):
+                re += c_re * e_re - c_im * e_im
+                im += c_re * e_im + c_im * e_re
+            out.append(complex(pre * _round_fixed(re, im, shift + table.shift, prec)))
+        return out
 
 
 def _green_coeffs(z: complex):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,9 +27,10 @@ from tauberlab.atoms import (
     taylor_remainder_check,
     verify_prop52,
 )
-from tauberlab.atoms import _green_series, _log_factorials, _main_sum, _tail_rows
+from tauberlab.atoms import _green_series, _log_factorials, _main_rows, _phase_columns, \
+    _row_sums, _tail_rows
 from conftest import prop52_inputs
-from tauberlab.logspace import log_sum_arrays
+from tauberlab.logspace import log_from_sums, log_sum_arrays
 
 CANCEL_TOL = 1e-25
 BACKEND_TOL = 1e-10
@@ -142,7 +144,7 @@ class TestTransforms:
         def no_work(*args, **kwargs):
             raise AssertionError("series or oracle work started")
 
-        for name in ("_series_tail_sums", "_green_series", "_oracle_map"):
+        for name in ("_series_tail_sums", "_green_blocks", "_oracle_map"):
             monkeypatch.setattr(atoms, name, no_work)
         call = getattr(atoms, fn)
         args = (z,) if fn == "green_G" else ()
@@ -202,6 +204,15 @@ def _hex_list(values):
     return [float(x).hex() for x in values]
 
 
+def _tile_layouts(monkeypatch):
+    """The default column tiles of G's series, then 2-column tiles, with a
+    seam after every second t: no value may move."""
+    yield "default"
+    monkeypatch.setattr(atoms, "TILE_POINTS", 1)
+    monkeypatch.setattr(atoms, "TILE_MIN_COLUMNS", 2)
+    yield "2-column"
+
+
 class TestGreenGolden:
     def test_power_k10_at_zero_and_positive_t(self):
         rec = GOLDEN["power_k10"]
@@ -235,35 +246,37 @@ class TestGreenGolden:
         z = complex(*(float.fromhex(x) for x in rec["z"]))
         assert [_hex_pair(v) for v in green_G(fam, t, z)] == rec["G"]
 
-    def test_power_families_on_full_default_grid(self):
+    def test_power_families_on_full_default_grid(self, monkeypatch):
         # a change of summation order moves only a few of these 6,416
         # values, so all of them are pinned, through one digest
-        digest = hashlib.sha256()
-        for k in (10, 20):
-            fam = build_family("power", k, 2.0, 2.0)
-            t = default_t_grid(fam)
-            for z in default_z_samples(fam, n=4):
-                for v in green_G(fam, t, z):
-                    digest.update(f"{v.real.hex()},{v.imag.hex()};".encode())
-        assert digest.hexdigest() == GOLDEN["power_full_grid_sha256"]
+        for _ in _tile_layouts(monkeypatch):
+            digest = hashlib.sha256()
+            for k in (10, 20):
+                fam = build_family("power", k, 2.0, 2.0)
+                t = default_t_grid(fam)
+                for z in default_z_samples(fam, n=4):
+                    for v in green_G(fam, t, z):
+                        digest.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+            assert digest.hexdigest() == GOLDEN["power_full_grid_sha256"]
 
-    def test_log_families_at_scan_orders_on_full_default_grid(self):
+    def test_log_families_at_scan_orders_on_full_default_grid(self, monkeypatch):
         # the counterexample scan fits log families of these orders; their
         # main sums are wide, and most of each column underflows, so the log
         # magnitude and phase are pinned rather than the complex values
-        digest = hashlib.sha256()
-        for k in (1026, 7506):
-            fam = build_family("log", k, 1.0)
-            t = default_t_grid(fam)
-            rows = _tail_rows(fam, t)
-            for z in default_z_samples(fam, n=4):
-                lm, ph = _green_series(fam, t, z, rows)
-                for a, b in zip(lm, ph):
-                    digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
-        assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
+        for _ in _tile_layouts(monkeypatch):
+            digest = hashlib.sha256()
+            for k in (1026, 7506):
+                fam = build_family("log", k, 1.0)
+                t = default_t_grid(fam)
+                rows = _tail_rows(fam, t)
+                for z in default_z_samples(fam, n=4):
+                    lm, ph = _green_series(fam, t, z, rows)
+                    for a, b in zip(lm, ph):
+                        digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
+            assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
 
     @pytest.mark.parametrize("k", [20, 40])
-    def test_shift_suite_node_grid(self, k):
+    def test_shift_suite_node_grid(self, k, monkeypatch):
         # the shift suite's transform probe: on these grids a tenth of the
         # tail's exp arguments underflow and a few percent give subnormals
         rec = GOLDEN[f"shift_power_k{k}"]
@@ -273,20 +286,21 @@ class TestGreenGolden:
             == rec["nodes_sha256"]
         zs = default_z_samples(fam, n=40, seed=11)[[0, 10, 20, 30]]
         assert [_hex_pair(z) for z in zs] == rec["z"]
-        batch = hashlib.sha256()
-        for row in green_G(fam, t, zs):
-            for v in row:
-                batch.update(f"{v.real.hex()},{v.imag.hex()};".encode())
-        single = hashlib.sha256()
-        series = hashlib.sha256()
-        for z in zs:
-            for v in green_G(fam, t, z):
-                single.update(f"{v.real.hex()},{v.imag.hex()};".encode())
-            for a, b in zip(*_green_series(fam, t, z, _tail_rows(fam, t))):
-                series.update(f"{float(a).hex()},{float(b).hex()};".encode())
-        assert batch.hexdigest() == rec["G_sha256"]
-        assert single.hexdigest() == rec["G_sha256"]
-        assert series.hexdigest() == rec["series_sha256"]
+        for _ in _tile_layouts(monkeypatch):
+            batch = hashlib.sha256()
+            for row in green_G(fam, t, zs):
+                for v in row:
+                    batch.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+            single = hashlib.sha256()
+            series = hashlib.sha256()
+            for z in zs:
+                for v in green_G(fam, t, z):
+                    single.update(f"{v.real.hex()},{v.imag.hex()};".encode())
+                for a, b in zip(*_green_series(fam, t, z, _tail_rows(fam, t))):
+                    series.update(f"{float(a).hex()},{float(b).hex()};".encode())
+            assert batch.hexdigest() == rec["G_sha256"]
+            assert single.hexdigest() == rec["G_sha256"]
+            assert series.hexdigest() == rec["series_sha256"]
 
     def test_contour_node_batch(self):
         # 32 right-arc and 32 boundary-curve nodes, as one contour panel
@@ -316,6 +330,81 @@ def _shift_nodes(k):
     edges = np.concatenate(edges)
     return np.concatenate([0.5 * (hi - lo) * (xs + 1.0) + lo
                            for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+def _tile_case(name):
+    """(family, t, z) of one tile-seam case: a family on its default grid,
+    or power k = 10 at some edge of t or z."""
+    variant, _, k = name.partition("-")
+    if k.isdigit():
+        fam = _ln_family(variant, int(k))
+        zs = default_z_samples(fam, n=4)
+        return fam, default_t_grid(fam), zs if fam.k < 1000 else zs[[0, 3]]
+    fam = _ln_family("power", 10)
+    zs = np.concatenate([default_z_samples(fam, n=3), [0j]])
+    if name == "empty-z":
+        return fam, default_t_grid(fam, n=9), zs[:0]
+    t = {"one-t": [7.5], "zero-t": [0.0, 0.0, 0.0], "empty-t": [],
+         "mixed-t": [0.0, 0.0, 1.5, 0.0, 3.0, 9.0, 0.0]}[name]
+    return fam, np.array(t, dtype=float), zs
+
+
+class TestGreenTiles:
+    """G's series walks its (rows x t) matrices in column tiles; where the
+    seams fall must not move a bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 400, 401])
+    @pytest.mark.parametrize("min_columns", [2, 3, 7])
+    def test_tiles_cover_the_columns(self, monkeypatch, n, min_columns):
+        monkeypatch.setattr(atoms, "TILE_POINTS", 1)
+        monkeypatch.setattr(atoms, "TILE_MIN_COLUMNS", min_columns)
+        tiles = atoms._column_tiles(n, 10)
+        assert [i for sl in tiles for i in range(sl.start, sl.stop)] == list(range(n))
+        widths = [sl.stop - sl.start for sl in tiles]
+        # only a lone t gives a 1-column tile: a 1-column remainder joins
+        # the tile before it
+        assert all(w >= 2 for w in widths) or widths == [1]
+        assert all(w == min_columns for w in widths[:-1])
+
+    @pytest.mark.parametrize("case", ["power-10", "power-20", "log-2502", "log-7506", "one-t",
+                                      "zero-t", "mixed-t", "empty-t", "empty-z"])
+    def test_values_do_not_depend_on_the_tiles(self, monkeypatch, case):
+        # 2-column tiles; 3 and 7 columns leave a 1-column remainder on the
+        # 400-point default grid
+        fam, t, zs = _tile_case(case)
+
+        def values():
+            rows = _tail_rows(fam, t) if np.any(t > 0) else None
+            lm, ph = _green_series(fam, t, zs, rows)
+            return (_hex_list(np.ravel(lm)), _hex_list(np.ravel(ph)),
+                    [_hex_pair(v) for v in np.ravel(green_G(fam, t, zs))])
+
+        want = values()
+        assert len(want[2]) == zs.size * t.size
+        monkeypatch.setattr(atoms, "TILE_POINTS", 1)
+        for min_columns in (2, 3, 7):
+            monkeypatch.setattr(atoms, "TILE_MIN_COLUMNS", min_columns)
+            assert values() == want, min_columns
+
+    def test_peak_memory_does_not_grow_with_t(self):
+        # the shift suite's probe shape, 40 z: no tile and no (z x t) block
+        # grows with t, so four times the points keep the peak within 20%,
+        # past the output itself
+        fam = build_family("power", 20, 2.0, beta=1.5)
+        zs = default_z_samples(fam, n=40, seed=11)
+        t_max = 3.0 * fam.k + 80.0
+
+        def peak(n):
+            t = np.linspace(0.0, t_max, n)
+            green_G(fam, t[:4], zs[:2])
+            tracemalloc.start()
+            try:
+                out = green_G(fam, t, zs)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8160) <= 1.2 * peak(2040)
 
 
 class TestGreenZBatch:
@@ -355,6 +444,7 @@ class TestGreenZBatch:
         for z, row in zip(zs, batch):
             assert [_hex_pair(v) for v in row] \
                 == [_hex_pair(v) for v in green_G(fam, t, z, backend="oracle")]
+        assert green_G(fam, t, zs[:0], backend="oracle").shape == (0, t.size)
 
     def test_bad_z_in_a_batch_is_refused(self):
         fam = build_family("power", 10, 2.0, 2.0)
@@ -437,7 +527,10 @@ class TestMainBand:
         narrow_and_wide = np.log(rng.uniform([1.0, 300.0], [50.0, 2400.0], (8, 2)))
         for log_a in [*narrow_and_wide, np.log(rng.uniform(1e-3, 3e3, 400)), np.log([40.0])]:
             want = log_sum_arrays(jj[:, None] * log_a - lf, (jj * ph_x)[:, None], axis=0)
-            got = _main_sum(log_a, ph_x, k)
+            shape = (k - 1, log_a.size)
+            lm = _main_rows(log_a, k, np.empty(shape))
+            got = log_from_sums(*_row_sums(lm, _phase_columns(jj * ph_x), np.empty(shape),
+                                           np.empty(shape, dtype=bool)))
             assert _hex_list(got[0]) == _hex_list(want[0])
             assert _hex_list(got[1]) == _hex_list(want[1])
 
@@ -590,9 +683,11 @@ class TestOracleWork:
         # Even k: e^(t Re q^s/A) and cis(t Im q^s/A) for s <= k/4, which also
         # give the reflected roots q^(k/2-s) = -conj(q^s) (k = 4 and 8 pair
         # s = k/4 with itself, k = 4 and 6 have k/4 = 1), then e^(t/A), whose
-        # inverse serves q^(k/2) = -1, and e^(tw)
+        # inverse serves q^(k/2) = -1, and e^(tw).  G over an array of z
+        # builds them once for all its z
         fam = build_family("power", k, 2.0, 2.0)
         z = complex(default_z_samples(fam, n=1)[0])
+        zs = default_z_samples(fam, n=4)
         calls = {"exp": 0, "cos_sin": 0}
 
         def counted(name):
@@ -610,10 +705,10 @@ class TestOracleWork:
             expected = {"exp": k // 2 + 2, "cos_sin": 0}
         else:
             expected = {"exp": k // 4 + 2, "cos_sin": k // 4}
-        for f, args in ((laplace_L, ()), (primitive_N, ()), (green_G, (z,))):
+        for f, args in ((laplace_L, ()), (primitive_N, ()), (green_G, (z,)), (green_G, (zs,))):
             calls.update(exp=0, cos_sin=0)
             f(fam, 3.0, *args, backend="oracle")
-            assert calls == expected, f.__name__
+            assert calls == expected, (f.__name__, args)
 
     def test_green_weights_do_not_leak_across_calls(self, monkeypatch):
         fam = build_family("power", 10, 2.0, 2.0)
