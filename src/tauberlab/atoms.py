@@ -62,12 +62,10 @@ ORACLE_GUARD_BITS = 32     # fixed-point oracle sums carry this many bits past t
 STIRLING_RHO = 0.19        # valid for every t, k in both peak envelopes
 EXP_CUT = -708.39          # G's series sums skip exp below this: e^EXP_CUT is about the smallest normal
 # G's series walks t in column tiles of at most TILE_POINTS elements of its
-# (rows x t) matrices, though never narrower than TILE_MIN_COLUMNS columns
-# (past 1,024 rows, so k > 1,025), and takes each tile's z in chunks of at
-# most Z_CHUNK_POINTS (z, t) points
+# (rows x t) and (z x t) arrays, though never narrower than TILE_MIN_COLUMNS
+# columns (past 1,024 rows or z)
 TILE_POINTS = 1 << 15
 TILE_MIN_COLUMNS = 32
-Z_CHUNK_POINTS = 1 << 12
 
 _LN10 = math.log(10.0)
 
@@ -452,7 +450,7 @@ class _TailPlan(NamedTuple):
         return out
 
 
-def _tail_rows(fam: AtomFamily, t_arr: np.ndarray) -> _TailPlan:
+def _tail_plan(fam: AtomFamily, t_arr: np.ndarray) -> _TailPlan:
     """The plan of G's tail at a 1-d t with some t > 0.
 
     The tail length n_hi comes from the largest t, so it is the same for
@@ -525,49 +523,46 @@ def _green_block(fam: AtomFamily, t: np.ndarray, points: list, plan, cols: slice
     the main sum is exactly 1 and the tail exactly 0 everywhere, so no
     series is built.  Otherwise columns at t = 0 are summed with the rest
     and then set, not read.  scratch holds three flat buffers (log terms,
-    products, live mask) of at least rows x t.size entries each.
+    products, live mask) of at least rows x t.size entries each.  The main
+    sum and the tail are layers 0 and 1 of one (2, z, t) pair of arrays,
+    summed in place.
     """
-    shape = (len(points), t.size)
+    shape = (2, len(points), t.size)
     if rows is None:
-        s_lm, s_ph = np.zeros(shape), np.zeros(shape)
-        t_lm, t_ph = np.full(shape, -np.inf), np.zeros(shape)
+        lm, ph = np.zeros(shape), np.zeros(shape)
+        lm[1] = -np.inf
     else:
-        main, tail = (tuple(np.empty(shape) for _ in range(3)) for _ in range(2))
+        sums = tuple(np.empty(shape) for _ in range(3))  # pivot, re, im
         log_t = plan.log_t[cols]
         lm_main, *tmp_main = (_shaped(b, fam.k - 1, t.size) for b in scratch)
         lm_tail, *tmp_tail = (_shaped(b, rows.shape[0], t.size) for b in scratch)
         for i, p in enumerate(points):
             _main_rows(log_t + p.log_x, fam.k, lm_main)
-            for part, sums in zip(main, _row_sums(lm_main, p.main_cs, *tmp_main)):
-                part[i] = sums
+            for part, row in zip(sums, _row_sums(lm_main, p.main_cs, *tmp_main)):
+                part[0, i] = row
             np.add(rows, p.tail_lm, out=lm_tail)
-            for part, sums in zip(tail, _row_sums(lm_tail, p.tail_cs, *tmp_tail)):
-                part[i] = sums
-        s_lm, s_ph = log_from_sums(*main)
-        t_lm, t_ph = log_from_sums(*tail)
+            for part, row in zip(sums, _row_sums(lm_tail, p.tail_cs, *tmp_tail)):
+                part[1, i] = row
+        lm, ph = log_from_sums(*sums)
+        del sums  # frees re before the combine's temporaries
         zero = plan.zero[cols]
-        s_lm[:, zero] = 0.0
-        s_ph[:, zero] = 0.0
-    at_zero = [p.main_lm == -math.inf for p in points]
-    main_lm = s_lm + np.array([p.main_lm for p in points])[:, None]
-    main_ph = s_ph + np.array([p.main_ph for p in points])[:, None]
-    main_lm[at_zero] = -np.inf
-    main_ph[at_zero] = 0.0
-    t_lm += np.array([p.tail_k_lm for p in points])[:, None]
-    t_ph += np.array([p.tail_k_ph for p in points])[:, None]
+        lm[0][:, zero] = ph[0][:, zero] = 0.0
+    lm += np.array([[p.main_lm for p in points], [p.tail_k_lm for p in points]])[..., None]
+    ph += np.array([[p.main_ph for p in points], [p.tail_k_ph for p in points]])[..., None]
+    at_zero = np.array([p.main_lm == -math.inf for p in points], dtype=bool)
+    lm[0, at_zero], ph[0, at_zero] = -np.inf, 0.0
 
     # ---- combine with the scalar prefactor tau e^(tw)
-    w = fam.base
-    pre_lm = fam.log_tau + t * w.real
-    pre_ph = t * w.imag
-    tot_lm, tot_ph = log_sum_arrays(np.stack([main_lm, t_lm]), np.stack([main_ph, t_ph]),
-                                    axis=0)
-    return pre_lm + tot_lm, pre_ph + tot_ph
+    lm, ph = log_sum_arrays(lm, ph, axis=0)
+    lm += fam.log_tau + t * fam.base.real
+    ph += t * fam.base.imag
+    return lm, ph
 
 
-def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
+def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z):
     """Resummed evaluation of G(t, z) over a 1-d array of t, in log space,
-    as (z slice, t slice, log_mag, phase) blocks that cover z x t.
+    as (t slice, log_mag, phase) blocks, one per column tile, each over
+    every z.
 
     With Z = A(z - w), the atom sum collapses (root-of-unity partial
     fractions, all exponents) to
@@ -581,18 +576,15 @@ def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
 
     The t-independent work of each z (_green_point) runs once per call.
     The t are then walked in column tiles (_column_tiles) sized to the
-    taller of the main sum's k-1 rows and the tail's, and each tile's z
-    in chunks of at most Z_CHUNK_POINTS (z, t) points, so the working
-    arrays do not grow with t.size.  Every column sums in the order of the
-    whole matrix, so each value is bit for bit the call with that z and t
-    alone, whatever the tiles.  tail_rows is _tail_rows(fam, t_arr), read
-    only when some t > 0; it may be None otherwise.
+    tallest of the main sum's k-1 rows, the tail's rows and the z, so the
+    working arrays do not grow with t.size.  Every column sums in the
+    order of the whole matrix, so each value is bit for bit the call with
+    that z and t alone, whatever the tiles.
     """
-    t_arr = np.asarray(t_arr, dtype=float)
-    plan = None if np.all(t_arr == 0.0) else tail_rows
+    plan = None if np.all(t_arr == 0.0) else _tail_plan(fam, t_arr)
     points = [_green_point(fam, zi, plan) for zi in np.ravel(z).tolist()]
     n_rows = 1 if plan is None else max(fam.k - 1, plan.nn.shape[0])
-    tiles = _column_tiles(t_arr.size, n_rows)
+    tiles = _column_tiles(t_arr.size, max(n_rows, len(points)))
     # every tile matrix lives in buffers allocated once per call: a fresh
     # allocation per tile made the allocator return and re-fault the pages,
     # some 87,000 page faults per call at log k = 7506
@@ -600,17 +592,12 @@ def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
     scratch = tuple(np.empty(n_rows * max_width, dtype=d) for d in (float, float, bool))
     rows_flat = np.empty(0 if plan is None else plan.nn.shape[0] * max_width)
     for cols in tiles:
-        width = cols.stop - cols.start
         rows = None if plan is None else plan.rows(
-            cols, _shaped(rows_flat, plan.nn.shape[0], width))
-        step = max(1, Z_CHUNK_POINTS // width)
-        for lo in range(0, len(points), step):
-            yield (slice(lo, lo + step), cols,
-                   *_green_block(fam, t_arr[cols], points[lo:lo + step], plan, cols, rows,
-                                 scratch))
+            cols, _shaped(rows_flat, plan.nn.shape[0], cols.stop - cols.start))
+        yield cols, *_green_block(fam, t_arr[cols], points, plan, cols, rows, scratch)
 
 
-def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
+def _green_series(fam: AtomFamily, t_arr: np.ndarray, z):
     """G(t, z) in log space over a 1-d array of t (_green_blocks).
 
     z is one point or an array of them; row i of the result is the call
@@ -619,13 +606,10 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z, tail_rows):
     """
     zs = np.asarray(z, dtype=complex)
     t_arr = np.asarray(t_arr, dtype=float)
-    lm = np.empty((zs.size, t_arr.size))
-    ph = np.empty_like(lm)
-    for z_rows, cols, b_lm, b_ph in _green_blocks(fam, t_arr, zs, tail_rows):
-        lm[z_rows, cols] = b_lm
-        ph[z_rows, cols] = b_ph
-    out_shape = zs.shape + t_arr.shape
-    return lm.reshape(out_shape), ph.reshape(out_shape)
+    lm, ph = np.empty((2, zs.size, t_arr.size))
+    for cols, *block in _green_blocks(fam, t_arr, zs):
+        lm[:, cols], ph[:, cols] = block
+    return lm.reshape(zs.shape + t_arr.shape), ph.reshape(zs.shape + t_arr.shape)
 
 
 def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -677,10 +661,9 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
     Returns shape z.shape + t.shape: a scalar z gives values over t, an
     array of z one row per z.  Each value is the one a call with that z and
     t alone would give, bit for bit.  The series route walks t in column
-    tiles of TILE_POINTS elements and each tile's z in chunks of
-    Z_CHUNK_POINTS points (_green_blocks), so beyond the output its working
-    arrays do not grow with the size of t.  The oracle route builds each
-    t's exponentials once for all z.
+    tiles of TILE_POINTS elements, each over every z (_green_blocks), so
+    beyond the output its working arrays do not grow with the size of t.
+    The oracle route builds each t's exponentials once for all z.
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """
@@ -691,11 +674,9 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
                            lambda at, e_tw: e_tw)
         return vals[0] if zs.ndim == 0 else np.array(vals).reshape(zs.shape + t.shape)
     t_flat = t.ravel()
-    z_flat = zs.ravel()
-    tail_rows = _tail_rows(fam, t_flat) if (t_flat > 0).any() and z_flat.size else None
-    out = np.empty((z_flat.size, t_flat.size), dtype=complex)
-    for z_rows, cols, lm, ph in _green_blocks(fam, t_flat, z_flat, tail_rows):
-        out[z_rows, cols] = _to_complex_array(lm, ph)
+    out = np.empty((zs.size, t_flat.size), dtype=complex)
+    for cols, lm, ph in _green_blocks(fam, t_flat, zs):
+        out[:, cols] = _to_complex_array(lm, ph)
     return out.reshape(zs.shape + t.shape)[()]
 
 

@@ -75,15 +75,15 @@ def log_sum_arrays(log_mags, phases, axis: int = 0):
     `phases` may be any shape that broadcasts against `log_mags` (a column
     of per-row phases, say); its cos/sin are taken before broadcasting.
     Returns (log_mag, phase) arrays with that axis reduced.  Entries with
-    log_mag = -inf act as exact zeros.
+    log_mag = -inf act as exact zeros.  log_mags is overwritten, so callers
+    hand it a fresh array.
     """
-    log_mags = np.asarray(log_mags, dtype=float)
-    phases = np.asarray(phases, dtype=float)
     pivot = np.max(log_mags, axis=axis, keepdims=True)
-    pivot = np.where(np.isfinite(pivot), pivot, 0.0)
-    scale = np.exp(log_mags - pivot)
-    re = np.sum(scale * np.cos(phases), axis=axis)
-    im = np.sum(scale * np.sin(phases), axis=axis)
+    pivot[~np.isfinite(pivot)] = 0.0
+    scale = np.exp(np.subtract(log_mags, pivot, out=log_mags), out=log_mags)
+    part = np.cos(phases, out=np.empty_like(scale))
+    re = np.sum(np.multiply(part, scale, out=part), axis=axis)
+    im = np.sum(np.multiply(np.sin(phases, out=part), scale, out=part), axis=axis)
     return log_from_sums(np.squeeze(pivot, axis=axis), re, im)
 
 
@@ -91,8 +91,12 @@ def log_from_sums(pivot, re, im):
     """(log magnitude, phase) arrays of e^pivot (re + i im), elementwise.
 
     The last step of log_sum_arrays, for callers that form the pivoted sums
-    themselves; re = im = 0 gives log magnitude -inf.
+    themselves; re = im = 0 gives log magnitude -inf.  Works in place: the
+    log magnitude is pivot and the phase im, so callers hand in fresh
+    arrays.
     """
+    mag = np.hypot(re, im)
+    np.arctan2(im, re, out=im)
     with np.errstate(divide="ignore"):
-        out_log = pivot + np.log(np.hypot(re, im))
-    return out_log, np.arctan2(im, re)
+        np.add(pivot, np.log(mag, out=mag), out=pivot)
+    return pivot, im

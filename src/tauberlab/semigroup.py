@@ -281,7 +281,8 @@ _CHUNK = 1024
 
 
 def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
-    """Propagate by per-step scaling-and-squaring matrix exponentials,
+    """Propagate by scaling-and-squaring matrix exponentials of the step,
+    one on a uniform grid and else one per step rounded to 15 digits,
     yielding (slice of t_grid, physical states at those times), chunk by
     chunk.
 
@@ -306,11 +307,13 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
     dts = np.diff(t_grid)
     # the step propagators come first, so expm's work arrays are freed
     # before the buffer is allocated
+    uniform = _uniform_step(ghat, t_grid)
     props: dict[float, np.ndarray] = {}
-    for dt in dts:
-        key = round(float(dt), 15)
-        if key not in props:
-            props[key] = sla.expm(ghat * float(dt))
+    if uniform is None:
+        for dt in dts:
+            key = round(float(dt), 15)
+            if key not in props:
+                props[key] = sla.expm(ghat * float(dt))
     xh = sys.to_hat(x0)
     bounds = list(range(0, t_grid.size, _CHUNK)) + [t_grid.size]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -326,8 +329,8 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
         if lo == 0:
             block[:, 0] = xh
         for i in range(max(lo, 1), hi):
-            cur = np.matmul(props[round(float(dts[i - 1]), 15)], cur,
-                            out=block[:, i - lo])
+            prop = uniform if uniform is not None else props[round(float(dts[i - 1]), 15)]
+            cur = np.matmul(prop, cur, out=block[:, i - lo])
             e_now = float(cur @ cur)
             if e_now > e_prev + tol * e0:
                 raise ArithmeticError(
@@ -374,6 +377,11 @@ def _is_uniform(t: np.ndarray) -> bool:
     h = (t[-1] - t[0]) / (t.size - 1)
     dev = np.max(np.abs(t - (t[0] + np.arange(t.size) * h)))
     return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(t))))
+
+
+def _uniform_step(ghat: np.ndarray, t: np.ndarray):
+    """e^(ghat (t_1 - t_0)) when the grid t is uniform (_is_uniform), else None."""
+    return sla.expm(ghat * float(t[1] - t[0])) if _is_uniform(t) else None
 
 
 def energy_derivative_check(traj: Trajectory) -> float:
@@ -664,10 +672,10 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         resids.append(float(np.linalg.norm(fhat_all[:, j] - closed) / scale))
 
     t_grid = np.asarray(t_grid, dtype=float)
-    if not _is_uniform(t_grid):
+    phi = _uniform_step(ghat, t_grid)
+    if phi is None:
         raise ValueError("norm series needs a uniform grid")
-    dt = float(t_grid[1] - t_grid[0])
-    phi = sla.expm(ghat * dt).astype(complex)
+    phi = phi.astype(complex)
     t1_c = t1_hat.astype(complex)
     series_r = _norm_series(phi, t1_c, base, t_grid.size)
     series_d = _norm_series(phi, t1_c, t2x, t_grid.size)

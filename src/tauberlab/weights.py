@@ -172,15 +172,21 @@ def m_log_inverse(M: RateFunction, t):
     Each point doubles its own bracket from s = 1, then bisects until
     |M_log(s) - t| <= 1e-10 (absolute) or, at t so large that floats near s
     are coarser, until the bracket is a few ulps wide (s at float
-    resolution).  M_log is strictly increasing, so the root is unique.
+    resolution).  M_log is strictly increasing, so the root is unique.  A t
+    past M_log(2^1023) is inf at once: its bracket would double to
+    [2^1023, inf], whose midpoint is inf.
     """
     t = np.asarray(t, dtype=float)
-    y, floor = t.ravel(), m_log_eval(M, 0.0)
+    y = t.ravel()
+    with np.errstate(over="ignore"):
+        floor, top = m_log_eval(M, np.array([0.0, 2.0 ** 1023]))
     if np.any(y < floor - _INVERSE_TOL):
         raise ValueError(f"m_log_inverse: t={y[y < floor - _INVERSE_TOL][0]:g} "
                          f"below M_log(0)={floor:g}")
     lo, hi = np.zeros(y.size), np.ones(y.size)
-    todo = live = np.flatnonzero(~(y <= floor))  # live: brackets still open
+    past = y > top
+    lo[past] = hi[past] = math.inf
+    todo = live = np.flatnonzero(~(y <= floor) & ~past)  # live: brackets still open
     for _ in range(2200):
         live = live[~(m_log_eval(M, hi[live]) >= y[live])]
         if live.size == 0:

@@ -28,9 +28,9 @@ from tauberlab.atoms import (
     verify_prop52,
 )
 from tauberlab.atoms import _green_series, _log_factorials, _main_rows, _phase_columns, \
-    _row_sums, _tail_rows
+    _row_sums
 from conftest import prop52_inputs
-from tauberlab.logspace import log_from_sums, log_sum_arrays
+from tauberlab.logspace import log_from_sums, log_sum_arrays, to_complex
 
 CANCEL_TOL = 1e-25
 BACKEND_TOL = 1e-10
@@ -234,7 +234,7 @@ class TestGreenGolden:
         assert [_hex_pair(z) for z in zs] == rec["z"]
         for i, z in enumerate(zs):
             assert [_hex_pair(v) for v in green_G(fam, t, z)] == rec["G"][i]
-            lm, ph = _green_series(fam, t, z, _tail_rows(fam, t))
+            lm, ph = _green_series(fam, t, z)
             assert _hex_list(lm) == rec["log_mag"][i]
             assert _hex_list(ph) == rec["phase"][i]
 
@@ -268,9 +268,8 @@ class TestGreenGolden:
             for k in (1026, 7506):
                 fam = build_family("log", k, 1.0)
                 t = default_t_grid(fam)
-                rows = _tail_rows(fam, t)
                 for z in default_z_samples(fam, n=4):
-                    lm, ph = _green_series(fam, t, z, rows)
+                    lm, ph = _green_series(fam, t, z)
                     for a, b in zip(lm, ph):
                         digest.update(f"{float(a).hex()},{float(b).hex()};".encode())
             assert digest.hexdigest() == GOLDEN["log_scan_sizes_series_sha256"]
@@ -296,7 +295,7 @@ class TestGreenGolden:
             for z in zs:
                 for v in green_G(fam, t, z):
                     single.update(f"{v.real.hex()},{v.imag.hex()};".encode())
-                for a, b in zip(*_green_series(fam, t, z, _tail_rows(fam, t))):
+                for a, b in zip(*_green_series(fam, t, z)):
                     series.update(f"{float(a).hex()},{float(b).hex()};".encode())
             assert batch.hexdigest() == rec["G_sha256"]
             assert single.hexdigest() == rec["G_sha256"]
@@ -374,8 +373,7 @@ class TestGreenTiles:
         fam, t, zs = _tile_case(case)
 
         def values():
-            rows = _tail_rows(fam, t) if np.any(t > 0) else None
-            lm, ph = _green_series(fam, t, zs, rows)
+            lm, ph = _green_series(fam, t, zs)
             return (_hex_list(np.ravel(lm)), _hex_list(np.ravel(ph)),
                     [_hex_pair(v) for v in np.ravel(green_G(fam, t, zs))])
 
@@ -412,13 +410,11 @@ class TestGreenZBatch:
 
     @pytest.mark.parametrize("variant,k", [("power", 10), ("power", 40), ("log", 50)])
     @pytest.mark.parametrize("grid", ["zero", "one-t", "full"])
-    def test_rows_equal_single_z_calls(self, variant, k, grid, monkeypatch):
+    def test_rows_equal_single_z_calls(self, variant, k, grid):
         fam = _ln_family(variant, k)
         t = {"zero": 0.0, "one-t": float(k), "full": default_t_grid(fam)}[grid]
         zs = np.concatenate([default_z_samples(fam, n=6),
                              [0j, complex(0.3, -2.0), fam.base + 1e-7j]])
-        # a chunk of two z checks the seams between chunks
-        monkeypatch.setattr(atoms, "Z_CHUNK_POINTS", 2 * np.size(t))
         batch = green_G(fam, t, zs)
         assert batch.shape == zs.shape + np.shape(t)
         for z, row in zip(zs, batch):
@@ -429,10 +425,9 @@ class TestGreenZBatch:
         fam = build_family("log", 2502, 1.0)
         t = default_t_grid(fam)[::10]
         zs = default_z_samples(fam, n=4)
-        rows = _tail_rows(fam, t)
-        lm, ph = _green_series(fam, t, zs, rows)
+        lm, ph = _green_series(fam, t, zs)
         for i, z in enumerate(zs):
-            one_lm, one_ph = _green_series(fam, t, z, rows)
+            one_lm, one_ph = _green_series(fam, t, z)
             assert _hex_list(lm[i]) == _hex_list(one_lm)
             assert _hex_list(ph[i]) == _hex_list(one_ph)
 
@@ -451,6 +446,37 @@ class TestGreenZBatch:
         zs = np.array([default_z_samples(fam, n=1)[0], fam.base])
         with pytest.raises(ValueError, match="base point"):
             green_G(fam, 1.0, zs)
+
+    def test_batch_of_more_z_than_the_tail_has_rows(self, monkeypatch):
+        # 150 z outnumber the tail's rows, so the z count sizes the tiles
+        fam = build_family("power", 10, 2.0, 2.0)
+        t = default_t_grid(fam)
+        zs = default_z_samples(fam, n=150)
+        assert zs.size > atoms._tail_plan(fam, t).nn.shape[0]
+        singles = [[_hex_pair(v) for v in green_G(fam, t, z)] for z in zs]
+        for layout in _tile_layouts(monkeypatch):
+            batch = green_G(fam, t, zs)
+            assert [[_hex_pair(v) for v in row] for row in batch] == singles, layout
+
+
+class TestOverflowGuards:
+    def test_green_G_refuses_a_value_past_float_range(self):
+        # near the atoms of a k = 200 family G(0, z) is about e^1534: the
+        # series keeps it in log space, the complex value cannot hold it
+        fam = build_family("power", 200, 2.0, 2.0)
+        z = fam.base + 0.5 / fam.circle_scale
+        lm, ph = _green_series(fam, np.array([0.0]), z)
+        assert lm[0] == pytest.approx(1534.42, abs=0.01)
+        assert np.isfinite(ph[0])
+        with pytest.raises(OverflowError, match="exceeds float range"):
+            green_G(fam, 0.0, z)
+
+    def test_to_complex_refuses_a_log_magnitude_above_709(self):
+        assert np.isfinite(to_complex(709.0, 0.5))
+        with pytest.raises(OverflowError, match="log magnitude 709.5 exceeds"):
+            to_complex(709.5, 0.0)
+        with pytest.raises(OverflowError, match="log magnitude 710 exceeds"):
+            to_complex(np.array([1.0, 710.0]), np.zeros(2))
 
 
 # ----------------------------------------------------------------------
@@ -541,12 +567,12 @@ class TestMainBand:
         rng = np.random.default_rng(3)
         for z in default_z_samples(fam, n=4):
             full = green_G(fam, t, z)
-            full_lm, full_ph = _green_series(fam, t, z, _tail_rows(fam, t))
+            full_lm, full_ph = _green_series(fam, t, z)
             for _ in range(6):
                 i, j = rng.choice(t.size, size=2, replace=False)
                 pair = t[[i, j]]
                 assert _hex_pair(green_G(fam, pair, z)[0]) == _hex_pair(full[i])
-                lm, ph = _green_series(fam, pair, z, _tail_rows(fam, pair))
+                lm, ph = _green_series(fam, pair, z)
                 assert _hex_list([lm[0], ph[0]]) == _hex_list([full_lm[i], full_ph[i]])
 
 

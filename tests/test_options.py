@@ -9,6 +9,10 @@ by the called name alone (``f(...)`` or ``mod.f(...)``), so a same-named
 function elsewhere can only hide a finding. A library function that passes
 on one of its own unset defaults by name does not set it either. Methods are
 skipped.
+
+A module constant (an ALL-CAPS name bound at module level) that no code in
+``src`` reads is a knob that turns nothing, so every one needs a reader
+there; tests alone do not count.
 """
 import ast
 import pathlib
@@ -113,3 +117,31 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = unset_defaults()
     assert not unset, ("defaulted parameters that no call sets; make each a "
                        "constant: " + ", ".join(unset))
+
+
+def unread_constants():
+    """Module-level ALL-CAPS names of the package that no code in ``src``
+    loads, by bare name or as a module attribute."""
+    defined = {}
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = _parse(path)
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id.strip("_").isupper():
+                        defined[target.id] = f"{path.stem}.{target.id}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(label for name, label in defined.items() if name not in read)
+
+
+def test_every_module_constant_is_read_in_src():
+    unread = unread_constants()
+    assert not unread, ("module constants that no code in src reads; delete "
+                        "each or give it a reader: " + ", ".join(unread))

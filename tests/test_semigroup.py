@@ -232,23 +232,19 @@ class TestEvolution:
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
     def test_peak_memory_does_not_grow_with_the_horizon(self, bc):
-        # the states stream through one buffer of _CHUNK columns, so ten
-        # times the steps keep the peak within 20%.  The step propagators
-        # are keyed by the step rounded to 1e-15, and linspace's rounding
-        # spreads a long grid's steps over more keys: each extra key is one
-        # more propagator, counted here apart from the states
+        # the states stream through one buffer of _CHUNK columns and a
+        # uniform grid takes one step propagator, so ten times the steps
+        # keep the peak within 20%
         n = 150
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n), bc=bc)
         x0 = _smooth_state(n)
-        prop_bytes = sys.hat_generator().nbytes
 
         def peak(steps):
             tg = np.linspace(0.0, (steps - 1) * 1e-3, steps)
-            keys = len({round(float(dt), 15) for dt in np.diff(tg)})
             tracemalloc.start()
             try:
                 evolve(sys, x0, tg)
-                return tracemalloc.get_traced_memory()[1] - keys * prop_bytes
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
@@ -264,6 +260,23 @@ class TestEvolution:
         size = 2 * _CHUNK + tail
         tg = np.linspace(0.0, (size - 1) * 1e-3, size)
         traj = evolve(sys, x0, tg)
+        ref_e, ref_d = _whole_block_reference(sys, x0, tg)
+        assert [float(e).hex() for e in traj.energies] == [e.hex() for e in ref_e]
+        assert [float(d).hex() for d in traj.dissipations] == [d.hex() for d in ref_d]
+
+    def test_grid_steps_take_one_expm_each(self, monkeypatch):
+        # a uniform grid takes one step propagator; a grid of two step sizes
+        # one per size, and its states match the whole-block reference
+        n = 16
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        x0 = _smooth_state(n)
+        calls = TestWeightedDecay._count_expm(monkeypatch)
+        evolve(sys, x0, np.linspace(0.0, 40.0, 40_001))
+        assert len(calls) == 1
+        tg = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.25, 3.0, 8)])
+        calls.clear()
+        traj = evolve(sys, x0, tg)
+        assert len(calls) == 2
         ref_e, ref_d = _whole_block_reference(sys, x0, tg)
         assert [float(e).hex() for e in traj.energies] == [e.hex() for e in ref_e]
         assert [float(d).hex() for d in traj.dissipations] == [d.hex() for d in ref_d]

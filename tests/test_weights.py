@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from tauberlab import cli
+from tauberlab import cli, weights
 from tauberlab.weights import (
     RATE_FLOOR,
     AffineRate,
@@ -176,6 +176,29 @@ def test_array_calls_match_each_point_alone(M, us):
             alone = fn(M, x)
             assert type(alone) is float
             assert alone.hex() == y.hex() == ref(M, x).hex(), (fn.__name__, x)
+
+
+def test_inverse_past_the_last_bracket_is_inf_at_once(monkeypatch):
+    # M_log(2^1023) is about 1420 for ConstantRate(2): past it the scalar
+    # path doubles its bracket 1,024 times to [2^1023, inf] and answers inf
+    M = ConstantRate(2.0)
+    top = _scalar_m_log(M, 2.0 ** 1023)
+    past = np.full(153, 5000.0)
+    edge = np.array([top, math.nextafter(top, 0.0), math.nextafter(top, math.inf)])
+    evals = []
+
+    def counted(M, s):
+        evals.append(np.size(s))
+        return m_log_eval(M, s)
+
+    monkeypatch.setattr(weights, "m_log_eval", counted)
+    got = m_log_inverse(M, past)
+    assert sum(evals) <= 2
+    assert [x.hex() for x in got.tolist()] == [_scalar_inverse(M, 5000.0).hex()] * 153
+    assert math.isinf(got[0])
+    got = m_log_inverse(M, edge)
+    assert [x.hex() for x in got.tolist()] == [_scalar_inverse(M, x).hex() for x in edge]
+    assert np.isfinite(got[:2]).all() and math.isinf(got[2])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
