@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logspace import _wrap_phase, log_from_sums, log_sum2, log_sum_arrays, to_complex
+from .logspace import _to_complex_array, _wrap_phase, log_from_sums, log_sum2, to_complex
 from .reports import FIT_PAD, FitReport, box_tail_fit, fit_rate, floor_report, \
     tail_fit, upper_report
 from .weights import LogRate, PowerRate, RateFunction, omega_m_contains
@@ -380,9 +380,10 @@ def _phase_columns(ph: np.ndarray) -> tuple:
 
 
 def _row_sums(lm: np.ndarray, cos_sin: tuple, part: np.ndarray, live: np.ndarray):
-    """(pivot, re, im) per column of the sum over rows of e^lm e^(i phase),
-    the row phases given by their cos/sin columns: log_from_sums of these
-    is the sum in log space.
+    """(pivot, re, im) per column of the sum over rows (axis 0) of
+    e^lm e^(i phase), the phases given by cos/sin arrays that broadcast
+    against lm (one column per row, say): log_from_sums of these is the
+    sum in log space.
 
     Each column is taken against its largest log term (0.0 where all are
     -inf), and summed in row order unless it is lm's only column.  lm is
@@ -407,10 +408,10 @@ def _main_rows(log_a: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(out, _log_factorials(n)[:, None], out=out)
 
 
-def _shaped(flat: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """The first n_rows * n_cols entries of a flat buffer as a C-ordered
-    matrix, so that tiles of any width share one allocation."""
-    return flat[:n_rows * n_cols].reshape(n_rows, n_cols)
+def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of a flat buffer as a C-ordered array of shape, so
+    that tiles of any width share one allocation."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 def _green_factors(fam: AtomFamily, z: complex):
@@ -523,9 +524,10 @@ def _green_block(fam: AtomFamily, t: np.ndarray, points: list, plan, cols: slice
     the main sum is exactly 1 and the tail exactly 0 everywhere, so no
     series is built.  Otherwise columns at t = 0 are summed with the rest
     and then set, not read.  scratch holds three flat buffers (log terms,
-    products, live mask) of at least rows x t.size entries each.  The main
-    sum and the tail are layers 0 and 1 of one (2, z, t) pair of arrays,
-    summed in place.
+    products, live mask) of at least rows x t.size and 2 z x t.size
+    entries each.  The main sum and the tail are layers 0 and 1 of one
+    (2, z, t) pair of arrays, summed in place; _row_sums then adds the two
+    layers as it adds the rows of each sum.
     """
     shape = (2, len(points), t.size)
     if rows is None:
@@ -552,8 +554,11 @@ def _green_block(fam: AtomFamily, t: np.ndarray, points: list, plan, cols: slice
     at_zero = np.array([p.main_lm == -math.inf for p in points], dtype=bool)
     lm[0, at_zero], ph[0, at_zero] = -np.inf, 0.0
 
-    # ---- combine with the scalar prefactor tau e^(tw)
-    lm, ph = log_sum_arrays(lm, ph, axis=0)
+    # ---- combine with the scalar prefactor tau e^(tw); nothing reads the
+    # phases after their sin and cos, so the cos overwrites them
+    sin, part, live = (_shaped(b, *lm.shape) for b in scratch)
+    np.sin(ph, out=sin)
+    lm, ph = log_from_sums(*_row_sums(lm, (np.cos(ph, out=ph), sin), part, live))
     lm += fam.log_tau + t * fam.base.real
     ph += t * fam.base.imag
     return lm, ph
@@ -588,8 +593,9 @@ def _green_blocks(fam: AtomFamily, t_arr: np.ndarray, z):
     # every tile matrix lives in buffers allocated once per call: a fresh
     # allocation per tile made the allocator return and re-fault the pages,
     # some 87,000 page faults per call at log k = 7506
-    max_width = 0 if plan is None else max(c.stop - c.start for c in tiles)
-    scratch = tuple(np.empty(n_rows * max_width, dtype=d) for d in (float, float, bool))
+    max_width = max((c.stop - c.start for c in tiles), default=0)
+    scratch = tuple(np.empty(max(n_rows, 2 * len(points)) * max_width, dtype=d)
+                    for d in (float, float, bool))
     rows_flat = np.empty(0 if plan is None else plan.nn.shape[0] * max_width)
     for cols in tiles:
         rows = None if plan is None else plan.rows(
@@ -610,14 +616,6 @@ def _green_series(fam: AtomFamily, t_arr: np.ndarray, z):
     for cols, *block in _green_blocks(fam, t_arr, zs):
         lm[:, cols], ph[:, cols] = block
     return lm.reshape(zs.shape + t_arr.shape), ph.reshape(zs.shape + t_arr.shape)
-
-
-def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    if np.any(lm > 700.0):
-        raise OverflowError("transform magnitude exceeds float range")
-    with np.errstate(under="ignore"):
-        mag = np.exp(lm)
-    return mag * (np.cos(ph) + 1j * np.sin(ph))
 
 
 def _check_backend(backend: str) -> str:

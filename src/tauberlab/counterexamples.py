@@ -342,14 +342,14 @@ def _fused_log_abs(block: Block, s: float, u_sq: float | None, which: str) -> fl
     return lm
 
 
-def _block_log_abs_window(block: Block, u: float) -> float:
-    """log |N| at t = k + u sqrt(k), exact in (log k, u)."""
+def _block_log_abs_window(block: Block, u: np.ndarray) -> np.ndarray:
+    """log |N| at each t = k + u sqrt(k) of an array of u, exact in
+    (log k, u): one series call for a desk block, the fused term per node
+    above KFUSE."""
     if block.fam is not None:
-        t = block.k + u * math.sqrt(block.k)
-        lm, _ = primitive_N_log(block.fam, t)
-        return float(lm)
-    s = u * math.exp(-0.5 * block.log_k)
-    return _fused_log_abs(block, s, u * u, "N")
+        return primitive_N_log(block.fam, block.k + u * math.sqrt(block.k))[0]
+    inv_sqrt_k = math.exp(-0.5 * block.log_k)
+    return np.array([_fused_log_abs(block, ui * inv_sqrt_k, ui * ui, "N") for ui in u])
 
 
 def _block_log_abs_at(block: Block, t: float, which: str = "N") -> float:
@@ -383,8 +383,7 @@ def _window_floor_log(variant: str, alpha: float, beta: float | None,
     """
     k = math.exp(log_k) if log_k < 690.0 else math.inf
     blk = _make_block(1, KSize(k, log_k), variant, alpha, 0.0, beta)
-    return min(_block_log_abs_window(blk, u)
-               for u in np.linspace(-1.0, 1.0, 81))
+    return float(np.min(_block_log_abs_window(blk, np.linspace(-1.0, 1.0, 81))))
 
 
 def fit_block_constants(variant: str, alpha: float, beta: float | None = None,
@@ -625,17 +624,14 @@ def divergence_scan(spec: CounterexampleSpec, nodes: int = 24,
     reports: list[WindowReport] = []
     for b in spec.blocks:
         log_ts = np.array([b.window_log_t(u) for u in xs])
-        own = np.array([b.coeff_log + _block_log_abs_window(b, u) for u in xs])
         # other blocks contribute below the threaded envelope; at desk scale
         # add them exactly, beyond it they are < e^{-k/3} and are dropped
         if b.fam is not None and len(spec.blocks) > 1:
-            g_abs = np.empty(nodes)
-            for i, lt in enumerate(log_ts):
-                g_abs[i] = _abs_g_desk(spec, math.exp(lt))
+            g_abs = _abs_g_desk(spec, np.array([math.exp(lt) for lt in log_ts]))
             with np.errstate(divide="ignore"):
                 g_log = np.where(g_abs > 0, np.log(g_abs), -np.inf)
         else:
-            g_log = own
+            g_log = b.coeff_log + _block_log_abs_window(b, xs)
         env = np.array([_tail_envelope_log(spec, lt) for lt in log_ts])
         floor = np.array([
             _log_sub(math.log(spec.c1) + b.coeff_log + _scale_log(spec, b), e)
@@ -673,19 +669,18 @@ def divergence_scan(spec: CounterexampleSpec, nodes: int = 24,
     return reports
 
 
-def _abs_g_desk(spec: CounterexampleSpec, t: float) -> float:
-    """|g(t)| summing every desk block exactly (huge blocks vanish here)."""
-    total = 0.0 + 0.0j
+def _abs_g_desk(spec: CounterexampleSpec, t: np.ndarray) -> np.ndarray:
+    """|g| at each t of an array, summing every desk block exactly (huge
+    blocks vanish here): one series call per desk block."""
+    total = np.zeros(t.shape, dtype=complex)
     for b in spec.blocks:
         if b.fam is None:
             continue
         lm, ph = primitive_N_log(b.fam, t)
-        if lm == -math.inf:
-            continue
-        if b.coeff_log + lm < SKIP_LOG * 10:
-            continue
-        total += math.exp(b.coeff_log) * to_complex(lm, ph)
-    return abs(total)
+        keep = (lm != -math.inf) & ~(b.coeff_log + lm < SKIP_LOG * 10)
+        total[keep] += math.exp(b.coeff_log) * to_complex(lm[keep], ph[keep])
+    # abs(complex)'s hypot: np.abs rounds some moduli differently
+    return np.hypot(total.real, total.imag)
 
 
 def fit_log_weight_exponent(spec: CounterexampleSpec) -> float:

@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-__all__ = ["log_from_sums", "log_sum2", "log_sum_arrays", "to_complex"]
+__all__ = ["log_from_sums", "log_sum2", "to_complex"]
 
 _TWO_PI = 2.0 * math.pi
-# exp() overflows just above this; to_complex refuses rather than returning inf
+# exp() overflows just above this; both converters to complex refuse rather
+# than return inf
 _EXP_MAX = 709.0
 
 
@@ -69,28 +70,23 @@ def to_complex(log_mag, phase):
     return np.array(vals, dtype=complex).reshape(lm.shape)
 
 
-def log_sum_arrays(log_mags, phases, axis: int = 0):
-    """Sum along `axis` of matching (log magnitude, phase) float arrays.
+def _to_complex_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """e^lm e^(i ph) as a complex array, by numpy exp, cos and sin.
 
-    `phases` may be any shape that broadcasts against `log_mags` (a column
-    of per-row phases, say); its cos/sin are taken before broadcasting.
-    Returns (log_mag, phase) arrays with that axis reduced.  Entries with
-    log_mag = -inf act as exact zeros.  log_mags is overwritten, so callers
-    hand it a fresh array.
+    G's series route converts whole tiles this way; the overflow rule is
+    to_complex's: a log magnitude above _EXP_MAX raises OverflowError.
     """
-    pivot = np.max(log_mags, axis=axis, keepdims=True)
-    pivot[~np.isfinite(pivot)] = 0.0
-    scale = np.exp(np.subtract(log_mags, pivot, out=log_mags), out=log_mags)
-    part = np.cos(phases, out=np.empty_like(scale))
-    re = np.sum(np.multiply(part, scale, out=part), axis=axis)
-    im = np.sum(np.multiply(np.sin(phases, out=part), scale, out=part), axis=axis)
-    return log_from_sums(np.squeeze(pivot, axis=axis), re, im)
+    if np.any(lm > _EXP_MAX):
+        raise OverflowError("transform magnitude exceeds float range")
+    with np.errstate(under="ignore"):
+        mag = np.exp(lm)
+    return mag * (np.cos(ph) + 1j * np.sin(ph))
 
 
 def log_from_sums(pivot, re, im):
     """(log magnitude, phase) arrays of e^pivot (re + i im), elementwise.
 
-    The last step of log_sum_arrays, for callers that form the pivoted sums
+    The last step of a pivoted sum, for callers that form the pivoted sums
     themselves; re = im = 0 gives log magnitude -inf.  Works in place: the
     log magnitude is pivot and the phase im, so callers hand in fresh
     arrays.

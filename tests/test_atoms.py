@@ -30,7 +30,7 @@ from tauberlab.atoms import (
 from tauberlab.atoms import _green_series, _log_factorials, _main_rows, _phase_columns, \
     _row_sums
 from conftest import prop52_inputs
-from tauberlab.logspace import log_from_sums, log_sum_arrays, to_complex
+from tauberlab.logspace import _to_complex_array, log_from_sums, to_complex
 
 CANCEL_TOL = 1e-25
 BACKEND_TOL = 1e-10
@@ -402,7 +402,10 @@ class TestGreenTiles:
             finally:
                 tracemalloc.stop()
 
-        assert peak(8160) <= 1.2 * peak(2040)
+        at_2040 = peak(2040)
+        assert peak(8160) <= 1.2 * at_2040
+        # the combine of the main sum and the tail reuses the tile buffers
+        assert at_2040 <= 2.2e6
 
 
 class TestGreenZBatch:
@@ -470,6 +473,15 @@ class TestOverflowGuards:
         assert np.isfinite(ph[0])
         with pytest.raises(OverflowError, match="exceeds float range"):
             green_G(fam, 0.0, z)
+
+    @pytest.mark.parametrize("convert", [to_complex, _to_complex_array])
+    def test_both_converters_share_the_709_threshold(self, convert):
+        # one rule for L and N (to_complex) and for G (_to_complex_array)
+        for lm in (705.0, 709.0):
+            value = convert(np.array([lm]), np.array([0.5]))
+            assert abs(value[0]) == pytest.approx(math.exp(lm), rel=1e-15)
+        with pytest.raises(OverflowError, match="exceeds float"):
+            convert(np.array([709.5]), np.array([0.0]))
 
     def test_to_complex_refuses_a_log_magnitude_above_709(self):
         assert np.isfinite(to_complex(709.0, 0.5))
@@ -552,7 +564,14 @@ class TestMainBand:
         rng = np.random.default_rng(5)
         narrow_and_wide = np.log(rng.uniform([1.0, 300.0], [50.0, 2400.0], (8, 2)))
         for log_a in [*narrow_and_wide, np.log(rng.uniform(1e-3, 3e3, 400)), np.log([40.0])]:
-            want = log_sum_arrays(jj[:, None] * log_a - lf, (jj * ph_x)[:, None], axis=0)
+            # the full-matrix reference: every term against its column's
+            # largest, summed by np.sum
+            full = jj[:, None] * log_a - lf
+            pivot = np.max(full, axis=0)
+            scale = np.exp(full - pivot)
+            re = np.sum(np.cos(jj * ph_x)[:, None] * scale, axis=0)
+            im = np.sum(np.sin(jj * ph_x)[:, None] * scale, axis=0)
+            want = pivot + np.log(np.hypot(re, im)), np.arctan2(im, re)
             shape = (k - 1, log_a.size)
             lm = _main_rows(log_a, k, np.empty(shape))
             got = log_from_sums(*_row_sums(lm, _phase_columns(jj * ph_x), np.empty(shape),

@@ -449,6 +449,89 @@ class TestExitCodes:
         assert (tmp_path / "wave-energy-energy.csv").exists()
 
 
+_SCENARIO = "[scenario]\ncommand = {}\naction = {}\n"
+
+
+class TestRefusals:
+    """Every refusal of a config or a flag exits 2 and names what it
+    refuses; a broken invariant exits 1."""
+
+    @pytest.mark.parametrize("text,names", [
+        ("[scenario]\n[bogus]\n", "line 2: unknown section [bogus]"),
+        ("[scenario]\ncommand atoms\n", "line 2: expected key = value"),
+        ("# header\ncommand = atoms\n", "line 2: key before any [section]"),
+        ("[scenario]\n = atoms\n", "line 2: empty key"),
+        (_SCENARIO.format("atoms", "verify") + "command = wave\n",
+         "line 4: duplicate key 'command'"),
+        ("[scenario]\naction = verify\n", "missing scenario key 'command'"),
+        ("[scenario]\ncommand = atoms\n", "missing scenario key 'action'"),
+        (_SCENARIO.format("atoms", "plot"), "unknown scenario 'atoms' 'plot'"),
+        (_SCENARIO.format("atoms", "verify") + "[params]\nk = twelve\n",
+         "bad value for key 'k'"),
+        (_SCENARIO.format("counterexample", "scan") + "[params]\nvariant = cubic\n",
+         "key 'variant' must be one of ('power', 'log'), got 'cubic'"),
+    ], ids=["unknown-section", "no-equals", "key-before-section", "empty-key",
+            "duplicate-key", "no-command", "no-action", "unknown-scenario",
+            "ill-typed-param", "param-outside-choices"])
+    def test_bad_config_exits_2_naming_the_line_or_key(self, text, names, tmp_path,
+                                                        capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text)
+        assert cli.main(["run", "--config", str(conf), "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["counterexample", "shift", "--k", "20,x"], "--k"),
+        (["wave", "cutoff", "--window1", "0.5:0.2"], "--window1"),
+    ])
+    def test_bad_flag_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.conf"
+        assert cli.main(["run", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and str(missing) in err
+
+    def test_out_dir_flag_overrides_the_config(self, tmp_path):
+        conf = tmp_path / "scenario.conf"
+        conf.write_text(_SCENARIO.format("weights", "profile")
+                        + f"out-dir = {tmp_path / 'config-dir'}\n")
+        assert cli.main(["run", "--config", str(conf), "--out-dir",
+                         str(tmp_path / "flag-dir")]) == 0
+        assert (tmp_path / "flag-dir" / "weights-profile-summary.json").exists()
+        assert not (tmp_path / "config-dir").exists()
+
+    def test_failed_tail_ladder_exits_1_with_a_json_estimate(self, tmp_path):
+        # the ladder's increments do not decay geometrically, so its limit
+        # estimate is inf, which the summary must carry as a string
+        assert cli.main(["weights", "profile", "--tail-alpha", "0.2",
+                         "--tail-beta", "1.01", "--out-dir", str(tmp_path)]) == 1
+
+        def refuse(name):
+            raise AssertionError(f"non-JSON constant {name} in the summary")
+
+        summary = json.loads((tmp_path / "weights-profile-summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["passed"] == {"growth": True, "tail": False}
+        assert summary["constants"]["tail"]["estimate"] == "inf"
+
+    def test_arithmetic_error_in_a_handler_exits_1(self, tmp_path, monkeypatch, capsys):
+        def broken(params):
+            raise ArithmeticError("guarded sum diverged")
+
+        key = ("weights", "profile")
+        monkeypatch.setitem(cli.ACTIONS, key,
+                            dataclasses.replace(cli.ACTIONS[key], handler=broken))
+        assert cli.main(["weights", "profile", "--out-dir", str(tmp_path)]) == 1
+        assert "invariant failure: guarded sum diverged" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_matches_flag_invocation(self, tmp_path):
         flags = tmp_path / "flags"

@@ -284,6 +284,32 @@ class TestLogVariant:
         assert all(b > a for a, b in zip(contribs[:-1], contribs[1:]))
 
 
+class TestSeriesCalls:
+    """The window scan asks the series for each grid of nodes once."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        calls = []
+
+        def counted(fam, t):
+            calls.append(np.size(t))
+            return atoms.primitive_N_log(fam, t)
+
+        monkeypatch.setattr(cx, "primitive_N_log", counted)
+        return calls
+
+    def test_one_call_per_desk_block_in_each_window(self, log_spec, series_calls):
+        # three windows, each summing the three desk blocks at its 24 nodes
+        cx.divergence_scan(log_spec)
+        assert series_calls == [24] * 9
+
+    @pytest.mark.parametrize("variant,alpha,beta,k", [("power", 2.0, 1.25, 16),
+                                                      ("log", 1.0, None, 27)])
+    def test_one_call_per_window_floor_sweep(self, series_calls, variant, alpha, beta, k):
+        cx._window_floor_log(variant, alpha, beta, math.log(k))
+        assert series_calls == [81]
+
+
 class TestShiftSuite:
     def test_report_names_and_verdicts(self):
         reports = cx.shift_semigroup_suite(2, 2, k_list=(20,))

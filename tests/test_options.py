@@ -13,6 +13,10 @@ skipped.
 A module constant (an ALL-CAPS name bound at module level) that no code in
 ``src`` reads is a knob that turns nothing, so every one needs a reader
 there; tests alone do not count.
+
+A public function or class that only tests read is test support spelled
+as library: TEST_ONLY_NAMES lists the ones there are, and the list may
+only shrink.
 """
 import ast
 import pathlib
@@ -145,3 +149,53 @@ def test_every_module_constant_is_read_in_src():
     unread = unread_constants()
     assert not unread, ("module constants that no code in src reads; delete "
                         "each or give it a reader: " + ", ".join(unread))
+
+
+
+# public functions and classes that only tests read; the list may only
+# shrink (give a name a reader and delete it here, or delete the name)
+TEST_ONLY_NAMES = {
+    "atoms": {"atoms_outside_region", "taylor_remainder_check", "stirling_bounds_check"},
+    "contour": {"step_lp_norm", "poisson_convolve", "laplace_quadrature"},
+    "counterexamples": {"f_sum_eval", "g_sum_eval"},
+    "semigroup": {"per_mode_resolvent_oracle", "weighted_decay_suite", "c0_example_suite"},
+}
+READER_DIRS = ("src", "demos", "perfbench")
+
+
+def _public_defs(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_only_tests_read():
+    """Per module, the public module-level functions and classes of the
+    package that no code in ``src`` (outside their own body), ``demos`` or
+    ``perfbench`` loads, by bare name or as an attribute."""
+    defined = {node.name: path.stem for path in sorted(PACKAGE.glob("*.py"))
+               for node in _public_defs(_parse(path))}
+    read = set()
+    for folder in READER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = _parse(path)
+            # a def's own body (a recursive call, say) is not a reader
+            own = {inner: node.name for node in _public_defs(tree)
+                   if path.parent == PACKAGE for inner in ast.walk(node)}
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name in defined and isinstance(node.ctx, ast.Load) \
+                        and own.get(node) != name:
+                    read.add(name)
+    found = {}
+    for name, module in defined.items():
+        if name not in read:
+            found.setdefault(module, set()).add(name)
+    return found
+
+
+def test_test_only_names_only_shrink():
+    assert names_only_tests_read() == TEST_ONLY_NAMES, (
+        "a new public name that only tests read, or a listed name that gained "
+        "a reader in src, demos or perfbench (then delete it from the list)")

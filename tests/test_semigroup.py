@@ -11,6 +11,7 @@ import scipy.linalg as sla
 
 from tauberlab import semigroup, weights
 from tauberlab.semigroup import (
+    DecaySeries,
     DiagonalSemigroup,
     Trajectory,
     _CHUNK,
@@ -136,6 +137,57 @@ class TestAssembly:
         a[3] = -0.1
         with pytest.raises(ValueError):
             assemble_damped_wave(10, 1.0, a)
+
+
+def _small_system(damping="constant"):
+    a = 0.5 if damping == "constant" else localized_bump_damping(8)
+    return assemble_damped_wave(8, 1.0, a)
+
+
+def _cutoff(omega, lams):
+    sys = _small_system()
+    eye = np.eye(2 * sys.n)
+    return cutoff_transform_check(sys, eye, eye, np.ones(2 * sys.n), omega, lams,
+                                  np.linspace(0.0, 1.0, 11), 1.0)
+
+
+# each input check of the wave layer, with the words its refusal must carry
+_REFUSALS = {
+    "series-mismatched": (lambda: DecaySeries(np.arange(3.0), np.ones(2)),
+                          "matched 1-D arrays"),
+    "series-not-increasing": (lambda: DecaySeries([0.0, 1.0, 1.0], np.ones(3)),
+                              "strictly increasing"),
+    "series-negative": (lambda: DecaySeries([0.0, 1.0], [1.0, -1.0]), "nonnegative"),
+    "assemble-n-2": (lambda: assemble_damped_wave(2, 1.0, 0.5), "need n >= 3"),
+    "assemble-unknown-bc": (lambda: assemble_damped_wave(8, 1.0, 0.5, bc="neumann"),
+                            "unknown boundary condition 'neumann'"),
+    "assemble-periodic-undamped": (lambda: assemble_damped_wave(8, 1.0, 0.0, bc="periodic"),
+                                   "needs some damping"),
+    "oracle-localized": (lambda: per_mode_resolvent_oracle(_small_system("localized"), [1.0]),
+                         "Dirichlet constant damping"),
+    "evolve-tol-0": (lambda: next(evolve_chunks(_small_system(), np.ones(16), [0.0, 1.0],
+                                                tol=0.0)), "tol must be positive"),
+    "evolve-one-point": (lambda: next(evolve_chunks(_small_system(), np.ones(16), [0.0])),
+                         "at least two points"),
+    "energy-4-samples": (lambda: energy_derivative_check(
+        Trajectory(np.arange(4.0), np.ones(4), np.zeros(4))), "at least 5 samples"),
+    "norms-empty": (lambda: propagator_inverse_norms(_small_system(), []),
+                    "nonempty, increasing, nonnegative"),
+    "norms-decreasing": (lambda: propagator_inverse_norms(_small_system(), [1.0, 0.5]),
+                         "nonempty, increasing, nonnegative"),
+    "norms-negative": (lambda: propagator_inverse_norms(_small_system(), [-1.0, 0.5]),
+                       "nonempty, increasing, nonnegative"),
+    "cutoff-omega-0": (lambda: _cutoff(0.0, [1.0 + 1.0j]), "must exceed the spectral abscissa"),
+    "cutoff-sample-left": (lambda: _cutoff(1.2, [1.0, -0.5 + 1.0j]),
+                           "strictly right of the spectrum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_bad_input_is_refused_by_name(case):
+    call, words = _REFUSALS[case]
+    with pytest.raises(ValueError, match=words):
+        call()
 
 
 # ----------------------------------------------------------------------
