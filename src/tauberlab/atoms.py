@@ -13,8 +13,10 @@ the production path evaluates factored power series / an exact resummation
 in log space, and an arbitrary-precision direct-sum oracle (mpmath) serves
 as the arbiter for k <= 30.  The oracle takes its exponentials from mpmath
 and sums them in integer fixed point with guard bits, rounding once to the
-working precision.  mpmath loads on the oracle's first call, so the series
-route imports numpy alone.
+working precision.  Each point's exponentials are built once and shared by
+L, N and G, for the last _TABLE_CACHE points; G's coefficient tables are
+built inside each call and dropped after it.  mpmath loads on the oracle's
+first call, so the series route imports numpy alone.
 
 Also here: the root-of-unity partial-fraction identity, the truncated-
 exponential remainder bound, the Stirling-type peak envelopes, and the
@@ -661,7 +663,8 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
     t alone would give, bit for bit.  The series route walks t in column
     tiles of TILE_POINTS elements, each over every z (_green_blocks), so
     beyond the output its working arrays do not grow with the size of t.
-    The oracle route builds each t's exponentials once for all z.
+    The oracle route reads each t's exponentials, for every z, from one
+    table shared with L and N (_oracle_point).
     z must avoid the atom locations; for z in the spectral region of the
     matching rate function this is automatic.
     """
@@ -728,8 +731,9 @@ def _oracle_map(fam: AtomFamily, t, coeffs: list, prefactor) -> list:
     return list(np.ascontiguousarray(np.moveaxis(vals, -1, 0)))
 
 
-# the tables below are built once per working precision and shared: mpmath
-# numbers are immutable, and a grid has few distinct precisions
+# the tables below are built once per working precision, or once per point,
+# and shared: mpmath numbers are immutable, a grid has few distinct
+# precisions, and L, N and G ask for the same points
 _TABLE_CACHE = 512
 
 
@@ -804,28 +808,40 @@ def _oracle_atoms(fam: AtomFamily, dps: int) -> _OracleAtoms:
                             _fixed_table(qs, prec), _fixed_table(weights, prec))
 
 
-def _oracle_sums(fam: AtomFamily, t: float, coeffs: list, prefactor) -> list:
-    """prefactor(at, e^(tw)) * sum_s c_s e^(t q^s/A) at one t >= 0, for each
-    entry of coeffs, where coeffs[i](at) is the _FixedTable of its c_s.
+@dataclass(frozen=True)
+class _OraclePoint:
+    """The coefficient-free part of the direct sums at one t, at its
+    working precision."""
 
-    at is the _OracleAtoms table at the working precision of t.  Since
-    e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), the roots
-    s <= k/2 are exponentiated and the rest conjugated from them (q^(k/2) = -1
-    pairs with itself); e^(t/A) for q^k = 1 and e^(tw) come once each.
-    Odd k takes one complex exponential per conjugate pair: floor(k/2) + 2
-    exponentials a point.  Even k also reflects, q^(k/2-s) = -conj(q^s):
-    with x = t/A, e^(x q^s) = e^(x Re q^s) cis(x Im q^s) and
-    e^(x q^(k/2-s)) = cis(x Im q^s)/e^(x Re q^s), so each s <= k/4 (s = k/4
-    pairs with itself) costs one real exponential and one cos/sin, and
-    e^(-x) = 1/e^x: floor(k/4) + 2 exponentials and floor(k/4) cos/sin.
-    These, e^(tw) and the prefactor serve every entry of coeffs.
+    at: _OracleAtoms  # the t-independent tables at that precision
+    prec: int         # the working precision in bits
+    shift: int        # es holds its parts times 2^shift
+    es: tuple         # e^(t q^s/A), s = 1..k, as fixed-point (re, im) pairs
+    e_tw: mp.mpc      # e^(tw)
 
-    The sum itself runs in integers: each exponential becomes fixed point
-    at 2^-shift, where e^x, the largest factor, has the working precision
-    plus ORACLE_GUARD_BITS bits.  The reflected products and quotients are
-    truncated back to 2^-shift, the conjugates and the dot product with the
-    c_s are exact, and the total is rounded once to the working precision
-    before the prefactor.
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _oracle_point(fam: AtomFamily, t: float) -> _OraclePoint:
+    """The exponentials of the direct sums at one t >= 0, built once and
+    shared by L, N and every z of G at that point.
+
+    Since e^(t zeta_s) = e^(tw) e^(t q^s/A) and q^(k-s) = conj(q^s), the
+    roots s <= k/2 are exponentiated and the rest conjugated from them
+    (q^(k/2) = -1 pairs with itself); e^(t/A) for q^k = 1 and e^(tw) come
+    once each.  Odd k takes one complex exponential per conjugate pair:
+    floor(k/2) + 2 exponentials a point.  Even k also reflects,
+    q^(k/2-s) = -conj(q^s): with x = t/A, e^(x q^s) = e^(x Re q^s)
+    cis(x Im q^s) and e^(x q^(k/2-s)) = cis(x Im q^s)/e^(x Re q^s), so each
+    s <= k/4 (s = k/4 pairs with itself) costs one real exponential and one
+    cos/sin, and e^(-x) = 1/e^x: floor(k/4) + 2 exponentials and floor(k/4)
+    cos/sin.
+
+    Each exponential becomes fixed point at 2^-shift, where e^x, the
+    largest factor, has the working precision plus ORACLE_GUARD_BITS bits;
+    the reflected products and quotients are truncated back to 2^-shift
+    and the conjugates are exact.  The cache keeps the last _TABLE_CACHE
+    points, so a grid shares each point's table across L, N and G and no
+    more than _TABLE_CACHE tables stay alive.
     """
     import mpmath as mp
     from mpmath import libmp
@@ -856,14 +872,35 @@ def _oracle_sums(fam: AtomFamily, t: float, coeffs: list, prefactor) -> list:
                 half[k // 2 - s - 1] = ((cos * inv) >> shift, (sin * inv) >> shift)
                 half[s - 1] = ((cos * mag) >> shift, (sin * mag) >> shift)
         es = half + [(re, -im) for re, im in reversed(half[:(k - 1) // 2])] + [(top, 0)]
-        pre = prefactor(at, mp.exp(t * at.w))
+        return _OraclePoint(at, prec, shift, tuple(es), mp.exp(t * at.w))
+
+
+def _oracle_sums(fam: AtomFamily, t: float, coeffs: list, prefactor) -> list:
+    """prefactor(at, e^(tw)) * sum_s c_s e^(t q^s/A) at one t >= 0, for each
+    entry of coeffs, where coeffs[i](at) is the _FixedTable of its c_s.
+
+    at is the _OracleAtoms table at the working precision of t.  The
+    exponentials and e^(tw) come from the point's shared _oracle_point
+    table, which the last _TABLE_CACHE points keep; each call adds only its
+    coefficients.  The dot product with the c_s is exact integer
+    arithmetic, and the total is rounded once to the working precision
+    before the prefactor.  The coefficient tables of L and N live with at;
+    G's are built inside each green_G call (_green_coeffs) and dropped
+    after it.
+    """
+    import mpmath as mp
+
+    pt = _oracle_point(fam, t)
+    at = pt.at
+    with mp.workdps(at.dps):
+        pre = prefactor(at, pt.e_tw)
         out = []
         for table in (c(at) for c in coeffs):
             re = im = 0
-            for (c_re, c_im), (e_re, e_im) in zip(table.pairs, es):
+            for (c_re, c_im), (e_re, e_im) in zip(table.pairs, pt.es):
                 re += c_re * e_re - c_im * e_im
                 im += c_re * e_im + c_im * e_re
-            out.append(complex(pre * _round_fixed(re, im, shift + table.shift, prec)))
+            out.append(complex(pre * _round_fixed(re, im, pt.shift + table.shift, pt.prec)))
         return out
 
 

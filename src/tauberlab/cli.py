@@ -516,7 +516,8 @@ def _h_wave_energy(params) -> RunResult:
     energies = traj.energies
     residual = sg.energy_derivative_check(traj)
     e0 = float(energies[0])
-    rows = list(zip(t.tolist(), energies.tolist(), traj.dissipations.tolist()))
+    # one float64 row per step; np.float64 formats as float does
+    rows = np.column_stack([t, energies, traj.dissipations])
     res = RunResult(series=[Series("energy", ["t", "energy", "dissipation"],
                                    rows)])
     res.constants = {"initial_energy": e0, "threshold": 1e-6 * e0}

@@ -642,14 +642,17 @@ def _per_atom_sums(fam, t, z):
         return complex(lsum), complex(nsum), complex(gsum)
 
 
+_GOLDEN_FAMILIES = pytest.mark.parametrize("key,variant,k,alpha", [
+    pytest.param("power_k10", "power", 10, 2.0, id="10"),
+    pytest.param("power_k12", "power", 12, 2.0, id="12"),
+    # odd k: the root q^(k/2) = -1 is absent and every root has a partner
+    pytest.param("power_k7", "power", 7, 2.0, id="7"),
+    pytest.param("log_k10", "log", 10, 1.0, id="log-10"),
+])
+
+
 class TestOracleGolden:
-    @pytest.mark.parametrize("key,variant,k,alpha", [
-        pytest.param("power_k10", "power", 10, 2.0, id="10"),
-        pytest.param("power_k12", "power", 12, 2.0, id="12"),
-        # odd k: the root q^(k/2) = -1 is absent and every root has a partner
-        pytest.param("power_k7", "power", 7, 2.0, id="7"),
-        pytest.param("log_k10", "log", 10, 1.0, id="log-10"),
-    ])
+    @_GOLDEN_FAMILIES
     def test_power_family_on_short_grid(self, key, variant, k, alpha):
         rec = ORACLE_GOLDEN[key]
         fam = build_family(variant, k, alpha, 2.0 if variant == "power" else None)
@@ -662,6 +665,24 @@ class TestOracleGolden:
         for i, z in enumerate(zs):
             assert [_hex_pair(v) for v in green_G(fam, t, z, backend="oracle")] \
                 == rec["G"][i]
+
+    @_GOLDEN_FAMILIES
+    def test_shared_point_tables_do_not_depend_on_call_order(self, key, variant, k,
+                                                              alpha):
+        # G first builds each point's table that N and L then read; a second
+        # round reads them all from the warm cache
+        rec = ORACLE_GOLDEN[key]
+        fam = build_family(variant, k, alpha, 2.0 if variant == "power" else None)
+        t = default_t_grid(fam, n=60)
+        zs = default_z_samples(fam, n=4)[[0, 3]]
+        atoms._oracle_point.cache_clear()
+        for _ in range(2):
+            for i in (1, 0):
+                assert [_hex_pair(v) for v in green_G(fam, t, zs[i], backend="oracle")] \
+                    == rec["G"][i]
+            assert [_hex_pair(v) for v in primitive_N(fam, t, backend="oracle")] == rec["N"]
+            assert [_hex_pair(v) for v in laplace_L(fam, t, backend="oracle")] == rec["L"]
+        assert atoms._oracle_point.cache_info().misses == t.size
 
     @pytest.mark.parametrize("variant,k,alpha", [
         *(pytest.param("power", k, 2.0, id=str(k)) for k in (4, 6, 8, 20, 30)),
@@ -697,7 +718,7 @@ class TestOracleGolden:
 class TestOracleWork:
     @pytest.fixture
     def expjpi_calls(self, monkeypatch):
-        for cache in (atoms._unit_roots, atoms._oracle_atoms):
+        for cache in (atoms._unit_roots, atoms._oracle_atoms, atoms._oracle_point):
             cache.cache_clear()
         calls = []
         expjpi = atoms.mp.expjpi
@@ -728,8 +749,8 @@ class TestOracleWork:
         # Even k: e^(t Re q^s/A) and cis(t Im q^s/A) for s <= k/4, which also
         # give the reflected roots q^(k/2-s) = -conj(q^s) (k = 4 and 8 pair
         # s = k/4 with itself, k = 4 and 6 have k/4 = 1), then e^(t/A), whose
-        # inverse serves q^(k/2) = -1, and e^(tw).  G over an array of z
-        # builds them once for all its z
+        # inverse serves q^(k/2) = -1, and e^(tw).  L builds them for the
+        # point; N, G and G over an array of z then read the same table
         fam = build_family("power", k, 2.0, 2.0)
         z = complex(default_z_samples(fam, n=1)[0])
         zs = default_z_samples(fam, n=4)
@@ -750,10 +771,22 @@ class TestOracleWork:
             expected = {"exp": k // 2 + 2, "cos_sin": 0}
         else:
             expected = {"exp": k // 4 + 2, "cos_sin": k // 4}
-        for f, args in ((laplace_L, ()), (primitive_N, ()), (green_G, (z,)), (green_G, (zs,))):
+        atoms._oracle_point.cache_clear()
+        laplace_L(fam, 3.0, backend="oracle")
+        assert calls == expected
+        for f, args in ((primitive_N, ()), (green_G, (z,)), (green_G, (zs,))):
             calls.update(exp=0, cos_sin=0)
             f(fam, 3.0, *args, backend="oracle")
-            assert calls == expected, (f.__name__, args)
+            assert calls == {"exp": 0, "cos_sin": 0}, (f.__name__, args)
+
+    def test_point_tables_stay_within_the_cache_bound(self):
+        fam = build_family("power", 4, 2.0, 2.0)
+        t = np.linspace(0.0, 50.0, atoms._TABLE_CACHE + 88)
+        atoms._oracle_point.cache_clear()
+        laplace_L(fam, t, backend="oracle")
+        info = atoms._oracle_point.cache_info()
+        assert info.misses == t.size
+        assert info.currsize <= atoms._TABLE_CACHE
 
     def test_green_weights_do_not_leak_across_calls(self, monkeypatch):
         fam = build_family("power", 10, 2.0, 2.0)
