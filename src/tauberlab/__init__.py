@@ -6,27 +6,8 @@ weights), ``atoms`` (matched bump families and their envelopes),
 systems, sandwiches, cutoff identities), ``counterexamples`` (divergent
 block trains and shift probes), ``cli`` (scenario runner).
 
-Submodules load lazily so the command-line front door can cap the
-linear-algebra thread pools before anything numerical is imported.
+The package imports none of them by itself, so the command-line front
+door can cap the linear-algebra thread pools before anything numerical
+is imported.
 """
-from importlib import import_module
-
-_SUBMODULES = (
-    "atoms", "cli", "contour", "counterexamples", "logspace", "reports",
-    "semigroup", "weights",
-)
-
-__all__ = list(_SUBMODULES)
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        module = import_module(f"{__name__}.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -685,17 +685,6 @@ def green_G(fam: AtomFamily, t, z, backend: str = SERIES):
 # direct-sum oracle (mpmath)
 # ----------------------------------------------------------------------
 
-def __getattr__(name: str):
-    # the oracle functions import mpmath themselves; atoms.mp names the
-    # same module, loaded on first use
-    if name == "mp":
-        import mpmath
-
-        globals()[name] = mpmath
-        return mpmath
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _oracle_dps(fam: AtomFamily, t: float) -> int:
     """Working precision of the direct sums at t.
 

@@ -32,13 +32,13 @@ cross-key rule, exits 2 naming the key, before any work.
 
 Determinism: two runs of the same scenario at the same BLAS thread count
 produce byte-identical CSV bodies -- fixed summation orders, explicit
-seeds, wall time only in JSON.  The ``--threads`` cap (fallback: the
-TAUBERLAB_THREADS environment variable) bounds the linear-algebra thread
-pools; a different thread count may split BLAS sums differently and move
-the last digits (about 1e-12 relative).  A positive cap overwrites
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the other pool variables already
-set in the environment.  A negative count, from either source or from a
-config's ``threads`` key, is a usage error.
+seeds, wall time only in JSON.  The ``--threads`` cap, or a config's
+``threads`` key, bounds the linear-algebra thread pools; a different
+thread count may split BLAS sums differently and move the last digits
+(about 1e-12 relative).  A positive cap overwrites OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and the other pool variables already set in the
+environment; the default, 0, leaves them and the pools alone.  A negative
+count is a usage error.
 """
 from __future__ import annotations
 
@@ -170,7 +170,7 @@ class ScenarioError(ValueError):
 
 
 def _thread_count(raw, source: str) -> int:
-    """A thread cap from the flag, the config or the environment; 0 = no cap."""
+    """A thread cap from the flag or the config; 0 = no cap."""
     try:
         threads = int(raw)
     except ValueError:
@@ -178,14 +178,6 @@ def _thread_count(raw, source: str) -> int:
     if threads < 0:
         raise ScenarioError(f"{source} must be >= 0 (0 = no cap), got {threads}")
     return threads
-
-
-def _env_thread_fallback(threads: int) -> int:
-    """The TAUBERLAB_THREADS cap when neither flag nor config set one."""
-    if threads:
-        return threads
-    return _thread_count(os.environ.get("TAUBERLAB_THREADS") or "0",
-                         "TAUBERLAB_THREADS")
 
 
 def _coerce_params(command: str, action: str, raw: dict) -> dict:
@@ -907,7 +899,7 @@ def _scenario_from_args(args) -> Scenario:
         action=args.action,
         params=_coerce_params(args.command, args.action, raw),
         out_dir=args.out_dir,
-        threads=_env_thread_fallback(_thread_count(args.threads, "--threads")),
+        threads=_thread_count(args.threads, "--threads"),
     )
 
 
@@ -928,7 +920,6 @@ def main(argv=None) -> int:
             scenario = parse_config(text)
             if args.out_dir is not None:
                 scenario.out_dir = args.out_dir
-            scenario.threads = _env_thread_fallback(scenario.threads)
             return run(scenario)
         return run(_scenario_from_args(args))
     except ValueError as exc:  # ScenarioError and the modules' preconditions

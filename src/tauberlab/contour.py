@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,14 +62,12 @@ class QuadratureError(ArithmeticError):
 # Gauss-Legendre engine
 # ----------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_DEPTH = 26  # panel halvings before a panel over budget is an error
 
 
+@cache
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def adaptive_quad(fn, a: float, b: float, tol: float, *,

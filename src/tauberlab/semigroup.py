@@ -281,10 +281,10 @@ _CHUNK = 1024
 
 
 def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
-    """Propagate by scaling-and-squaring matrix exponentials of the step,
-    one on a uniform grid and else one per step rounded to 15 digits,
-    yielding (slice of t_grid, physical states at those times), chunk by
-    chunk.
+    """Propagate by one scaling-and-squaring matrix exponential of the
+    step of a uniform grid (_is_uniform), yielding (slice of t_grid,
+    physical states at those times), chunk by chunk.  Any other grid is a
+    ValueError, raised before the exponential is built.
 
     Exact for the discrete system up to expm roundoff; the per-step energy
     increase guard at tol catches assembly errors rather than integrator
@@ -302,18 +302,12 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
-    x0 = np.asarray(x0, dtype=float)
-    ghat = sys.hat_generator()
-    dts = np.diff(t_grid)
-    # the step propagators come first, so expm's work arrays are freed
+    # the step propagator comes first, so expm's work arrays are freed
     # before the buffer is allocated
-    uniform = _uniform_step(ghat, t_grid)
-    props: dict[float, np.ndarray] = {}
-    if uniform is None:
-        for dt in dts:
-            key = round(float(dt), 15)
-            if key not in props:
-                props[key] = sla.expm(ghat * float(dt))
+    step = _uniform_step(sys.hat_generator(), t_grid)
+    if step is None:
+        raise ValueError("evolve needs a uniform time grid")
+    x0 = np.asarray(x0, dtype=float)
     xh = sys.to_hat(x0)
     bounds = list(range(0, t_grid.size, _CHUNK)) + [t_grid.size]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -329,8 +323,7 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
         if lo == 0:
             block[:, 0] = xh
         for i in range(max(lo, 1), hi):
-            prop = uniform if uniform is not None else props[round(float(dts[i - 1]), 15)]
-            cur = np.matmul(prop, cur, out=block[:, i - lo])
+            cur = np.matmul(step, cur, out=block[:, i - lo])
             e_now = float(cur @ cur)
             if e_now > e_prev + tol * e0:
                 raise ArithmeticError(
@@ -342,7 +335,8 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
 
 
 def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
-    """Energy and dissipation at every grid time, from evolve_chunks.
+    """Energy and dissipation at every time of a uniform grid, from
+    evolve_chunks (any other grid is a ValueError).
 
     Each chunk's states are read column by column before its buffer is
     reused, so memory does not grow with the grid.  The chunks change no
@@ -478,6 +472,10 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction) -> list[FitR
 # rate sandwich
 # ----------------------------------------------------------------------
 
+# the largest argument math.expm1 takes without overflow
+_EXPM1_MAX = math.log(np.finfo(float).max)
+
+
 def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     """Energy operator norm of T(t) G^{-1} along an increasing grid.
 
@@ -539,11 +537,21 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
         return out
 
     # upper bound: c = 1, fit C; past the scan, M_log inverts its constant-M
-    # extension: m_max (log1p m_max + log1p s) = t
+    # extension: m_max (log1p m_max + log1p s) = t.  Where that s is past
+    # math.expm1's range it stays inf, and norm * s is taken in logs there
+    # (a norm of 0.0 contributes 0)
     denom_up = step_inverse(mlog, tt, lambda y: [
-        math.expm1(v / m_max - math.log1p(m_max)) for v in y.tolist()])
+        math.expm1(a) if a <= _EXPM1_MAX else math.inf
+        for a in (v / m_max - math.log1p(m_max) for v in y.tolist())])
     usable_up = denom_up > 0
-    big_c = float(np.max(vv[usable_up] * denom_up[usable_up])) * FIT_PAD
+    over = np.isinf(denom_up)
+    log_s_over = tt[over] / m_max - math.log1p(m_max)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        prod_up = vv * denom_up
+        prod_up[over] = np.exp(np.log(vv[over]) + log_s_over)
+        big_c = float(np.max(prod_up[usable_up])) * FIT_PAD
+        bound_up = big_c / denom_up
+        bound_up[over] = np.exp(np.log(big_c) - log_s_over)
 
     # lower bound: C' fixed by convention, fit c'
     c_prime_cap = max(1.0, m0 / t0)
@@ -554,7 +562,7 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
     else:
         small_c = 0.0
 
-    ok_up = bool(np.all(vv[usable_up] * denom_up[usable_up] <= big_c))
+    ok_up = bool(np.all(prod_up[usable_up] <= big_c))
     ok_lo = bool(np.all(vv[usable_lo] >= small_c / denom_lo[usable_lo])) if np.any(usable_lo) else True
 
     # empirical tail exponent: slope of -log norm vs t over the last half
@@ -567,7 +575,7 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
         name="rate-sandwich",
         constants={"c": 1.0, "C": big_c, "c_prime": small_c, "C_prime": c_prime_cap,
                    "t0": t0, "tail_exponent": slope},
-        worst_residual=float(np.min(big_c / denom_up[usable_up] - vv[usable_up])),
+        worst_residual=float(np.min(bound_up[usable_up] - vv[usable_up])),
         passed=ok_up and ok_lo and math.isfinite(big_c) and small_c >= 0,
     )
 

@@ -235,10 +235,11 @@ def check_growth_bounds(M: RateFunction) -> FitReport:
 
     The grid is 240 geometric points from 2 to 1e6, or to where w itself
     would overflow (log-growth families).  Constants are fitted on a coarse
-    subgrid (max/min of pointwise ratios, padded by a 0.1% refinement
-    allowance for peaks that land between the coarse samples) and the
-    residuals reported from the full grid, so the fit is honest evidence
-    rather than tautology.  The lower estimate needs the growth hypothesis
+    subgrid (every third point, the last and the two around the clamp's
+    kink t = M_log(clamp_point()); max/min of pointwise ratios, padded by a
+    0.1% refinement allowance for peaks that land between the coarse
+    samples) and the residuals reported from the full grid, so the fit is
+    honest evidence rather than tautology.  The lower estimate needs the growth hypothesis
     M(s) >= kappa*s^alpha and is skipped for the other families.
     """
     with np.errstate(over="ignore"):
@@ -249,7 +250,9 @@ def check_growth_bounds(M: RateFunction) -> FitReport:
     m_of_r = np.asarray(M(w_m_log(M, t_grid)), dtype=float)
     ratios = m_of_r / target
 
-    coarse = np.r_[ratios[::3], ratios[-1]]  # endpoints carry the extrema
+    # the endpoints carry the extrema; the ratio can dip just past the kink
+    kink = int(np.searchsorted(t_grid, m_log_eval(M, M.clamp_point())))
+    coarse = np.r_[ratios[::3], ratios[-1], ratios[max(kink - 1, 0):kink + 1]]
     c_upper = float(np.max(coarse)) * (1.0 + GROWTH_FIT_PAD)
     upper_resid = float(np.min(c_upper * target - m_of_r))
     constants = {"C": c_upper}

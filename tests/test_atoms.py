@@ -9,6 +9,7 @@ import pathlib
 import tracemalloc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
@@ -625,7 +626,7 @@ def _roots_sweep(seed):
 def _per_atom_sums(fam, t, z):
     """L, N and G at t by the defining sums, one exponential e^(t zeta_s)
     per atom, at the oracle's working precision."""
-    mp = atoms.mp
+    mp = mpmath
     with mp.workdps(atoms._oracle_dps(fam, t)):
         k = fam.k
         a = mp.mpf(fam.circle_scale)
@@ -721,13 +722,13 @@ class TestOracleWork:
         for cache in (atoms._unit_roots, atoms._oracle_atoms, atoms._oracle_point):
             cache.cache_clear()
         calls = []
-        expjpi = atoms.mp.expjpi
+        expjpi = mpmath.expjpi
 
         def counted(x):
             calls.append(x)
             return expjpi(x)
 
-        monkeypatch.setattr(atoms.mp, "expjpi", counted)
+        monkeypatch.setattr(mpmath, "expjpi", counted)
         return calls
 
     def test_roots_built_once_per_precision_on_a_grid(self, expjpi_calls):
@@ -757,7 +758,7 @@ class TestOracleWork:
         calls = {"exp": 0, "cos_sin": 0}
 
         def counted(name):
-            real = getattr(atoms.mp, name)
+            real = getattr(mpmath, name)
 
             def call(x):
                 calls[name] += 1
@@ -766,7 +767,7 @@ class TestOracleWork:
             return call
 
         for name in calls:
-            monkeypatch.setattr(atoms.mp, name, counted(name))
+            monkeypatch.setattr(mpmath, name, counted(name))
         if k % 2:
             expected = {"exp": k // 2 + 2, "cos_sin": 0}
         else:

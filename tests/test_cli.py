@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +135,17 @@ class TestWaveSandwich:
             assert key in consts
         assert consts["t0"] <= 5.0
         assert summary["passed"]["rate-sandwich"] is True
+
+    def test_horizon_past_the_expm1_range_writes_a_summary(self, tmp_path):
+        # at t-max 2000 the constant-M extension's M_log^{-1}(t) overflows
+        # math.expm1 at 19 judged points; C comes from the products in logs
+        code = cli.main(["wave", "sandwich", "--n", "20", "--damping", "constant",
+                         "--t-max", "2000", "--scan-points", "33",
+                         "--out-dir", str(tmp_path)])
+        assert code == 0
+        summary = read_summary(tmp_path / "wave-sandwich-summary.json")
+        big_c = summary["constants"]["rate-sandwich"]["C"]
+        assert math.isfinite(big_c) and big_c == pytest.approx(5.44e9, rel=1e-2)
 
 
 # one violating input per cross-key rule in cli.ACTIONS, by scenario and keys
@@ -628,13 +640,6 @@ class TestThreadCount:
             limiter.unregister()
         assert {os.environ[var] for var in cli._THREAD_ENV_VARS} == {"2"}
 
-    def test_negative_env_var_rejected(self, tmp_path):
-        env = dict(os.environ, TAUBERLAB_THREADS="-2")
-        proc = run_cli(["atoms", "verify", "--k", "12", "--out-dir",
-                        str(tmp_path)], cwd=tmp_path, env=env)
-        assert proc.returncode == 2
-        assert "TAUBERLAB_THREADS" in proc.stderr
-
 
 class TestWaveEnergy:
     def test_energies_are_computed_once(self, monkeypatch):
@@ -739,23 +744,19 @@ assert not loaded, loaded
 atoms.laplace_L(atoms.build_family("power", 10, 2.0, 2.0), 1.0,
                 backend="oracle")
 assert "mpmath" in sys.modules
-assert atoms.mp is sys.modules["mpmath"]
 print("ok")
 """
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self, tmp_path):
+        # the CLI caps the BLAS pools before numpy loads them
+        proc = run_python(["-c", "import sys, tauberlab; print(sorted(m for m in "
+                           "sys.modules if m.startswith(('tauberlab.', 'numpy'))))"],
+                          cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_series_route_loads_numpy_alone(self, tmp_path):
         proc = run_python(["-c", self.SCRIPT], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "ok"
         assert (tmp_path / "counterexample-scan-windows.csv").exists()
-
-
-class TestThreadsFallback:
-    def test_env_var_sets_parallelism(self, tmp_path):
-        env = dict(os.environ, TAUBERLAB_THREADS="2")
-        proc = run_cli(["atoms", "verify", "--k", "12", "--out-dir",
-                        str(tmp_path)], cwd=tmp_path, env=env)
-        assert proc.returncode == 0, proc.stderr
-        summary = read_summary(
-            report(tmp_path, "atoms-verify-summary.json", proc))
-        assert summary["scenario"]["threads"] == 2

@@ -17,6 +17,10 @@ there; tests alone do not count.
 A public function or class that only tests read is test support spelled
 as library: TEST_ONLY_NAMES lists the ones there are, and the list may
 only shrink.
+
+An environment variable the package reads is an option with no flag, no
+config key and no ``--help`` line, so ``src`` reads none; it may write
+them (the ``--threads`` cap sets the thread-pool variables).
 """
 import ast
 import pathlib
@@ -199,3 +203,33 @@ def test_test_only_names_only_shrink():
     assert names_only_tests_read() == TEST_ONLY_NAMES, (
         "a new public name that only tests read, or a listed name that gained "
         "a reader in src, demos or perfbench (then delete it from the list)")
+
+
+def environment_reads():
+    """(file, line) of each ``os.environ`` use in ``src/tauberlab`` other
+    than an assignment or deletion target, and of each ``os.getenv`` call."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                continue
+            if node.attr == "getenv":
+                found.append((path.name, node.lineno))
+            elif node.attr == "environ":
+                parent = parents[node]
+                written = isinstance(parent, ast.Subscript) and parent.value is node \
+                    and isinstance(parent.ctx, (ast.Store, ast.Del))
+                if not written:
+                    found.append((path.name, node.lineno))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and {a.name for a in node.names} & {"environ", "getenv"}]
+    return found
+
+
+def test_src_reads_no_environment_variable():
+    assert environment_reads() == []

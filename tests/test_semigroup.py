@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from tauberlab import semigroup, weights
+from tauberlab.reports import FIT_PAD
 from tauberlab.semigroup import (
     DecaySeries,
     DiagonalSemigroup,
@@ -317,21 +318,21 @@ class TestEvolution:
         assert [float(d).hex() for d in traj.dissipations] == [d.hex() for d in ref_d]
 
     def test_grid_steps_take_one_expm_each(self, monkeypatch):
-        # a uniform grid takes one step propagator; a grid of two step sizes
-        # one per size, and its states match the whole-block reference
+        # a uniform grid takes one step propagator, however many steps; a
+        # grid of two step sizes is refused before any
         n = 16
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
         x0 = _smooth_state(n)
         calls = TestWeightedDecay._count_expm(monkeypatch)
-        evolve(sys, x0, np.linspace(0.0, 40.0, 40_001))
-        assert len(calls) == 1
+        for tg in (np.linspace(0.0, 40.0, 40_001), np.arange(0.0, 0.5, 1e-3), [0.0, 256.0]):
+            calls.clear()
+            evolve(sys, x0, tg)
+            assert len(calls) == 1
         tg = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.25, 3.0, 8)])
         calls.clear()
-        traj = evolve(sys, x0, tg)
-        assert len(calls) == 2
-        ref_e, ref_d = _whole_block_reference(sys, x0, tg)
-        assert [float(e).hex() for e in traj.energies] == [e.hex() for e in ref_e]
-        assert [float(d).hex() for d in traj.dissipations] == [d.hex() for d in ref_d]
+        with pytest.raises(ValueError, match="evolve needs a uniform time grid"):
+            evolve(sys, x0, tg)
+        assert calls == []
 
     def test_chunks_tile_the_grid(self):
         n = 8
@@ -507,6 +508,21 @@ class TestRateSandwich:
         rep = rate_sandwich_check(norms, scan)
         assert rep.passed
         assert "tail_exponent" in rep.constants
+
+    def test_constant_extension_past_expm1_range(self):
+        # past the scan M_log^{-1}(t) = expm1(t/2 - log 3); from t = 1421.8
+        # that overflows, and norm * M_log^{-1}(t) is taken in logs there.
+        # The norms put that product at e^20 (1 - e^(-log_s)), and a norm of
+        # 0.0 past the range contributes nothing
+        scan = DecaySeries([0.0, 1.0], [2.0, 2.0])
+        t = np.r_[np.linspace(5.0, 1440.0, 288), 1500.0]
+        log_s = t / 2.0 - math.log(3.0)
+        norms = DecaySeries(t, np.r_[np.exp(20.0 - log_s[:-1]), 0.0])
+        assert np.sum(log_s > math.log(np.finfo(float).max)) > 2
+        rep = rate_sandwich_check(norms, scan)
+        assert rep.passed
+        assert rep.constants["C"] == pytest.approx(math.exp(20.0) * FIT_PAD, rel=1e-12)
+        assert rep.worst_residual >= 0
 
     def test_grid_before_onset_is_refused(self):
         n = 10

@@ -284,6 +284,15 @@ def test_growth_fit_single_constant_across_grid(M):
     assert check_growth_bounds(M).passed
 
 
+@pytest.mark.parametrize("kappa,alpha", [(0.5, 1.5), (0.3, 1.2), (0.5, 2.5), (0.2, 1.5)])
+def test_growth_fit_sees_the_dip_past_the_clamp_kink(kappa, alpha):
+    # the ratio M(w(t)) log t / t dips just past t = M_log(clamp point),
+    # between two coarse samples; the fit holds on every grid point
+    rep = check_growth_bounds(PowerRate(kappa, alpha))
+    assert rep.passed
+    assert rep.worst_residual >= 0
+
+
 # ----------------------------------------------------------------------
 # weighted_tail_convergence
 # ----------------------------------------------------------------------
