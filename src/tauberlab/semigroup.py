@@ -14,6 +14,12 @@ weight functions of the resolvent-growth scan, the weighted L^2 ladders
 for the damping operator B, the cutoff-transform identity and its
 Minkowski bound, and the diagonal sup-norm example with its exact 1/(et)
 envelope.
+
+numpy and scipy each load their own OpenBLAS, with separate thread pools,
+and a pool spins for about 0.1 s after each call, taking a core from the
+other's products (see _CHUNK).  So each routine here builds its scipy
+products, the matrix exponentials above all, before the numpy loop that
+reads them.
 """
 from __future__ import annotations
 
@@ -273,10 +279,12 @@ def per_mode_propagator_oracle(sys: DampedWaveSystem, t_grid) -> np.ndarray:
 
 # columns of the energy-frame buffer that evolve_chunks propagates into.
 # Each chunk's back-solve is a threaded LAPACK call, and its thread pool
-# (scipy's, apart from numpy's) spins for about 0.1 s after it, slowing the
-# numpy products that follow: at n = 400 over 4,001 steps (2-core Xeon),
-# chunks of 256 columns made evolve 47% slower than one whole solve, and
-# 1024 11%.
+# (scipy's OpenBLAS, apart from numpy's) spins for about 0.1 s after it,
+# slowing the numpy products that follow: at n = 400 over 4,001 steps
+# (2-core Xeon), chunks of 256 columns made evolve 47% slower than one
+# whole solve, and 1024 11%.  The other wave routines build every scipy
+# product before their numpy loops and switch pools only once; the
+# back-solve cannot, as each chunk reads the steps before it.
 _CHUNK = 1024
 
 
@@ -452,9 +460,9 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction) -> list[FitR
         nodes, weights, states = [], [], []
         for t, wq, at_nodes, block in _orbit_sweep(ghat, block, (hi - lo) / panels,
                                                    panels, t0=lo):
-            nodes.append(t)
-            weights.append(wq)
-            states.extend(at_nodes)
+            nodes.append(t.ravel())
+            weights.append(np.tile(wq, len(t)))
+            states.extend(at_nodes.reshape(-1, *block.shape))
         weights = np.concatenate(weights)
         states = np.stack(states, axis=-1)
         w2 = w_m_log(M, 0.25 * np.concatenate(nodes)) ** 2
@@ -480,24 +488,23 @@ def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     """Energy operator norm of T(t) G^{-1} along an increasing grid.
 
     Sequential propagation: one matrix exponential per distinct gap, then
-    a matmul per grid point, with the norm taken in the hat frame.
+    a matmul per grid point, with the norm taken in the hat frame.  Every
+    exponential (scipy's BLAS) is built before the first product (numpy's),
+    so the loop never waits on the other pool (see _CHUNK).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be nonempty, increasing, nonnegative")
     ghat = sys.hat_generator()
+    first = sla.expm(ghat * t_grid[0]) if t_grid[0] > 0 else None
+    gaps = np.diff(t_grid).tolist()
+    steps = {dt: sla.expm(ghat * dt) for dt in dict.fromkeys(gaps)}
     cur = np.linalg.inv(ghat)
-    if t_grid[0] > 0:
-        cur = sla.expm(ghat * t_grid[0]) @ cur
-    gaps = np.diff(t_grid)
-    cache: dict[float, np.ndarray] = {}
+    if first is not None:
+        cur = first @ cur
     norms = [float(np.linalg.norm(cur, 2))]
     for dt in gaps:
-        step = cache.get(float(dt))
-        if step is None:
-            step = sla.expm(ghat * dt)
-            cache[float(dt)] = step
-        cur = step @ cur
+        cur = steps[dt] @ cur
         norms.append(float(np.linalg.norm(cur, 2)))
     return DecaySeries(t_grid, np.array(norms))
 
@@ -565,11 +572,13 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
     ok_up = bool(np.all(prod_up[usable_up] <= big_c))
     ok_lo = bool(np.all(vv[usable_lo] >= small_c / denom_lo[usable_lo])) if np.any(usable_lo) else True
 
-    # empirical tail exponent: slope of -log norm vs t over the last half
-    half = tt >= 0.5 * (tt[0] + tt[-1])
+    # empirical tail exponent: slope of -log norm vs t over the last half,
+    # fitted on its normal norms (an underflowed 0.0 or subnormal has lost
+    # its digits), if two or more remain
+    fit = (tt >= 0.5 * (tt[0] + tt[-1])) & (vv >= np.finfo(float).tiny)
     slope = 0.0
-    if np.sum(half) >= 2 and np.all(vv[half] > 0):
-        slope = float(np.polyfit(tt[half], -np.log(vv[half]), 1)[0])
+    if np.sum(fit) >= 2:
+        slope = float(np.polyfit(tt[fit], -np.log(vv[fit]), 1)[0])
 
     return FitReport(
         name="rate-sandwich",
@@ -584,18 +593,28 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
 # cutoff-transform identity and Minkowski bound
 # ----------------------------------------------------------------------
 
+# panels per block of _orbit_sweep.  Its buffers grow with the block: on a
+# 2-core Xeon host the wave-linalg workload's peak RSS stayed at 85 MB with
+# blocks of 64, as with one panel at a time, and rose to 101.4 MB (+19%)
+# with blocks of 512, which made `wave cutoff` no faster
+_ORBIT_BLOCK = 64
+
+
 def _orbit_sweep(ghat: np.ndarray, v0: np.ndarray, width: float, panels: int,
                  t0: float = 0.0):
     """Walk t -> e^{tG} v0 over uniform 8-point Gauss-Legendre panels from t0.
 
     Builds the node-offset steps and the panel step once, so the sweep
-    costs 9 matrix exponentials however many panels it walks, and
-    keeps one running state so memory is O(size of v0).  The offset steps
-    are stacked into one (8 d, d) array and both are cast once to the
-    orbit's dtype, so a panel is one product for all nodes plus one for the
-    panel step, with no per-product real-to-complex cast.  Yields, panel by
-    panel, (nodes, weights, states at the nodes, state at the panel end);
-    the node states are views of one (8, *v0.shape) array.
+    costs 9 matrix exponentials however many panels it walks.  The offset
+    steps are stacked into one (8 d, d) array and both are cast once to the
+    orbit's dtype.  The panel step walks the panels' start states one by
+    one into a buffer of _ORBIT_BLOCK panels, and one stacked product takes
+    the node states of the whole block.  Each element of that stack is the
+    product one panel alone would take, (8 d, d) by a (d, columns) start
+    state (a gemv for a vector v0), with the same strides, so the blocks
+    move no bit.  Yields, block by block of m panels, (nodes (m, 8),
+    weights (8,), states at the nodes (m, 8, *v0.shape), state at the end
+    of the block); memory is O(_ORBIT_BLOCK times the size of v0).
     """
     xs, ws = np.polynomial.legendre.leggauss(8)
     offs = 0.5 * width * (xs + 1.0)
@@ -603,12 +622,18 @@ def _orbit_sweep(ghat: np.ndarray, v0: np.ndarray, width: float, panels: int,
     dtype = np.result_type(ghat, v0)
     phi_off = np.concatenate([sla.expm(ghat * o) for o in offs]).astype(dtype)
     phi_panel = sla.expm(ghat * width).astype(dtype, copy=False)
+    starts = np.empty((min(panels, _ORBIT_BLOCK), v0.shape[0], v0.size // v0.shape[0]),
+                      dtype=dtype)
     cur = v0
-    for _ in range(panels):
-        at_nodes = (phi_off @ cur).reshape(xs.size, *cur.shape)
-        cur = phi_panel @ cur
-        yield t0 + offs, wq, at_nodes, cur
-        t0 += width
+    for lo in range(0, panels, _ORBIT_BLOCK):
+        m = min(_ORBIT_BLOCK, panels - lo)
+        nodes = np.empty((m, xs.size))
+        for k in range(m):
+            starts[k] = cur.reshape(starts.shape[1:])
+            nodes[k] = t0 + offs
+            cur = phi_panel @ cur
+            t0 += width
+        yield nodes, wq, np.matmul(phi_off, starts[:m]).reshape(m, xs.size, *v0.shape), cur
 
 
 def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
@@ -616,7 +641,13 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
     """int_0^T e^{-lam t} obs e^{tG} v0 dt for each lam, by composite GL.
 
     Panels resolve the fastest oscillation of the generator itself (the
-    orbit rings at the mode frequencies, not at lam).
+    orbit rings at the mode frequencies, not at lam).  Per block of
+    _orbit_sweep, one stacked product takes obs times every node state, a
+    gemv each, into (r, 8) column-major panel slices; one gemm over the
+    nodes would round differently.  A second stacked product weights each
+    slice by its panel's (8, L) exponentials, and the panel sums join acc
+    in panel order, each the same gemm and the same addition as a panel
+    taken alone.
     """
     omega_max = float(np.linalg.norm(ghat, 2))
     width = min(0.25, math.pi / (4.0 * max(omega_max, 1.0)))
@@ -624,13 +655,10 @@ def _laplace_of_orbit(ghat: np.ndarray, obs: np.ndarray, v0: np.ndarray,
     lams = np.asarray(lams, dtype=complex)
     obs = obs.astype(complex)
     acc = np.zeros((obs.shape[0], lams.size), dtype=complex)
-    # one gemv per Gauss-Legendre node (8 a panel) into a reused
-    # column-major block; one gemm over the nodes would round differently
-    f_panel = np.empty((obs.shape[0], 8), dtype=complex, order="F")
     for t, wq, at_nodes, _ in _orbit_sweep(ghat, v0.astype(complex), T / panels, panels):
-        for j, s in enumerate(at_nodes):
-            np.matmul(obs, s, out=f_panel[:, j])
-        acc += f_panel @ (np.exp(-np.outer(t, lams)) * wq[:, None])
+        f_panels = np.matmul(obs, at_nodes[..., None])[..., 0].transpose(0, 2, 1)
+        for panel_sum in f_panels @ (np.exp(-(t[..., None] * lams)) * wq[:, None]):
+            acc += panel_sum
     return acc
 
 
@@ -670,6 +698,12 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     lams = np.array([complex(l) for l in np.atleast_1d(lambda_samples)])
     if np.any(lams.real <= max(om0, 0.0)):
         raise ValueError("every sample must lie strictly right of the spectrum")
+    # the norm series' step, built beside the orbit's nine exponentials
+    # before any numpy loop (see _CHUNK)
+    t_grid = np.asarray(t_grid, dtype=float)
+    phi = _uniform_step(ghat, t_grid)
+    if phi is None:
+        raise ValueError("norm series needs a uniform grid")
     fhat_all = _laplace_of_orbit(ghat, t1_hat, v0, lams, T)
 
     resids = []
@@ -679,10 +713,6 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         scale = max(np.linalg.norm(closed), 1e-30)
         resids.append(float(np.linalg.norm(fhat_all[:, j] - closed) / scale))
 
-    t_grid = np.asarray(t_grid, dtype=float)
-    phi = _uniform_step(ghat, t_grid)
-    if phi is None:
-        raise ValueError("norm series needs a uniform grid")
     phi = phi.astype(complex)
     t1_c = t1_hat.astype(complex)
     series_r = _norm_series(phi, t1_c, base, t_grid.size)

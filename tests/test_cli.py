@@ -146,6 +146,10 @@ class TestWaveSandwich:
         summary = read_summary(tmp_path / "wave-sandwich-summary.json")
         big_c = summary["constants"]["rate-sandwich"]["C"]
         assert math.isfinite(big_c) and big_c == pytest.approx(5.44e9, rel=1e-2)
+        # 16 last-half norms underflow to 0.0 and 2 to subnormals; the slope
+        # fit skips them and reads the decay rate -(spectral abscissa) = 1/2
+        tail = summary["constants"]["rate-sandwich"]["tail_exponent"]
+        assert tail == pytest.approx(0.5, rel=1e-3)
 
 
 # one violating input per cross-key rule in cli.ACTIONS, by scenario and keys

@@ -16,6 +16,7 @@ from tauberlab.semigroup import (
     DiagonalSemigroup,
     Trajectory,
     _CHUNK,
+    _ORBIT_BLOCK,
     _is_uniform,
     _orbit_sweep,
     assemble_damped_wave,
@@ -438,6 +439,33 @@ class TestWeightedDecay:
         assert 0 < len(calls) <= 63
 
 
+def _laplace_reference(ghat, obs, v0, lams, T):
+    """_laplace_of_orbit one panel and one node at a time: the panel walk,
+    one gemv per node into a column-major (r, 8) panel, one weighted gemm
+    per panel added into the sum."""
+    omega_max = float(np.linalg.norm(ghat, 2))
+    panels = max(1, int(math.ceil(T / min(0.25, math.pi / (4.0 * max(omega_max, 1.0))))))
+    width = T / panels
+    xs, ws = np.polynomial.legendre.leggauss(8)
+    offs = 0.5 * width * (xs + 1.0)
+    wq = 0.5 * width * ws
+    phi_off = np.concatenate([sla.expm(ghat * o) for o in offs]).astype(complex)
+    phi_panel = sla.expm(ghat * width).astype(complex)
+    lams = np.asarray(lams, dtype=complex)
+    obs = obs.astype(complex)
+    acc = np.zeros((obs.shape[0], lams.size), dtype=complex)
+    f_panel = np.empty((obs.shape[0], 8), dtype=complex, order="F")
+    cur, t0 = v0.astype(complex), 0.0
+    for _ in range(panels):
+        at_nodes = (phi_off @ cur).reshape(8, *cur.shape)
+        cur = phi_panel @ cur
+        for j, state in enumerate(at_nodes):
+            np.matmul(obs, state, out=f_panel[:, j])
+        acc += f_panel @ (np.exp(-np.outer(t0 + offs, lams)) * wq[:, None])
+        t0 += width
+    return acc
+
+
 class TestOrbitSweep:
     @pytest.mark.parametrize("kind", ["real-block", "complex-vector"])
     def test_node_states_match_expm_steps_bit_for_bit(self, kind):
@@ -449,23 +477,79 @@ class TestOrbitSweep:
             v0 = rng.standard_normal((2 * n, 2))
         else:
             v0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-        width, panels, t0 = 0.3, 4, 1.5
+        width = 0.3
         xs, ws = np.polynomial.legendre.leggauss(8)
         offs = 0.5 * width * (xs + 1.0)
         steps = [sla.expm(ghat * o) for o in offs]
         panel_step = sla.expm(ghat * width)
-        cur = v0
-        sweep = list(_orbit_sweep(ghat, v0, width, panels, t0=t0))
-        assert len(sweep) == panels
-        for j, (t, wq, at_nodes, end) in enumerate(sweep):
-            assert np.array_equal(t, t0 + j * width + offs)
-            assert np.array_equal(wq, 0.5 * width * ws)
-            assert at_nodes.shape == (8, *v0.shape)
-            for step, state in zip(steps, at_nodes):
-                assert np.array_equal(state, step @ cur)
-            cur = panel_step @ cur
-            assert end.dtype == v0.dtype
-            assert np.array_equal(end, cur)
+        # one block, then a full block and a one-panel tail
+        for panels in (4, _ORBIT_BLOCK + 1):
+            cur, t0 = v0, 1.5
+            sweep = list(_orbit_sweep(ghat, v0, width, panels, t0=t0))
+            sizes = [len(t) for t, *_ in sweep]
+            assert sum(sizes) == panels and all(m == _ORBIT_BLOCK for m in sizes[:-1])
+            for t, wq, at_nodes, end in sweep:
+                assert np.array_equal(wq, 0.5 * width * ws)
+                assert at_nodes.shape == (len(t), 8, *v0.shape)
+                for nodes, states in zip(t, at_nodes):
+                    assert np.array_equal(nodes, t0 + offs)
+                    for step, state in zip(steps, states):
+                        assert np.array_equal(state, step @ cur)
+                    cur = panel_step @ cur
+                    t0 += width
+                assert end.dtype == v0.dtype
+                assert np.array_equal(end, cur)
+
+    @pytest.mark.parametrize("panels", [5, _ORBIT_BLOCK, _ORBIT_BLOCK + 1, 2 * _ORBIT_BLOCK + 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_laplace_of_orbit_matches_the_per_node_loop_bit_for_bit(self, panels, order):
+        n = 12
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        ghat = sys.hat_generator()
+        rng = np.random.default_rng(panels)
+        obs = np.asarray(rng.standard_normal((2 * n - 3, 2 * n)), order=order)
+        v0 = rng.standard_normal(2 * n)
+        lams = rng.uniform(0.2, 2.0, 5) + 1j * rng.uniform(-3.0, 3.0, 5)
+        width = min(0.25, math.pi / (4.0 * float(np.linalg.norm(ghat, 2))))
+        T = (panels - 0.5) * width  # ceil(T / width) panels
+        got = semigroup._laplace_of_orbit(ghat, obs, v0, lams, T)
+        assert np.array_equal(got, _laplace_reference(ghat, obs, v0, lams, T))
+
+
+class TestPropagatorNorms:
+    @staticmethod
+    def _lazy_reference(sys, t_grid):
+        """One exponential per distinct gap, built when the loop first meets it."""
+        ghat = sys.hat_generator()
+        cur = np.linalg.inv(ghat)
+        if t_grid[0] > 0:
+            cur = sla.expm(ghat * t_grid[0]) @ cur
+        cache, norms = {}, [float(np.linalg.norm(cur, 2))]
+        for dt in np.diff(t_grid):
+            if float(dt) not in cache:
+                cache[float(dt)] = sla.expm(ghat * dt)
+            cur = cache[float(dt)] @ cur
+            norms.append(float(np.linalg.norm(cur, 2)))
+        return np.array(norms)
+
+    @pytest.mark.parametrize("t_grid", [
+        np.linspace(0.5, 40.0, 60),
+        np.linspace(0.0, 12.0, 25),
+        np.array([0.0, 0.5, 1.0, 2.5, 4.0, 4.5, 7.0]),
+        np.array([1.5, 2.0, 3.0, 4.0, 4.5, 6.5]),
+    ], ids=["linspace-from-0.5", "linspace-from-0", "mixed-from-0", "mixed-from-1.5"])
+    def test_every_expm_comes_before_the_first_norm(self, t_grid, monkeypatch):
+        sys = assemble_damped_wave(16, 1.0, localized_bump_damping(16))
+        want = self._lazy_reference(sys, t_grid)
+        calls = []
+        expm, norm = sla.expm, np.linalg.norm
+        monkeypatch.setattr(sla, "expm", lambda *a, **k: calls.append("expm") or expm(*a, **k))
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: calls.append("norm") or norm(*a, **k))
+        got = propagator_inverse_norms(sys, t_grid).values
+        distinct = len(set(np.diff(t_grid).tolist())) + (t_grid[0] > 0)
+        assert calls == ["expm"] * distinct + ["norm"] * t_grid.size
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
