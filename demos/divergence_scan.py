@@ -26,6 +26,9 @@ def show(scan):
                    else f"{w.contribution_log:+.4f}")
         print(f"  n={w.n}  {rng:<28} {contrib:<38} "
               f"{'PASS' if w.passed else 'FAIL'} ({w.notes})")
+    increasing = cx.contributions_increase(scan)
+    print(f"  contributions increase strictly: {'yes' if increasing else 'NO'}")
+    return increasing
 
 
 def main():
@@ -36,18 +39,19 @@ def main():
           f"{[round(b.log_k, 4) for b in spec.blocks]}")
     print(f"  fitted envelope constants: c1={spec.c1:.6f} "
           f"c2={spec.c2:.3f} rho={spec.rho:.6f}")
-    show(cx.divergence_scan(spec))
+    ok = show(cx.divergence_scan(spec))
 
     print("\nlog variant: alpha=1, 3 blocks, weight e^{gamma t^{1/2}}")
     lspec = cx.build_counterexample("log", 1, 2, 3)
     exponent = cx.fit_log_weight_exponent(lspec)
     print(f"  fitted weight exponent gamma = {exponent:g}")
-    show(cx.divergence_scan(lspec))
+    ok = show(cx.divergence_scan(lspec)) and ok
 
     print("\neach window outweighs the previous one, so the weighted tail "
           "integral\ngrows without bound while the signal itself stays "
           "bounded.")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -444,8 +444,8 @@ def _h_contour_reconstruct(params) -> RunResult:
             ["t", "recon_r1_re", "recon_r1_im", "recon_r2_re", "recon_r2_im",
              "truth_re", "truth_im", "err_r1", "err_r2", "agree"], rows))
         res.residuals = {"worst_error": worst_err, "worst_agree": worst_agree}
-        res.passed = {"error": worst_err <= params["tol"],
-                      "two_radius_agreement": worst_agree <= params["agree-tol"]}
+        res.passed = {"error": worst_err <= 1e-6,
+                      "two_radius_agreement": worst_agree <= 1e-8}
     else:
         # an inadmissible schedule is a usage error before any contour runs
         ct.check_piece_schedule(params["k-scale"], params["reg-n"],
@@ -466,7 +466,7 @@ def _h_contour_reconstruct(params) -> RunResult:
             ["t", "recon_re", "recon_im", "truth_re", "truth_im", "err",
              "j1_right_arc", "j2_left_arc", "i3_stubs", "i4_boundary"], rows))
         res.residuals["worst_error"] = worst_err
-        res.passed["error"] = worst_err <= params["tol"]
+        res.passed["error"] = worst_err <= 1e-6
         for fit in ct.fit_adaptive_piece_bounds(
                 M, params["k-scale"], params["reg-n"], ts, norms,
                 params["growth-alpha"], params["growth-beta"], p=params["p"]):
@@ -504,7 +504,7 @@ def _h_wave_energy(params) -> RunResult:
     x0 = np.concatenate([u0, np.zeros(n)])
     steps = int(round(params["t-max"] / params["dt"]))  # >= 4 (ACTIONS rule)
     t = np.linspace(0.0, params["t-max"], steps + 1)
-    traj = sg.evolve(sys_, x0, t, tol=params["tol"])
+    traj = sg.evolve(sys_, x0, t)
     energies = traj.energies
     residual = sg.energy_derivative_check(traj)
     e0 = float(energies[0])
@@ -516,7 +516,7 @@ def _h_wave_energy(params) -> RunResult:
     res.residuals = {"derivative_identity": residual}
     res.passed = {
         "derivative_identity": residual <= 1e-6 * e0,
-        "nonincreasing": bool(np.all(np.diff(energies) <= params["tol"] * e0)),
+        "nonincreasing": bool(np.all(np.diff(energies) <= sg.ENERGY_TOL * e0)),
     }
     return res
 
@@ -602,11 +602,7 @@ def _h_cx_scan(params) -> RunResult:
             spec.gamma_exp = params["gamma-exp"]
         else:
             cx.fit_log_weight_exponent(spec)
-    reports = cx.divergence_scan(spec, nodes=params["nodes"],
-                                 require_increasing=False)
-
-    contribs = [r.contribution_log for r in reports]
-    increasing = all(a < b for a, b in zip(contribs[:-1], contribs[1:]))
+    reports = cx.divergence_scan(spec, nodes=params["nodes"])
     rows = [(r.n, r.log_k, r.t_lo, r.t_hi, r.min_log_abs_g, r.floor_log,
              r.contribution_log, r.analytic_bound_log, r.passed, r.notes)
             for r in reports]
@@ -619,7 +615,7 @@ def _h_cx_scan(params) -> RunResult:
     res.residuals = {"worst_floor_gap": float(min(
         r.min_log_abs_g - r.floor_log for r in reports))}
     res.passed = {"window_floors": all(r.passed for r in reports),
-                  "contributions_increasing": increasing}
+                  "contributions_increasing": cx.contributions_increase(reports)}
     return res
 
 
@@ -712,8 +708,6 @@ ACTIONS: dict[tuple, Action] = {
         "atom-k": Param("int", 10, "atom order (target=atom)"),
         "atom-alpha": Param("float", 2.0, "atom family alpha (target=atom)"),
         "atom-beta": Param("float", 2.0, "atom family beta (target=atom)"),
-        "tol": Param("float", 1e-6, "reconstruction error tolerance"),
-        "agree-tol": Param("float", 1e-8, "two-radius agreement tolerance"),
     }, rules=(
         _T_SPAN,
         # the adaptive piece fit needs more than one t to fit a shape
@@ -733,7 +727,6 @@ ACTIONS: dict[tuple, Action] = {
         "mode": Param("int", 1, "initial sine mode", above=0),
         "t-max": Param("float", 4.0, "horizon", above=0),
         "dt": Param("float", 1e-3, "output step", above=0),
-        "tol": Param("float", 1e-10, "energy-guard tolerance"),
     }, rules=(
         # the energy identity's 4th-order stencil reads 5 samples, so the
         # grid needs round(t-max/dt) >= 4 steps

@@ -123,8 +123,8 @@ def lemma31_check(t: float) -> tuple[float, float]:
     """Integral of e^{-t cos th} cos th over [-pi/2, pi/2] vs its bound.
 
     Returns (integral, proof_bound) with proof_bound = min(2, pi^2/(2 t^2))
-    (exact value 2 at t = 0) and raises if the quadrature exceeds the bound
-    by more than 1e-9.
+    (exact value 2 at t = 0).  It judges nothing: each caller compares the
+    two, so a breach is a verdict, not an error.
     """
     t = float(t)
     if t < 0:
@@ -135,13 +135,8 @@ def lemma31_check(t: float) -> tuple[float, float]:
 
     val, _, _ = adaptive_quad(fn, -math.pi / 2, math.pi / 2, 1e-10,
                               initial_panels=8, piece="kernel bound")
-    integral = val.real
     proof_bound = 2.0 if t == 0.0 else min(2.0, math.pi ** 2 / (2.0 * t * t))
-    if integral > proof_bound + 1e-9:
-        raise ArithmeticError(
-            f"kernel integral {integral:.12e} exceeds bound {proof_bound:.12e} at t={t:g}"
-        )
-    return integral, proof_bound
+    return val.real, proof_bound
 
 
 @dataclass(frozen=True)

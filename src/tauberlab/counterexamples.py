@@ -45,6 +45,7 @@ __all__ = [
     "fit_block_constants",
     "build_counterexample",
     "divergence_scan",
+    "contributions_increase",
     "fit_log_weight_exponent",
     "shift_semigroup_suite",
 ]
@@ -601,20 +602,15 @@ def _weight_log(spec: CounterexampleSpec, log_t: float) -> float:
     return (spec.p / spec.alpha) * (log_t - spec.gamma_log(log_t) - loglog)
 
 
-def divergence_scan(spec: CounterexampleSpec, nodes: int = 24,
-                    require_increasing: bool = True) -> list[WindowReport]:
+def divergence_scan(spec: CounterexampleSpec, nodes: int = 24) -> list[WindowReport]:
     """Weighted window contributions along the train.
 
     Per window: int (max(|g| - c2 e^{-rho t}, 0))^p weight(t) dt on
     [k_n - sqrt(k_n), k_n + sqrt(k_n)], all in log space, plus the
     pointwise floor assertion against c1 coeff_n scale_n - c2 e^{-rho t}.
-    Contributions must be strictly increasing in n.  nodes is the
-    Gauss-Legendre order per window; nodes < 1 is a ValueError.
-
-    The increasing rule is checked here, not by reports.ladder_report:
-    a ladder certifies convergence by geometric decay of its increments,
-    while this scan certifies divergence by their growth, so the two
-    rules share no test.
+    nodes is the Gauss-Legendre order per window; nodes < 1 is a
+    ValueError.  The scan judges no order of the windows: the callers ask
+    contributions_increase.
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -659,12 +655,19 @@ def divergence_scan(spec: CounterexampleSpec, nodes: int = 24,
             passed=ok,
             notes="exact series" if b.fam is not None else "fused leading term",
         ))
-    if require_increasing:
-        seq = [r.contribution_log for r in reports]
-        if any(a >= b for a, b in zip(seq[:-1], seq[1:])):
-            raise ArithmeticError(
-                f"window contributions fail to increase: {seq}")
     return reports
+
+
+def contributions_increase(reports: list[WindowReport]) -> bool:
+    """Whether the window contributions increase strictly along the train.
+
+    This is the divergence rule, and not reports.ladder_report's: a ladder
+    certifies convergence by geometric decay of its increments, while a
+    scan certifies divergence by their growth.  A contribution is finite
+    or -inf, never nan, so a tie is the only failure besides a fall.
+    """
+    seq = [r.contribution_log for r in reports]
+    return all(a < b for a, b in zip(seq[:-1], seq[1:]))
 
 
 def _abs_g_desk(spec: CounterexampleSpec, t: np.ndarray) -> np.ndarray:
@@ -690,13 +693,13 @@ def fit_log_weight_exponent(spec: CounterexampleSpec) -> float:
     g = 1.0
     while True:
         spec.gamma_exp = min(g, cap)
-        try:
-            divergence_scan(spec, require_increasing=True)
+        reports = divergence_scan(spec)
+        if contributions_increase(reports):
             return spec.gamma_exp
-        except ArithmeticError:
-            if g >= cap:
-                raise
-            g = min(2.0 * g, cap)
+        if g >= cap:
+            raise ArithmeticError("window contributions fail to increase: "
+                                  f"{[r.contribution_log for r in reports]}")
+        g = min(2.0 * g, cap)
 
 
 # ----------------------------------------------------------------------

@@ -287,26 +287,28 @@ def per_mode_propagator_oracle(sys: DampedWaveSystem, t_grid) -> np.ndarray:
 # back-solve cannot, as each chunk reads the steps before it.
 _CHUNK = 1024
 
+# the energy guard: energy may rise by at most this fraction of E(0) over
+# one step, in evolve_chunks and in the CLI's nonincreasing verdict
+ENERGY_TOL = 1e-10
 
-def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
+
+def evolve_chunks(sys: DampedWaveSystem, x0, t_grid):
     """Propagate by one scaling-and-squaring matrix exponential of the
     step of a uniform grid (_is_uniform), yielding (slice of t_grid,
     physical states at those times), chunk by chunk.  Any other grid is a
     ValueError, raised before the exponential is built.
 
     Exact for the discrete system up to expm roundoff; the per-step energy
-    increase guard at tol catches assembly errors rather than integrator
-    drift.  The steps run in the energy frame into one column-major buffer
-    of _CHUNK columns, solved back in place chunk by chunk, so memory does
-    not grow with the grid; a yielded block may be that buffer, so copy
-    what you keep before asking for the next chunk.  A one-column tail
-    joins the chunk before it: the triangular solve of a single column
-    goes through another kernel than a block's and would move the last
-    bits of that state.  Every block of two or more columns solves bit for
-    bit as it would within the whole trajectory.
+    increase guard at ENERGY_TOL E(0) catches assembly errors rather than
+    integrator drift.  The steps run in the energy frame into one
+    column-major buffer of _CHUNK columns, solved back in place chunk by
+    chunk, so memory does not grow with the grid; a yielded block may be
+    that buffer, so copy what you keep before asking for the next chunk.
+    A one-column tail joins the chunk before it: the triangular solve of a
+    single column goes through another kernel than a block's and would
+    move the last bits of that state.  Every block of two or more columns
+    solves bit for bit as it would within the whole trajectory.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
@@ -333,18 +335,18 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10):
         for i in range(max(lo, 1), hi):
             cur = np.matmul(step, cur, out=block[:, i - lo])
             e_now = float(cur @ cur)
-            if e_now > e_prev + tol * e0:
-                raise ArithmeticError(
-                    f"energy increased by {e_now - e_prev:.3e} over one step (tol {tol:g})"
-                )
+            if e_now > e_prev + ENERGY_TOL * e0:
+                raise ArithmeticError(f"energy increased by {e_now - e_prev:.3e} "
+                                      f"over one step (tol {ENERGY_TOL:g})")
             e_prev = e_now
         cur = block[:, -1].copy()  # the solve below overwrites the block
         yield slice(lo, hi), sys.from_hat(block, x0)
 
 
-def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
+def evolve(sys: DampedWaveSystem, x0, t_grid) -> Trajectory:
     """Energy and dissipation at every time of a uniform grid, from
-    evolve_chunks (any other grid is a ValueError).
+    evolve_chunks (any other grid is a ValueError; an energy rise past
+    ENERGY_TOL E(0) over one step is an ArithmeticError).
 
     Each chunk's states are read column by column before its buffer is
     reused, so memory does not grow with the grid.  The chunks change no
@@ -354,7 +356,7 @@ def evolve(sys: DampedWaveSystem, x0, t_grid, tol: float = 1e-10) -> Trajectory:
     t_grid = np.asarray(t_grid, dtype=float)
     energies = np.empty(t_grid.size)
     dissipations = np.empty(t_grid.size)
-    for sl, states in evolve_chunks(sys, x0, t_grid, tol):
+    for sl, states in evolve_chunks(sys, x0, t_grid):
         cols = range(states.shape[1])
         energies[sl] = [sys.energy(states[:, j]) for j in cols]
         dissipations[sl] = [sys.dissipation(states[:, j]) for j in cols]
@@ -480,21 +482,21 @@ def weighted_decay_suite(sys: DampedWaveSystem, x, M: RateFunction) -> list[FitR
 # rate sandwich
 # ----------------------------------------------------------------------
 
-# the largest argument math.expm1 takes without overflow
-_EXPM1_MAX = math.log(np.finfo(float).max)
-
-
 def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     """Energy operator norm of T(t) G^{-1} along an increasing grid.
 
     Sequential propagation: one matrix exponential per distinct gap, then
     a matmul per grid point, with the norm taken in the hat frame.  Every
     exponential (scipy's BLAS) is built before the first product (numpy's),
-    so the loop never waits on the other pool (see _CHUNK).
+    so the loop never waits on the other pool (see _CHUNK).  The grid must
+    be uniform (_is_uniform), as evolve's, so that its gaps take few
+    distinct values; any other grid is a ValueError before any expm.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be nonempty, increasing, nonnegative")
+    if t_grid.size > 2 and not _is_uniform(t_grid):
+        raise ValueError("propagator norms need a uniform time grid")
     ghat = sys.hat_generator()
     first = sla.expm(ghat * t_grid[0]) if t_grid[0] > 0 else None
     gaps = np.diff(t_grid).tolist()
@@ -521,7 +523,10 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
     resolvent_norm_scan, both computed once by the caller.  Only the norms
     at t >= t0 are judged.  M is extended constant beyond its grid (which
     makes the log-corrected inverse total while leaving the plain inverse
-    infinite beyond the scan -- there the lower bound is vacuous).
+    infinite beyond the scan -- there the lower bound is vacuous).  Past the
+    scan every judged t takes the log-corrected inverse in logs,
+    log s = a + log1p(-e^(-a)) with a = t/M_max - log1p M_max, and the
+    upper bound's products with it, so no horizon overflows.
     Conventions: c = 1, C' = max(1, M(0)/t0); C and c' are fitted extrema.
     """
     svals, mvals = m_scan.grid, m_scan.values
@@ -535,25 +540,26 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
         raise ValueError(f"grid has no points at or beyond t0={t0}")
     tt, vv = norms.grid[mask], norms.values[mask]
 
-    def step_inverse(values, y, beyond):
+    def step_inverse(values, y):
         # at each y: svals at the first values >= y, 0 below the samples,
-        # beyond(y) past them
+        # inf past them
         out = svals[np.minimum(np.searchsorted(values, y, side="left"), svals.size - 1)]
         out[y < values[0]] = 0.0
-        out[y > values[-1]] = beyond(y[y > values[-1]])
+        out[y > values[-1]] = math.inf
         return out
 
-    # upper bound: c = 1, fit C; past the scan, M_log inverts its constant-M
-    # extension: m_max (log1p m_max + log1p s) = t.  Where that s is past
-    # math.expm1's range it stays inf, and norm * s is taken in logs there
-    # (a norm of 0.0 contributes 0)
-    denom_up = step_inverse(mlog, tt, lambda y: [
-        math.expm1(a) if a <= _EXPM1_MAX else math.inf
-        for a in (v / m_max - math.log1p(m_max) for v in y.tolist())])
+    # upper bound: c = 1, fit C.  Past the scan M_log inverts its constant-M
+    # extension, m_max (log1p m_max + log1p s) = t, in logs:
+    # log s = a + log1p(-e^(-a)) with a = t/m_max - log1p m_max (s > 0 only
+    # where a > 0), and there norm * s and C / s are taken in logs too (a
+    # norm of 0.0 contributes 0)
+    denom_up = step_inverse(mlog, tt)
     usable_up = denom_up > 0
     over = np.isinf(denom_up)
-    log_s_over = tt[over] / m_max - math.log1p(m_max)
+    a = tt[over] / m_max - math.log1p(m_max)
+    usable_up[over] = a > 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        log_s_over = a + np.log1p(-np.exp(-a))
         prod_up = vv * denom_up
         prod_up[over] = np.exp(np.log(vv[over]) + log_s_over)
         big_c = float(np.max(prod_up[usable_up])) * FIT_PAD
@@ -562,7 +568,7 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
 
     # lower bound: C' fixed by convention, fit c'
     c_prime_cap = max(1.0, m0 / t0)
-    denom_lo = step_inverse(mvals, c_prime_cap * tt, lambda y: math.inf)
+    denom_lo = step_inverse(mvals, c_prime_cap * tt)
     usable_lo = np.isfinite(denom_lo) & (denom_lo > 0)
     if np.any(usable_lo):
         small_c = float(np.min(vv[usable_lo] * denom_lo[usable_lo])) * (1.0 - 1e-12)

@@ -10,9 +10,11 @@ the same tracer in every Python subprocess the tests launch (the CLI and demo
 runs), and each one writes its lines out at exit.  A line counts as
 executable when an instruction of some code object of the module sits on it;
 the audit prints, per module, the executable lines that no run reached, and
-on its last line their total and the total line count of the package's
-``.py`` files.  Tracing makes the run about twice as slow.  pytest does not
-collect this file: its name does not start with ``test_``.
+on its last line their total, the total line count of the package's ``.py``
+files and its settable values: the CLI parameters of ``cli.ACTIONS``, the
+defaulted parameters of library functions and the module constants, counted
+by ``test_options``' helpers.  Tracing makes the run about twice as slow.
+pytest does not collect this file: its name does not start with ``test_``.
 """
 import json
 import os
@@ -88,6 +90,16 @@ def _ranges(lines):
     return ", ".join(out)
 
 
+def settable_counts() -> str:
+    import test_options
+    from tauberlab import cli
+
+    params = sum(len(declared.params) for declared in cli.ACTIONS.values())
+    return (f"{params} CLI parameters, "
+            f"{len(test_options.defaulted_params())} defaulted library "
+            f"parameters, {len(test_options.module_constants())} module constants")
+
+
 def main(argv) -> int:
     import pytest
 
@@ -117,8 +129,8 @@ def main(argv) -> int:
         total += len(missed)
         print(f"{path.name}: {len(missed)} never run"
               + (f" ({_ranges(missed)})" if missed else ""))
-    print(f"total never-run lines: {total} of {lines} src lines "
-          f"(pytest exit {int(code)})")
+    print(f"total never-run lines: {total} of {lines} src lines; "
+          f"{settable_counts()} (pytest exit {int(code)})")
     return int(code)
 
 

@@ -200,7 +200,7 @@ def test_08_wave_energy_identity(capsys):
     x0 = np.r_[np.sin(math.pi * xs) + 0.3 * np.sin(3 * math.pi * xs),
                np.sin(2 * math.pi * xs)]
     tg = np.arange(0.0, 2.0 + 1e-12, 1e-3)
-    traj = evolve(sys_, x0, tg, tol=1e-10)
+    traj = evolve(sys_, x0, tg)
     E = traj.energies
     _verdict(capsys, 8, "wave-energy-identity", {
         "dE/dt + dissipation residual <= 1e-6 E(0)":

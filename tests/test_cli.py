@@ -137,8 +137,9 @@ class TestWaveSandwich:
         assert summary["passed"]["rate-sandwich"] is True
 
     def test_horizon_past_the_expm1_range_writes_a_summary(self, tmp_path):
-        # at t-max 2000 the constant-M extension's M_log^{-1}(t) overflows
-        # math.expm1 at 19 judged points; C comes from the products in logs
+        # at t-max 2000 the constant-M extension's M_log^{-1}(t) would
+        # overflow math.expm1 at 19 judged points; past the scan C comes
+        # from the products in logs
         code = cli.main(["wave", "sandwich", "--n", "20", "--damping", "constant",
                          "--t-max", "2000", "--scan-points", "33",
                          "--out-dir", str(tmp_path)])
@@ -508,6 +509,26 @@ class TestRefusals:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    # pass thresholds are constants of the verdicts that read them
+    @pytest.mark.parametrize("command,action,key", [
+        ("contour", "reconstruct", "tol"),
+        ("contour", "reconstruct", "agree-tol"),
+        ("wave", "energy", "tol"),
+    ], ids=["reconstruct-tol", "reconstruct-agree-tol", "energy-tol"])
+    def test_threshold_flag_and_key_exit_2(self, command, action, key, tmp_path,
+                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, action, f"--{key}", "1", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+        conf = tmp_path / "loose.conf"
+        conf.write_text(_SCENARIO.format(command, action) + f"[params]\n{key} = 1\n")
+        assert cli.main(["run", "--config", str(conf), "--out-dir",
+                         str(tmp_path)]) == 2
+        assert (f"unknown parameter key {key!r} for {command} {action}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.json"))
+
     def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys):
         missing = tmp_path / "missing.conf"
         assert cli.main(["run", "--config", str(missing)]) == 2
@@ -536,6 +557,18 @@ class TestRefusals:
                              parse_constant=refuse)
         assert summary["passed"] == {"growth": True, "tail": False}
         assert summary["constants"]["tail"]["estimate"] == "inf"
+
+    def test_kernel_breach_exits_1_with_its_report(self, tmp_path, monkeypatch, capsys):
+        # a quadrature of 2 + 1e-6 at every t breaks Lemma 3.1's cap
+        # min(2, pi^2/(2 t^2)): the verdict fails, not an invariant
+        monkeypatch.setattr(contour, "adaptive_quad",
+                            lambda *args, **kwargs: (complex(2.0 + 1e-6), 0.0, 0))
+        assert cli.main(["contour", "kernel", "--points", "5",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert "invariant failure" not in capsys.readouterr().err
+        summary = read_summary(tmp_path / "contour-kernel-summary.json")
+        assert summary["passed"]["lemma31"] is False
+        assert summary["residuals"]["cap_gap"] >= 1e-6
 
     def test_arithmetic_error_in_a_handler_exits_1(self, tmp_path, monkeypatch, capsys):
         def broken(params):

@@ -1,5 +1,6 @@
 """Tests for the divergent-train construction and its window scans."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ class TestDivergenceScan:
             if math.isfinite(w.floor_log):
                 assert w.min_log_abs_g >= w.floor_log
 
+    @pytest.mark.parametrize("contribs,increase", [
+        ([1.0, 2.0, 3.0], True),
+        ([1.0, 2.0, 2.0], False),
+        ([-math.inf, 0.0, 1.0], True),
+        ([-math.inf, -math.inf, 1.0], False),
+        ([2.0, 1.0], False),
+        ([5.0], True),
+    ], ids=["rising", "tie", "leading-minus-inf", "minus-inf-tie", "falling", "one"])
+    def test_contributions_increase_strictly(self, contribs, increase):
+        reports = [SimpleNamespace(contribution_log=c) for c in contribs]
+        assert cx.contributions_increase(reports) is increase
+
     def test_single_block_scan(self):
         spec = cx.build_counterexample("power", 2, 2, 1,
                                        gamma_log=cx.inverse_log_weight)
@@ -275,6 +288,22 @@ class TestLogVariant:
 
     def test_fitted_exponent(self, log_spec):
         assert log_spec.gamma_exp == 4.0
+
+    def test_fit_raises_at_the_cap(self, monkeypatch):
+        # flat contributions never increase: the rate doubles 1, 2, 4, 8,
+        # stops at the cap 4p + 1 = 9 and raises there
+        spec = cx.build_counterexample("log", 1, 2, 3)
+        tried = []
+
+        def flat(spec, nodes=24):
+            tried.append(spec.gamma_exp)
+            return [SimpleNamespace(contribution_log=0.0)] * 3
+
+        monkeypatch.setattr(cx, "divergence_scan", flat)
+        with pytest.raises(ArithmeticError,
+                           match=r"window contributions fail to increase: \[0.0, 0.0, 0.0\]"):
+            cx.fit_log_weight_exponent(spec)
+        assert tried == [1.0, 2.0, 4.0, 8.0, 9.0]
 
     def test_log_contributions_increase_and_pass(self, log_spec):
         scan = cx.divergence_scan(log_spec)

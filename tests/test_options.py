@@ -127,20 +127,34 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                        "constant: " + ", ".join(unset))
 
 
+def defaulted_params():
+    """Label of each defaulted parameter of a library function."""
+    return [f"{path.stem}.{func.name}({name})"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for func in _library_functions(_parse(path))
+            for name, _ in _defaulted_params(func)]
+
+
+def module_constants():
+    """Module-level ALL-CAPS names of the package, each with its label."""
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.strip("_").isupper():
+                    defined[target.id] = f"{path.stem}.{target.id}"
+    return defined
+
+
 def unread_constants():
     """Module-level ALL-CAPS names of the package that no code in ``src``
     loads, by bare name or as a module attribute."""
-    defined = {}
+    defined = module_constants()
     read = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = _parse(path)
-        if path.parent == PACKAGE:
-            for node in tree.body:
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
-                for target in targets:
-                    if isinstance(target, ast.Name) and target.id.strip("_").isupper():
-                        defined[target.id] = f"{path.stem}.{target.id}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)

@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from tauberlab import semigroup, weights
 from tauberlab.reports import FIT_PAD
 from tauberlab.semigroup import (
+    ENERGY_TOL,
     DecaySeries,
     DiagonalSemigroup,
     Trajectory,
@@ -167,8 +168,6 @@ _REFUSALS = {
                                    "needs some damping"),
     "oracle-localized": (lambda: per_mode_resolvent_oracle(_small_system("localized"), [1.0]),
                          "Dirichlet constant damping"),
-    "evolve-tol-0": (lambda: next(evolve_chunks(_small_system(), np.ones(16), [0.0, 1.0],
-                                                tol=0.0)), "tol must be positive"),
     "evolve-one-point": (lambda: next(evolve_chunks(_small_system(), np.ones(16), [0.0])),
                          "at least two points"),
     "energy-4-samples": (lambda: energy_derivative_check(
@@ -233,10 +232,9 @@ class TestEvolution:
         n = 40
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
         x0 = _smooth_state(n)
-        tol = 1e-10
-        traj = evolve(sys, x0, np.linspace(0.0, 100.0, 201), tol=tol)
+        traj = evolve(sys, x0, np.linspace(0.0, 100.0, 201))
         E = traj.energies
-        assert np.max(np.abs(E - E[0])) <= 10.0 * tol * max(1.0, E[0])
+        assert np.max(np.abs(E - E[0])) <= 10.0 * ENERGY_TOL * max(1.0, E[0])
 
     def test_evolution_is_linear(self):
         n = 24
@@ -263,7 +261,7 @@ class TestEvolution:
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
         x0 = _smooth_state(n)
         tg = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-        traj = evolve(sys, x0, tg, tol=1e-10)
+        traj = evolve(sys, x0, tg)
         E = traj.energies
         E0 = E[0]
         assert np.all(np.diff(E) <= 1e-12 * E0)
@@ -281,7 +279,7 @@ class TestEvolution:
     def test_undamped_residual_is_differentiation_noise(self):
         n = 40
         sys = assemble_damped_wave(n, 1.0, np.zeros(n))
-        traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3), tol=1e-10)
+        traj = evolve(sys, _smooth_state(n), np.arange(0.0, 0.5, 1e-3))
         assert energy_derivative_check(traj) <= 1e-8 * traj.energies[0]
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
@@ -532,24 +530,40 @@ class TestPropagatorNorms:
             norms.append(float(np.linalg.norm(cur, 2)))
         return np.array(norms)
 
-    @pytest.mark.parametrize("t_grid", [
-        np.linspace(0.5, 40.0, 60),
-        np.linspace(0.0, 12.0, 25),
-        np.array([0.0, 0.5, 1.0, 2.5, 4.0, 4.5, 7.0]),
-        np.array([1.5, 2.0, 3.0, 4.0, 4.5, 6.5]),
-    ], ids=["linspace-from-0.5", "linspace-from-0", "mixed-from-0", "mixed-from-1.5"])
-    def test_every_expm_comes_before_the_first_norm(self, t_grid, monkeypatch):
-        sys = assemble_damped_wave(16, 1.0, localized_bump_damping(16))
-        want = self._lazy_reference(sys, t_grid)
+    @staticmethod
+    def _count_calls(monkeypatch):
         calls = []
         expm, norm = sla.expm, np.linalg.norm
         monkeypatch.setattr(sla, "expm", lambda *a, **k: calls.append("expm") or expm(*a, **k))
         monkeypatch.setattr(np.linalg, "norm",
                             lambda *a, **k: calls.append("norm") or norm(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("t_grid", [
+        np.linspace(0.5, 40.0, 60),
+        np.linspace(0.0, 12.0, 25),
+    ], ids=["linspace-from-0.5", "linspace-from-0"])
+    def test_every_expm_comes_before_the_first_norm(self, t_grid, monkeypatch):
+        sys = assemble_damped_wave(16, 1.0, localized_bump_damping(16))
+        want = self._lazy_reference(sys, t_grid)
+        calls = self._count_calls(monkeypatch)
         got = propagator_inverse_norms(sys, t_grid).values
         distinct = len(set(np.diff(t_grid).tolist())) + (t_grid[0] > 0)
         assert calls == ["expm"] * distinct + ["norm"] * t_grid.size
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t_grid", [
+        np.array([0.0, 0.5, 1.0, 2.5, 4.0, 4.5, 7.0]),
+        np.array([1.5, 2.0, 3.0, 4.0, 4.5, 6.5]),
+        # 199 distinct gaps, one 2n x 2n exponential each if it were taken
+        np.geomspace(0.5, 40.0, 200),
+    ], ids=["mixed-from-0", "mixed-from-1.5", "geomspace"])
+    def test_non_uniform_grid_is_refused(self, t_grid, monkeypatch):
+        sys = assemble_damped_wave(16, 1.0, localized_bump_damping(16))
+        calls = self._count_calls(monkeypatch)
+        with pytest.raises(ValueError, match="propagator norms need a uniform time grid"):
+            propagator_inverse_norms(sys, t_grid)
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -594,10 +608,10 @@ class TestRateSandwich:
         assert "tail_exponent" in rep.constants
 
     def test_constant_extension_past_expm1_range(self):
-        # past the scan M_log^{-1}(t) = expm1(t/2 - log 3); from t = 1421.8
-        # that overflows, and norm * M_log^{-1}(t) is taken in logs there.
-        # The norms put that product at e^20 (1 - e^(-log_s)), and a norm of
-        # 0.0 past the range contributes nothing
+        # past the scan M_log^{-1}(t) = expm1(t/2 - log 3), taken in logs;
+        # from t = 1421.8 expm1 itself would overflow.  The norms put
+        # norm * M_log^{-1}(t) at e^20 (1 - e^(-log_s)), and a norm of 0.0
+        # contributes nothing
         scan = DecaySeries([0.0, 1.0], [2.0, 2.0])
         t = np.r_[np.linspace(5.0, 1440.0, 288), 1500.0]
         log_s = t / 2.0 - math.log(3.0)
@@ -607,6 +621,23 @@ class TestRateSandwich:
         assert rep.passed
         assert rep.constants["C"] == pytest.approx(math.exp(20.0) * FIT_PAD, rel=1e-12)
         assert rep.worst_residual >= 0
+
+    # the log route rounds log(norm), about -a, so its relative gap to the
+    # float product grows like a 2^-52 with a = t/2 - log 3
+    @pytest.mark.parametrize("t_max,rel", [(12.0, 1e-15), (400.0, 200.0 * 2.0 ** -52)],
+                             ids=["near-the-scan", "a-to-199"])
+    def test_log_inverse_past_the_scan_agrees_with_expm1(self, t_max, rel):
+        # every judged t lies past the scan (M_log(1) = 2 log 6) and below
+        # expm1's overflow, where C = max norm * s with
+        # s = expm1(t/2 - log 3) in plain floats
+        scan = DecaySeries([0.0, 1.0], [2.0, 2.0])
+        t = np.linspace(5.0, t_max, 80)
+        s = np.array([math.expm1(a) for a in (t / 2.0 - math.log(3.0)).tolist()])
+        norms = DecaySeries(t, (0.3 + 0.05 * np.sin(t)) / s)
+        rep = rate_sandwich_check(norms, scan)
+        assert rep.passed and rep.worst_residual >= 0
+        want = float(np.max(norms.values * s)) * FIT_PAD
+        assert rep.constants["C"] == pytest.approx(want, rel=rel, abs=0)
 
     def test_grid_before_onset_is_refused(self):
         n = 10
