@@ -6,8 +6,7 @@ weights), ``atoms`` (matched bump families and their envelopes),
 systems, sandwiches, cutoff identities), ``counterexamples`` (divergent
 block trains and shift probes), ``cli`` (scenario runner).
 
-The package imports none of them by itself, so the command-line front
-door can cap the linear-algebra thread pools before anything numerical
-is imported.
+The package imports none of them by itself, so each command-line
+scenario loads only the layers it runs.
 """
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ kernel``, ``contour reconstruct``; ``wave energy``, ``wave sandwich``,
 
 Config files are line-oriented ``key = value`` with ``[section]`` headers
 and ``#`` comments.  A ``[scenario]`` section holds ``command``,
-``action`` and optionally ``out-dir`` / ``threads``; a
-``[params]`` section holds the action's typed parameters under the same
-names as the CLI flags.  Unknown keys are rejected by name.
+``action`` and optionally ``out-dir``; a ``[params]`` section holds the
+action's typed parameters under the same names as the CLI flags.  Unknown
+keys are rejected by name.
 
 Every run writes one CSV per data series plus one JSON summary.  CSV:
 RFC-4180-style with CRLF rows, '.' decimal, floats at 17 significant
@@ -32,13 +32,10 @@ cross-key rule, exits 2 naming the key, before any work.
 
 Determinism: two runs of the same scenario at the same BLAS thread count
 produce byte-identical CSV bodies -- fixed summation orders, explicit
-seeds, wall time only in JSON.  The ``--threads`` cap, or a config's
-``threads`` key, bounds the linear-algebra thread pools; a different
-thread count may split BLAS sums differently and move the last digits
-(about 1e-12 relative).  A positive cap overwrites OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and the other pool variables already set in the
-environment; the default, 0, leaves them and the pools alone.  A negative
-count is a usage error.
+seeds, wall time only in JSON.  The thread count is the environment's:
+OpenBLAS reads OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when it loads, so
+set them before the run starts.  A different thread count may split BLAS
+sums differently and move the last digits (about 1e-12 relative).
 """
 from __future__ import annotations
 
@@ -52,14 +49,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 SCHEMA_VERSION = 1
-_THREAD_ENV_VARS = (
-    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-)
 
 # ----------------------------------------------------------------------
 # scenario: the full, serializable description of one run
@@ -122,17 +115,6 @@ class Scenario:
     action: str
     params: dict
     out_dir: str = "."
-    threads: int = 0  # 0 = leave the pools alone
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "action": self.action,
-            "params": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in sorted(self.params.items())},
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-        }
 
 
 @dataclass
@@ -167,17 +149,6 @@ class RunResult:
 
 class ScenarioError(ValueError):
     """Config/usage problem: maps to exit code 2."""
-
-
-def _thread_count(raw, source: str) -> int:
-    """A thread cap from the flag or the config; 0 = no cap."""
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ScenarioError(f"bad value for {source}: {raw!r}") from None
-    if threads < 0:
-        raise ScenarioError(f"{source} must be >= 0 (0 = no cap), got {threads}")
-    return threads
 
 
 def _coerce_params(command: str, action: str, raw: dict) -> dict:
@@ -241,20 +212,18 @@ def parse_config(text: str) -> Scenario:
         fields[section][key] = value
 
     meta = fields["scenario"]
-    known = {"command", "action", "out-dir", "threads"}
+    known = {"command", "action", "out-dir"}
     for key in meta:
         if key not in known:
             raise ScenarioError(f"unknown scenario key {key!r}")
     for required in ("command", "action"):
         if required not in meta:
             raise ScenarioError(f"config is missing scenario key {required!r}")
-    threads = _thread_count(meta.get("threads", "0"), "key 'threads'")
     return Scenario(
         command=meta["command"],
         action=meta["action"],
         params=_coerce_params(meta["command"], meta["action"], fields["params"]),
         out_dir=meta.get("out-dir", "."),
-        threads=threads,
     )
 
 
@@ -306,7 +275,7 @@ def write_reports(scenario: Scenario, result: RunResult,
         _write_csv(path, scenario, series)
         written.append(path)
     summary = {
-        "scenario": scenario.as_dict(),
+        "scenario": _jsonable(asdict(scenario)),
         "constants": _jsonable(result.constants),
         "residuals": _jsonable(result.residuals),
         "passed": result.passed,
@@ -322,7 +291,7 @@ def write_reports(scenario: Scenario, result: RunResult,
 
 
 # ----------------------------------------------------------------------
-# handlers (heavy imports stay inside so the thread cap lands first)
+# handlers (heavy imports stay inside: each scenario loads only its layers)
 # ----------------------------------------------------------------------
 
 def _rate_function(params):
@@ -808,28 +777,10 @@ ACTIONS: dict[tuple, Action] = {
 # entry points
 # ----------------------------------------------------------------------
 
-def _apply_thread_cap(threads: int):
-    if threads <= 0:
-        return None
-    for var in _THREAD_ENV_VARS:  # matters only before the pools spin up
-        os.environ[var] = str(threads)
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        return None
-
-
 def run(scenario: Scenario) -> int:
     """Execute one scenario, write its reports, map verdicts to exit codes."""
     start = time.perf_counter()
-    limiter = _apply_thread_cap(scenario.threads)
-    try:
-        result = ACTIONS[(scenario.command, scenario.action)].handler(
-            scenario.params)
-    finally:
-        if limiter is not None:
-            limiter.unregister()
+    result = ACTIONS[(scenario.command, scenario.action)].handler(scenario.params)
     written = write_reports(scenario, result, time.perf_counter() - start)
     ok = all(result.passed.values())
     tag = "ok" if ok else "FAIL"
@@ -871,8 +822,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     del kwargs["metavar"]
                 ap.add_argument(f"--{key}", dest=f"param_{key}", **kwargs)
             ap.add_argument("--out-dir", default=".", help="report directory")
-            ap.add_argument("--threads", type=int, default=0,
-                            help="linear-algebra thread cap")
 
     run_parser = sub.add_parser("run", help="run a scenario from a config file")
     run_parser.add_argument("--config", required=True, help="config path")
@@ -892,7 +841,6 @@ def _scenario_from_args(args) -> Scenario:
         action=args.action,
         params=_coerce_params(args.command, args.action, raw),
         out_dir=args.out_dir,
-        threads=_thread_count(args.threads, "--threads"),
     )
 
 

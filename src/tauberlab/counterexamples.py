@@ -195,12 +195,13 @@ def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
 
     Growth demands k_n >= 3 k_{n-1} (k_1 >= 3).  The power variant also
     halves the schedule value 2^n gamma(k_n - sqrt(k_n))^{1/alpha} at each
-    step, reading log gamma from gamma_log at log t.  The log variant,
-    given the fitted constants, demands the window floor beat twice the
-    contamination envelope throughout its own window -- the floor shrinks
-    like a stretched exponential while the envelope decays at the full
-    rate rho, so every rung has a first admissible order.  Any other
-    variant is a ValueError.
+    step, reading log gamma from gamma_log at log t.  The log variant
+    demands the window floor beat twice the contamination envelope
+    throughout its own window, from all five fitted constants -- the floor
+    shrinks like a stretched exponential while the envelope decays at the
+    full rate rho, so every rung has a first admissible order.  A power
+    ladder without gamma_log, a log ladder missing a constant, or any
+    other variant is a ValueError.
     """
     if N < 1:
         raise ValueError("need at least one block")
@@ -210,10 +211,12 @@ def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
             raise ValueError("power ladder needs a threshold schedule")
         _validate_gamma(gamma_log)
     elif variant == "log":
-        if all(v is not None for v in (c1, c2, rho, e_factor, e_coeff)):
-            def dominance(n: int, lk: float) -> float:
-                return _log_floor_gap(n, lk, alpha, c1, c2, rho,
-                                      e_factor, e_coeff)
+        if any(v is None for v in (c1, c2, rho, e_factor, e_coeff)):
+            raise ValueError("log ladder needs all five fitted constants "
+                             "(c1, c2, rho, e_factor, e_coeff)")
+
+        def dominance(n: int, lk: float) -> float:
+            return _log_floor_gap(n, lk, alpha, c1, c2, rho, e_factor, e_coeff)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 

@@ -294,7 +294,7 @@ ENERGY_TOL = 1e-10
 
 def evolve_chunks(sys: DampedWaveSystem, x0, t_grid):
     """Propagate by one scaling-and-squaring matrix exponential of the
-    step of a uniform grid (_is_uniform), yielding (slice of t_grid,
+    step of a uniform grid (_uniform_grid), yielding (slice of t_grid,
     physical states at those times), chunk by chunk.  Any other grid is a
     ValueError, raised before the exponential is built.
 
@@ -310,13 +310,9 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid):
     solves bit for bit as it would within the whole trajectory.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be increasing with at least two points")
     # the step propagator comes first, so expm's work arrays are freed
     # before the buffer is allocated
     step = _uniform_step(sys.hat_generator(), t_grid)
-    if step is None:
-        raise ValueError("evolve needs a uniform time grid")
     x0 = np.asarray(x0, dtype=float)
     xh = sys.to_hat(x0)
     bounds = list(range(0, t_grid.size, _CHUNK)) + [t_grid.size]
@@ -383,9 +379,23 @@ def _is_uniform(t: np.ndarray) -> bool:
     return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(t))))
 
 
-def _uniform_step(ghat: np.ndarray, t: np.ndarray):
-    """e^(ghat (t_1 - t_0)) when the grid t is uniform (_is_uniform), else None."""
-    return sla.expm(ghat * float(t[1] - t[0])) if _is_uniform(t) else None
+def _uniform_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array when it is 1-D, has two or more points,
+    increases strictly and is uniform (_is_uniform); any other grid is a
+    ValueError."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        raise ValueError("t_grid must be increasing with at least two points")
+    if not _is_uniform(t):
+        raise ValueError("the step propagator needs a uniform time grid")
+    return t
+
+
+def _uniform_step(ghat: np.ndarray, t_grid) -> np.ndarray:
+    """e^(ghat (t_1 - t_0)) of a grid that _uniform_grid accepts; any other
+    grid is its ValueError, raised before the exponential."""
+    t = _uniform_grid(t_grid)
+    return sla.expm(ghat * float(t[1] - t[0]))
 
 
 def energy_derivative_check(traj: Trajectory) -> float:
@@ -683,10 +693,12 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
 
     t_grid is the uniform grid of the norm series and T the horizon of the
     identity quadrature; both come from the caller, which owns their
-    defaults.  T <= 0 is a ValueError, raised before any solve.
+    defaults.  T <= 0, or a grid that _uniform_grid refuses, is a
+    ValueError, raised before any solve or exponential.
     """
     if not T > 0:
         raise ValueError(f"the identity quadrature horizon T must be positive, got {T:g}")
+    t_grid = _uniform_grid(t_grid)
     ghat = sys.hat_generator()
     dim = ghat.shape[0]
     om0 = sys.spectral_abscissa()
@@ -706,10 +718,7 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         raise ValueError("every sample must lie strictly right of the spectrum")
     # the norm series' step, built beside the orbit's nine exponentials
     # before any numpy loop (see _CHUNK)
-    t_grid = np.asarray(t_grid, dtype=float)
     phi = _uniform_step(ghat, t_grid)
-    if phi is None:
-        raise ValueError("norm series needs a uniform grid")
     fhat_all = _laplace_of_orbit(ghat, t1_hat, v0, lams, T)
 
     resids = []

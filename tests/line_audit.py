@@ -12,9 +12,11 @@ executable when an instruction of some code object of the module sits on it;
 the audit prints, per module, the executable lines that no run reached, and
 on its last line their total, the total line count of the package's ``.py``
 files and its settable values: the CLI parameters of ``cli.ACTIONS``, the
-defaulted parameters of library functions and the module constants, counted
-by ``test_options``' helpers.  Tracing makes the run about twice as slow.
-pytest does not collect this file: its name does not start with ``test_``.
+flags every action takes beside them (``--out-dir``), the ``[scenario]``
+config keys, the defaulted parameters of library functions and the module
+constants, the last two counted by ``test_options``' helpers.  Tracing
+makes the run about twice as slow.  pytest does not collect this file: its
+name does not start with ``test_``.
 """
 import json
 import os
@@ -91,11 +93,21 @@ def _ranges(lines):
 
 
 def settable_counts() -> str:
+    import dataclasses
     import test_options
     from tauberlab import cli
 
     params = sum(len(declared.params) for declared in cli.ACTIONS.values())
-    return (f"{params} CLI parameters, "
+    # a common flag is a key a bare parse of an action sets besides the
+    # command, the action and its parameters; each [scenario] config key
+    # sets one Scenario field, and [params] sets the params one
+    parser = cli._build_parser()
+    flags = {key for command, action in cli.ACTIONS
+             for key in vars(parser.parse_args([command, action]))
+             if key not in ("command", "action") and not key.startswith("param_")}
+    keys = [f.name for f in dataclasses.fields(cli.Scenario) if f.name != "params"]
+    return (f"{params} CLI parameters, {len(flags)} common CLI flags, "
+            f"{len(keys)} [scenario] config keys, "
             f"{len(test_options.defaulted_params())} defaulted library "
             f"parameters, {len(test_options.module_constants())} module constants")
 

@@ -649,33 +649,22 @@ class TestListSuites:
         assert scenarios["lemma31"] == "contour kernel"
 
 
-class TestThreadCount:
-    def test_negative_flag_rejected(self, tmp_path):
-        proc = run_cli(["atoms", "verify", "--k", "12", "--threads=-1",
+class TestNoThreadOption:
+    # the thread count is the environment's (OPENBLAS_NUM_THREADS,
+    # OMP_NUM_THREADS); the CLI has no flag or key of its own for it
+    def test_flag_and_config_key_are_unknown(self, tmp_path):
+        proc = run_cli(["atoms", "verify", "--k", "12", "--threads", "2",
                         "--out-dir", str(tmp_path)], cwd=tmp_path)
         assert proc.returncode == 2
         assert "--threads" in proc.stderr
-        assert not (tmp_path / "atoms-verify-summary.json").exists()
-
-    def test_negative_config_key_rejected(self, tmp_path):
         conf = tmp_path / "threads.conf"
         conf.write_text("[scenario]\ncommand = atoms\naction = verify\n"
-                        f"out-dir = {tmp_path}\nthreads = -3\n\n[params]\n"
+                        f"out-dir = {tmp_path}\nthreads = 2\n\n[params]\n"
                         "k = 12\n")
         proc = run_cli(["run", "--config", str(conf)], cwd=tmp_path)
         assert proc.returncode == 2
-        assert "'threads'" in proc.stderr
-        assert not (tmp_path / "atoms-verify-summary.json").exists()
-
-    def test_cap_overrides_pool_variables_already_set(self, monkeypatch):
-        for var in cli._THREAD_ENV_VARS:
-            monkeypatch.setenv(var, "7")
-        assert cli._apply_thread_cap(0) is None
-        assert {os.environ[var] for var in cli._THREAD_ENV_VARS} == {"7"}
-        limiter = cli._apply_thread_cap(2)
-        if limiter is not None:
-            limiter.unregister()
-        assert {os.environ[var] for var in cli._THREAD_ENV_VARS} == {"2"}
+        assert "unknown scenario key 'threads'" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["threads.conf"]
 
 
 class TestWaveEnergy:
@@ -785,7 +774,7 @@ print("ok")
 """
 
     def test_package_import_loads_no_submodule_and_no_numpy(self, tmp_path):
-        # the CLI caps the BLAS pools before numpy loads them
+        # each scenario loads only the layers it runs
         proc = run_python(["-c", "import sys, tauberlab; print(sorted(m for m in "
                            "sys.modules if m.startswith(('tauberlab.', 'numpy'))))"],
                           cwd=tmp_path)

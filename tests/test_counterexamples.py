@@ -116,6 +116,14 @@ class TestSelection:
         with pytest.raises(ValueError, match="needs a threshold schedule"):
             cx.select_k_sequence("power", 2, 2.0)
 
+    @pytest.mark.parametrize("constants", [{}, {"c1": 0.5}],
+                             ids=["none", "c1-only"])
+    def test_log_ladder_needs_all_five_constants(self, constants):
+        # without them the ladder would be the bare 3, 10, 30 growth steps,
+        # which ignore the dominance rule
+        with pytest.raises(ValueError, match="needs all five fitted constants"):
+            cx.select_k_sequence("log", 3, 1.0, **constants)
+
     @pytest.mark.parametrize("variant", ["cubic", "shift"])
     def test_unknown_variant_rejected(self, variant):
         with pytest.raises(ValueError, match="unknown variant"):

@@ -19,8 +19,9 @@ as library: TEST_ONLY_NAMES lists the ones there are, and the list may
 only shrink.
 
 An environment variable the package reads is an option with no flag, no
-config key and no ``--help`` line, so ``src`` reads none; it may write
-them (the ``--threads`` cap sets the thread-pool variables).
+config key and no ``--help`` line, so ``src`` reads none; and one it writes
+is a setting it changes behind the caller's back, for itself and for every
+library loaded after, so ``src`` writes none either.
 """
 import ast
 import pathlib
@@ -219,31 +220,26 @@ def test_test_only_names_only_shrink():
         "a reader in src, demos or perfbench (then delete it from the list)")
 
 
-def environment_reads():
-    """(file, line) of each ``os.environ`` use in ``src/tauberlab`` other
-    than an assignment or deletion target, and of each ``os.getenv`` call."""
+# the os functions that read or write the environment
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_uses():
+    """(file, line) of each read or write of the environment in
+    ``src/tauberlab``: any use of ``os.environ`` (a subscript, ``get``,
+    an assignment, ``update``, ``setdefault``, ``pop``, a deletion), any
+    ``os.getenv``/``putenv``/``unsetenv``, and any ``from os import`` of
+    those names."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = _parse(path)
-        parents = {child: node for node in ast.walk(tree)
-                   for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "os"):
-                continue
-            if node.attr == "getenv":
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in _ENVIRONMENT_NAMES) \
+                    or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and {a.name for a in node.names} & _ENVIRONMENT_NAMES):
                 found.append((path.name, node.lineno))
-            elif node.attr == "environ":
-                parent = parents[node]
-                written = isinstance(parent, ast.Subscript) and parent.value is node \
-                    and isinstance(parent.ctx, (ast.Store, ast.Del))
-                if not written:
-                    found.append((path.name, node.lineno))
-        found += [(path.name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.module == "os"
-                  and {a.name for a in node.names} & {"environ", "getenv"}]
     return found
 
 
 def test_src_reads_no_environment_variable():
-    assert environment_reads() == []
+    assert environment_uses() == []

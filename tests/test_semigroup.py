@@ -329,7 +329,7 @@ class TestEvolution:
             assert len(calls) == 1
         tg = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.25, 3.0, 8)])
         calls.clear()
-        with pytest.raises(ValueError, match="evolve needs a uniform time grid"):
+        with pytest.raises(ValueError, match="needs a uniform time grid"):
             evolve(sys, x0, tg)
         assert calls == []
 
@@ -359,9 +359,26 @@ class TestUniformGrid:
         with pytest.raises(ValueError, match="uniform time grid"):
             energy_derivative_check(Trajectory(t, np.exp(-t), np.exp(-t)))
         eye = np.eye(2 * system.n)
-        with pytest.raises(ValueError, match="norm series needs a uniform grid"):
+        with pytest.raises(ValueError, match="needs a uniform time grid"):
             cutoff_transform_check(system, eye, eye, _smooth_state(system.n), 1.2,
                                    [1.5], t_grid=t, T=1.0)
+
+    @pytest.mark.parametrize("t_grid", [
+        np.linspace(60.0, 0.0, 301), np.array([0.0]), np.array([]),
+    ], ids=["decreasing", "one-point", "empty"])
+    def test_cutoff_refuses_a_bad_grid_before_any_work(self, t_grid, monkeypatch):
+        n = 20
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        calls = []
+        expm, solve = sla.expm, np.linalg.solve
+        monkeypatch.setattr(sla, "expm", lambda *a, **k: calls.append("expm") or expm(*a, **k))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **k: calls.append("solve") or solve(*a, **k))
+        eye = np.eye(2 * n)
+        with pytest.raises(ValueError, match="at least two points"):
+            cutoff_transform_check(sys, eye, eye, _smooth_state(n), 2.0,
+                                   [1.5], t_grid=t_grid, T=80.0)
+        assert calls == []
 
     def test_grids_off_zero_are_uniform(self):
         # the whole-grid step: t_1 - t_0 off zero carries half an ulp of t_1
