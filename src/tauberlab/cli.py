@@ -497,8 +497,8 @@ def _h_wave_sandwich(params) -> RunResult:
     t = np.linspace(params["t-min"], params["t-max"], params["points"])
     sys_ = _wave_system(params)
     norms = sg.propagator_inverse_norms(sys_, t)
-    scan = sg.running_sup(sg.resolvent_norm_scan(
-        sys_, np.linspace(0.0, params["scan-max"], params["scan-points"])))
+    scan = sg.resolvent_sup_scan(
+        sys_, np.linspace(0.0, params["scan-max"], params["scan-points"]))
     rep = sg.rate_sandwich_check(norms, scan, t0=params["t0"])
     res = RunResult(series=[
         Series("decay", ["t", "norm"],

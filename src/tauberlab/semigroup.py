@@ -15,6 +15,12 @@ for the damping operator B, the cutoff-transform identity and its
 Minkowski bound, and the diagonal sup-norm example with its exact 1/(et)
 envelope.
 
+The sandwich reads M(s) = sup_{|r|<=s} ||(ir - G)^{-1}||, the running sup
+of resolvent_norm_scan's one-SVD-a-point scan.  resolvent_sup_scan returns
+that running sup bit for bit, but runs the SVD only where a Bauer-Fike
+floor under sigma_min(is - G), from one eig of the generator, leaves room
+to raise the sup so far; resolvent_norm_scan stays as the second route.
+
 numpy and scipy each load their own OpenBLAS, with separate thread pools,
 and a pool spins for about 0.1 s after each call, taking a core from the
 other's products (see _CHUNK).  So each routine here builds its scipy
@@ -39,6 +45,7 @@ __all__ = [
     "assemble_damped_wave",
     "dirichlet_mode_frequencies",
     "resolvent_norm_scan",
+    "resolvent_sup_scan",
     "running_sup",
     "per_mode_resolvent_oracle",
     "per_mode_propagator_oracle",
@@ -221,20 +228,121 @@ def dirichlet_mode_frequencies(n: int, L: float) -> np.ndarray:
 # resolvent scan and the per-mode oracle
 # ----------------------------------------------------------------------
 
+def _scan_grid(s_grid) -> np.ndarray:
+    """s_grid as a float array when it is 1-D, nonempty, finite and
+    strictly increasing; any other grid is a ValueError, raised before
+    either scan computes anything."""
+    s = np.asarray(s_grid, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"s_grid must be 1-D, got shape {s.shape}")
+    if s.size == 0:
+        raise ValueError("s_grid is empty")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("s_grid must be finite")
+    if np.any(np.diff(s) <= 0):
+        raise ValueError("s_grid must increase strictly")
+    return s
+
+
+def _resolvent_norm_at(ghat: np.ndarray, s) -> float:
+    """||(is - ghat)^{-1}|| = 1/sigma_min(is - ghat), by one dense SVD; a
+    sigma_min below 1e-13 max(1, sigma_max) is an ArithmeticError."""
+    shift = 1j * s * np.eye(ghat.shape[0]) - ghat
+    sigma = np.linalg.svd(shift, compute_uv=False)
+    small = sigma[-1]
+    if small < 1e-13 * max(1.0, sigma[0]):
+        raise ArithmeticError(f"grid point s={s:g} hits the spectrum")
+    return 1.0 / small
+
+
 def resolvent_norm_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
-    """Pointwise energy norms of (is - G)^{-1} along the imaginary axis."""
-    s_grid = np.asarray(s_grid, dtype=float)
+    """Pointwise energy norms of (is - G)^{-1} along the imaginary axis, one
+    SVD a point.  The grid must be 1-D, nonempty, finite and strictly
+    increasing (a ValueError before any SVD)."""
+    s_grid = _scan_grid(s_grid)
     ghat = sys.hat_generator()
+    return DecaySeries(s_grid, np.array([_resolvent_norm_at(ghat, s) for s in s_grid]))
+
+
+def _svd_floor(ghat: np.ndarray):
+    """The function s -> f(s), a certified floor under the smallest singular
+    value that np.linalg.svd returns for is - ghat.  f(s) is 0.0 where no
+    floor clears _resolvent_norm_at's spectrum check, and everywhere when
+    the eigenvector matrix is numerically singular.
+
+    With ghat V = V diag(w) + R for the computed eigenpairs (any V and w
+    will do) and A = is - ghat, A = V D V^-1 - R V^-1 with D = diag(is - w).
+    Bauer-Fike's factoring and Weyl's inequality then give
+
+        sigma_min(A) >= dist(is, w) sigma_min(V)/sigma_max(V) - ||R||_F/sigma_min(V).
+
+    The allowances count in eps = 2u, u the unit roundoff.  Each first-order
+    term in u, doubled, covers its own second-order terms while
+    dim^2 eps < 1/2.
+    - The SVD.  LAPACK's singular values are exact for A + E with
+      ||E||_2 <= p(dim) u ||A||_2.  The a priori bound for its Householder
+      bidiagonalization, dim reflections with inner products of length dim,
+      gives p(dim) = dim^2 (Higham 2002, sec. 19.3; the LAPACK Users' Guide,
+      sec. 4.9, calls p "modestly growing").  So each computed singular value
+      of V lies within e_V = dim^2 eps ||V||_F of the exact one.
+    - R.  The computed ghat @ V errs entrywise by at most dim eps |ghat||V|,
+      and V * w by sqrt(2) gamma_2 |V||w| <= 2 eps |V||w|.  Their difference
+      adds u |R|, and the norm's dot product of length dim^2 adds
+      dim^2 u ||R||_F.  With |||ghat||V|||_F <= ||ghat||_F ||V||_F and
+      g = max(||ghat||_F, max|w|), this gives
+      ||R||_F <= (1 + (dim^2 + 1) eps) ||R_hat||_F + (dim + 2) eps g ||V||_F.
+    - delta = (dim^2 + 5) eps (|s| + g).  The SVD the raw scan would run
+      errs by at most dim^2 eps ||A||_2, and ||A||_2 <= |s| + g.  The floor's
+      own nine roundings (the distance 2, the bounds on sigma(V) 2, the
+      product and quotients 3, the two differences 2) each err by at most u (|s| + g),
+      since the bound is at most dist(is, w) <= |s| + g where it is positive.
+    The returned sigma_max stays below |s| + g + delta, and the spectrum
+    check reads it there.
+    """
     dim = ghat.shape[0]
-    vals = np.empty(s_grid.size)
+    eps = np.finfo(float).eps
+    w, v = np.linalg.eig(ghat)
+    sv = np.linalg.svd(v, compute_uv=False)
+    v_fro = float(np.linalg.norm(v))
+    e_v = dim * dim * eps * v_fro
+    v_lo, v_hi = sv[-1] - e_v, sv[0] + e_v
+    if not v_lo > 0.0:
+        return lambda s: 0.0
+    g = max(float(np.linalg.norm(ghat)), float(np.max(np.abs(w))))
+    r = ((1.0 + (dim * dim + 1) * eps) * float(np.linalg.norm(ghat @ v - v * w))
+         + (dim + 2) * eps * g * v_fro)
+
+    def floor(s) -> float:
+        delta = (dim * dim + 5) * eps * (abs(s) + g)
+        bound = float(np.min(np.abs(1j * s - w))) * v_lo / v_hi - r / v_lo - delta
+        return bound if bound >= 1e-13 * max(1.0, abs(s) + g + delta) else 0.0
+    return floor
+
+
+def resolvent_sup_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
+    """running_sup(resolvent_norm_scan(sys, s_grid)) bit for bit, with an
+    SVD only where a certified floor under its smallest singular value
+    (_svd_floor) leaves room to raise the sup so far or to hit the
+    spectrum.  A skipped point's value would be at most the sup before it,
+    so it enters the running sup as 0.0; the first point always runs.
+    The setup is one eig of the generator and one SVD of its eigenvectors,
+    numpy calls on the scan's BLAS pool.  Same grid rule as
+    resolvent_norm_scan."""
+    s_grid = _scan_grid(s_grid)
+    ghat = sys.hat_generator()
+    floor = _svd_floor(ghat)
+    vals = np.zeros(s_grid.size)
+    sup = 0.0
     for i, s in enumerate(s_grid):
-        shift = 1j * s * np.eye(dim) - ghat
-        sigma = np.linalg.svd(shift, compute_uv=False)
-        small = sigma[-1]
-        if small < 1e-13 * max(1.0, sigma[0]):
-            raise ArithmeticError(f"grid point s={s:g} hits the spectrum")
-        vals[i] = 1.0 / small
-    return DecaySeries(s_grid, vals)
+        # the SVD would return sigma_min >= f, and division rounds
+        # monotonically, so its 1/sigma_min would be at most 1/f; at the
+        # first point sup is 0.0
+        f = floor(s)
+        if f > 0.0 and 1.0 / f <= sup:
+            continue
+        vals[i] = _resolvent_norm_at(ghat, s)
+        sup = max(sup, vals[i])
+    return running_sup(DecaySeries(s_grid, vals))
 
 
 def _mode_blocks(sys: DampedWaveSystem) -> np.ndarray:
@@ -529,14 +637,15 @@ def rate_sandwich_check(norms: DecaySeries, m_scan: DecaySeries,
         c' / M^{-1}(C' t)  <=  ||T(t) G^{-1}||_E  <=  C / Mlog^{-1}(c t)
 
     A verdict on two series, and it reads no model: norms is the series
-    propagator_inverse_norms returns, m_scan the running sup of
-    resolvent_norm_scan, both computed once by the caller.  Only the norms
-    at t >= t0 are judged.  M is extended constant beyond its grid (which
-    makes the log-corrected inverse total while leaving the plain inverse
-    infinite beyond the scan -- there the lower bound is vacuous).  Past the
-    scan every judged t takes the log-corrected inverse in logs,
-    log s = a + log1p(-e^(-a)) with a = t/M_max - log1p M_max, and the
-    upper bound's products with it, so no horizon overflows.
+    propagator_inverse_norms returns, m_scan the running sup of the
+    resolvent norms (resolvent_sup_scan), both computed once by the
+    caller.  Only the norms at t >= t0 are judged.  M is extended constant
+    beyond its grid (which makes the log-corrected inverse total while
+    leaving the plain inverse infinite beyond the scan -- there the lower
+    bound is vacuous).  Past the scan every judged t takes the
+    log-corrected inverse in logs, log s = a + log1p(-e^(-a)) with
+    a = t/M_max - log1p M_max, and the upper bound's products with it, so
+    no horizon overflows.
     Conventions: c = 1, C' = max(1, M(0)/t0); C and c' are fitted extrema.
     """
     svals, mvals = m_scan.grid, m_scan.values

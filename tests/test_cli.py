@@ -402,6 +402,7 @@ class TestExitCodes:
                           (contour, "lemma31_check"),
                           (semigroup, "evolve"),
                           (semigroup, "resolvent_norm_scan"),
+                          (semigroup, "resolvent_sup_scan"),
                           (semigroup, "propagator_inverse_norms"),
                           (semigroup, "cutoff_transform_check"),
                           (weights, "w_m_log"),

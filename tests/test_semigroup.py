@@ -33,6 +33,7 @@ from tauberlab.semigroup import (
     propagator_inverse_norms,
     rate_sandwich_check,
     resolvent_norm_scan,
+    resolvent_sup_scan,
     running_sup,
     weighted_decay_suite,
 )
@@ -221,6 +222,107 @@ class TestResolventScan:
         assert np.all(np.isfinite(scan.values))
         sup = running_sup(scan)
         assert np.all(np.diff(sup.values) >= 0)
+
+    @pytest.mark.parametrize("scan", [resolvent_norm_scan, resolvent_sup_scan])
+    @pytest.mark.parametrize("s_grid,words", [
+        ([[0.0, 1.0]], "must be 1-D"),
+        ([], "is empty"),
+        ([np.nan, 1.0], "must be finite"),
+        ([0.0, np.inf], "must be finite"),
+        ([3.0, 1.0], "must increase strictly"),
+        ([0.0, 1.0, 1.0], "must increase strictly"),
+    ], ids=["2-d", "empty", "nan", "inf", "decreasing", "repeated"])
+    def test_bad_grid_is_refused_before_any_work(self, scan, s_grid, words, monkeypatch):
+        sys = _small_system("localized")
+        calls = []
+        for name in ("svd", "eig"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=words):
+            scan(sys, s_grid)
+        assert calls == []
+
+
+def _critical_damping(n):
+    """Constant damping 2 omega_1: the first mode's two eigenvalues meet."""
+    return assemble_damped_wave(n, 1.0, np.full(n, 2.0 * dirichlet_mode_frequencies(n, 1.0)[0]))
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestResolventSupScan:
+    @pytest.mark.parametrize("n,damping,bc,s_grid", [
+        (20, "localized", "dirichlet", np.linspace(0.0, 320.0, 161)),
+        (40, "localized", "dirichlet", np.linspace(0.0, 200.0, 81)),
+        (40, "constant", "dirichlet", np.linspace(0.0, 300.0, 61)),
+        (20, "localized", "periodic", np.linspace(0.0, 160.0, 81)),
+        (40, "constant", "periodic", np.linspace(-50.0, 150.0, 81)),
+        (20, "localized", "dirichlet", np.array([7.5])),
+        (20, "critical", "dirichlet", np.linspace(0.0, 200.0, 41)),
+    ], ids=["n20-localized", "n40-localized", "n40-constant", "n20-periodic",
+            "n40-periodic-constant", "one-point", "critical"])
+    def test_matches_running_sup_of_the_raw_scan_bit_for_bit(self, n, damping, bc, s_grid):
+        a = {"localized": localized_bump_damping(n), "constant": np.ones(n)}
+        sys = (_critical_damping(n) if damping == "critical"
+               else assemble_damped_wave(n, 1.0, a[damping], bc=bc))
+        got = resolvent_sup_scan(sys, s_grid)
+        want = running_sup(resolvent_norm_scan(sys, s_grid))
+        assert np.array_equal(got.grid, want.grid)
+        assert np.array_equal(got.values, want.values)
+
+    def test_bench_case_is_bit_for_bit_with_at_most_40_svds(self, monkeypatch):
+        # `wave sandwich` at n = 120 with its default scan: 161 points
+        n = 120
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        s_grid = np.linspace(0.0, 320.0, 161)
+        calls = _count_svds(monkeypatch)
+        got = resolvent_sup_scan(sys, s_grid)
+        assert len(calls) <= 40      # the eigenvectors' SVD included
+        assert np.array_equal(got.values, running_sup(resolvent_norm_scan(sys, s_grid)).values)
+
+    def test_near_defective_generator_runs_every_svd(self, monkeypatch):
+        # the eigenvectors are within 1e-7 of singular, so no floor is positive
+        calls = _count_svds(monkeypatch)
+        resolvent_sup_scan(_critical_damping(20), np.linspace(0.0, 200.0, 41))
+        assert len(calls) == 41 + 1
+
+    def test_floor_never_exceeds_the_svd(self):
+        n = 40
+        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
+        ghat = sys.hat_generator()
+        floor = semigroup._svd_floor(ghat)
+        s_grid = np.linspace(-100.0, 300.0, 201)
+        floors = np.array([floor(s) for s in s_grid])
+        smallest = np.array([np.linalg.svd(1j * s * np.eye(2 * n) - ghat,
+                                           compute_uv=False)[-1] for s in s_grid])
+        assert np.all(floors <= smallest)
+        assert np.mean(floors > 0.0) > 0.5
+
+    def test_defective_generator_has_no_floor(self):
+        floor = semigroup._svd_floor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert [floor(s) for s in (0.0, 1.0, 100.0)] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("mode", [0, 2])
+    def test_spectrum_hit_is_refused_by_both_scans(self, mode):
+        # undamped: +-i omega_j are eigenvalues, and the hit comes after
+        # the first point, where the sup scan consults its floor
+        n = 20
+        sys = assemble_damped_wave(n, 1.0, 0.0)
+        omega = dirichlet_mode_frequencies(n, 1.0)[mode]
+        s_grid = [0.0, 0.5 * omega, omega]
+        for scan in (resolvent_norm_scan, resolvent_sup_scan):
+            with pytest.raises(ArithmeticError, match=f"s={omega:g} hits the spectrum"):
+                scan(sys, s_grid)
 
 
 # ----------------------------------------------------------------------
