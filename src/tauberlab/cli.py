@@ -27,8 +27,9 @@ constants, worst residuals, per-invariant verdicts and wall time.
 Exit codes: 0 all invariants pass; 1 an invariant failed (the report is
 still written); 2 usage or config error.  ``ACTIONS`` declares each
 scenario once: handler, typed parameters, cross-key rules, emitted suites.
-``--help`` prints each parameter's bound; a value outside it, or a broken
-cross-key rule, exits 2 naming the key, before any work.
+``--help`` prints each parameter's bound; a value outside it, an inf or nan
+float or span end, or a broken cross-key rule, exits 2 naming the key,
+before any work.
 
 Determinism: two runs of the same scenario at the same BLAS thread count
 produce byte-identical CSV bodies -- fixed summation orders, explicit
@@ -167,6 +168,9 @@ def _coerce_params(command: str, action: str, raw: dict) -> dict:
                 value = _COERCE[spec.typ](value)
             except ValueError as exc:
                 raise ScenarioError(f"bad value for key {key!r}: {exc}") from exc
+        if spec.typ in ("float", "span") and not all(
+                map(math.isfinite, value if spec.typ == "span" else (value,))):
+            raise ScenarioError(f"key {key!r} must be finite, got {value!r}")
         if spec.choices and value not in spec.choices:
             raise ScenarioError(
                 f"key {key!r} must be one of {spec.choices}, got {value!r}")

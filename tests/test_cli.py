@@ -153,6 +153,9 @@ class TestWaveSandwich:
         assert tail == pytest.approx(0.5, rel=1e-3)
 
 
+_SCENARIO = "[scenario]\ncommand = {}\naction = {}\n"
+
+
 # one violating input per cross-key rule in cli.ACTIONS, by scenario and keys
 RULE_BREAKERS = {
     ("weights", "profile", ("t-max", "t-min")): {"t-max": "1"},
@@ -183,6 +186,28 @@ def _table_cases():
                 keys, id=f"{command}-{action}-{'-vs-'.join(keys)}")
 
 
+def _main_without_handlers(route, command, action, raw, tmp_path, monkeypatch):
+    """cli.main on raw params, given as flags or as a config file, with every
+    handler replaced by a recorder: (exit code, handler calls, out dir)."""
+    calls = []
+    monkeypatch.setattr(cli, "ACTIONS", {
+        scenario: dataclasses.replace(
+            declared, handler=lambda params: calls.append(params)
+            or cli.RunResult())
+        for scenario, declared in cli.ACTIONS.items()})
+    out = tmp_path / "out"
+    if route == "flags":
+        argv = [command, action, "--out-dir", str(out),
+                *(f"--{key}={value}" for key, value in raw.items())]
+    else:
+        conf = tmp_path / "scenario.conf"
+        conf.write_text(
+            _SCENARIO.format(command, action) + f"out-dir = {out}\n\n[params]\n"
+            + "".join(f"{key} = {value}\n" for key, value in raw.items()))
+        argv = ["run", "--config", str(conf)]
+    return cli.main(argv), calls, out
+
+
 class TestParamTable:
     def test_defaults_keep_every_bound_and_rule(self):
         for (command, action), declared in cli.ACTIONS.items():
@@ -196,29 +221,33 @@ class TestParamTable:
                                                keys, route, tmp_path,
                                                monkeypatch, capsys):
         assert raw, f"RULE_BREAKERS has no input breaking {keys}"
-        calls = []
-        monkeypatch.setattr(cli, "ACTIONS", {
-            scenario: dataclasses.replace(
-                declared, handler=lambda params: calls.append(params)
-                or cli.RunResult())
-            for scenario, declared in cli.ACTIONS.items()})
-        out = tmp_path / "out"
-        if route == "flags":
-            argv = [command, action, "--out-dir", str(out)]
-            for key, value in raw.items():
-                argv += [f"--{key}", value]
-        else:
-            conf = tmp_path / "breach.conf"
-            conf.write_text(
-                f"[scenario]\ncommand = {command}\naction = {action}\n"
-                f"out-dir = {out}\n\n[params]\n"
-                + "".join(f"{key} = {value}\n" for key, value in raw.items()))
-            argv = ["run", "--config", str(conf)]
-        code = cli.main(argv)
+        code, calls, out = _main_without_handlers(route, command, action, raw,
+                                                  tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == 2
         for key in keys:
             assert f"key {key!r}" in err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flags", "config"])
+    @pytest.mark.parametrize("command,action,key,value", [
+        ("weights", "profile", "t-max", "inf"),
+        ("wave", "energy", "t-max", "inf"),
+        ("wave", "cutoff", "horizon", "inf"),
+        ("contour", "reconstruct", "t-max", "inf"),
+        ("wave", "sandwich", "t-max", "inf"),
+        ("wave", "sandwich", "height", "nan"),
+        ("counterexample", "shift", "alpha", "-inf"),
+        ("wave", "cutoff", "window1", "0:inf"),
+    ], ids=["weights-t-max", "energy-t-max", "cutoff-horizon", "reconstruct-t-max",
+            "sandwich-t-max", "sandwich-height-nan", "shift-alpha", "cutoff-span"])
+    def test_non_finite_float_exits_2_before_the_handler(
+            self, command, action, key, value, route, tmp_path, monkeypatch, capsys):
+        code, calls, out = _main_without_handlers(route, command, action, {key: value},
+                                                  tmp_path, monkeypatch)
+        assert code == 2
+        assert f"key {key!r} must be finite" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -465,9 +494,6 @@ class TestExitCodes:
         assert summary["ok"] is False
         assert summary["passed"]["derivative_identity"] is False
         assert (tmp_path / "wave-energy-energy.csv").exists()
-
-
-_SCENARIO = "[scenario]\ncommand = {}\naction = {}\n"
 
 
 class TestRefusals:

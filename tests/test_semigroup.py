@@ -1,9 +1,11 @@
 """Damped-wave laboratory: generators, trajectories, decay fits, cutoff identities."""
 
 import ast
+import functools
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +217,16 @@ class TestResolventScan:
         oracle = per_mode_resolvent_oracle(sys, s)
         np.testing.assert_allclose(scan.values, oracle, rtol=SCAN_TOL)
 
+    @pytest.mark.parametrize("c", [1.0, "critical"])
+    def test_stacked_oracle_equals_one_svd_per_block(self, c):
+        n = 40
+        sys = _critical_damping(n) if c == "critical" else assemble_damped_wave(n, 1.0, c)
+        s = np.linspace(0.0, 300.0, 61)
+        eye2 = np.eye(2)
+        per_block = [1.0 / min(np.linalg.svd(1j * x * eye2 - b, compute_uv=False)[-1]
+                               for b in semigroup._mode_blocks(sys)) for x in s]
+        assert np.array_equal(per_mode_resolvent_oracle(sys, s), per_block)
+
     def test_partial_damping_scan_stays_finite(self):
         n = 40
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
@@ -260,6 +272,50 @@ def _count_svds(monkeypatch):
     return calls
 
 
+# (damping, boundary condition) of each floor case
+FLOOR_CASES = [("localized", "dirichlet"), ("constant", "dirichlet"),
+               ("localized", "periodic"), ("constant", "periodic")]
+
+
+def _bauer_fike_floor(ghat):
+    """_svd_floor's Bauer-Fike term alone: dist(is, w) sigma_min(V)/
+    sigma_max(V), with the same allowances and spectrum check."""
+    dim = ghat.shape[0]
+    eps = np.finfo(float).eps
+    w, v = np.linalg.eig(ghat)
+    sv = np.linalg.svd(v, compute_uv=False)
+    v_fro = float(np.linalg.norm(v))
+    e_v = dim * dim * eps * v_fro
+    v_lo, v_hi = sv[-1] - e_v, sv[0] + e_v
+    g = max(float(np.linalg.norm(ghat)), float(np.max(np.abs(w))))
+    r = ((1.0 + (dim * dim + 1) * eps) * float(np.linalg.norm(ghat @ v - v * w))
+         + (dim + 2) * eps * g * v_fro)
+
+    def floor(s):
+        if not v_lo > 0.0:
+            return 0.0
+        delta = (dim * dim + 5) * eps * (abs(s) + g)
+        bound = float(np.min(np.abs(1j * s - w))) * v_lo / v_hi - r / v_lo - delta
+        return bound if bound >= 1e-13 * max(1.0, abs(s) + g + delta) else 0.0
+    return floor
+
+
+@functools.lru_cache(maxsize=None)
+def _floor_case(n, damping, bc):
+    """100 shifts, 60 on a grid over [-100, 300] and 40 at the imaginary
+    parts of the least damped computed eigenvalues, with the floor, the
+    Bauer-Fike floor and the smallest singular value of the SVD at each."""
+    a = localized_bump_damping(n) if damping == "localized" else np.ones(n)
+    ghat = assemble_damped_wave(n, 1.0, a, bc=bc).hat_generator()
+    w = np.linalg.eigvals(ghat)
+    shifts = np.r_[np.linspace(-100.0, 300.0, 60), w[np.argsort(-w.real)[:40]].imag]
+    floor, bauer_fike = semigroup._svd_floor(ghat), _bauer_fike_floor(ghat)
+    eye = np.eye(ghat.shape[0])
+    smallest = [np.linalg.svd(1j * s * eye - ghat, compute_uv=False)[-1] for s in shifts]
+    return (shifts, np.array([floor(s) for s in shifts]),
+            np.array([bauer_fike(s) for s in shifts]), np.array(smallest))
+
+
 class TestResolventSupScan:
     @pytest.mark.parametrize("n,damping,bc,s_grid", [
         (20, "localized", "dirichlet", np.linspace(0.0, 320.0, 161)),
@@ -280,14 +336,14 @@ class TestResolventSupScan:
         assert np.array_equal(got.grid, want.grid)
         assert np.array_equal(got.values, want.values)
 
-    def test_bench_case_is_bit_for_bit_with_at_most_40_svds(self, monkeypatch):
+    def test_bench_case_is_bit_for_bit_with_at_most_14_svds(self, monkeypatch):
         # `wave sandwich` at n = 120 with its default scan: 161 points
         n = 120
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
         s_grid = np.linspace(0.0, 320.0, 161)
         calls = _count_svds(monkeypatch)
         got = resolvent_sup_scan(sys, s_grid)
-        assert len(calls) <= 40      # the eigenvectors' SVD included
+        assert len(calls) <= 14      # the eigenvectors' SVD included
         assert np.array_equal(got.values, running_sup(resolvent_norm_scan(sys, s_grid)).values)
 
     def test_near_defective_generator_runs_every_svd(self, monkeypatch):
@@ -296,21 +352,58 @@ class TestResolventSupScan:
         resolvent_sup_scan(_critical_damping(20), np.linspace(0.0, 200.0, 41))
         assert len(calls) == 41 + 1
 
-    def test_floor_never_exceeds_the_svd(self):
-        n = 40
-        sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
-        ghat = sys.hat_generator()
-        floor = semigroup._svd_floor(ghat)
-        s_grid = np.linspace(-100.0, 300.0, 201)
-        floors = np.array([floor(s) for s in s_grid])
-        smallest = np.array([np.linalg.svd(1j * s * np.eye(2 * n) - ghat,
-                                           compute_uv=False)[-1] for s in s_grid])
+    @pytest.mark.parametrize("n", [40, 120])
+    @pytest.mark.parametrize("damping,bc", FLOOR_CASES)
+    def test_floor_never_exceeds_the_svd(self, n, damping, bc):
+        shifts, floors, _, smallest = _floor_case(n, damping, bc)
+        assert shifts.size == 100    # 400 at each n over the four cases
         assert np.all(floors <= smallest)
         assert np.mean(floors > 0.0) > 0.5
+
+    @pytest.mark.parametrize("n", [40, 120])
+    @pytest.mark.parametrize("damping,bc", FLOOR_CASES)
+    def test_floor_is_never_below_bauer_fike(self, n, damping, bc):
+        _, floors, bauer_fike, _ = _floor_case(n, damping, bc)
+        assert np.all(floors >= bauer_fike)
+
+    def test_floor_weights_each_eigenvalue_by_its_condition_number(self):
+        # two eigenvalues with kappa_j near 1e4: taking each kappa_j as 1
+        # would put the floor near 0.5 at s = 0, where sigma_min is near 1e-2
+        ghat = np.array([[-1.0, 100.0], [0.0, -1.01]])
+        floor = semigroup._svd_floor(ghat)
+        shifts = np.linspace(-5.0, 5.0, 101)
+        smallest = [np.linalg.svd(1j * s * np.eye(2) - ghat, compute_uv=False)[-1]
+                    for s in shifts]
+        assert all(floor(s) <= small for s, small in zip(shifts, smallest))
+        assert 0.0 < floor(0.0) < 1e-2
+
+    def test_floor_is_zero_at_an_exact_eigenvalue(self):
+        # eig returns +-i exactly for the rotation generator; the floor
+        # divides by no zero distance there
+        floor = semigroup._svd_floor(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [floor(1.0), floor(-1.0)] == [0.0, 0.0]
+        assert 0.0 < floor(0.0) <= 1.0
 
     def test_defective_generator_has_no_floor(self):
         floor = semigroup._svd_floor(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert [floor(s) for s in (0.0, 1.0, 100.0)] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("route", ["repeated-column", "inv-refuses"])
+    def test_singular_eigenvectors_give_no_floor(self, route, monkeypatch):
+        ghat = np.diag([-1.0, -2.0, -3.0])
+        shifts = (0.0, 1.0, 100.0)
+        assert all(f > 0.0 for f in map(semigroup._svd_floor(ghat), shifts))
+        if route == "repeated-column":
+            eye = np.eye(3)
+            monkeypatch.setattr(np.linalg, "eig", lambda a: (
+                np.array([-1.0, -2.0, -3.0]), eye[:, [0, 0, 2]]))
+        else:
+            def refuse(a):
+                raise np.linalg.LinAlgError("Singular matrix")
+            monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert [semigroup._svd_floor(ghat)(s) for s in shifts] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("mode", [0, 2])
     def test_spectrum_hit_is_refused_by_both_scans(self, mode):
