@@ -5,7 +5,10 @@ k_1 < k_2 < ... with coefficients 2^{-n} k_n^{-e}.  Each block contributes
 a bump of height ~ coeff_n (log k_n / k_n)^{1/alpha} near t = k_n, and the
 ladder is chosen so that a matched weight makes the window contributions
 of the weighted L^p integral *increase* along the train -- the integral
-diverges while every unweighted quantity stays finite.
+diverges while every unweighted quantity stays finite.  The ladder is
+greedy (select_k_sequence), and one rung rule per variant admits its
+orders: the power rung halves the threshold schedule value at every step,
+and the log rung asks the window floor to dominate the fitted envelope.
 
 The ladder grows so fast that k_3, k_4 overflow float64 for the canonical
 schedules.  Blocks therefore carry log k as the primitive quantity, and
@@ -79,7 +82,7 @@ class Block:
 
     @property
     def k(self) -> float:
-        return math.exp(self.log_k) if self.log_k < 690.0 else math.inf
+        return _k_from_log(self.log_k)
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,6 @@ def inverse_log_weight(log_t: float) -> float:
     return -math.log(log_t + math.log1p(2.0 * math.exp(-min(log_t, 700.0))))
 
 
-def _validate_gamma(gamma_log) -> None:
-    vals = np.array([gamma_log(lt) for lt in np.linspace(0.0, math.log(1e6), 40)])
-    if np.any(np.diff(vals) >= 0):
-        raise ValueError("threshold schedule gamma_log must decrease in log t")
-
-
 def _window_edge_log(log_k: float, u: float) -> float:
     """log(k + u sqrt(k)) from log k; u = -1 and 1 give the window edges."""
     return log_k + math.log1p(u * math.exp(-0.5 * log_k))
@@ -154,13 +151,14 @@ def _schedule_log(n: int, log_k: float, alpha: float, gamma_log) -> float:
 # ladder selection
 # ----------------------------------------------------------------------
 
-def _log_floor_gap(n: int, lk: float, alpha: float, c1: float, c2: float,
-                   rho: float, e_factor: float, e_coeff: float) -> float:
-    """Log window floor over log envelope at the left window edge, past 2x."""
+def _log_floor_gap(n: int, lk: float, alpha: float, fit: dict,
+                   e_coeff: float) -> float:
+    """Log window floor over log envelope at the left window edge, past 2x,
+    from the fitted constants c1, c2, rho and e_factor of fit."""
     k = math.exp(lk)
-    floor = math.log(c1) - n * math.log(2.0) - e_coeff * lk \
-        - e_factor * math.exp(lk / (alpha + 1.0))
-    env = math.log(c2) - rho * (k - math.sqrt(k))
+    floor = math.log(fit["c1"]) - n * math.log(2.0) - e_coeff * lk \
+        - fit["e_factor"] * math.exp(lk / (alpha + 1.0))
+    env = math.log(fit["c2"]) - fit["rho"] * (k - math.sqrt(k))
     return floor - env - math.log(2.0)
 
 
@@ -187,72 +185,73 @@ def _first_admissible(ok, lo: float, hi_max: float, failure: str) -> float:
     return hi
 
 
-def select_k_sequence(variant: str, N: int, alpha: float, gamma_log=None,
-                      c1: float | None = None, c2: float | None = None,
-                      rho: float | None = None, e_factor: float | None = None,
-                      e_coeff: float | None = None) -> list[KSize]:
-    """Greedy ladder: the smallest admissible order at every step.
+def _k_from_log(log_k: float) -> float:
+    """The order e^{log k}, inf where it overflows floats."""
+    return math.exp(log_k) if log_k < 690.0 else math.inf
 
-    Growth demands k_n >= 3 k_{n-1} (k_1 >= 3).  The power variant also
-    halves the schedule value 2^n gamma(k_n - sqrt(k_n))^{1/alpha} at each
-    step, reading log gamma from gamma_log at log t.  The log variant
-    demands the window floor beat twice the contamination envelope
-    throughout its own window, from all five fitted constants -- the floor
-    shrinks like a stretched exponential while the envelope decays at the
-    full rate rho, so every rung has a first admissible order.  A power
-    ladder without gamma_log, a log ladder missing a constant, or any
-    other variant is a ValueError.
+
+@dataclass(frozen=True)
+class _Rung:
+    """A ladder's rule: admits(n, prev_log_k) is the test log k -> bool of
+    the order at rung n after prev_log_k (None at n = 1); no admissible
+    order below log k = hi_max is a ValueError carrying failure."""
+
+    admits: object
+    hi_max: float
+    failure: str
+
+
+def _halving_rung(alpha: float, gamma_log) -> _Rung:
+    """The power rule: each order halves the schedule value of the one
+    before (_schedule_log); the first is free.  A schedule gamma_log that
+    does not decrease on log t in [0, log 1e6] is a ValueError."""
+    vals = np.array([gamma_log(lt) for lt in np.linspace(0.0, math.log(1e6), 40)])
+    if np.any(np.diff(vals) >= 0):
+        raise ValueError("threshold schedule gamma_log must decrease in log t")
+
+    def admits(n: int, prev_log_k: float | None):
+        if prev_log_k is None:
+            return lambda lk: True
+        target = _schedule_log(n - 1, prev_log_k, alpha, gamma_log) - math.log(2.0)
+        return lambda lk: not _schedule_log(n, lk, alpha, gamma_log) > target
+    return _Rung(admits, 1e7, "threshold schedule cannot halve; not decreasing "
+                 "fast enough")
+
+
+def _dominance_rung(alpha: float, fit: dict, e_coeff: float) -> _Rung:
+    """The log rule: the window floor beats twice the envelope of the fitted
+    constants (_log_floor_gap >= 0, so never at a nan gap).  The floor
+    shrinks like a stretched exponential and the envelope at the full rate
+    rho, so at rho > 0 every rung has a first admissible order."""
+    def admits(n: int, prev_log_k: float | None):
+        return lambda lk: _log_floor_gap(n, lk, alpha, fit, e_coeff) >= 0.0
+    return _Rung(admits, 700.0, "no admissible order: envelope never falls "
+                 "below the window floor")
+
+
+def select_k_sequence(N: int, rung: _Rung) -> list[KSize]:
+    """Greedy ladder: at every step the smallest order that the growth
+    allows and the rung (_halving_rung, _dominance_rung) admits.  Growth
+    demands k_n >= 3 k_{n-1}, k_1 >= 3 and the window separation below;
+    orders below KMAX_EXACT are rounded up to integers.
     """
     if N < 1:
         raise ValueError("need at least one block")
-    dominance = None
-    if variant == "power":
-        if gamma_log is None:
-            raise ValueError("power ladder needs a threshold schedule")
-        _validate_gamma(gamma_log)
-    elif variant == "log":
-        if any(v is None for v in (c1, c2, rho, e_factor, e_coeff)):
-            raise ValueError("log ladder needs all five fitted constants "
-                             "(c1, c2, rho, e_factor, e_coeff)")
-
-        def dominance(n: int, lk: float) -> float:
-            return _log_floor_gap(n, lk, alpha, c1, c2, rho, e_factor, e_coeff)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
     out: list[KSize] = []
     prev_log_k = None
-    prev_sched = None
     for n in range(1, N + 1):
-        if prev_log_k is None:
-            lo = math.log(3.0)
-        else:
-            lo = prev_log_k + math.log(3.0)
-            # window separation: the next order's half-width indicator must
-            # stay off throughout this order's window, so the pure tail
-            # envelope bounds all cross-block contamination there
-            sep = math.log(2.0) + _window_edge_log(prev_log_k, 1.0) + 1e-9
-            lo = max(lo, sep)
-        if dominance is not None:
-            log_k = _first_admissible(
-                lambda lk: not dominance(n, lk) < 0.0, lo, 700.0,
-                "no admissible order: envelope never falls below the window "
-                "floor")
-        elif prev_sched is not None:
-            target = prev_sched - math.log(2.0)
-            log_k = _first_admissible(
-                lambda lk: not _schedule_log(n, lk, alpha, gamma_log) > target,
-                lo, 1e7, "threshold schedule cannot halve; not decreasing "
-                "fast enough")
-        else:
-            log_k = lo
+        # window separation: the next order's half-width indicator must
+        # stay off throughout this order's window, so the pure tail
+        # envelope bounds all cross-block contamination there
+        lo = math.log(3.0) if prev_log_k is None else max(
+            prev_log_k + math.log(3.0),
+            math.log(2.0) + _window_edge_log(prev_log_k, 1.0) + 1e-9)
+        log_k = _first_admissible(rung.admits(n, prev_log_k), lo, rung.hi_max,
+                                  rung.failure)
         if log_k < math.log(KMAX_EXACT):
-            k_int = max(3.0, math.ceil(math.exp(log_k) - 1e-9))
-            log_k = math.log(k_int)
-        if variant == "power":
-            prev_sched = _schedule_log(n, log_k, alpha, gamma_log)
+            log_k = math.log(max(3.0, math.ceil(math.exp(log_k) - 1e-9)))
         prev_log_k = log_k
-        out.append(KSize(math.exp(log_k) if log_k < 690 else math.inf, log_k))
+        out.append(KSize(_k_from_log(log_k), log_k))
     return out
 
 
@@ -352,7 +351,7 @@ def _block_log_abs_window(block: Block, u: np.ndarray) -> np.ndarray:
     return np.array([_fused_log_abs(block, ui * inv_sqrt_k, ui * ui, "N") for ui in u])
 
 
-def _block_log_abs_at(block: Block, t: float, which: str = "N") -> float:
+def _block_log_abs_at(block: Block, t: float, which: str) -> float:
     """log |.| at a time t > 0; fused estimate for out-of-range orders."""
     if block.fam is not None:
         try:
@@ -381,8 +380,7 @@ def _window_floor_log(variant: str, alpha: float, beta: float | None,
     the edge dip; scan assertions need a floor fitted over the full closed
     window, which dominates every interior quadrature node.
     """
-    k = math.exp(log_k) if log_k < 690.0 else math.inf
-    blk = _make_block(1, KSize(k, log_k), variant, alpha, 0.0, beta)
+    blk = _make_block(1, KSize(_k_from_log(log_k), log_k), variant, alpha, 0.0, beta)
     return float(np.min(_block_log_abs_window(blk, np.linspace(-1.0, 1.0, 81))))
 
 
@@ -439,14 +437,18 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
     """Select the ladder, fit the envelope constants, and wire the blocks.
 
     variant is "power" (ladder from the threshold schedule in log form,
-    gamma_log: log t -> log gamma(t)) or "log" (ladder from the fitted
-    envelope constants); any other variant is a ValueError.  k_seq
-    replaces the selected ladder.  The constants are fitted at the orders
-    (3, 16, 24, 40) for power and (3, 9, 27) for a log train given its
-    k_seq; a selected log ladder is refitted at its own orders.  The log-variant
-    weight rate gamma_exp is left unset.
+    gamma_log: log t -> log gamma(t), which a power train needs even with
+    a k_seq) or "log" (ladder from the fitted envelope constants); any
+    other variant, or a power train without gamma_log, is a ValueError
+    before any fit.  k_seq replaces the selected ladder.  The constants are
+    fitted at the orders (3, 16, 24, 40) for power and (3, 9, 27) for a log
+    train given its k_seq; a selected log ladder is refitted at its own
+    orders until the refit admits every order.  The log-variant weight rate
+    gamma_exp is left unset.
     """
     if variant == "power":
+        if gamma_log is None:
+            raise ValueError("power ladder needs a threshold schedule")
         beta = alpha / 2.0 + alpha / (4.0 * p)
     elif variant == "log":
         beta = None
@@ -455,29 +457,28 @@ def build_counterexample(variant: str, alpha: float, p: float, N: int,
     e_coeff = 1.0 / (2.0 * p)
 
     fit = None
-    if variant == "log" and k_seq is None:
+    if k_seq is not None:
+        sizes = [KSize(float(k), math.log(float(k))) for k in k_seq]
+    elif variant == "power":
+        sizes = select_k_sequence(N, _halving_rung(alpha, gamma_log))
+    else:
         # select with provisionally fitted constants, refit at the selected
-        # orders, and keep going until the refit still clears the dominance
-        # margin everywhere (the factor-2 cushion absorbs the drift)
-        const = fit_block_constants("log", alpha, k_fit=(3, 9, 27))
+        # orders, and keep going until the refit's own rung still admits
+        # every order (the factor-2 cushion absorbs the drift)
+        rung = _dominance_rung(alpha, fit_block_constants(
+            "log", alpha, k_fit=(3, 9, 27)), e_coeff)
         for _ in range(4):
-            sizes = select_k_sequence(
-                "log", N, alpha, c1=const["c1"], c2=const["c2"],
-                rho=const["rho"], e_factor=const["e_factor"], e_coeff=e_coeff)
-            desk = tuple(int(round(s.k)) for s in sizes)
-            fit = fit_block_constants("log", alpha, k_fit=desk)
-            if all(_log_floor_gap(sz_n, sz.log_k, alpha, fit["c1"], fit["c2"],
-                                  fit["rho"], fit["e_factor"], e_coeff) >= 0.0
-                   for sz_n, sz in enumerate(sizes, start=1)):
+            sizes = select_k_sequence(N, rung)
+            fit = fit_block_constants(
+                "log", alpha, k_fit=tuple(int(round(s.k)) for s in sizes))
+            rung = _dominance_rung(alpha, fit, e_coeff)
+            logs = [s.log_k for s in sizes]
+            if all(rung.admits(n, prev)(lk) for n, (prev, lk)
+                   in enumerate(zip([None, *logs], logs), start=1)):
                 break
-            const = fit
         else:
             raise ArithmeticError(
                 "log ladder failed to stabilise against the refitted envelope")
-    elif k_seq is None:
-        sizes = select_k_sequence(variant, N, alpha, gamma_log=gamma_log)
-    else:
-        sizes = [KSize(float(k), math.log(float(k))) for k in k_seq]
     _check_ladder_invariants(variant, sizes, alpha, gamma_log)
     if fit is None:
         fit = fit_block_constants(variant, alpha, beta=beta, k_fit=(
@@ -736,7 +737,7 @@ def _orbit_envelope(vals: np.ndarray, te: np.ndarray, k: int, scale: float):
     return c_box, c_tail, rho, c_box * scale * head + c_tail * np.exp(-rho * te)
 
 
-def shift_semigroup_suite(alpha: float, p: float, k_list=(20, 40),
+def shift_semigroup_suite(alpha: float, p: float, k_list,
                           n_lambda: int = 40, seed: int = 11) -> list[FitReport]:
     """Left-shift L^2 probes of single blocks at desk orders.
 

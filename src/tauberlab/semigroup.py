@@ -66,18 +66,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecaySeries:
-    """A nonnegative scalar time (or frequency) series."""
+    """A nonnegative scalar time (or frequency) series on an _increasing_grid."""
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
+        g = _increasing_grid(self.grid, "grid")
         v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or v.shape != g.shape:
+        if v.shape != g.shape:
             raise ValueError("grid and values must be matched 1-D arrays")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
         if np.any(v < 0):
             raise ValueError("values must be nonnegative")
         object.__setattr__(self, "grid", g)
@@ -229,29 +227,34 @@ def dirichlet_mode_frequencies(n: int, L: float) -> np.ndarray:
 # resolvent scan and the per-mode oracle
 # ----------------------------------------------------------------------
 
-def _scan_grid(s_grid) -> np.ndarray:
-    """s_grid as a float array when it is 1-D, nonempty, finite and
-    strictly increasing; any other grid is a ValueError, raised before
-    either scan computes anything."""
-    s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1:
-        raise ValueError(f"s_grid must be 1-D, got shape {s.shape}")
-    if s.size == 0:
-        raise ValueError("s_grid is empty")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("s_grid must be finite")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("s_grid must increase strictly")
-    return s
+def _increasing_grid(grid, name: str) -> np.ndarray:
+    """grid as a float array when it is 1-D, nonempty, finite and strictly
+    increasing; any other grid is a ValueError naming it, raised before
+    anything is computed on it.  Every grid of this module passes here."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {g.shape}")
+    if g.size == 0:
+        raise ValueError(f"{name} is empty")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(g) <= 0):
+        raise ValueError(f"{name} must increase strictly")
+    return g
+
+
+def _clears_spectrum(sigma_min: float, sigma_max: float) -> bool:
+    """The spectrum check: sigma_min >= 1e-13 max(1, sigma_max)."""
+    return sigma_min >= 1e-13 * max(1.0, sigma_max)
 
 
 def _resolvent_norm_at(ghat: np.ndarray, s) -> float:
     """||(is - ghat)^{-1}|| = 1/sigma_min(is - ghat), by one dense SVD; a
-    sigma_min below 1e-13 max(1, sigma_max) is an ArithmeticError."""
+    sigma_min that fails _clears_spectrum is an ArithmeticError."""
     shift = 1j * s * np.eye(ghat.shape[0]) - ghat
     sigma = np.linalg.svd(shift, compute_uv=False)
     small = sigma[-1]
-    if small < 1e-13 * max(1.0, sigma[0]):
+    if not _clears_spectrum(small, sigma[0]):
         raise ArithmeticError(f"grid point s={s:g} hits the spectrum")
     return 1.0 / small
 
@@ -260,7 +263,7 @@ def resolvent_norm_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
     """Pointwise energy norms of (is - G)^{-1} along the imaginary axis, one
     SVD a point.  The grid must be 1-D, nonempty, finite and strictly
     increasing (a ValueError before any SVD)."""
-    s_grid = _scan_grid(s_grid)
+    s_grid = _increasing_grid(s_grid, "s_grid")
     ghat = sys.hat_generator()
     return DecaySeries(s_grid, np.array([_resolvent_norm_at(ghat, s) for s in s_grid]))
 
@@ -364,7 +367,7 @@ def _svd_floor(ghat: np.ndarray):
                          + np.append(kappa / d_lo[1:], 0.0))) * (1.0 + (dim + 2) * eps)
         delta = (dim * dim + 5) * eps * (abs(s) + g)
         bound = max(float(d[order[0]]) * v_lo / v_hi, (1.0 - eps) / u) - r / v_lo - delta
-        return bound if bound >= 1e-13 * max(1.0, abs(s) + g + delta) else 0.0
+        return bound if _clears_spectrum(bound, abs(s) + g + delta) else 0.0
     return floor
 
 
@@ -378,7 +381,7 @@ def resolvent_sup_scan(sys: DampedWaveSystem, s_grid) -> DecaySeries:
     eigenvectors, numpy calls on the scan's BLAS pool.  The default
     `wave sandwich` scan (n = 400, 161 points) runs 10 SVDs, and n = 120
     runs 12.  Same grid rule as resolvent_norm_scan."""
-    s_grid = _scan_grid(s_grid)
+    s_grid = _increasing_grid(s_grid, "s_grid")
     ghat = sys.hat_generator()
     floor = _svd_floor(ghat)
     vals = np.zeros(s_grid.size)
@@ -468,10 +471,10 @@ def evolve_chunks(sys: DampedWaveSystem, x0, t_grid):
     move the last bits of that state.  Every block of two or more columns
     solves bit for bit as it would within the whole trajectory.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _uniform_grid(t_grid, "the step propagator")
     # the step propagator comes first, so expm's work arrays are freed
     # before the buffer is allocated
-    step = _uniform_step(sys.hat_generator(), t_grid)
+    step = sla.expm(sys.hat_generator() * float(t_grid[1] - t_grid[0]))
     x0 = np.asarray(x0, dtype=float)
     xh = sys.to_hat(x0)
     bounds = list(range(0, t_grid.size, _CHUNK)) + [t_grid.size]
@@ -538,33 +541,25 @@ def _is_uniform(t: np.ndarray) -> bool:
     return bool(dev <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(t))))
 
 
-def _uniform_grid(t_grid) -> np.ndarray:
-    """t_grid as a float array when it is 1-D, has two or more points,
-    increases strictly and is uniform (_is_uniform); any other grid is a
-    ValueError."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be increasing with at least two points")
+def _uniform_grid(t_grid, use: str) -> np.ndarray:
+    """t_grid as a float array when _increasing_grid accepts it and it has
+    two or more points and is uniform (_is_uniform); any other grid is a
+    ValueError, the last saying that use needs a uniform time grid."""
+    t = _increasing_grid(t_grid, "t_grid")
+    if t.size < 2:
+        raise ValueError("t_grid must have at least two points")
     if not _is_uniform(t):
-        raise ValueError("the step propagator needs a uniform time grid")
+        raise ValueError(f"{use} needs a uniform time grid")
     return t
 
 
-def _uniform_step(ghat: np.ndarray, t_grid) -> np.ndarray:
-    """e^(ghat (t_1 - t_0)) of a grid that _uniform_grid accepts; any other
-    grid is its ValueError, raised before the exponential."""
-    t = _uniform_grid(t_grid)
-    return sla.expm(ghat * float(t[1] - t[0]))
-
-
 def energy_derivative_check(traj: Trajectory) -> float:
-    """Max |dE/dt + h sum a_j v_j^2| over interior times (4th-order stencil)."""
-    t = traj.t
+    """Max |dE/dt + h sum a_j v_j^2| over interior times (4th-order stencil)
+    of a trajectory on a grid that _uniform_grid accepts."""
     e = traj.energies
     if e.size < 5:
         raise ValueError("need at least 5 samples")
-    if not _is_uniform(t):
-        raise ValueError("energy differentiation needs a uniform time grid")
+    t = _uniform_grid(traj.t, "energy differentiation")
     dt = float(t[1] - t[0])
     de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dt)
     return float(np.max(np.abs(de + traj.dissipations[2:-2])))
@@ -658,12 +653,13 @@ def propagator_inverse_norms(sys: DampedWaveSystem, t_grid) -> DecaySeries:
     a matmul per grid point, with the norm taken in the hat frame.  Every
     exponential (scipy's BLAS) is built before the first product (numpy's),
     so the loop never waits on the other pool (see _CHUNK).  The grid must
-    be uniform (_is_uniform), as evolve's, so that its gaps take few
-    distinct values; any other grid is a ValueError before any expm.
+    pass _increasing_grid, start at t >= 0 and, past two points, be uniform
+    (_is_uniform), as evolve's, so that its gaps take few distinct values;
+    any other grid is a ValueError before any expm.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be nonempty, increasing, nonnegative")
+    t_grid = _increasing_grid(t_grid, "t_grid")
+    if t_grid[0] < 0:
+        raise ValueError("t_grid must be nonnegative")
     if t_grid.size > 2 and not _is_uniform(t_grid):
         raise ValueError("propagator norms need a uniform time grid")
     ghat = sys.hat_generator()
@@ -858,7 +854,7 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
     """
     if not T > 0:
         raise ValueError(f"the identity quadrature horizon T must be positive, got {T:g}")
-    t_grid = _uniform_grid(t_grid)
+    t_grid = _uniform_grid(t_grid, "the step propagator")
     ghat = sys.hat_generator()
     dim = ghat.shape[0]
     om0 = sys.spectral_abscissa()
@@ -878,7 +874,7 @@ def cutoff_transform_check(sys: DampedWaveSystem, t1, t2, x, omega: float,
         raise ValueError("every sample must lie strictly right of the spectrum")
     # the norm series' step, built beside the orbit's nine exponentials
     # before any numpy loop (see _CHUNK)
-    phi = _uniform_step(ghat, t_grid)
+    phi = sla.expm(ghat * float(t_grid[1] - t_grid[0]))
     fhat_all = _laplace_of_orbit(ghat, t1_hat, v0, lams, T)
 
     resids = []

@@ -101,35 +101,38 @@ class TestSelection:
     def test_schedule_that_cannot_halve_is_refused_by_name(self):
         # at alpha = 3 the 1/log schedule halves for four rungs, not five
         with pytest.raises(ValueError, match="cannot halve"):
-            cx.select_k_sequence("power", 5, 3.0,
-                                 gamma_log=cx.inverse_log_weight)
+            cx.build_counterexample("power", 3, 2, 5,
+                                    gamma_log=cx.inverse_log_weight)
 
     def test_log_ladder_without_envelope_decay_is_refused_by_name(self):
         # at rho = 0 the envelope never falls below the shrinking floor
         fit = cx.fit_block_constants("log", 1, k_fit=(3, 9, 27))
         with pytest.raises(ValueError, match="no admissible order"):
-            cx.select_k_sequence("log", 1, 1.0, c1=fit["c1"], c2=fit["c2"],
-                                 rho=0.0, e_factor=fit["e_factor"],
-                                 e_coeff=0.25)
+            cx.select_k_sequence(1, cx._dominance_rung(1.0, {**fit, "rho": 0.0}, 0.25))
 
-    def test_power_ladder_needs_a_schedule(self):
+    @pytest.mark.parametrize("k_seq", [None, (10, 30, 90)], ids=["selected", "k_seq"])
+    def test_power_ladder_needs_a_schedule(self, k_seq, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cx, "fit_block_constants",
+                            lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="needs a threshold schedule"):
-            cx.select_k_sequence("power", 2, 2.0)
+            cx.build_counterexample("power", 2, 2, 3, k_seq=k_seq)
+        assert calls == []
 
-    @pytest.mark.parametrize("constants", [{}, {"c1": 0.5}],
-                             ids=["none", "c1-only"])
-    def test_log_ladder_needs_all_five_constants(self, constants):
-        # without them the ladder would be the bare 3, 10, 30 growth steps,
-        # which ignore the dominance rule
-        with pytest.raises(ValueError, match="needs all five fitted constants"):
-            cx.select_k_sequence("log", 3, 1.0, **constants)
+    @pytest.mark.parametrize("N,error,words", [
+        (1, ValueError, "no admissible order"),
+        (2, ArithmeticError, "failed to stabilise"),
+    ])
+    def test_short_log_ladders_are_refused(self, N, error, words):
+        # one order makes the refit's e_factor 0/0, a nan gap that no order
+        # passes; two orders never stabilise against their refit
+        with pytest.raises(error, match=words), np.errstate(invalid="ignore"):
+            cx.build_counterexample("log", 1, 2, N)
 
     @pytest.mark.parametrize("variant", ["cubic", "shift"])
     def test_unknown_variant_rejected(self, variant):
         with pytest.raises(ValueError, match="unknown variant"):
             cx.build_counterexample(variant, 2, 2, 2)
-        with pytest.raises(ValueError, match="unknown variant"):
-            cx.select_k_sequence(variant, 2, 2.0)
 
 
 class TestFittedConstants:

@@ -1,14 +1,16 @@
-"""Every defaulted parameter of a library function has a caller that sets it.
+"""Every defaulted parameter of a library function has a caller that sets it
+and a caller that leaves it at its default.
 
 A default that no call overrides is a constant spelled as an option: no
 caller needs another value, and the signature hides the one the code always
-uses. The scan walks the module-level functions of ``src/tauberlab`` and the
-calls in ``src``, ``tests``, ``demos`` and ``perfbench``. A call sets a
-parameter by keyword, by position or through ``*``/``**``. Calls are matched
-by the called name alone (``f(...)`` or ``mod.f(...)``), so a same-named
-function elsewhere can only hide a finding. A library function that passes
-on one of its own unset defaults by name does not set it either. Methods are
-skipped.
+uses. A default that every call overrides is a second statement of a value
+some caller owns, and no call reads it. The scan walks the module-level
+functions of ``src/tauberlab`` and the calls in ``src``, ``tests``,
+``demos`` and ``perfbench``. A call sets a parameter by keyword, by
+position or through ``*``/``**``. Calls are matched by the called name
+alone (``f(...)`` or ``mod.f(...)``), so a same-named function elsewhere
+can only hide a finding. A library function that passes on one of its own
+unset defaults by name does not set it either. Methods are skipped.
 
 A module constant (an ALL-CAPS name bound at module level) that no code in
 ``src`` reads is a knob that turns nothing, so every one needs a reader
@@ -96,13 +98,17 @@ def _value(call, name, position):
     return None
 
 
+def _library_params():
+    """(label, position) of each defaulted parameter of a library function,
+    keyed by (function name, parameter name)."""
+    return {(func.name, name): (f"{path.stem}.{func.name}({name})", position)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for func in _library_functions(_parse(path))
+            for name, position in _defaulted_params(func)}
+
+
 def unset_defaults():
-    params = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for func in _library_functions(_parse(path)):
-            for name, position in _defaulted_params(func):
-                params[(func.name, name)] = (f"{path.stem}.{func.name}({name})",
-                                             position)
+    params = _library_params()
     passed = [(key, value, caller)
               for callee, call, caller in _calls()
               for key in params if key[0] == callee
@@ -126,6 +132,22 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = unset_defaults()
     assert not unset, ("defaulted parameters that no call sets; make each a "
                        "constant: " + ", ".join(unset))
+
+
+def always_set_defaults():
+    """Label of each defaulted parameter that every call sets: one that may
+    pass it through ``*``/``**`` counts as leaving it at its default."""
+    params = _library_params()
+    left = {key for callee, call, _ in _calls() for key in params
+            if key[0] == callee
+            and not isinstance(_value(call, key[1], params[key][1]), ast.AST)}
+    return [label for key, (label, _) in params.items() if key not in left]
+
+
+def test_every_defaulted_parameter_is_left_at_its_default_by_some_call():
+    always = always_set_defaults()
+    assert not always, ("defaulted parameters that every call sets; make each "
+                        "required: " + ", ".join(always))
 
 
 def defaulted_params():

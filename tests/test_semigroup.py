@@ -162,7 +162,7 @@ _REFUSALS = {
     "series-mismatched": (lambda: DecaySeries(np.arange(3.0), np.ones(2)),
                           "matched 1-D arrays"),
     "series-not-increasing": (lambda: DecaySeries([0.0, 1.0, 1.0], np.ones(3)),
-                              "strictly increasing"),
+                              "grid must increase strictly"),
     "series-negative": (lambda: DecaySeries([0.0, 1.0], [1.0, -1.0]), "nonnegative"),
     "assemble-n-2": (lambda: assemble_damped_wave(2, 1.0, 0.5), "need n >= 3"),
     "assemble-unknown-bc": (lambda: assemble_damped_wave(8, 1.0, 0.5, bc="neumann"),
@@ -175,12 +175,23 @@ _REFUSALS = {
                          "at least two points"),
     "energy-4-samples": (lambda: energy_derivative_check(
         Trajectory(np.arange(4.0), np.ones(4), np.zeros(4))), "at least 5 samples"),
+    "energy-2-d": (lambda: energy_derivative_check(
+        Trajectory(np.arange(10.0).reshape(2, 5), np.ones(5), np.zeros(5))),
+                   "t_grid must be 1-D"),
     "norms-empty": (lambda: propagator_inverse_norms(_small_system(), []),
-                    "nonempty, increasing, nonnegative"),
+                    "t_grid is empty"),
     "norms-decreasing": (lambda: propagator_inverse_norms(_small_system(), [1.0, 0.5]),
-                         "nonempty, increasing, nonnegative"),
+                         "t_grid must increase strictly"),
     "norms-negative": (lambda: propagator_inverse_norms(_small_system(), [-1.0, 0.5]),
-                       "nonempty, increasing, nonnegative"),
+                       "t_grid must be nonnegative"),
+    "norms-nan": (lambda: propagator_inverse_norms(_small_system(), [np.nan]),
+                  "t_grid must be finite"),
+    "norms-2-d": (lambda: propagator_inverse_norms(_small_system(), [[0.5, 1.0]]),
+                  "t_grid must be 1-D"),
+    "norms-inf": (lambda: propagator_inverse_norms(_small_system(), [np.inf]),
+                  "t_grid must be finite"),
+    "norms-half-inf": (lambda: propagator_inverse_norms(_small_system(), [0.5, np.inf]),
+                       "t_grid must be finite"),
     "cutoff-omega-0": (lambda: _cutoff(0.0, [1.0 + 1.0j]), "must exceed the spectral abscissa"),
     "cutoff-sample-left": (lambda: _cutoff(1.2, [1.0, -0.5 + 1.0j]),
                            "strictly right of the spectrum"),
@@ -188,10 +199,13 @@ _REFUSALS = {
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
-def test_bad_input_is_refused_by_name(case):
+def test_bad_input_is_refused_by_name(case, monkeypatch):
     call, words = _REFUSALS[case]
+    calls = []
+    monkeypatch.setattr(sla, "expm", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match=words):
         call()
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -558,10 +572,12 @@ class TestUniformGrid:
             cutoff_transform_check(system, eye, eye, _smooth_state(system.n), 1.2,
                                    [1.5], t_grid=t, T=1.0)
 
-    @pytest.mark.parametrize("t_grid", [
-        np.linspace(60.0, 0.0, 301), np.array([0.0]), np.array([]),
+    @pytest.mark.parametrize("t_grid,words", [
+        (np.linspace(60.0, 0.0, 301), "must increase strictly"),
+        (np.array([0.0]), "at least two points"),
+        (np.array([]), "is empty"),
     ], ids=["decreasing", "one-point", "empty"])
-    def test_cutoff_refuses_a_bad_grid_before_any_work(self, t_grid, monkeypatch):
+    def test_cutoff_refuses_a_bad_grid_before_any_work(self, t_grid, words, monkeypatch):
         n = 20
         sys = assemble_damped_wave(n, 1.0, localized_bump_damping(n))
         calls = []
@@ -570,7 +586,7 @@ class TestUniformGrid:
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *a, **k: calls.append("solve") or solve(*a, **k))
         eye = np.eye(2 * n)
-        with pytest.raises(ValueError, match="at least two points"):
+        with pytest.raises(ValueError, match=words):
             cutoff_transform_check(sys, eye, eye, _smooth_state(n), 2.0,
                                    [1.5], t_grid=t_grid, T=80.0)
         assert calls == []
